@@ -14,13 +14,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .coeffseq import (EPSeq, GenSeq, ep_map, ep_zip, inf_abs, joint_values,
-                       sup_abs)
+import numpy as np
+
+from .coeffseq import (EPSeq, GenSeq, _abs, _div, _mul, _silent, inf_abs,
+                       joint_shape, sup_abs)
 from .errors import (BadMask, BoundUnavailable, CoronaFails,
-                     HorizonCertifiedOnly, NotDivisible, NotInIdeal,
-                     NotInvertible, PreconditionFailed, WeightMismatch)
+                     HorizonCertifiedOnly, InvalidArgument, NotDivisible,
+                     NotInIdeal, NotInvertible, NumericalError,
+                     PointwiseDomainError, PreconditionFailed, WeightMismatch)
 from .weights import Weight
 
 Coeffs = Union[EPSeq, GenSeq]
@@ -61,6 +64,46 @@ def _require_exact(*els: Element) -> None:
                 "a generated sequence only supports horizon-certified queries")
 
 
+def _window(*els: Element) -> tuple[int, list[np.ndarray]]:
+    """Prefix length L of the joint window and each element's values on it."""
+    pl, cl = joint_shape(*(e.u for e in els))
+    return pl, [e.u.take(pl + cl) for e in els]
+
+
+def _element(w: Weight, values, pl: int) -> Element:
+    return Element(w, EPSeq.from_values(values, pl))
+
+
+def _map(fn: Callable[[complex], complex], u: EPSeq) -> EPSeq:
+    """fn (a cmath function) at every representative position."""
+    vals = u.rep_values()
+    try:
+        out = list(map(fn, vals))
+    except (ValueError, OverflowError):
+        for n, v in enumerate(vals):  # locate the first failing position
+            try:
+                fn(v)
+            except ValueError as exc:
+                raise PointwiseDomainError(
+                    n, str(exc) or "pointwise operation undefined") from exc
+            except OverflowError as exc:
+                raise NumericalError(
+                    f"{fn.__name__} overflows the double range at index {n}") from exc
+        raise
+    return EPSeq.from_values(out, u.period_start)
+
+
+def _sq_moduli(us: Sequence[np.ndarray], zero: np.ndarray) -> np.ndarray:
+    """sum_k (conj(u_k) * u_k).real, in Python's order.  It may vanish only
+    where every u_k does (``zero``), not by underflow elsewhere."""
+    denom = sum(_mul(u.conj(), u).real for u in us)
+    under = (denom == 0.0) & ~zero
+    if under.any():
+        raise NumericalError("squared moduli underflow to 0 at index "
+                             f"{int(under.argmax())}")
+    return denom
+
+
 # ---------------------------------------------------------------------------
 # construction and arithmetic
 
@@ -80,38 +123,39 @@ def monomial(w: Weight, m: int) -> Element:
     return Element(w, EPSeq.from_values(vals, m + 1))
 
 
-def from_normalized(w: Weight, u: Coeffs) -> Element:
-    return Element(w, u)
-
-
 def from_raw_coeffs(w: Weight, raw_prefix: Sequence[complex]) -> Element:
     """Finite raw Taylor coefficients (zero tail): u(n) = p(n) * fhat(n)."""
     vals = [w.p_eval(n) * complex(c) for n, c in enumerate(raw_prefix)]
     return Element(w, EPSeq.from_values(vals + [0.0], len(vals)))
 
 
+@_silent
 def add(f: Element, g: Element) -> Element:
     _same_weight(f, g)
     _require_exact(f, g)
-    return Element(f.weight, ep_zip(f.u, g.u, lambda a, b: a + b))
+    pl, (a, b) = _window(f, g)
+    return _element(f.weight, a + b, pl)
 
 
+@_silent
 def sub(f: Element, g: Element) -> Element:
     _same_weight(f, g)
     _require_exact(f, g)
-    return Element(f.weight, ep_zip(f.u, g.u, lambda a, b: a - b))
+    pl, (a, b) = _window(f, g)
+    return _element(f.weight, a - b, pl)
 
 
 def scalar_mul(c: complex, f: Element) -> Element:
     _require_exact(f)
-    return Element(f.weight, ep_map(f.u, lambda v: c * v))
+    return _element(f.weight, _mul(complex(c), f.u.array), f.u.period_start)
 
 
 def star(f: Element, g: Element) -> Element:
     """Weighted Hadamard product: pointwise product of normalized coefficients."""
     _same_weight(f, g)
     _require_exact(f, g)
-    return Element(f.weight, ep_zip(f.u, g.u, lambda a, b: a * b))
+    pl, (a, b) = _window(f, g)
+    return _element(f.weight, _mul(a, b), pl)
 
 
 def norm(f: Element) -> float:
@@ -146,7 +190,7 @@ def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
     t_{n+1} = t_n * z * p(n)/p(n+1), avoiding raw weight values.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidArgument("tol must be positive")
     w = f.weight
     r = abs(z)
     if f.exact:
@@ -191,10 +235,10 @@ def invertible(f: Element) -> Optional[tuple[float, Element]]:
     delta = inf_abs(f.u)
     if delta == 0.0:
         return None
-    inv = ep_map(f.u, lambda v: 1.0 / v)
-    return delta, Element(f.weight, inv)
+    return delta, _element(f.weight, _div(1.0, f.u.array), f.u.period_start)
 
 
+@_silent
 def divide(f: Element, g: Element) -> tuple[float, Element]:
     """Decide whether g divides f; return the least constant C and quotient h.
 
@@ -204,18 +248,14 @@ def divide(f: Element, g: Element) -> tuple[float, Element]:
     """
     _same_weight(f, g)
     _require_exact(f, g)
-    pl, cl, rows = joint_values(f.u, g.u)
-    C = 0.0
-    hvals = []
-    for n, (uf, ug) in enumerate(rows):
-        if ug == 0:
-            if uf != 0:
-                raise NotDivisible(n)
-            hvals.append(0.0)
-        else:
-            C = max(C, abs(uf) / abs(ug))
-            hvals.append(uf / ug)
-    return C, Element(f.weight, EPSeq.from_values(hvals, pl))
+    pl, (uf, ug) = _window(f, g)
+    zero = ug == 0
+    bad = zero & (uf != 0)
+    if bad.any():
+        raise NotDivisible(int(bad.argmax()))
+    nz = ~zero
+    C = float(np.max(_abs(uf[nz]) / _abs(ug[nz]), initial=0.0))
+    return C, _element(f.weight, np.where(zero, 0, _div(uf, ug)), pl)
 
 
 def gcd(fs: Sequence[Element]) -> Element:
@@ -228,11 +268,11 @@ def gcd(fs: Sequence[Element]) -> Element:
         raise ValueError("gcd needs at least one element")
     w = _same_weight(*fs)
     _require_exact(*fs)
-    pl, cl, rows = joint_values(*(f.u for f in fs))
-    vals = [max(abs(v) for v in row) for row in rows]
-    return Element(w, EPSeq.from_values(vals, pl))
+    pl, us = _window(*fs)
+    return _element(w, np.max([_abs(u) for u in us], axis=0), pl)
 
 
+@_silent
 def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]:
     """Membership of f in the ideal generated by gens, with Bezout witnesses.
 
@@ -244,26 +284,21 @@ def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]
         raise ValueError("need at least one generator")
     w = _same_weight(f, *gens)
     _require_exact(f, *gens)
-    pl, cl, rows = joint_values(f.u, *(g.u for g in gens))
-    C = 0.0
-    hvals = [[] for _ in gens]
-    for n, row in enumerate(rows):
-        uf, ugs = row[0], row[1:]
-        s = sum(abs(v) for v in ugs)
-        if s == 0.0:
-            if uf != 0:
-                raise NotInIdeal(n)
-            for col in hvals:
-                col.append(0.0)
-            continue
-        C = max(C, abs(uf) / s)
-        denom = sum(v.conjugate() * v for v in ugs).real
-        for col, v in zip(hvals, ugs):
-            col.append(uf * v.conjugate() / denom)
-    coeffs = [Element(w, EPSeq.from_values(col, pl)) for col in hvals]
+    pl, (uf, *ugs) = _window(f, *gens)
+    s = sum(_abs(v) for v in ugs)
+    zero = s == 0.0
+    bad = zero & (uf != 0)
+    if bad.any():
+        raise NotInIdeal(int(bad.argmax()))
+    nz = ~zero
+    C = float(np.max(_abs(uf[nz]) / s[nz], initial=0.0))
+    denom = _sq_moduli(ugs, zero)
+    coeffs = [_element(w, np.where(zero, 0, _div(_mul(uf, v.conj()), denom)), pl)
+              for v in ugs]
     return C, coeffs
 
 
+@_silent
 def corona_solve(fs: Sequence[Element]) -> tuple[float, list[Element]]:
     """Bezout identity sum g_i * f_i = unit under the corona condition.
 
@@ -276,19 +311,14 @@ def corona_solve(fs: Sequence[Element]) -> tuple[float, list[Element]]:
         raise ValueError("need at least one element")
     w = _same_weight(*fs)
     _require_exact(*fs)
-    pl, cl, rows = joint_values(*(f.u for f in fs))
-    delta = math.inf
-    gvals = [[] for _ in fs]
-    for n, row in enumerate(rows):
-        s = sum(abs(v) for v in row)
-        if s == 0.0:
-            raise CoronaFails(n)
-        delta = min(delta, s)
-        denom = sum(v.conjugate() * v for v in row).real
-        for col, v in zip(gvals, row):
-            col.append(v.conjugate() / denom)
-    gs = [Element(w, EPSeq.from_values(col, pl)) for col in gvals]
-    return delta, gs
+    pl, us = _window(*fs)
+    s = sum(_abs(v) for v in us)
+    zero = s == 0.0
+    if zero.any():
+        raise CoronaFails(int(zero.argmax()))
+    denom = _sq_moduli(us, zero)
+    gs = [_element(w, _div(v.conj(), denom), pl) for v in us]
+    return float(s.min()), gs
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +330,12 @@ def approx_invertible(f: Element, eps: float) -> Element:
 
     Positions with |u(n)| <= eps are replaced by eps, so inf |u_g| >= eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise InvalidArgument("eps must be positive")
     _require_exact(f)
-    g = ep_map(f.u, lambda v: v if abs(v) > eps else complex(eps))
-    return Element(f.weight, g)
+    u = f.u.array
+    return _element(f.weight, np.where(_abs(u) > eps, u, complex(eps)),
+                    f.u.period_start)
 
 
 def bass_reduce(f1: Element, f2: Element, g1: Element, g2: Element,
@@ -318,13 +349,13 @@ def bass_reduce(f1: Element, f2: Element, g1: Element, g2: Element,
     ||(H1 - G1) * F1|| <= 2 eps < 1.
     """
     if not 0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
+        raise InvalidArgument("eps must lie in (0, 1/2)")
     w = _same_weight(f1, f2, g1, g2)
     _require_exact(f1, f2, g1, g2)
     bezout = add(star(g1, f1), star(g2, f2))
     if bezout.u != EPSeq.constant(1.0):
         raise PreconditionFailed("g1*f1 + g2*f2 is not exactly the unit")
-    u_el = Element(w, ep_map(f1.u, lambda v: 1.0 + abs(v)))
+    u_el = _element(w, 1.0 + _abs(f1.u.array), f1.u.period_start)
     _, u_inv = invertible(u_el)
     g1u = star(g1, u_el)
     h1 = approx_invertible(g1u, eps)
@@ -349,14 +380,17 @@ def bass_reduce(f1: Element, f2: Element, g1: Element, g2: Element,
 def is_idempotent(f: Element) -> bool:
     """f * f == f, equivalently u(n) in {0, 1} for every n (exact)."""
     _require_exact(f)
-    return all(v == 0 or v == 1 for v in f.u.rep_values())
+    u = f.u.array
+    return bool(np.all((u == 0) | (u == 1)))
 
 
 def idempotent_from_mask(w: Weight, mask: EPSeq) -> Element:
     """Element with u = mask; requires mask values exactly 0 or 1."""
-    for n, v in enumerate(mask.rep_values()):
-        if v != 0 and v != 1:
-            raise BadMask(n, v)
+    u = mask.array
+    bad = (u != 0) & (u != 1)
+    if bad.any():
+        n = int(bad.argmax())
+        raise BadMask(n, complex(u[n]))
     return Element(w, mask)
 
 
@@ -364,7 +398,7 @@ def exp_el(f: Element) -> Element:
     """Exponential: u_{exp f}(k) = e^{u_f(k)}; invertible with
     inf |u| >= e^{-||f||}."""
     _require_exact(f)
-    return Element(f.weight, ep_map(f.u, cmath.exp))
+    return Element(f.weight, _map(cmath.exp, f.u))
 
 
 def log_el(g: Element) -> Element:
@@ -373,8 +407,7 @@ def log_el(g: Element) -> Element:
     ||f|| <= sqrt(max(|log delta|, |log ||g|| |)^2 + pi^2).
     """
     _require_exact(g)
-    inv = invertible(g)
-    if inv is None:
-        bad = min(enumerate(g.u.rep_values()), key=lambda kv: abs(kv[1]))
-        raise NotInvertible(bad[0], bad[1])
-    return Element(g.weight, ep_map(g.u, cmath.log))
+    if inf_abs(g.u) == 0.0:
+        n = int(_abs(g.u.array).argmin())
+        raise NotInvertible(n, complex(g.u.array[n]))
+    return Element(g.weight, _map(cmath.log, g.u))

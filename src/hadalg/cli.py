@@ -9,6 +9,7 @@ serialized with shortest-roundtrip repr, so documents reconstruct exactly.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -51,13 +52,28 @@ def _field(doc, key):
 
 def _parse_z(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise SchemaError(f"cannot parse point {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise SchemaError(f"point {text!r} is not finite")
+    return z
+
+
+def _finite_float(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return v
 
 
 def _c_json(v: complex) -> list[float]:
     return [v.real, v.imag]
+
+
+def _elements(doc, key) -> list:
+    return [serialize.element_from_json(d, f"{key}[{k}].")
+            for k, d in enumerate(_field(doc, key))]
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +103,23 @@ def _cmd_elem(args):
         return ({"delta": delta, "inverse": serialize.element_to_json(g)},
                 f"invertible, delta = {delta}")
     if op == "divide":
-        f = serialize.element_from_json(_field(doc, "f"))
-        g = serialize.element_from_json(_field(doc, "g"))
+        f = serialize.element_from_json(_field(doc, "f"), "f.")
+        g = serialize.element_from_json(_field(doc, "g"), "g.")
         C, h = algebra.divide(f, g)
         return ({"C": C, "quotient": serialize.element_to_json(h)},
                 f"divisible, least C = {C}")
     if op == "gcd":
-        fs = [serialize.element_from_json(d) for d in _field(doc, "elements")]
+        fs = _elements(doc, "elements")
         d = algebra.gcd(fs)
         return {"gcd": serialize.element_to_json(d)}, "gcd computed"
     if op == "ideal-member":
-        f = serialize.element_from_json(_field(doc, "f"))
-        gens = [serialize.element_from_json(d) for d in _field(doc, "generators")]
+        f = serialize.element_from_json(_field(doc, "f"), "f.")
+        gens = _elements(doc, "generators")
         C, hs = algebra.in_ideal(f, gens)
         return ({"C": C, "coefficients": [serialize.element_to_json(h) for h in hs]},
                 f"member, least C = {C}")
     if op == "corona":
-        fs = [serialize.element_from_json(d) for d in _field(doc, "elements")]
+        fs = _elements(doc, "elements")
         delta, gs = algebra.corona_solve(fs)
         return ({"delta": delta,
                  "solution": [serialize.element_to_json(g) for g in gs]},
@@ -130,9 +146,10 @@ def _cmd_elem(args):
                  "distance": dist},
                 f"invertible approximant at distance {dist} <= {2 * eps}")
     if op == "bass-reduce":
-        quad = [serialize.element_from_json(_field(doc, k))
+        quad = [serialize.element_from_json(_field(doc, k), k + ".")
                 for k in ("f1", "f2", "g1", "g2")]
-        h, witness = algebra.bass_reduce(*quad, eps=args.eps or 0.25)
+        eps = 0.25 if args.eps is None else args.eps
+        h, witness = algebra.bass_reduce(*quad, eps=eps)
         from .coeffseq import inf_abs
         return ({"h": serialize.element_to_json(h),
                  "witness": serialize.element_to_json(witness),
@@ -260,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, ops):
         p.add_argument("op", choices=ops)
         p.add_argument("--weight", default="factorial")
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=_finite_float, default=1e-10)
         p.add_argument("--horizon", type=int, default=1 << 14)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", default=None,
@@ -272,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "corona", "exp", "log", "idempotent", "approx-invert",
                 "bass-reduce"])
     pe.add_argument("--z", default="0", help="evaluation point, e.g. '1+2j'")
-    pe.add_argument("--eps", type=float, default=None)
+    pe.add_argument("--eps", type=_finite_float, default=None)
     pe.set_defaults(func=_cmd_elem)
 
     pm = sub.add_parser("mat")
@@ -295,8 +312,66 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _json_str(s: str) -> str:
+    return f'"{s}"' if s.isascii() and s.isidentifier() else json.dumps(s)
+
+
+def _pairs(items: list, nl: str):
+    """Text of items when each is a [re, im] pair of finite floats, else None."""
+    if not set(map(type, items)) <= {list, tuple}:
+        return None
+    inner = nl + "  "
+    fmt = "[" + inner + "%s," + inner + "%s" + nl + "]"
+    r = float.__repr__
+    try:
+        text = ("," + nl).join([fmt % (r(a), r(b)) for a, b in items])
+    except (TypeError, ValueError):
+        return None
+    return None if "n" in text else text  # nan and inf need json's spelling
+
+
+def _write(o, nl: str, out: list) -> None:
+    """Append the text of json.dumps(o, indent=2) to out, at the indentation
+    that the newline string nl sets.
+
+    json's pure-Python encoder (used whenever indent is set) pays a generator
+    step per item; this writes the same text, and formats lists of float
+    pairs, the bulk of every document, in one comprehension."""
+    t = type(o)
+    if (t is list or t is tuple) and o:
+        inner = nl + "  "
+        body = _pairs(o, inner)
+        out.append("[" + inner)
+        if body is None:
+            for k, v in enumerate(o):
+                if k:
+                    out.append("," + inner)
+                _write(v, inner, out)
+        else:
+            out.append(body)
+        out.append(nl + "]")
+    elif t is dict and o and all(type(k) is str for k in o):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            out.append(sep + _json_str(k) + ": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is str:
+        out.append(_json_str(o))
+    elif t is int or (t is float and math.isfinite(o)):
+        out.append(repr(o))
+    elif t is bool or o is None:
+        out.append("null" if o is None else "true" if o else "false")
+    else:
+        out.append(json.dumps(o, indent=2).replace("\n", nl))
+
+
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2)
+    parts: list[str] = []
+    _write(payload, "\n", parts)
+    text = "".join(parts)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:

@@ -12,23 +12,73 @@ anything computed from one is advisory, never a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import HorizonExceeded, PointwiseDomainError
 
 
-def _primitive_cycle(cycle: tuple) -> tuple:
-    n = len(cycle)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if cycle == cycle[:d] * (n // d):
-            return cycle[:d]
-    return cycle
+def _as_values(values) -> np.ndarray:
+    a = np.asarray(values, dtype=np.complex128)
+    if a.ndim != 1:
+        raise ValueError("prefix and cycle must be one-dimensional")
+    return a
 
 
-@dataclass(frozen=True)
+def _repeat(cycle: np.ndarray, count: int) -> np.ndarray:
+    """cycle repeated to length count: entry m is cycle[m mod len(cycle)]."""
+    c = len(cycle)
+    out = np.empty(-(-count // c) * c, dtype=np.complex128)
+    out.reshape(-1, c)[:] = cycle
+    return out[:count]
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _primitive_cycle(cycle: np.ndarray) -> np.ndarray:
+    """Shortest d dividing len(cycle) with cycle == cycle[:d] repeated.
+
+    The divisors of n that are periods are exactly the multiples of the
+    shortest one (Fine and Wilf), so dividing n by each prime factor while
+    the quotient stays a period reaches it.
+    """
+    d = len(cycle)
+    for q in _prime_factors(d):
+        while d % q == 0 and (cycle[d // q:] == cycle[:-(d // q)]).all():
+            d //= q
+    return cycle[:d]
+
+
+def _canonical(prefix: np.ndarray, cycle: np.ndarray) -> tuple[np.ndarray, int]:
+    """(prefix + cycle as one read-only array, prefix length), canonical."""
+    if not len(cycle):
+        raise ValueError("cycle must be nonempty")
+    cycle = _primitive_cycle(cycle)
+    # absorb trailing prefix entries equal to the cycle value they shadow;
+    # each absorption rotates the cycle right by one to keep later values
+    if len(prefix) and prefix[-1] == cycle[-1]:
+        hit = prefix[::-1] == _repeat(cycle[::-1], len(prefix))
+        t = len(prefix) if hit.all() else int(hit.argmin())
+        prefix, cycle = prefix[:len(prefix) - t], np.roll(cycle, t)
+    rep = np.concatenate((prefix, cycle))
+    rep.flags.writeable = False
+    return rep, len(prefix)
+
+
 class EPSeq:
     """Eventually periodic sequence: value(n) = prefix[n] for n < |prefix|,
     then cycle[(n - |prefix|) mod |cycle|].
@@ -37,51 +87,77 @@ class EPSeq:
     entry merely shadows the cycle value it would have anyway.  Equality of
     canonical forms therefore decides equality of the sequences.  Values are
     compared with exact ``==``; no approximate deduplication ever happens.
+
+    The values live in one read-only complex128 array, ``array`` (prefix
+    then cycle); ``prefix`` and ``cycle`` are tuple views of it, built on
+    first use.  Instances are immutable.
     """
 
-    prefix: tuple
-    cycle: tuple
+    def __init__(self, prefix, cycle):
+        # raw arguments until __post_init__ replaces them by the canonical array
+        vars(self).update(prefix=prefix, cycle=cycle)
+        self.__post_init__()
 
     def __post_init__(self):
-        prefix = tuple(complex(v) for v in self.prefix)
-        cycle = tuple(complex(v) for v in self.cycle)
-        if not cycle:
-            raise ValueError("cycle must be nonempty")
-        cycle = _primitive_cycle(cycle)
-        # absorb prefix entries that equal the cycle value they would shadow;
-        # absorbing rotates the cycle right by one to keep later values fixed
-        while prefix and prefix[-1] == cycle[-1]:
-            prefix = prefix[:-1]
-            cycle = cycle[-1:] + cycle[:-1]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
+        d = vars(self)
+        d["array"], d["period_start"] = _canonical(_as_values(d.pop("prefix")),
+                                                   _as_values(d.pop("cycle")))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EPSeq is immutable; cannot set {name!r}")
+
+    @cached_property
+    def prefix(self) -> tuple:
+        return tuple(self.array[:self.period_start].tolist())
+
+    @cached_property
+    def cycle(self) -> tuple:
+        return tuple(self.array[self.period_start:].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, EPSeq):
+            return NotImplemented
+        return (self.period_start == other.period_start
+                and len(self.array) == len(other.array)
+                and bool((self.array == other.array).all()))
+
+    def __hash__(self):
+        return hash((self.prefix, self.cycle))
+
+    def __repr__(self):
+        return f"EPSeq(prefix={self.prefix!r}, cycle={self.cycle!r})"
 
     # -- indexing ----------------------------------------------------------
 
     def value(self, n: int) -> complex:
         if n < 0:
             raise IndexError(n)
-        if n < len(self.prefix):
+        if n < self.period_start:
             return self.prefix[n]
-        return self.cycle[(n - len(self.prefix)) % len(self.cycle)]
+        return self.cycle[(n - self.period_start) % len(self.cycle)]
 
     def __call__(self, n: int) -> complex:
         return self.value(n)
 
     def values(self, count: int) -> list:
-        return [self.value(n) for n in range(count)]
+        return self.take(count).tolist()
 
-    @property
-    def period_start(self) -> int:
-        return len(self.prefix)
+    def take(self, count: int) -> np.ndarray:
+        """Values at n < count as a complex128 array: index n >= L reads
+        the cycle at (n - L) mod c."""
+        if count == len(self.array):
+            return self.array
+        L = min(self.period_start, count)
+        return np.concatenate((self.array[:L],
+                               _repeat(self.array[self.period_start:], count - L)))
 
     @property
     def rep_len(self) -> int:
         """Number of positions whose values determine the whole sequence."""
-        return len(self.prefix) + len(self.cycle)
+        return len(self.array)
 
     def rep_values(self) -> list:
-        return list(self.prefix) + list(self.cycle)
+        return self.array.tolist()
 
     # -- constructors ------------------------------------------------------
 
@@ -91,7 +167,7 @@ class EPSeq:
 
     @staticmethod
     def from_values(values: Sequence, period_start: int) -> "EPSeq":
-        return EPSeq(tuple(values[:period_start]), tuple(values[period_start:]))
+        return EPSeq(values[:period_start], values[period_start:])
 
 
 ZERO = EPSeq((), (0.0,))
@@ -100,8 +176,8 @@ ONE = EPSeq((), (1.0,))
 
 def joint_shape(*seqs: EPSeq) -> tuple[int, int]:
     """Common (prefix length, cycle length) refining every argument."""
-    pl = max((len(s.prefix) for s in seqs), default=0)
-    cl = lcm(*(len(s.cycle) for s in seqs)) if seqs else 1
+    pl = max((s.period_start for s in seqs), default=0)
+    cl = lcm(*(s.rep_len - s.period_start for s in seqs)) if seqs else 1
     return pl, cl
 
 
@@ -114,7 +190,7 @@ def joint_values(*seqs: EPSeq) -> tuple[int, int, list[list[complex]]]:
     of N_0.
     """
     pl, cl = joint_shape(*seqs)
-    rows = [[s.value(n) for s in seqs] for n in range(pl + cl)]
+    rows = np.stack([s.take(pl + cl) for s in seqs], axis=1).tolist()
     return pl, cl, rows
 
 
@@ -131,7 +207,7 @@ def ep_zip(a: EPSeq, b: EPSeq, op: Callable[[complex, complex], complex]) -> EPS
 
 
 def ep_map(a: EPSeq, op: Callable[[complex], complex]) -> EPSeq:
-    pl = len(a.prefix)
+    pl = a.period_start
     out = []
     for n, v in enumerate(a.rep_values()):
         try:
@@ -143,12 +219,57 @@ def ep_map(a: EPSeq, op: Callable[[complex], complex]) -> EPSeq:
 
 def sup_abs(a: EPSeq) -> float:
     """sup_n |a(n)|, exact: the sup over N_0 is attained on the window."""
-    return max(abs(v) for v in a.rep_values())
+    return float(_abs(a.array).max())
 
 
 def inf_abs(a: EPSeq) -> float:
     """inf_n |a(n)|, exact."""
-    return min(abs(v) for v in a.rep_values())
+    return float(_abs(a.array).min())
+
+
+# ---------------------------------------------------------------------------
+# CPython's complex arithmetic on arrays.  numpy's complex ufuncs round
+# differently from Python's complex type (abs, products, and division through
+# a reciprocal), so a pointwise result would change in its last bits.  These
+# helpers apply CPython's own formulas to the real and imaginary parts; sums
+# over several sequences go left to right from 0, as Python's sum() does.
+
+
+def _silent(fn):
+    """Run fn without numpy's floating-point warnings: Python's float and
+    complex arithmetic overflows to inf (or nan) silently."""
+    return np.errstate(all="ignore")(fn)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+@_silent
+def _abs(z) -> np.ndarray:
+    """abs(z): hypot of the parts (_Py_c_abs)."""
+    return np.hypot(z.real, z.imag)
+
+
+@_silent
+def _mul(a, b) -> np.ndarray:
+    """a * b (_Py_c_prod)."""
+    return _complex(a.real * b.real - a.imag * b.imag,
+                    a.real * b.imag + a.imag * b.real)
+
+
+@_silent
+def _div(a, b) -> np.ndarray:
+    """a / b (_Py_c_quot: Smith's method with true divisions).  Entries
+    where b == 0 are garbage; Python raises there, so callers mask them."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_re = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_re, bi / br, br / bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    return _complex(np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+                    np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
 # ---------------------------------------------------------------------------

@@ -188,3 +188,7 @@ class HorizonExceeded(SchemaError):
         super().__init__(f"index {requested} beyond horizon {horizon}")
         self.requested = requested
         self.horizon = horizon
+
+
+class InvalidArgument(SchemaError, ValueError):
+    """A numeric argument outside its documented domain (say eps <= 0)."""

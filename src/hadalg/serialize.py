@@ -7,17 +7,16 @@ reconstructs bit-identically in double precision.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any
+
+import numpy as np
 
 from . import weights as weights_mod
 from .algebra import Element, from_raw_coeffs
 from .coeffseq import EPSeq
 from .errors import SchemaError
 from .matalg import ElementaryFactor, MatElement
-
-
-def _c_to_json(v: complex) -> list[float]:
-    return [v.real, v.imag]
 
 
 def _c_from_json(obj: Any) -> complex:
@@ -29,17 +28,50 @@ def _c_from_json(obj: Any) -> complex:
     raise SchemaError(f"expected a number or [re, im] pair, got {obj!r}")
 
 
+def _values_from_json(cells: Any, field: str) -> np.ndarray:
+    """A JSON list of [re, im] pairs (or bare reals) as a complex128 array.
+
+    Lists of pairs of numbers convert in one numpy call; any other list goes
+    through _c_from_json cell by cell.  Non-finite values are refused.
+    """
+    if not isinstance(cells, (list, tuple)):
+        raise SchemaError(f"{field} must be a list of [re, im] pairs")
+    try:
+        flat = np.array(list(itertools.chain.from_iterable(cells)))
+        regular = (flat.ndim == 1 and flat.dtype.kind in "biuf"
+                   and set(map(len, cells)) == {2})
+    except (TypeError, ValueError):
+        regular = False
+    try:
+        if regular:
+            values = flat.astype(np.float64).view(np.complex128)
+        else:
+            values = np.array([_c_from_json(v) for v in cells], dtype=np.complex128)
+    except OverflowError as exc:
+        raise SchemaError(f"{field}: {exc}") from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        n = int(finite.argmin())
+        raise SchemaError(f"{field}[{n}] is not finite")
+    return values
+
+
+def _values_to_json(values: np.ndarray) -> list[list[float]]:
+    return values.view(np.float64).reshape(-1, 2).tolist()
+
+
 def epseq_to_json(s: EPSeq) -> dict:
-    return {"prefix": [_c_to_json(v) for v in s.prefix],
-            "cycle": [_c_to_json(v) for v in s.cycle]}
+    L = s.period_start
+    return {"prefix": _values_to_json(s.array[:L]),
+            "cycle": _values_to_json(s.array[L:])}
 
 
-def epseq_from_json(obj: Any) -> EPSeq:
+def epseq_from_json(obj: Any, field: str = "normalized") -> EPSeq:
     if not isinstance(obj, dict) or "cycle" not in obj:
         raise SchemaError("sequence document needs a 'cycle' field")
     try:
-        return EPSeq(tuple(_c_from_json(v) for v in obj.get("prefix", [])),
-                     tuple(_c_from_json(v) for v in obj["cycle"]))
+        return EPSeq(_values_from_json(obj.get("prefix", []), f"{field}.prefix"),
+                     _values_from_json(obj["cycle"], f"{field}.cycle"))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -50,16 +82,17 @@ def element_to_json(e: Element) -> dict:
     return {"weight": e.weight.name, "normalized": epseq_to_json(e.u)}
 
 
-def element_from_json(obj: Any) -> Element:
+def element_from_json(obj: Any, field: str = "") -> Element:
     if not isinstance(obj, dict) or "weight" not in obj:
         raise SchemaError("element document needs a 'weight' field")
     w = weights_mod.from_name(obj["weight"])
     if "normalized" in obj:
-        return Element(w, epseq_from_json(obj["normalized"]))
+        return Element(w, epseq_from_json(obj["normalized"], field + "normalized"))
     if "raw_prefix" in obj:
         if obj.get("tail", "zero") != "zero":
             raise SchemaError("raw form only supports tail = 'zero'")
-        return from_raw_coeffs(w, [_c_from_json(v) for v in obj["raw_prefix"]])
+        raw = _values_from_json(obj["raw_prefix"], field + "raw_prefix")
+        return from_raw_coeffs(w, raw.tolist())
     raise SchemaError("element document needs 'normalized' or 'raw_prefix'")
 
 
@@ -76,8 +109,9 @@ def matrix_from_json(obj: Any) -> MatElement:
     entries = obj["entries"]
     if not isinstance(entries, list) or not entries:
         raise SchemaError("'entries' must be a nonempty list of rows")
-    rows = tuple(tuple(Element(w, epseq_from_json(cell)) for cell in row)
-                 for row in entries)
+    rows = tuple(tuple(Element(w, epseq_from_json(cell, f"entries[{i}][{j}]"))
+                       for j, cell in enumerate(row))
+                 for i, row in enumerate(entries))
     A = MatElement(w, rows)
     if "rows" in obj and obj["rows"] != A.m:
         raise SchemaError(f"declared rows={obj['rows']} but found {A.m}")
@@ -92,5 +126,6 @@ def factors_to_json(factors) -> list[dict]:
 
 
 def factors_from_json(obj: Any) -> list[ElementaryFactor]:
-    return [ElementaryFactor(d["i"], d["j"], element_from_json(d["alpha"]))
-            for d in obj]
+    return [ElementaryFactor(d["i"], d["j"],
+                             element_from_json(d["alpha"], f"[{k}].alpha."))
+            for k, d in enumerate(obj)]

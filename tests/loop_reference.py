@@ -1,0 +1,182 @@
+"""Tuple-and-loop versions of the sequence scans, kept as the reference that
+the array path in ``hadalg`` must reproduce bit for bit.
+
+A sequence here is a ``(prefix, cycle)`` pair of tuples of Python ``complex``;
+every arithmetic step is Python's own complex arithmetic, position by
+position, exactly as the package computed it before sequences were stored as
+complex128 arrays.  Functions return canonical ``(prefix, cycle)`` pairs, and
+raise the package's errors with the same indices.
+"""
+
+import cmath
+import math
+
+from hadalg import algebra
+from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal,
+                           NotInvertible, PointwiseDomainError)
+
+
+def canonical(prefix, cycle):
+    prefix = tuple(complex(v) for v in prefix)
+    cycle = tuple(complex(v) for v in cycle)
+    if not cycle:
+        raise ValueError("cycle must be nonempty")
+    n = len(cycle)
+    for d in range(1, n + 1):
+        if n % d == 0 and cycle == cycle[:d] * (n // d):
+            cycle = cycle[:d]
+            break
+    while prefix and prefix[-1] == cycle[-1]:
+        prefix = prefix[:-1]
+        cycle = cycle[-1:] + cycle[:-1]
+    return prefix, cycle
+
+
+def value(s, n):
+    prefix, cycle = s
+    if n < len(prefix):
+        return prefix[n]
+    return cycle[(n - len(prefix)) % len(cycle)]
+
+
+def joint_values(*seqs):
+    pl = max(len(p) for p, _ in seqs)
+    cl = math.lcm(*(len(c) for _, c in seqs))
+    return pl, cl, [[value(s, n) for s in seqs] for n in range(pl + cl)]
+
+
+def from_values(values, pl):
+    return canonical(values[:pl], values[pl:])
+
+
+def zip_(a, b, op):
+    pl, _, rows = joint_values(a, b)
+    return from_values([op(x, y) for x, y in rows], pl)
+
+
+def map_(a, op):
+    out = []
+    for n, v in enumerate(a[0] + a[1]):
+        try:
+            out.append(op(v))
+        except (ZeroDivisionError, ValueError) as exc:
+            raise PointwiseDomainError(n, str(exc) or "pointwise operation undefined") from exc
+    return from_values(out, len(a[0]))
+
+
+def add(a, b):
+    return zip_(a, b, lambda x, y: x + y)
+
+
+def sub(a, b):
+    return zip_(a, b, lambda x, y: x - y)
+
+
+def star(a, b):
+    return zip_(a, b, lambda x, y: x * y)
+
+
+def scalar_mul(c, a):
+    return map_(a, lambda v: c * v)
+
+
+def norm(a):
+    return max(abs(v) for v in a[0] + a[1])
+
+
+def invertible(a):
+    delta = min(abs(v) for v in a[0] + a[1])
+    if delta == 0.0:
+        return None
+    return delta, map_(a, lambda v: 1.0 / v)
+
+
+def divide(f, g):
+    pl, _, rows = joint_values(f, g)
+    C = 0.0
+    hvals = []
+    for n, (uf, ug) in enumerate(rows):
+        if ug == 0:
+            if uf != 0:
+                raise NotDivisible(n)
+            hvals.append(0.0)
+        else:
+            C = max(C, abs(uf) / abs(ug))
+            hvals.append(uf / ug)
+    return C, from_values(hvals, pl)
+
+
+def gcd(fs):
+    pl, _, rows = joint_values(*fs)
+    return from_values([max(abs(v) for v in row) for row in rows], pl)
+
+
+def in_ideal(f, gens):
+    pl, _, rows = joint_values(f, *gens)
+    C = 0.0
+    hvals = [[] for _ in gens]
+    for n, row in enumerate(rows):
+        uf, ugs = row[0], row[1:]
+        s = sum(abs(v) for v in ugs)
+        if s == 0.0:
+            if uf != 0:
+                raise NotInIdeal(n)
+            for col in hvals:
+                col.append(0.0)
+            continue
+        C = max(C, abs(uf) / s)
+        denom = sum(v.conjugate() * v for v in ugs).real
+        for col, v in zip(hvals, ugs):
+            col.append(uf * v.conjugate() / denom)
+    return C, [from_values(col, pl) for col in hvals]
+
+
+def corona_solve(fs):
+    pl, _, rows = joint_values(*fs)
+    delta = math.inf
+    gvals = [[] for _ in fs]
+    for n, row in enumerate(rows):
+        s = sum(abs(v) for v in row)
+        if s == 0.0:
+            raise CoronaFails(n)
+        delta = min(delta, s)
+        denom = sum(v.conjugate() * v for v in row).real
+        for col, v in zip(gvals, row):
+            col.append(v.conjugate() / denom)
+    return delta, [from_values(col, pl) for col in gvals]
+
+
+def approx_invertible(a, eps):
+    return map_(a, lambda v: v if abs(v) > eps else complex(eps))
+
+
+def is_idempotent(a):
+    return all(v == 0 or v == 1 for v in a[0] + a[1])
+
+
+def exp_el(a):
+    return map_(a, cmath.exp)
+
+
+def log_el(a):
+    if invertible(a) is None:
+        bad = min(enumerate(a[0] + a[1]), key=lambda kv: abs(kv[1]))
+        raise NotInvertible(bad[0], bad[1])
+    return map_(a, cmath.log)
+
+
+def mat_det(entries):
+    """Plain cofactor expansion over the algebra: about e n! star/add pairs."""
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        acc = None
+        for j, e in enumerate(rows[0]):
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            term = algebra.star(e, det(minor))
+            if j % 2:
+                term = algebra.scalar_mul(-1.0, term)
+            acc = term if acc is None else algebra.add(acc, term)
+        return acc
+
+    return det([list(r) for r in entries])

@@ -1,0 +1,196 @@
+"""The complex128 array path reproduces the tuple-and-loop reference in
+``loop_reference`` bit for bit: same canonical forms, same windows, same
+scan results and the same failure indices."""
+
+import random
+import struct
+
+import numpy as np
+import pytest
+
+from hadalg import algebra as alg
+from hadalg import matalg as ma
+from hadalg.coeffseq import EPSeq, _abs, _div, _mul, joint_values
+from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal,
+                           NotInvertible, NumericalError)
+from hadalg.weights import FACTORIAL
+
+import loop_reference as ref
+from conftest import exact_divisor, gauss_int
+
+W = FACTORIAL
+
+
+def generic(rng):
+    return complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * 10.0 ** rng.randint(-3, 3)
+
+
+def signed_zero(rng):
+    """Small Gaussian integers whose zero parts carry either sign."""
+    return _resign(rng, gauss_int(rng, span=1))
+
+
+def _resign(rng, v):
+    return complex(v.real or rng.choice((0.0, -0.0)),
+                   v.imag or rng.choice((0.0, -0.0)))
+
+
+KINDS = [gauss_int, exact_divisor, generic, signed_zero]
+
+
+def raw_seq(rng, draw):
+    """A non-canonical (prefix, cycle): repeated cycles, shadowing prefix
+    tails, and zeros re-signed between the copies."""
+    cycle = [draw(rng) for _ in range(rng.randint(1, 3))] * rng.randint(1, 3)
+    prefix = [draw(rng) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.5:
+        prefix += cycle[-rng.randint(1, len(cycle)):]
+    if rng.random() < 0.5:
+        cycle = [_resign(rng, v) for v in cycle]
+        prefix = [_resign(rng, v) for v in prefix]
+    return tuple(prefix), tuple(cycle)
+
+
+def pair(rng, draw):
+    """The same sequence as an Element and as a reference (prefix, cycle)."""
+    p, c = raw_seq(rng, draw)
+    return alg.Element(W, EPSeq(p, c)), ref.canonical(p, c)
+
+
+def bits(x):
+    if isinstance(x, alg.Element):
+        x = x.u
+    if isinstance(x, EPSeq):
+        x = (x.prefix, x.cycle)
+    if isinstance(x, float):
+        return struct.pack("<d", x)
+    if isinstance(x, complex):
+        return struct.pack("<dd", x.real, x.imag)
+    if isinstance(x, (list, tuple)):
+        return [bits(v) for v in x]
+    return x
+
+
+def outcome(fn, *args):
+    try:
+        return bits(fn(*args))
+    except (NotDivisible, NotInIdeal, CoronaFails, NotInvertible) as exc:
+        return type(exc).__name__, exc.index, bits(getattr(exc, "value", None))
+    except (OverflowError, NumericalError):
+        return "overflow"   # the reference lets cmath's OverflowError escape
+
+
+def cases(count=150):
+    rng = random.Random(20260823)
+    for draw in KINDS:
+        for _ in range(count):
+            yield rng, draw
+
+
+def test_canonical_form():
+    for rng, draw in cases(300):
+        p, c = raw_seq(rng, draw)
+        s = EPSeq(p, c)
+        rp, rc = ref.canonical(p, c)
+        assert bits(s) == bits((rp, rc))
+        assert all(type(v) is complex for v in s.prefix + s.cycle)
+
+
+def test_joint_values():
+    for rng, draw in cases():
+        seqs = [raw_seq(rng, draw) for _ in range(rng.randint(1, 4))]
+        got = joint_values(*(EPSeq(p, c) for p, c in seqs))
+        want = ref.joint_values(*(ref.canonical(p, c) for p, c in seqs))
+        assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "star"])
+def test_binary(name):
+    for rng, draw in cases():
+        (f, rf), (g, rg) = pair(rng, draw), pair(rng, draw)
+        assert bits(getattr(alg, name)(f, g)) == bits(getattr(ref, name)(rf, rg))
+
+
+@pytest.mark.parametrize("name", ["invertible", "exp_el", "log_el", "norm",
+                                  "is_idempotent"])
+def test_unary(name):
+    for rng, draw in cases():
+        f, rf = pair(rng, draw)
+        assert outcome(getattr(alg, name), f) == outcome(getattr(ref, name), rf)
+
+
+def test_scalar_mul_and_threshold():
+    for rng, draw in cases():
+        f, rf = pair(rng, draw)
+        c = rng.choice([-1.0, 2, 1j, complex(0.5, -0.25), draw(rng)])
+        assert bits(alg.scalar_mul(c, f)) == bits(ref.scalar_mul(c, rf))
+        eps = rng.choice([0.5, 1.0, 1.5])
+        assert (bits(alg.approx_invertible(f, eps))
+                == bits(ref.approx_invertible(rf, eps)))
+
+
+def test_idempotent_masks():
+    rng = random.Random(7)
+    for _ in range(200):
+        draw = lambda r: _resign(r, complex(r.choice([0, 1, 1 + 1j])))
+        f, rf = pair(rng, draw)
+        assert alg.is_idempotent(f) == ref.is_idempotent(rf)
+
+
+def test_divide():
+    for rng, draw in cases():
+        (f, rf), (g, rg) = pair(rng, draw), pair(rng, draw)
+        assert outcome(alg.divide, f, g) == outcome(ref.divide, rf, rg)
+        fg = alg.star(f, g)   # always divisible by g
+        assert (outcome(alg.divide, fg, g)
+                == outcome(ref.divide, ref.star(rf, rg), rg))
+
+
+def test_gcd_ideal_corona():
+    for rng, draw in cases():
+        els = [pair(rng, draw) for _ in range(rng.randint(1, 4))]
+        fs, rfs = [e for e, _ in els], [r for _, r in els]
+        (f, rf) = pair(rng, draw)
+        assert bits(alg.gcd(fs)) == bits(ref.gcd(rfs))
+        assert outcome(alg.in_ideal, f, fs) == outcome(ref.in_ideal, rf, rfs)
+        assert outcome(alg.corona_solve, fs) == outcome(ref.corona_solve, rfs)
+
+
+def test_complex_helpers_match_python():
+    """CPython's complex *, / and abs, over magnitudes that take both
+    branches of Smith's division and with signed zeros."""
+    rng = random.Random(11)
+
+    def draw():
+        kind = rng.random()
+        if kind < 0.2:
+            return signed_zero(rng)
+        if kind < 0.4:
+            return exact_divisor(rng)
+        return complex(rng.uniform(-1, 1) * 10.0 ** rng.randint(-150, 150),
+                       rng.uniform(-1, 1) * 10.0 ** rng.randint(-150, 150))
+
+    a = [complex(draw()) for _ in range(20000)]
+    b = [complex(draw()) for _ in range(20000)]
+    b = [v if v else complex(1.0, -0.0) for v in b]
+    A, B = np.array(a), np.array(b)
+
+    def same(got, want):
+        return np.array_equal(np.asarray(got).view(np.int64),
+                              np.array(want).view(np.int64))
+
+    assert same(_mul(A, B), [x * y for x, y in zip(a, b)])
+    assert same(_div(A, B), [x / y for x, y in zip(a, b)])
+    assert same(_div(1.0, B), [1.0 / y for y in b])
+    assert same(_abs(A), [abs(x) for x in a])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mat_det_memo_matches_cofactor(n):
+    rng = random.Random(100 + n)
+    for draw in KINDS:
+        for _ in range(3):
+            rows = tuple(tuple(pair(rng, draw)[0] for _ in range(n))
+                         for _ in range(n))
+            A = ma.MatElement(W, rows)
+            assert bits(ma.mat_det(A)) == bits(ref.mat_det(A.entries))

@@ -1,0 +1,140 @@
+"""CLI boundary: the JSON writer's bytes, refused input and typed exits."""
+
+import argparse
+import json
+import math
+import warnings
+
+import pytest
+
+from hadalg import serialize
+from hadalg.cli import _emit, run
+from hadalg.errors import SchemaError
+
+
+def write(tmp_path, doc, name="in.json"):
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def element(prefix, cycle):
+    return {"weight": "factorial", "normalized": {"prefix": prefix, "cycle": cycle}}
+
+
+def elem(tmp_path, op, doc, *extra):
+    out = tmp_path / "out.json"
+    code = run(["elem", op, "--json", write(tmp_path, doc), "--out", str(out), *extra])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+class TestWriter:
+    PAYLOADS = [
+        {"n": 3, "neg": -7, "big": 10 ** 20, "flag": True, "off": False,
+         "none": None},
+        {"plain": "factorial", "escaped": 'a"b\\c\n\t', "unicode": "hé中\U0001f600",
+         "key with space": "superexp:b=2,q=2", "é": 1},
+        {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "x": 0.1, "z": -0.0},
+        {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [[]]]},
+        {"pairs": [[1.0, -0.0], [1e-300, 2.5e300], [0.1, 3.0]],
+         "nested": {"prefix": [], "cycle": [[0.5, 0.25]]}},
+        {"mixed": [[1, 2.0], [3.0, 4], [True, 1.0]], "triple": [[1.0, 2.0, 3.0]],
+         "pair_nan": [[1.0, math.nan], [math.inf, 0.0]], "tuple": (1.0, 2.0)},
+        {"witness": {"index": 3, "value": [0.0, 1.0]}, "y": [[1.0, 2.0], "s"]},
+        [{"i": 0, "j": 1, "alpha": element([[2.0, 0.0]], [[1.0, 0.0]])}],
+        {1: "int key", 2.5: "float key", None: "none key", True: "bool key"},
+    ]
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_bytes_match_json_dumps(self, payload, tmp_path):
+        out = tmp_path / "o.json"
+        _emit(payload, argparse.Namespace(out=str(out)))
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_stdout(self, capsys):
+        payload = self.PAYLOADS[4]
+        _emit(payload, argparse.Namespace(out=None))
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+class TestNonFiniteInput:
+    def test_nan_element_refused(self, tmp_path, capsys):
+        doc = element([], [[math.nan, 0], [1, 0]])
+        assert elem(tmp_path, "invert", doc)[0] == 3
+        assert "normalized.cycle[0]" in capsys.readouterr().err
+        assert elem(tmp_path, "norm", doc)[0] == 3
+
+    def test_infinite_matrix_entry_refused(self, tmp_path, capsys):
+        cell = {"prefix": [[1, 0]], "cycle": [[0, -math.inf]]}
+        doc = {"weight": "factorial", "entries": [[cell]]}
+        assert run(["mat", "det", "--json", write(tmp_path, doc)]) == 3
+        assert "entries[0][0].cycle[0]" in capsys.readouterr().err
+
+    def test_infinite_raw_prefix_refused(self, tmp_path):
+        doc = {"weight": "factorial", "raw_prefix": [1.0, math.inf]}
+        assert elem(tmp_path, "norm", doc)[0] == 3
+
+    def test_nan_factor_refused(self):
+        doc = [{"i": 0, "j": 1, "alpha": element([], [[1.0, math.nan]])}]
+        with pytest.raises(SchemaError, match=r"\[0\]\.alpha\.normalized\.cycle\[0\]"):
+            serialize.factors_from_json(doc)
+
+    @pytest.mark.parametrize("flag,value", [("--z", "nan"), ("--z", "inf+1j"),
+                                            ("--tol", "nan"), ("--tol", "inf"),
+                                            ("--eps", "nan")])
+    def test_non_finite_argument_refused(self, flag, value, tmp_path):
+        op = "approx-invert" if flag == "--eps" else "eval"
+        assert elem(tmp_path, op, element([], [[1, 0]]), f"{flag}={value}")[0] == 3
+
+
+class TestIrregularCells:
+    def test_bare_reals_accepted(self, tmp_path):
+        assert elem(tmp_path, "norm", element([2], [1]))[1] == {"norm": 2.0}
+
+    def test_mixed_cells_accepted(self, tmp_path):
+        code, out = elem(tmp_path, "norm", element([[1, 2.5]], [[0, 1], 2.0]))
+        assert code == 0 and out["norm"] == abs(complex(1, 2.5))
+
+    def test_ints_past_int64_accepted(self, tmp_path):
+        code, out = elem(tmp_path, "norm", element([], [[10 ** 20, -(2 ** 70)]]))
+        assert code == 0 and out["norm"] == abs(complex(10 ** 20, -(2 ** 70)))
+
+    def test_strings_refused(self, tmp_path):
+        assert elem(tmp_path, "norm", element([], [["1", "0"]]))[0] == 3
+
+    def test_none_refused(self, tmp_path):
+        assert elem(tmp_path, "norm", element([], [[None, 0]]))[0] == 3
+
+    def test_int_too_large_for_a_double_refused(self, tmp_path):
+        assert elem(tmp_path, "norm", element([], [[10 ** 400, 0]]))[0] == 3
+
+
+class TestTypedExits:
+    def test_exp_overflow_is_numerical(self, tmp_path, capsys):
+        code, _ = elem(tmp_path, "exp", element([[0, 0]], [[1, 0], [710, 0]]))
+        assert code == 4
+        assert "index 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["0", "-0.5"])
+    def test_eps_not_positive(self, eps, tmp_path):
+        assert elem(tmp_path, "approx-invert", element([], [[1, 0]]),
+                    f"--eps={eps}")[0] == 3
+
+    @pytest.mark.parametrize("op", ["eval", "approx-invert"])
+    def test_tol_zero(self, op, tmp_path):
+        assert elem(tmp_path, op, element([], [[1, 0]]), "--tol=0")[0] == 3
+
+    def test_bass_reduce_eps_zero_refused(self, tmp_path):
+        one, zero = element([], [[1, 0]]), element([], [[0, 0]])
+        doc = {"f1": one, "f2": zero, "g1": one, "g2": zero}
+        assert elem(tmp_path, "bass-reduce", doc)[0] == 0
+        assert elem(tmp_path, "bass-reduce", doc, "--eps=0")[0] == 3
+
+    def test_overflow_is_silent_as_in_python(self, tmp_path):
+        big, tiny = element([], [[1e200, 1e200]]), element([], [[1e-200, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert elem(tmp_path, "corona", {"elements": [big]})[0] == 0
+            assert elem(tmp_path, "ideal-member",
+                        {"f": big, "generators": [big, tiny]})[0] == 0
+            assert elem(tmp_path, "divide", {"f": big, "g": tiny})[0] == 0
