@@ -209,6 +209,9 @@ def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
                 break
         except BoundUnavailable:
             pass
+        except OverflowError as exc:
+            raise NumericalError(
+                f"tail bound overflows the double range at |z| = {r}") from exc
         N += 1
         if N > nmax:
             raise BoundUnavailable(
@@ -219,6 +222,8 @@ def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
     for n in range(N + 1):
         s += f.u.value(n) * t
         t *= z * math.exp(w.log_p(n) - w.log_p(n + 1))
+    if not cmath.isfinite(s):
+        raise NumericalError(f"partial sum is not finite at |z| = {r}")
     return EvalResult(value=s, error_bound=bound, terms=N + 1)
 
 

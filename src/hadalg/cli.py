@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import algebra, ideals, matalg, serialize, weights
-from .coeffseq import EPSeq
 from .errors import (HadalgError, MathConditionError, NotInvertible,
                      NumericalError, SchemaError)
 
@@ -279,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weight", default="factorial")
         p.add_argument("--tol", type=_finite_float, default=1e-10)
         p.add_argument("--horizon", type=int, default=1 << 14)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", default=None,
                        help="input document path ('-' for stdin)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -372,9 +370,8 @@ def _emit(payload: dict, args) -> None:
     parts: list[str] = []
     _write(payload, "\n", parts)
     text = "".join(parts)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -386,9 +383,8 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
         payload, summary = args.func(args)
     except MathConditionError as exc:
-        payload = {"error": str(exc), "witness": exc.witness()}
-        args = _safe_args(argv)
-        _emit(payload, args)
+        # only args.func raises these, so args is bound
+        _emit({"error": str(exc), "witness": exc.witness()}, args)
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_MATH
     except SchemaError as exc:
@@ -403,18 +399,6 @@ def run(argv=None) -> int:
     _emit(payload, args)
     print(summary, file=sys.stderr)
     return EXIT_OK
-
-
-def _safe_args(argv):
-    """Recover --out for witness emission even when parsing already happened."""
-    ns = argparse.Namespace(out=None)
-    argv = list(sys.argv[1:] if argv is None else argv)
-    for i, a in enumerate(argv):
-        if a == "--out" and i + 1 < len(argv):
-            ns.out = argv[i + 1]
-        elif a.startswith("--out="):
-            ns.out = a.split("=", 1)[1]
-    return ns
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import HorizonExceeded, PointwiseDomainError
+from .errors import HorizonExceeded, PointwiseDomainError, WindowTooLarge
 
 
 def _as_values(values) -> np.ndarray:
@@ -29,10 +29,11 @@ def _as_values(values) -> np.ndarray:
 
 
 def _repeat(cycle: np.ndarray, count: int) -> np.ndarray:
-    """cycle repeated to length count: entry m is cycle[m mod len(cycle)]."""
+    """cycle repeated along its first axis to length count: entry m is
+    cycle[m mod len(cycle)]."""
     c = len(cycle)
-    out = np.empty(-(-count // c) * c, dtype=np.complex128)
-    out.reshape(-1, c)[:] = cycle
+    out = np.empty((-(-count // c) * c,) + cycle.shape[1:], dtype=np.complex128)
+    out.reshape((-1,) + cycle.shape)[:] = cycle
     return out[:count]
 
 
@@ -64,16 +65,19 @@ def _primitive_cycle(cycle: np.ndarray) -> np.ndarray:
 
 
 def _canonical(prefix: np.ndarray, cycle: np.ndarray) -> tuple[np.ndarray, int]:
-    """(prefix + cycle as one read-only array, prefix length), canonical."""
+    """(prefix + cycle as one read-only array, prefix length), canonical
+    along the first axis.  The values at one position (a scalar, or a matrix
+    over the trailing axes) are equal when all their entries are."""
     if not len(cycle):
         raise ValueError("cycle must be nonempty")
     cycle = _primitive_cycle(cycle)
     # absorb trailing prefix entries equal to the cycle value they shadow;
     # each absorption rotates the cycle right by one to keep later values
-    if len(prefix) and prefix[-1] == cycle[-1]:
+    if len(prefix) and (prefix[-1] == cycle[-1]).all():
         hit = prefix[::-1] == _repeat(cycle[::-1], len(prefix))
+        hit = hit.reshape(len(prefix), -1).all(axis=1)
         t = len(prefix) if hit.all() else int(hit.argmin())
-        prefix, cycle = prefix[:len(prefix) - t], np.roll(cycle, t)
+        prefix, cycle = prefix[:len(prefix) - t], np.roll(cycle, t, axis=0)
     rep = np.concatenate((prefix, cycle))
     rep.flags.writeable = False
     return rep, len(prefix)
@@ -174,10 +178,18 @@ ZERO = EPSeq((), (0.0,))
 ONE = EPSeq((), (1.0,))
 
 
-def joint_shape(*seqs: EPSeq) -> tuple[int, int]:
-    """Common (prefix length, cycle length) refining every argument."""
+# cycle lengths combine by lcm: two coprime cycles near 10^4 need ~10^8
+MAX_WINDOW = 1 << 20
+
+
+def joint_shape(*seqs) -> tuple[int, int]:
+    """Common (prefix length, cycle length) refining every argument (an
+    EPSeq or a MatElement), refused above MAX_WINDOW positions."""
     pl = max((s.period_start for s in seqs), default=0)
-    cl = lcm(*(s.rep_len - s.period_start for s in seqs)) if seqs else 1
+    cl = lcm(*(len(s.array) - s.period_start for s in seqs))
+    if pl + cl > MAX_WINDOW:
+        raise WindowTooLarge(f"joint window of {pl + cl} positions exceeds "
+                             f"the budget of {MAX_WINDOW}")
     return pl, cl
 
 

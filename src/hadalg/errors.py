@@ -155,6 +155,10 @@ class QuadratureDisagreement(NumericalError):
         self.deviation = deviation
 
 
+class WindowTooLarge(NumericalError):
+    """A joint window would span more positions than coeffseq.MAX_WINDOW."""
+
+
 class SubdivisionOverflow(NumericalError):
     def __init__(self, limit: int):
         super().__init__(f"path subdivision exceeded {limit} steps")

@@ -13,91 +13,110 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import lcm
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from . import algebra
 from .algebra import Element
-from .coeffseq import EPSeq, joint_shape
-from .errors import (DimensionMismatch, HorizonCertifiedOnly, Inconsistent,
-                     NotInGL, NotSL, NumericalError, QuadratureDisagreement,
-                     SpectrumHit, SubdivisionOverflow, WeightMismatch)
+from .coeffseq import EPSeq, _abs, _canonical, _mul, _silent, joint_shape
+from .errors import (DimensionMismatch, Inconsistent, NotInGL, NotSL,
+                     NumericalError, QuadratureDisagreement, SpectrumHit,
+                     SubdivisionOverflow, WeightMismatch)
 from .weights import Weight
 
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MatElement:
-    """m x n matrix of elements sharing one weight."""
+    """m x n matrix of elements sharing one weight.
+
+    The matrix is stored as its U-view: one read-only complex128 ``array``
+    of shape (L + c, m, n) holding U(k) for k < L + c, with position
+    k >= L reading U(L + (k - L) mod c), where L = ``period_start``.  The
+    array is canonical along the position axis, exactly as an EPSeq is, so
+    (L, c) is the joint window of the canonical entries.  ``entries``, the
+    rows of Elements, is built on first use (or kept, when the matrix was
+    made from them).
+    """
 
     weight: Weight
-    entries: tuple  # tuple of tuples of Element
+    array: np.ndarray
+    period_start: int
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.entries)
+    def __init__(self, weight: Weight, entries):
+        rows = tuple(tuple(r) for r in entries)
         if not rows or not rows[0]:
             raise DimensionMismatch("matrix must be nonempty")
-        ncols = len(rows[0])
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-            for e in r:
-                if e.weight != self.weight:
-                    raise WeightMismatch(
-                        f"{e.weight.name} entry in {self.weight.name} matrix")
-        object.__setattr__(self, "entries", rows)
+        if len(set(map(len, rows))) > 1:
+            raise DimensionMismatch("ragged rows")
+        flat = [e for r in rows for e in r]
+        for e in flat:
+            if e.weight != weight:
+                raise WeightMismatch(f"{e.weight.name} entry in {weight.name} matrix")
+        algebra._require_exact(*flat)
+        pl, cols = algebra._window(*flat)
+        stack = np.stack(cols, axis=1).reshape(-1, len(rows), len(rows[0]))
+        self._store(weight, pl, stack)
+        vars(self)["entries"] = rows
+
+    def _store(self, weight: Weight, pl: int, stack: np.ndarray) -> "MatElement":
+        array, L = _canonical(stack[:pl], stack[pl:])
+        vars(self).update(weight=weight, array=array, period_start=L)
+        return self
+
+    # the stack is indexed along its first axis exactly as an EPSeq's values
+    take = EPSeq.take
+
+    @cached_property
+    def entries(self) -> tuple:
+        """Rows of Elements, each entry canonicalised on its own."""
+        w, L = self.weight, self.period_start
+        return tuple(tuple(algebra._element(w, self.array[:, i, j], L)
+                           for j in range(self.n)) for i in range(self.m))
+
+    def __eq__(self, other):
+        if not isinstance(other, MatElement):
+            return NotImplemented
+        return (self.weight == other.weight
+                and self.period_start == other.period_start
+                and np.array_equal(self.array, other.array))
 
     @property
     def m(self) -> int:
-        return len(self.entries)
+        return self.array.shape[1]
 
     @property
     def n(self) -> int:
-        return len(self.entries[0])
-
-    @property
-    def exact(self) -> bool:
-        return all(e.exact for r in self.entries for e in r)
+        return self.array.shape[2]
 
     # -- U-view ------------------------------------------------------------
 
     def shape_window(self) -> tuple[int, int]:
         """Joint (prefix length, cycle length) over all entries."""
-        _require_exact(self)
-        return joint_shape(*(e.u for r in self.entries for e in r))
+        return self.period_start, len(self.array) - self.period_start
 
     def U(self, k: int) -> np.ndarray:
         """Normalized coefficient matrix at position k."""
-        return np.array([[e.u.value(k) for e in r] for r in self.entries],
-                        dtype=complex)
+        if k < 0:
+            raise IndexError(k)
+        L, c = self.shape_window()
+        return self.array[k if k < L else L + (k - L) % c].copy()
 
     def ustack(self) -> tuple[int, int, np.ndarray]:
-        """(L, c, stack of U(k) for k < L + c)."""
+        """(L, c, stack of U(k) for k < L + c); the stack is read-only."""
         pl, cl = self.shape_window()
-        return pl, cl, _stack(self, pl + cl)
-
-
-def _require_exact(A: MatElement) -> None:
-    if not A.exact:
-        raise HorizonCertifiedOnly(
-            "matrix operations require eventually periodic entries")
-
-
-def _stack(A: MatElement, count: int) -> np.ndarray:
-    """U(k) for k < count, as one (count, m, n) array."""
-    cols = [e.u.take(count) for r in A.entries for e in r]
-    return np.stack(cols, axis=1).reshape(count, A.m, A.n)
+        return pl, cl, self.array
 
 
 def from_ustack(w: Weight, pl: int, stack: np.ndarray) -> MatElement:
-    """Rebuild a MatElement from positionwise values (canonicalizing entries)."""
-    P, m, n = stack.shape
-    return MatElement(w, tuple(tuple(Element(w, EPSeq.from_values(stack[:, i, j], pl))
-                                     for j in range(n)) for i in range(m)))
+    """The matrix with U(k) = stack[k] for k < len(stack), positions from pl
+    on repeating with period len(stack) - pl (canonicalised)."""
+    stack = np.asarray(stack, dtype=np.complex128)
+    return MatElement.__new__(MatElement)._store(w, pl, stack)
 
 
 @dataclass(frozen=True)
@@ -118,27 +137,24 @@ class ElementaryFactor:
 
 
 def mat_identity(w: Weight, n: int) -> MatElement:
-    rows = [[algebra.unit(w) if i == j else algebra.zero(w) for j in range(n)]
-            for i in range(n)]
-    return MatElement(w, tuple(tuple(r) for r in rows))
+    return from_ustack(w, 0, np.eye(n, dtype=complex)[None])
 
 
+@_silent
 def mat_mul(A: MatElement, B: MatElement) -> MatElement:
+    """Positionwise product.  Each entry is summed left to right from the
+    k = 0 term with CPython's complex product, as star/add over the entries
+    computes it; np.matmul would round differently."""
     if A.n != B.m:
         raise DimensionMismatch(f"{A.m}x{A.n} times {B.m}x{B.n}")
     if A.weight != B.weight:
         raise WeightMismatch(f"{A.weight.name} vs {B.weight.name}")
-    rows = []
-    for i in range(A.m):
-        row = []
-        for j in range(B.n):
-            acc = algebra.star(A.entries[i][0], B.entries[0][j])
-            for k in range(1, A.n):
-                acc = algebra.add(acc, algebra.star(A.entries[i][k],
-                                                    B.entries[k][j]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return MatElement(A.weight, tuple(rows))
+    pl, cl = joint_shape(A, B)
+    a, b = A.take(pl + cl), B.take(pl + cl)
+    acc = _mul(a[:, :, 0, None], b[:, None, 0, :])
+    for k in range(1, A.n):
+        acc = acc + _mul(a[:, :, k, None], b[:, None, k, :])
+    return from_ustack(A.weight, pl, acc)
 
 
 def mat_det(A: MatElement) -> Element:
@@ -173,9 +189,8 @@ def mat_det(A: MatElement) -> Element:
 def mat_norm_bounds(A: MatElement) -> tuple[float, float]:
     """(S, n * max entry norm) with S = sup_k ||U(k)||_{2,2}, exact over the
     window.  S <= n * max ||a_ij|| always (membership bound)."""
-    pl, cl, stack = A.ustack()
-    S = max(float(np.linalg.norm(stack[k], 2)) for k in range(len(stack)))
-    upper = max(A.m, A.n) * max(algebra.norm(e) for r in A.entries for e in r)
+    S = max(float(np.linalg.norm(U, 2)) for U in A.array)
+    upper = max(A.m, A.n) * float(_abs(A.array).max())
     return S, upper
 
 
@@ -197,16 +212,11 @@ def mat_solve(A: MatElement, b: MatElement,
         raise DimensionMismatch(f"b must be {A.m}x1, got {b.m}x{b.n}")
     if A.weight != b.weight:
         raise WeightMismatch(f"{A.weight.name} vs {b.weight.name}")
-    _require_exact(A)
-    _require_exact(b)
-    (pa, ca), (pb, cb) = A.shape_window(), b.shape_window()
-    pl, cl = max(pa, pb), lcm(ca, cb)
-    As, bs = _stack(A, pl + cl), _stack(b, pl + cl)
+    pl, cl = joint_shape(A, b)
+    As, bs = A.take(pl + cl), b.take(pl + cl)
     xs = []
     supx = 0.0
-    for k in range(pl + cl):
-        U = As[k]
-        v = bs[k, :, 0]
+    for k, (U, v) in enumerate(zip(As, bs[:, :, 0])):
         uu, s, vh = np.linalg.svd(U, full_matrices=True)
         smax = s[0] if len(s) else 0.0
         tau = rtol * smax
@@ -223,8 +233,7 @@ def mat_solve(A: MatElement, b: MatElement,
         xs.append(x)
         supx = max(supx, float(np.linalg.norm(x)))
     delta = math.inf if supx == 0.0 else 1.0 / supx
-    stack = np.array(xs, dtype=complex)[:, :, None]
-    return delta, from_ustack(A.weight, pl, stack)
+    return delta, from_ustack(A.weight, pl, np.array(xs)[:, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +244,8 @@ def mat_exp(B: MatElement) -> MatElement:
     """Positionwise matrix exponential (scipy's Pade scaling-and-squaring)."""
     if B.m != B.n:
         raise DimensionMismatch("exponential needs a square matrix")
-    pl, cl, stack = B.ustack()
-    out = np.array([scipy.linalg.expm(stack[k]) for k in range(len(stack))])
-    return from_ustack(B.weight, pl, out)
+    out = np.array([scipy.linalg.expm(U) for U in B.array])
+    return from_ustack(B.weight, B.period_start, out)
 
 
 def _branch_angle(eigs: np.ndarray) -> float:
@@ -369,17 +377,14 @@ def mat_log(A: MatElement, quadrature_nodes: int = 2048,
     if A.m != A.n:
         raise DimensionMismatch("logarithm needs a square matrix")
     pl, cl, stack = A.ustack()
-    P = len(stack)
-    eigs = []
-    for k in range(P):
-        lam = np.linalg.eigvals(stack[k])
-        if np.min(np.abs(lam)) == 0.0:
-            raise NotInGL(k)
-        eigs.append(lam)
-    r = min(float(np.min(np.abs(lam))) for lam in eigs)
-    R = max(float(np.max(np.abs(lam))) for lam in eigs)
+    eigs = np.linalg.eigvals(stack)
+    mods = np.abs(eigs)
+    singular = mods.min(axis=1) == 0.0
+    if singular.any():
+        raise NotInGL(int(singular.argmax()))
+    r, R = float(mods.min()), float(mods.max())
     out = np.empty_like(stack)
-    for k in range(P):
+    for k in range(len(stack)):
         theta = _branch_angle(eigs[k])
         B = _eig_log(stack[k], theta)
         if cross_check:
@@ -404,19 +409,17 @@ def resolvent_bound_check(A: MatElement, z: complex, c2: float, b2: float
     """
     if c2 <= 0 or b2 <= 0:
         raise ValueError("c2 and b2 must be positive")
-    pl, cl, stack = A.ustack()
-    n = A.n
-    I = np.eye(n, dtype=complex)
+    I = np.eye(A.n, dtype=complex)
     worst = (0.0, math.inf)
     holds = True
-    for k in range(len(stack)):
-        lam = np.linalg.eigvals(stack[k])
+    for k, U in enumerate(A.array):
+        lam = np.linalg.eigvals(U)
         d = float(np.min(np.abs(lam - z)))
         if d == 0.0:
             raise SpectrumHit(k)
-        lhs = float(np.linalg.norm(np.linalg.inv(z * I - stack[k]), 2))
-        opn = float(np.linalg.norm(stack[k], 2))
-        rhs = (1.0 / d) * math.exp(min(700.0, c2 * 2 * n * opn ** 2 / d ** 2 + b2))
+        lhs = float(np.linalg.norm(np.linalg.inv(z * I - U), 2))
+        opn = float(np.linalg.norm(U, 2))
+        rhs = (1.0 / d) * math.exp(min(700.0, c2 * 2 * A.n * opn ** 2 / d ** 2 + b2))
         if lhs > rhs:
             holds = False
         if lhs > worst[0]:
@@ -524,7 +527,7 @@ def sl_factor(A: MatElement, step_norm: float = 0.5,
     n = A.n
     pl, cl, stack = A.ustack()
     P = len(stack)
-    dets = np.array([np.linalg.det(stack[k]) for k in range(P)])
+    dets = np.linalg.det(stack)
     bad = np.argmax(np.abs(dets - 1.0))
     if abs(dets[bad] - 1.0) > tol:
         raise NotSL(int(bad), complex(dets[bad]))
@@ -532,34 +535,27 @@ def sl_factor(A: MatElement, step_norm: float = 0.5,
     if float(np.max(np.abs(stack - np.eye(n)))) == 0.0:
         return []
 
-    def verified(factors):
-        prod = _apply_factors(factors, P, n)
-        return float(np.max(np.abs(prod - stack))) <= tol
+    def error(factors) -> float:
+        return float(np.max(np.abs(_apply_factors(factors, P, n) - stack)))
 
     try:
         factors = _factor_stack(stack, pl, w)
-        if verified(factors):
+        if error(factors) <= tol:
             return factors
     except _PivotVanished:
         pass
 
     B = mat_log(A, cross_check=False)
-    _, _, bstack = B.ustack()
-    if bstack.shape[0] != P:  # canonicalization may shrink the window
-        bstack = _stack(B, P)
+    bstack = B.take(P)
     traces = np.array([np.trace(bstack[k]) for k in range(P)])
-
-    def gamma(t: float) -> np.ndarray:
-        g = np.array([scipy.linalg.expm((1.0 - t) * bstack[k])
-                      for k in range(P)])
-        g[:, :, 0] *= np.exp(-(1.0 - t) * traces)[:, None]
-        return g
 
     cache: dict[float, np.ndarray] = {}
 
-    def gamma_cached(t: float) -> np.ndarray:
+    def gamma(t: float) -> np.ndarray:
         if t not in cache:
-            cache[t] = gamma(t)
+            g = np.array([scipy.linalg.expm((1.0 - t) * U) for U in bstack])
+            g[:, :, 0] *= np.exp(-(1.0 - t) * traces)[:, None]
+            cache[t] = g
         return cache[t]
 
     segments: list[np.ndarray] = []
@@ -567,10 +563,9 @@ def sl_factor(A: MatElement, step_norm: float = 0.5,
 
     def subdivide(ta: float, tb: float) -> None:
         nonlocal count
-        ga, gb = gamma_cached(ta), gamma_cached(tb)
+        ga, gb = gamma(ta), gamma(tb)
         step = ga @ np.linalg.inv(gb)
-        dev = max(float(np.linalg.norm(step[k] - np.eye(n), 2))
-                  for k in range(P))
+        dev = max(float(np.linalg.norm(U - np.eye(n), 2)) for U in step)
         if dev <= step_norm:
             segments.append(step)
             count += 1
@@ -589,9 +584,8 @@ def sl_factor(A: MatElement, step_norm: float = 0.5,
     for step in segments:
         factors.extend(_factor_stack(step, pl, w))
     # gamma(0) equals A up to the determinant defect absorbed into column 1
-    if not verified(factors):
-        prod = _apply_factors(factors, P, n)
-        err = float(np.max(np.abs(prod - stack)))
+    err = error(factors)
+    if err > tol:
         raise NumericalError(
             f"factor product deviates from the input by {err:.3e} > {tol:.3e}")
     return factors

@@ -9,7 +9,9 @@ raise the package's errors with the same indices.
 """
 
 import cmath
+import functools
 import math
+import operator
 
 from hadalg import algebra
 from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal,
@@ -17,8 +19,13 @@ from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal,
 
 
 def canonical(prefix, cycle):
-    prefix = tuple(complex(v) for v in prefix)
-    cycle = tuple(complex(v) for v in cycle)
+    return canonical_items(tuple(complex(v) for v in prefix),
+                           tuple(complex(v) for v in cycle))
+
+
+def canonical_items(prefix, cycle):
+    """canonical() over values of any kind compared with ==, such as
+    matrices written as tuples of rows."""
     if not cycle:
         raise ValueError("cycle must be nonempty")
     n = len(cycle)
@@ -180,3 +187,20 @@ def mat_det(entries):
         return acc
 
     return det([list(r) for r in entries])
+
+
+def mat_mul(a, b):
+    """Product of matrices given as rows of (prefix, cycle) pairs, position
+    by position: each entry is Python's complex sum of products from the
+    k = 0 term.  Returns one canonical (prefix, cycle) of matrices, each a
+    tuple of rows."""
+    m, n, p = len(a), len(b), len(b[0])
+    pl, _, rows = joint_values(*(s for r in a + b for s in r))
+    out = []
+    for vals in rows:
+        A = [vals[i * n:(i + 1) * n] for i in range(m)]
+        B = [vals[m * n + k * p:m * n + (k + 1) * p] for k in range(n)]
+        out.append(tuple(tuple(functools.reduce(operator.add,
+                                                (A[i][k] * B[k][j] for k in range(n)))
+                               for j in range(p)) for i in range(m)))
+    return canonical_items(tuple(out[:pl]), tuple(out[pl:]))

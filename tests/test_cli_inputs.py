@@ -138,3 +138,23 @@ class TestTypedExits:
             assert elem(tmp_path, "ideal-member",
                         {"f": big, "generators": [big, tiny]})[0] == 0
             assert elem(tmp_path, "divide", {"f": big, "g": tiny})[0] == 0
+
+    @pytest.mark.parametrize("z, cause", [("800", "not finite"),
+                                          ("2000", "tail bound overflows")])
+    def test_eval_overflow_is_numerical(self, z, cause, tmp_path, capsys):
+        code, out = elem(tmp_path, "eval", element([], [[1, 0]]), f"--z={z}")
+        assert (code, out) == (4, None)
+        err = capsys.readouterr().err
+        assert cause in err and f"|z| = {float(z)}" in err
+
+    def test_window_budget_is_numerical(self, tmp_path, capsys):
+        def matrix(c):
+            cycle = [[float(k), 0.0] for k in range(1, c + 1)]
+            return {"weight": "factorial", "entries": [[{"cycle": cycle}]]}
+
+        doc = {"A": matrix(10007), "B": matrix(10009)}
+        assert run(["mat", "mul", "--json", write(tmp_path, doc)]) == 4
+        assert "exceeds the budget" in capsys.readouterr().err
+
+    def test_seed_flag_removed(self, tmp_path):
+        assert elem(tmp_path, "norm", element([], [[1, 0]]), "--seed=1")[0] == 3

@@ -1,0 +1,118 @@
+"""MatElement keeps one canonical stack of U(k): it agrees with its entries,
+round-trips through from_ustack, and mat_mul on the stack reproduces the
+position-by-position loop bit for bit and the star/add path under ==."""
+
+import functools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hadalg import algebra as alg
+from hadalg import matalg as ma
+from hadalg.coeffseq import MAX_WINDOW, EPSeq, GenSeq, joint_shape
+from hadalg.errors import HorizonCertifiedOnly, WindowTooLarge
+from hadalg.weights import FACTORIAL
+
+import loop_reference as ref
+from test_bitwise import KINDS, _resign, bits, pair
+
+W = FACTORIAL
+
+shapes = st.integers(min_value=1, max_value=3)
+draws = settings(max_examples=150, deadline=None)
+
+
+def raw_stack(rng, draw, m, n):
+    """A non-canonical (prefix length, stack): repeated cycles, a prefix
+    tail shadowing the cycle, and zeros re-signed between the copies."""
+    def mat():
+        return [[draw(rng) for _ in range(n)] for _ in range(m)]
+
+    cycle = [mat() for _ in range(rng.randint(1, 3))] * rng.randint(1, 3)
+    prefix = [mat() for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        prefix += cycle[-rng.randint(1, len(cycle)):]
+    values = prefix + cycle
+    if rng.random() < 0.5:
+        values = [[[_resign(rng, v) for v in row] for row in U] for U in values]
+    return len(prefix), np.array(values, dtype=complex)
+
+
+def check_views(A):
+    assert ma.from_ustack(W, A.period_start, A.ustack()[2]) == A
+    assert ma.MatElement(W, A.entries) == A
+    assert A.shape_window() == joint_shape(*(e.u for r in A.entries for e in r))
+
+
+@draws
+@given(st.randoms(use_true_random=False), st.sampled_from(KINDS), shapes, shapes)
+def test_stack_from_entries(rng, draw, m, n):
+    rows = tuple(tuple(pair(rng, draw)[0] for _ in range(n)) for _ in range(m))
+    A = ma.MatElement(W, rows)
+    assert A.entries == rows
+    check_views(A)
+    for k in range(len(A.array) + 3):
+        assert np.array_equal(A.U(k), [[e.u.value(k) for e in r] for r in rows])
+
+
+@draws
+@given(st.randoms(use_true_random=False), st.sampled_from(KINDS), shapes, shapes)
+def test_stack_from_ustack(rng, draw, m, n):
+    pl, stack = raw_stack(rng, draw, m, n)
+    A = ma.from_ustack(W, pl, stack)
+    check_views(A)
+    for i in range(m):
+        for j in range(n):
+            assert A.entries[i][j].u == EPSeq.from_values(stack[:, i, j], pl)
+    c = len(stack) - pl
+    for k in range(len(stack) + c):
+        want = stack[k if k < len(stack) else k - c]
+        assert np.array_equal(A.U(k), want)
+
+
+def star_add_product(A, B):
+    """Entries of A B by star/add over the algebra, from the k = 0 term."""
+    def entry(i, j):
+        return functools.reduce(alg.add, (alg.star(A.entries[i][k], B.entries[k][j])
+                                          for k in range(A.n)))
+
+    return ma.MatElement(W, [[entry(i, j) for j in range(B.n)] for i in range(A.m)])
+
+
+@pytest.mark.parametrize("draw", KINDS)
+def test_mat_mul_matches_loop_reference(draw):
+    rng = random.Random(7)
+    for _ in range(25):
+        m, n, p = (rng.randint(1, 3) for _ in range(3))
+        a = [[pair(rng, draw) for _ in range(n)] for _ in range(m)]
+        b = [[pair(rng, draw) for _ in range(p)] for _ in range(n)]
+        A = ma.MatElement(W, [[e for e, _ in r] for r in a])
+        B = ma.MatElement(W, [[e for e, _ in r] for r in b])
+        C = ma.mat_mul(A, B)
+        prefix, cycle = ref.mat_mul([[s for _, s in r] for r in a],
+                                    [[s for _, s in r] for r in b])
+        L = C.period_start
+        assert bits(C.array[:L].tolist()) == bits(prefix)
+        assert bits(C.array[L:].tolist()) == bits(cycle)
+        assert C == star_add_product(A, B)
+
+
+def test_generated_entries_refused():
+    g = alg.Element(W, GenSeq(lambda n: 1.0, horizon=8, certified_bound=1.0))
+    with pytest.raises(HorizonCertifiedOnly):
+        ma.MatElement(W, ((g,),))
+
+
+def test_window_budget():
+    a = alg.Element(W, EPSeq((), np.arange(1.0, 10008.0)))
+    b = alg.Element(W, EPSeq((), np.arange(1.0, 10010.0)))
+    assert 10007 * 10009 > MAX_WINDOW
+    with pytest.raises(WindowTooLarge):
+        alg.star(a, b)
+    A, B = ma.MatElement(W, ((a,),)), ma.MatElement(W, ((b,),))
+    with pytest.raises(WindowTooLarge):
+        ma.mat_mul(A, B)
+    with pytest.raises(WindowTooLarge):
+        ma.MatElement(W, ((a, b),))

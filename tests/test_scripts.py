@@ -1,0 +1,37 @@
+"""The demo scripts run end to end on small arguments."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name, args", [
+    ("corona_bezout_demo.py", ["--trials", "3"]),
+    ("corona_bezout_demo.py", ["--trials", "3", "--plant-zero"]),
+    ("index_order_trajectories.py", ["--max-n", "1", "--horizon", "256"]),
+])
+def test_demo_runs(name, args):
+    assert run_script(name, *args)
+
+
+def test_sl_factorization_demo_reconstructs():
+    out = run_script("sl_factorization_demo.py", "--trials", "2", "--size", "2")
+    errors = [float(e) for e in re.findall(r"reconstruction error (\S+)", out)]
+    assert len(errors) == 4
+    assert max(errors) <= 1e-9
