@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from . import algebra, ideals, matalg, serialize, weights
-from .errors import (HadalgError, MathConditionError, NotInvertible,
-                     NumericalError, SchemaError)
+from .errors import (HadalgError, InvalidArgument, MathConditionError,
+                     NotInvertible, NumericalError, SchemaError)
 
 EXIT_OK = 0
 EXIT_MATH = 2
@@ -218,8 +218,7 @@ def _cmd_ideal(args):
         return rep.to_json(), f"m(f, {args.k}) = {rep.m} [{rep.flag}]"
     if op == "krull-family":
         f = ideals.krull_family(w, args.n, horizon=args.horizon)
-        blocks = [[lo, hi] for _, lo, hi in
-                  ideals._block_cover(args.n, args.horizon)]
+        blocks = [list(b) for b in ideals.zero_blocks(args.n, args.horizon)]
         sample = [f.u.value(m).real for m in range(min(64, args.horizon + 1))]
         return ({"n": args.n, "horizon": args.horizon, "zero_blocks": blocks,
                  "sample": sample, "certified": "horizon"},
@@ -229,7 +228,11 @@ def _cmd_ideal(args):
             f = serialize.element_from_json(_load_doc(args))
             if not args.ks:
                 raise SchemaError("trajectory over a document needs --ks")
-            ks = [int(s) for s in args.ks.split(",")]
+            try:
+                ks = [int(s) for s in args.ks.split(",")]
+            except ValueError:
+                raise InvalidArgument("--ks must be comma-separated integers, "
+                                      f"got {args.ks!r}") from None
             rep = ideals.nonfixed_ideal_trajectory(f, ks)
             return rep.to_json(), f"trajectory [{rep.certified}], verdict = {rep.verdict}"
         f = ideals.krull_family(w, args.n, horizon=args.horizon)

@@ -11,6 +11,7 @@ residue) gets an exact verdict.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 from . import algebra
 from .algebra import Element
 from .coeffseq import EPSeq, GenSeq, ep_map
-from .errors import HorizonCertifiedOnly, HorizonExceeded
+from .errors import HorizonCertifiedOnly, HorizonExceeded, InvalidArgument
 from .weights import Weight
 
 INFINITE = math.inf
@@ -53,7 +54,7 @@ def index_order(f: Element, k: int, horizon: int = 1 << 14) -> IndexOrderReport:
     to the horizon and flagged when the run is still open there.
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise InvalidArgument(f"k must be nonnegative, got {k}")
     u = f.u
     if isinstance(u, EPSeq):
         # the run either hits a nonzero within one full cycle past the
@@ -77,28 +78,31 @@ def index_order(f: Element, k: int, horizon: int = 1 << 14) -> IndexOrderReport:
 # the Krull-dimension witness family
 
 
-def _block_cover(n: int, horizon: int):
-    """Intervals [2^k, 2^k + k^(n+1)] for 2^k <= horizon."""
-    k = 0
-    while (1 << k) <= horizon:
-        yield k, 1 << k, (1 << k) + k ** (n + 1)
-        k += 1
+def zero_blocks(n: int, horizon: int) -> list[tuple[int, int]]:
+    """The zero blocks [2^k, 2^k + k^(n+1)] of f_n for 2^k <= horizon, in
+    increasing order (unmerged: consecutive blocks may overlap or touch)."""
+    if n < 1:
+        raise InvalidArgument(f"n must be positive, got {n}")
+    if horizon < 4:
+        raise InvalidArgument(f"horizon must be at least 4, got {horizon}")
+    return [(1 << k, (1 << k) + k ** (n + 1)) for k in range(horizon.bit_length())]
 
 
 def krull_family(w: Weight, n: int, horizon: int = 1 << 14) -> Element:
     """The witness f_n: u(m) = 0 on the blocks {2^k + l : 0 <= l <= k^(n+1)},
     u(m) = 1 elsewhere.  GenSeq-backed (the zero set is not periodic)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if horizon < 4:
-        raise ValueError("horizon must be at least 4")
-    blocks = [(lo, hi) for _, lo, hi in _block_cover(n, horizon)]
+    los: list[int] = []
+    his: list[int] = []
+    for lo, hi in zero_blocks(n, horizon):
+        if his and lo <= his[-1] + 1:   # overlapping or adjacent: one run
+            his[-1] = hi                # block ends increase with k
+        else:
+            los.append(lo)
+            his.append(hi)
 
     def rule(m: int) -> complex:
-        for lo, hi in blocks:
-            if lo <= m <= hi:
-                return 0.0
-        return 1.0
+        i = bisect.bisect_right(los, m) - 1
+        return 0.0 if i >= 0 and m <= his[i] else 1.0
 
     return Element(w, GenSeq(rule=rule, horizon=horizon, certified_bound=1.0))
 
@@ -109,13 +113,21 @@ def growth_trajectory(f: Element, n: int, horizon: int = 1 << 14
 
     Advisory diagnostics for the limit/sup criteria defining the ideal I_n
     and multiplicative set M_n; the limits themselves are not decided.
+
+    One pass over the indices: ``end`` is where the last scanned zero run
+    stops (its first nonzero index, u.horizon + 1 when the run was open at
+    the horizon, inf for an infinite run).  A scale 2^k < end lies inside
+    that run, so m(f, 2^k) = end - 2^k without a scan.
     """
     out = []
+    end = 0
     k = 1
     while (1 << k) <= horizon:
-        rep = index_order(f, 1 << k, horizon)
-        ratio = math.inf if math.isinf(rep.m) else rep.m / (k ** n)
-        out.append((k, ratio))
+        start = 1 << k
+        if start >= end:
+            end = start + index_order(f, start, horizon).m
+        m = end - start
+        out.append((k, math.inf if math.isinf(m) else m / (k ** n)))
         k += 1
     return out
 
@@ -177,10 +189,10 @@ def chain_witness(kind: str, n: int, w: Weight) -> tuple[Element, ChainReport]:
     I_{n+1}.  The report verifies both memberships by coefficient scans.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InvalidArgument(f"n must be positive, got {n}")
     kind = kind.lower()
     if kind not in ("noetherian", "artinian"):
-        raise ValueError("kind must be 'noetherian' or 'artinian'")
+        raise InvalidArgument("kind must be 'noetherian' or 'artinian'")
     if kind == "noetherian":
         deg = n
         f = algebra.monomial(w, deg)
@@ -220,8 +232,11 @@ def nonfixed_ideal_trajectory(f: Element, ks: Sequence[int]) -> TrajectoryReport
     exact verdict is emitted.
     """
     ks = list(ks)
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("indices must be strictly increasing")
+    for a, b in zip(ks, ks[1:]):
+        if b <= a:
+            raise InvalidArgument(f"ks must be strictly increasing, got {a} then {b}")
+    if ks and ks[0] < 0:
+        raise InvalidArgument(f"ks must be nonnegative, got {ks[0]}")
     u = f.u
     if isinstance(u, GenSeq):
         if ks and ks[-1] > u.horizon:

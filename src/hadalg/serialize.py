@@ -109,6 +109,9 @@ def matrix_from_json(obj: Any) -> MatElement:
     entries = obj["entries"]
     if not isinstance(entries, list) or not entries:
         raise SchemaError("'entries' must be a nonempty list of rows")
+    for i, row in enumerate(entries):
+        if not isinstance(row, list):
+            raise SchemaError(f"entries[{i}] must be a list of sequence documents")
     rows = tuple(tuple(Element(w, epseq_from_json(cell, f"entries[{i}][{j}]"))
                        for j, cell in enumerate(row))
                  for i, row in enumerate(entries))

@@ -139,6 +139,8 @@ _SUPEREXP_RE = re.compile(r"^superexp:b=([0-9.]+),q=([0-9]+)$")
 
 
 def from_name(name: str) -> Weight:
+    if not isinstance(name, str):
+        raise SchemaError(f"weight must be a name string, got {name!r}")
     if name == "factorial":
         return FACTORIAL
     m = _SUPEREXP_RE.match(name)

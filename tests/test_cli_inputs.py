@@ -158,3 +158,40 @@ class TestTypedExits:
 
     def test_seed_flag_removed(self, tmp_path):
         assert elem(tmp_path, "norm", element([], [[1, 0]]), "--seed=1")[0] == 3
+
+
+class TestIdealArguments:
+    @pytest.mark.parametrize("argv, named", [
+        (["trajectory", "--n", "0"], "n must be positive"),
+        (["trajectory", "--horizon", "3"], "horizon must be at least 4"),
+        (["index-order", "--k", "-1"], "k must be nonnegative"),
+        (["chain", "--n", "0"], "n must be positive"),
+        (["krull-family", "--n", "-2"], "n must be positive"),
+        (["trajectory", "--ks", "3,2"], "ks must be strictly increasing"),
+        (["trajectory", "--ks", "a"], "--ks must be comma-separated integers"),
+        (["trajectory", "--ks=-1,2"], "ks must be nonnegative"),
+    ], ids=["trajectory-n-0", "trajectory-horizon-3", "index-order-k-neg",
+            "chain-n-0", "krull-family-n-neg", "ks-decreasing", "ks-not-int",
+            "ks-negative"])
+    def test_refused_with_exit_3(self, argv, named, tmp_path, capsys):
+        doc = []
+        if argv[0] == "index-order" or argv[1].startswith("--ks"):
+            doc = ["--json", write(tmp_path, element([], [[1, 0]]))]
+        assert run(["ideal", *argv, *doc]) == 3
+        assert named in capsys.readouterr().err
+
+
+class TestDocumentShape:
+    def test_matrix_row_not_a_list(self, tmp_path, capsys):
+        doc = {"weight": "factorial", "entries": [5]}
+        assert run(["mat", "det", "--json", write(tmp_path, doc)]) == 3
+        assert "entries[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group, doc", [
+        ("elem", {"weight": 5, "normalized": {"cycle": [[1, 0]]}}),
+        ("mat", {"weight": ["factorial"], "entries": [[{"cycle": [[1, 0]]}]]}),
+    ])
+    def test_weight_not_a_string(self, group, doc, tmp_path, capsys):
+        op = "norm" if group == "elem" else "det"
+        assert run([group, op, "--json", write(tmp_path, doc)]) == 3
+        assert "weight must be a name string" in capsys.readouterr().err

@@ -1,0 +1,175 @@
+"""growth_trajectory's one pass against a per-scale index_order loop, the
+Krull witness against block arithmetic, and its bisect rule against a loop
+over the unmerged blocks."""
+
+import math
+import random
+
+import pytest
+
+from hadalg import algebra as alg
+from hadalg import ideals
+from hadalg.coeffseq import EPSeq, GenSeq
+from hadalg.errors import HorizonExceeded
+from hadalg.weights import FACTORIAL
+
+from conftest import gauss_int, rand_element
+
+W = FACTORIAL
+BENCH_HORIZONS = [21247, 35734, 60097, 88752, 101070]
+
+
+def per_scale(f, n, horizon):
+    """The trajectory with one index_order scan per scale 2^k."""
+    out, k = [], 1
+    while (1 << k) <= horizon:
+        rep = ideals.index_order(f, 1 << k, horizon)
+        out.append((k, math.inf if math.isinf(rep.m) else rep.m / (k ** n)))
+        k += 1
+    return out
+
+
+def old_blocks(n, horizon):
+    out, k = [], 0
+    while (1 << k) <= horizon:
+        out.append(((1 << k), (1 << k) + k ** (n + 1)))
+        k += 1
+    return out
+
+
+def zero_run(start, blocks, horizon):
+    """Length of the zero run from start through possibly overlapping
+    blocks, cut at the horizon as index_order's open-run bound."""
+    cur, moved = start, True
+    while moved:
+        moved = False
+        for lo, hi in blocks:
+            if lo <= cur <= hi:
+                cur, moved = hi + 1, True
+    return horizon - start + 1 if cur > horizon else cur - start
+
+
+def sparse(rng):
+    return 0j if rng.random() < 0.7 else gauss_int(rng) or 1
+
+
+def zero_runs(rng, length, longest):
+    """Values with zero runs of random length up to longest."""
+    out = []
+    while len(out) < length:
+        out += [0j] * rng.randint(0, longest) + [gauss_int(rng) or 1]
+    return out[:length]
+
+
+def same(a, b):
+    assert [k for k, _ in a] == [k for k, _ in b]
+    for (_, x), (_, y) in zip(a, b):
+        assert x == y and type(x) is type(y)
+
+
+class TestAgainstPerScaleLoop:
+    def test_epseq(self, rng):
+        for _ in range(200):
+            f = rand_element(rng, sparse, max_prefix=6, max_cycle=5)
+            for n in (1, 2, 3):
+                h = rng.randint(2, 600)
+                same(ideals.growth_trajectory(f, n, h), per_scale(f, n, h))
+
+    def test_epseq_long_runs(self, rng):
+        for _ in range(100):
+            prefix = zero_runs(rng, rng.randint(0, 300), 70)
+            cycle = zero_runs(rng, rng.randint(1, 40), 50)
+            if rng.random() < 0.25:
+                cycle = [0j] * len(cycle)     # an infinite run
+            f = alg.Element(W, EPSeq(tuple(prefix), tuple(cycle)))
+            h = rng.randint(2, 2000)
+            same(ideals.growth_trajectory(f, 2, h), per_scale(f, 2, h))
+
+    def test_infinite_run_stays_infinite(self):
+        f = alg.Element(W, EPSeq((1.0, 0.0, 0.0, 2.0, 0.0), (0.0,)))
+        traj = dict(ideals.growth_trajectory(f, 1, 64))
+        assert traj[1] == 1.0 and math.isinf(traj[2]) and math.isinf(traj[6])
+        assert traj == dict(per_scale(f, 1, 64))
+
+    def test_genseq(self, rng):
+        for _ in range(100):
+            horizon = rng.randint(4, 700)
+            zeros = set()
+            for _ in range(rng.randint(0, 6)):
+                lo = rng.randint(0, horizon)
+                zeros.update(range(lo, lo + rng.randint(0, 200)))
+            if rng.random() < 0.3:            # open at the horizon
+                zeros.update(range(rng.randint(0, horizon), horizon + 1))
+            g = GenSeq(rule=lambda m, z=frozenset(zeros): 0.0 if m in z else 1.0,
+                       horizon=horizon, certified_bound=1.0)
+            f = alg.Element(W, g)
+            for n in (1, 3):
+                h = rng.randint(2, horizon)
+                same(ideals.growth_trajectory(f, n, h), per_scale(f, n, h))
+
+    def test_open_run_at_horizon(self):
+        g = GenSeq(rule=lambda m: 0.0 if m >= 5 else 1.0, horizon=100,
+                   certified_bound=1.0)
+        f = alg.Element(W, g)
+        traj = ideals.growth_trajectory(f, 1, 100)
+        assert traj == per_scale(f, 1, 100)
+        assert dict(traj)[3] == (100 - 8 + 1) / 3
+
+    @pytest.mark.parametrize("open_run", [False, True])
+    @pytest.mark.parametrize("horizon", [100, 127])
+    def test_growth_horizon_beyond_sequence(self, open_run, horizon):
+        g = GenSeq(rule=lambda m: 0.0 if open_run and m >= 20 else 1.0,
+                   horizon=horizon, certified_bound=1.0)
+        f = alg.Element(W, g)
+        with pytest.raises(HorizonExceeded) as want:
+            per_scale(f, 2, 300)
+        with pytest.raises(HorizonExceeded) as got:
+            ideals.growth_trajectory(f, 2, 300)
+        assert (got.value.requested, got.value.horizon) == (128, horizon)
+        assert str(got.value) == str(want.value)
+
+
+class TestKrullWitness:
+    @staticmethod
+    def horizons(n, top):
+        """Horizons in [4, top] around every point where the trajectory can
+        change with the horizon: a new scale and block at 2^k, or the end
+        of a block, where a zero run stops being cut off by the horizon."""
+        hs = set(range(4, 130))
+        for lo, hi in old_blocks(n, top):
+            hs.update(x for x in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1) if 4 <= x <= top)
+        hs.update(random.Random(n).sample(range(4, top + 1), 40))
+        return sorted(hs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_block_arithmetic(self, n):
+        for h in self.horizons(n, 4096) + BENCH_HORIZONS:
+            f = ideals.krull_family(W, n, horizon=h)
+            blocks = old_blocks(n, h)
+            want, k = [], 1
+            while (1 << k) <= h:
+                want.append((k, zero_run(1 << k, blocks, h) / (k ** (n + 1))))
+                k += 1
+            same(ideals.growth_trajectory(f, n + 1, h), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bisect_rule_equals_block_loop(self, n):
+        h = 1 << 12
+        f = ideals.krull_family(W, n, horizon=h)
+        blocks = old_blocks(n, h)
+        for m in range(h + 1):
+            want = 0.0 if any(lo <= m <= hi for lo, hi in blocks) else 1.0
+            assert f.u.value(m) == want
+
+    @pytest.mark.parametrize("n,h", [(1, 4), (2, 300), (3, 4096), (4, 101070)])
+    def test_zero_blocks_unmerged(self, n, h):
+        assert ideals.zero_blocks(n, h) == old_blocks(n, h)
+
+    def test_each_index_evaluated_at_most_once(self):
+        h = 1 << 14
+        f = ideals.krull_family(W, 3, horizon=h)
+        rule, seen = f.u.rule, []
+        g = GenSeq(rule=lambda m: seen.append(m) or rule(m), horizon=h,
+                   certified_bound=1.0)
+        ideals.growth_trajectory(alg.Element(W, g), 4, h)
+        assert len(seen) == len(set(seen)) <= h + 1
