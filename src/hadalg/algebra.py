@@ -18,12 +18,13 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .coeffseq import (EPSeq, GenSeq, _abs, _div, _mul, _silent, inf_abs,
-                       joint_shape, sup_abs)
+from .coeffseq import (MAX_WINDOW, EPSeq, GenSeq, _abs, _div, _mul, _silent,
+                       inf_abs, joint_shape, sup_abs)
 from .errors import (BadMask, BoundUnavailable, CoronaFails,
                      HorizonCertifiedOnly, InvalidArgument, NotDivisible,
                      NotInIdeal, NotInvertible, NumericalError,
-                     PointwiseDomainError, PreconditionFailed, WeightMismatch)
+                     PointwiseDomainError, PreconditionFailed, WeightMismatch,
+                     WindowTooLarge)
 from .weights import Weight
 
 Coeffs = Union[EPSeq, GenSeq]
@@ -76,7 +77,7 @@ def _element(w: Weight, values, pl: int) -> Element:
 
 def _map(fn: Callable[[complex], complex], u: EPSeq) -> EPSeq:
     """fn (a cmath function) at every representative position."""
-    vals = u.rep_values()
+    vals = u.array.tolist()
     try:
         out = list(map(fn, vals))
     except (ValueError, OverflowError):
@@ -119,7 +120,11 @@ def zero(w: Weight) -> Element:
 
 def monomial(w: Weight, m: int) -> Element:
     """z^m as an element: u(m) = p(m), zero elsewhere."""
-    vals = [0.0] * m + [w.p_eval(m), 0.0]
+    pm = w.p_eval(m)  # refuses an unrepresentable p(m) before m values exist
+    if m + 2 > MAX_WINDOW:  # p(m) is finite for weights growing slowly enough
+        raise WindowTooLarge(f"z^{m} needs a window of {m + 2} positions, "
+                             f"which exceeds the budget of {MAX_WINDOW}")
+    vals = [0.0] * m + [pm, 0.0]
     return Element(w, EPSeq.from_values(vals, m + 1))
 
 
@@ -241,6 +246,12 @@ def invertible(f: Element) -> Optional[tuple[float, Element]]:
     if delta == 0.0:
         return None
     return delta, _element(f.weight, _div(1.0, f.u.array), f.u.period_start)
+
+
+def not_invertible_witness(f: Element) -> NotInvertible:
+    """Why f is not invertible: the first index n of least |u(n)|."""
+    n = int(_abs(f.u.array).argmin())
+    return NotInvertible(n, complex(f.u.array[n]))
 
 
 @_silent
@@ -413,6 +424,5 @@ def log_el(g: Element) -> Element:
     """
     _require_exact(g)
     if inf_abs(g.u) == 0.0:
-        n = int(_abs(g.u.array).argmin())
-        raise NotInvertible(n, complex(g.u.array[n]))
+        raise not_invertible_witness(g)
     return Element(g.weight, _map(cmath.log, g.u))

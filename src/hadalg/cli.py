@@ -14,11 +14,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import algebra, ideals, matalg, serialize, weights
+from .coeffseq import inf_abs
 from .errors import (HadalgError, InvalidArgument, MathConditionError,
-                     NotInvertible, NumericalError, SchemaError)
+                     NumericalError, SchemaError)
 
 EXIT_OK = 0
 EXIT_MATH = 2
@@ -96,8 +95,7 @@ def _cmd_elem(args):
         f = serialize.element_from_json(doc)
         inv = algebra.invertible(f)
         if inv is None:
-            bad = min(enumerate(f.u.rep_values()), key=lambda kv: abs(kv[1]))
-            raise NotInvertible(bad[0], bad[1])
+            raise algebra.not_invertible_witness(f)
         delta, g = inv
         return ({"delta": delta, "inverse": serialize.element_to_json(g)},
                 f"invertible, delta = {delta}")
@@ -144,17 +142,15 @@ def _cmd_elem(args):
         return ({"eps": eps, "result": serialize.element_to_json(g),
                  "distance": dist},
                 f"invertible approximant at distance {dist} <= {2 * eps}")
-    if op == "bass-reduce":
-        quad = [serialize.element_from_json(_field(doc, k), k + ".")
-                for k in ("f1", "f2", "g1", "g2")]
-        eps = 0.25 if args.eps is None else args.eps
-        h, witness = algebra.bass_reduce(*quad, eps=eps)
-        from .coeffseq import inf_abs
-        return ({"h": serialize.element_to_json(h),
-                 "witness": serialize.element_to_json(witness),
-                 "delta": inf_abs(witness.u)},
-                "pair reduced: f1 + h*f2 invertible")
-    raise SchemaError(f"unknown elem operation {op!r}")
+    # bass-reduce
+    quad = [serialize.element_from_json(_field(doc, k), k + ".")
+            for k in ("f1", "f2", "g1", "g2")]
+    eps = 0.25 if args.eps is None else args.eps
+    h, witness = algebra.bass_reduce(*quad, eps=eps)
+    return ({"h": serialize.element_to_json(h),
+             "witness": serialize.element_to_json(witness),
+             "delta": inf_abs(witness.u)},
+            "pair reduced: f1 + h*f2 invertible")
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +187,15 @@ def _cmd_mat(args):
     if op == "sl-factor":
         A = serialize.matrix_from_json(doc)
         factors = matalg.sl_factor(A, tol=args.tol)
-        pl, cl, stack = A.ustack()
-        prod = matalg._apply_factors(factors, len(stack), A.n)
-        err = float(np.max(np.abs(prod - stack)))
+        err = matalg.factor_error(factors, A)
         return ({"factors": serialize.factors_to_json(factors),
                  "verification": {"max_error": err, "tol": args.tol}},
                 f"{len(factors)} elementary factors, max_error = {err:.3e}")
-    if op == "norm-bounds":
-        A = serialize.matrix_from_json(doc)
-        S, upper = matalg.mat_norm_bounds(A)
-        return ({"spectral_sup": S, "entry_bound": upper},
-                f"sup ||U(k)|| = {S} <= {upper}")
-    raise SchemaError(f"unknown mat operation {op!r}")
+    # norm-bounds
+    A = serialize.matrix_from_json(doc)
+    S, upper = matalg.mat_norm_bounds(A)
+    return ({"spectral_sup": S, "entry_bound": upper},
+            f"sup ||U(k)|| = {S} <= {upper}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +204,18 @@ def _cmd_mat(args):
 
 def _cmd_ideal(args):
     op = args.op
-    w = weights.from_name(args.weight)
     if op == "index-order":
         f = serialize.element_from_json(_load_doc(args))
-        rep = ideals.index_order(f, args.k, horizon=args.horizon)
+        rep = ideals.index_order(f, args.k)
         return rep.to_json(), f"m(f, {args.k}) = {rep.m} [{rep.flag}]"
+    if op == "annihilator":
+        f = serialize.element_from_json(_load_doc(args))
+        chi = ideals.annihilator_generator(f)
+        prod_zero = algebra.equal(algebra.star(f, chi), algebra.zero(f.weight))
+        return ({"chi": serialize.element_to_json(chi),
+                 "product_is_zero": prod_zero},
+                f"annihilator generator computed, f*chi = 0: {prod_zero}")
+    w = weights.from_name(args.weight)
     if op == "krull-family":
         f = ideals.krull_family(w, args.n, horizon=args.horizon)
         blocks = [list(b) for b in ideals.zero_blocks(args.n, args.horizon)]
@@ -241,26 +241,16 @@ def _cmd_ideal(args):
                  "ratios": [[k, "inf" if math.isinf(r) else r] for k, r in traj],
                  "certified": "horizon"},
                 f"growth trajectory over {len(traj)} scales")
-    if op == "annihilator":
-        f = serialize.element_from_json(_load_doc(args))
-        chi = ideals.annihilator_generator(f)
-        prod_zero = algebra.equal(algebra.star(f, chi), algebra.zero(f.weight))
-        return ({"chi": serialize.element_to_json(chi),
-                 "product_is_zero": prod_zero},
-                f"annihilator generator computed, f*chi = 0: {prod_zero}")
-    if op == "chain":
-        f, rep = ideals.chain_witness(args.kind, args.n, w)
-        out = rep.to_json()
-        out["witness_element"] = serialize.element_to_json(f)
-        return out, f"{args.kind} witness for n = {args.n}: ok = {rep.ok}"
-    raise SchemaError(f"unknown ideal operation {op!r}")
+    # chain
+    f, rep = ideals.chain_witness(args.kind, args.n, w)
+    out = rep.to_json()
+    out["witness_element"] = serialize.element_to_json(f)
+    return out, f"{args.kind} witness for n = {args.n}: ok = {rep.ok}"
 
 
 def _cmd_weight(args):
-    if args.op == "list":
-        names = weights.known_weights()
-        return {"weights": names}, "\n".join(names)
-    raise SchemaError(f"unknown weight operation {args.op!r}")
+    names = weights.known_weights()
+    return {"weights": names}, "\n".join(names)
 
 
 # ---------------------------------------------------------------------------
@@ -272,45 +262,56 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
+_FLAGS = {
+    "json": {"help": "input document path ('-' for stdin)"},
+    "z": {"default": "0", "help": "evaluation point, e.g. '1+2j'"},
+    "tol": {"type": _finite_float, "default": 1e-10},
+    "eps": {"type": _finite_float},
+    "weight": {"default": "factorial"},
+    "horizon": {"type": int, "default": 1 << 14},
+    "k": {"type": int, "default": 0},
+    "n": {"type": int, "default": 1},
+    "ks": {"help": "comma-separated sample indices"},
+    "kind": {"choices": ["noetherian", "artinian"], "default": "noetherian"},
+    "out": {"help": "output path (default stdout)"},
+}
+
+# group -> (handler, {operation: the flags its handler reads, besides --out})
+OPERATIONS = {
+    "elem": (_cmd_elem, {
+        "norm": ("json",), "eval": ("json", "z", "tol"), "invert": ("json",),
+        "divide": ("json",), "gcd": ("json",), "ideal-member": ("json",),
+        "corona": ("json",), "exp": ("json",), "log": ("json",),
+        "idempotent": ("json",), "approx-invert": ("json", "eps", "tol"),
+        "bass-reduce": ("json", "eps")}),
+    "mat": (_cmd_mat, {
+        "mul": ("json",), "det": ("json",), "solve": ("json", "tol"),
+        "exp": ("json",), "log": ("json", "tol"), "sl-factor": ("json", "tol"),
+        "norm-bounds": ("json",)}),
+    "ideal": (_cmd_ideal, {
+        "index-order": ("json", "k"), "krull-family": ("weight", "n", "horizon"),
+        "trajectory": ("weight", "n", "horizon", "json", "ks"),
+        "annihilator": ("json",), "chain": ("weight", "kind", "n")}),
+    "weight": (_cmd_weight, {"list": ()}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="hadalg")
-    sub = ap.add_subparsers(dest="group", required=True)
-
-    def common(p, ops):
-        p.add_argument("op", choices=ops)
-        p.add_argument("--weight", default="factorial")
-        p.add_argument("--tol", type=_finite_float, default=1e-10)
-        p.add_argument("--horizon", type=int, default=1 << 14)
-        p.add_argument("--json", default=None,
-                       help="input document path ('-' for stdin)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    pe = sub.add_parser("elem")
-    common(pe, ["norm", "eval", "invert", "divide", "gcd", "ideal-member",
-                "corona", "exp", "log", "idempotent", "approx-invert",
-                "bass-reduce"])
-    pe.add_argument("--z", default="0", help="evaluation point, e.g. '1+2j'")
-    pe.add_argument("--eps", type=_finite_float, default=None)
-    pe.set_defaults(func=_cmd_elem)
-
-    pm = sub.add_parser("mat")
-    common(pm, ["mul", "det", "solve", "exp", "log", "sl-factor", "norm-bounds"])
-    pm.set_defaults(func=_cmd_mat)
-
-    pi = sub.add_parser("ideal")
-    common(pi, ["index-order", "krull-family", "trajectory", "annihilator",
-                "chain"])
-    pi.add_argument("--k", type=int, default=0)
-    pi.add_argument("--n", type=int, default=1)
-    pi.add_argument("--ks", default=None, help="comma-separated sample indices")
-    pi.add_argument("--kind", choices=["noetherian", "artinian"],
-                    default="noetherian")
-    pi.set_defaults(func=_cmd_ideal)
-
-    pw = sub.add_parser("weight")
-    common(pw, ["list"])
-    pw.set_defaults(func=_cmd_weight)
+    # no abbreviations: --k must not stand for --ks where only --ks exists
+    ap = _Parser(prog="hadalg", allow_abbrev=False)
+    groups = ap.add_subparsers(dest="group", required=True)
+    for group, (handler, ops) in OPERATIONS.items():
+        op_parsers = groups.add_parser(group, allow_abbrev=False).add_subparsers(
+            dest="op", required=True)
+        for op, flags in ops.items():
+            p = op_parsers.add_parser(op, allow_abbrev=False)
+            for flag in (*flags, "out"):
+                p.add_argument("--" + flag, **_FLAGS[flag])
+            p.set_defaults(func=handler)
     return ap
+
+
+_PARSER = _build_parser()
 
 
 def _json_str(s: str) -> str:
@@ -381,9 +382,8 @@ def _emit(payload: dict, args) -> None:
 
 
 def run(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         payload, summary = args.func(args)
     except MathConditionError as exc:
         # only args.func raises these, so args is bound

@@ -143,9 +143,6 @@ class EPSeq:
     def __call__(self, n: int) -> complex:
         return self.value(n)
 
-    def values(self, count: int) -> list:
-        return self.take(count).tolist()
-
     def take(self, count: int) -> np.ndarray:
         """Values at n < count as a complex128 array: index n >= L reads
         the cycle at (n - L) mod c."""
@@ -159,9 +156,6 @@ class EPSeq:
     def rep_len(self) -> int:
         """Number of positions whose values determine the whole sequence."""
         return len(self.array)
-
-    def rep_values(self) -> list:
-        return self.array.tolist()
 
     # -- constructors ------------------------------------------------------
 
@@ -221,7 +215,7 @@ def ep_zip(a: EPSeq, b: EPSeq, op: Callable[[complex, complex], complex]) -> EPS
 def ep_map(a: EPSeq, op: Callable[[complex], complex]) -> EPSeq:
     pl = a.period_start
     out = []
-    for n, v in enumerate(a.rep_values()):
+    for n, v in enumerate(a.array.tolist()):
         try:
             out.append(op(v))
         except (ZeroDivisionError, ValueError) as exc:

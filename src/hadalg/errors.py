@@ -137,7 +137,9 @@ class NumericalError(HadalgError):
 
 class OverflowAtIndex(NumericalError):
     def __init__(self, index: int):
-        super().__init__(f"weight value at index {index} exceeds the double range; "
+        # an index of thousands of digits has no decimal str (int max str digits)
+        at = index if index.bit_length() <= 4096 else f">= 2^{index.bit_length() - 1}"
+        super().__init__(f"weight value at index {at} exceeds the double range; "
                          "use log-space evaluation")
         self.index = index
 

@@ -16,13 +16,18 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import algebra
 from .algebra import Element
-from .coeffseq import EPSeq, GenSeq, ep_map
+from .coeffseq import MAX_WINDOW, EPSeq, GenSeq
 from .errors import HorizonCertifiedOnly, HorizonExceeded, InvalidArgument
 from .weights import Weight
 
 INFINITE = math.inf
+# the largest witness exponent n: block ends 2^k + k^(n+1) stay under 90
+# digits up to a horizon of MAX_WINDOW = 2^20
+MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,16 @@ def index_order(f: Element, k: int, horizon: int = 1 << 14) -> IndexOrderReport:
 
 def zero_blocks(n: int, horizon: int) -> list[tuple[int, int]]:
     """The zero blocks [2^k, 2^k + k^(n+1)] of f_n for 2^k <= horizon, in
-    increasing order (unmerged: consecutive blocks may overlap or touch)."""
+    increasing order (unmerged: consecutive blocks may overlap or touch).
+    Refuses n above MAX_N and horizons above coeffseq.MAX_WINDOW."""
     if n < 1:
         raise InvalidArgument(f"n must be positive, got {n}")
+    if n > MAX_N:
+        raise InvalidArgument(f"n must be at most {MAX_N}, got {n}")
     if horizon < 4:
         raise InvalidArgument(f"horizon must be at least 4, got {horizon}")
+    if horizon > MAX_WINDOW:
+        raise InvalidArgument(f"horizon must be at most {MAX_WINDOW}, got {horizon}")
     return [(1 << k, (1 << k) + k ** (n + 1)) for k in range(horizon.bit_length())]
 
 
@@ -153,8 +163,8 @@ def annihilator_generator(f: Element) -> Element:
     if not f.exact:
         raise HorizonCertifiedOnly(
             "annihilator generator requires an eventually periodic element")
-    chi = ep_map(f.u, lambda v: 1.0 if v == 0 else 0.0)
-    return Element(f.weight, chi)
+    chi = np.where(f.u.array == 0, 1.0, 0.0)
+    return Element(f.weight, EPSeq.from_values(chi, f.u.period_start))
 
 
 # ---------------------------------------------------------------------------

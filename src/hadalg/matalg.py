@@ -315,8 +315,7 @@ def _keyhole_pieces(theta: float, n: int, r: float, R: float):
         e = np.exp(1j * phi1)
         return rad * e, (rb - rs) * e * np.ones_like(t)
 
-    lengths = [rb * (phi2 - phi1), rb - rs, rs * (phi2 - phi1), rb - rs]
-    return [big_arc, radial_in, small_arc, radial_out], lengths
+    return [big_arc, radial_in, small_arc, radial_out]
 
 
 _KRESS_P = 4
@@ -340,7 +339,7 @@ def _contour_log(U: np.ndarray, theta: float, r: float, R: float,
     """(1/2 pi i) * integral over the keyhole path of log(zeta) times the
     resolvent, by the trapezoid rule on a graded parametrization."""
     n = U.shape[0]
-    pieces, lengths = _keyhole_pieces(theta, n, r, R)
+    pieces = _keyhole_pieces(theta, n, r, R)
     I = np.eye(n, dtype=complex)
     acc = np.zeros_like(U)
     # fixed per-piece split: the short pieces (small arc, radial segments)
@@ -361,9 +360,12 @@ def _contour_log(U: np.ndarray, theta: float, r: float, R: float,
     return acc / (2j * math.pi)
 
 
+# largest entry deviation of exp(log A) from A that mat_log accepts
+_ROUNDTRIP_TOL = 1e-9
+
+
 def mat_log(A: MatElement, quadrature_nodes: int = 2048,
-            agreement_tol: float = 1e-6, cross_check: bool = True,
-            roundtrip_tol: float = 1e-9) -> MatElement:
+            agreement_tol: float = 1e-6, cross_check: bool = True) -> MatElement:
     """Logarithm of an invertible matrix over the algebra.
 
     Per position: pick the branch cut through the largest angular gap of the
@@ -371,7 +373,7 @@ def mat_log(A: MatElement, quadrature_nodes: int = 2048,
     (when cross_check) also by trapezoid quadrature of the resolvent integral
     on the keyhole contour with the global radii r = min |lambda|, R =
     max |lambda| over all positions.  The two must agree within
-    agreement_tol.  The result satisfies mat_exp(B) = A within roundtrip_tol
+    agreement_tol.  The result satisfies mat_exp(B) = A within _ROUNDTRIP_TOL
     per position (verified).
     """
     if A.m != A.n:
@@ -394,7 +396,7 @@ def mat_log(A: MatElement, quadrature_nodes: int = 2048,
                 raise QuadratureDisagreement(k, dev, agreement_tol)
         out[k] = B
         err = float(np.max(np.abs(scipy.linalg.expm(B) - stack[k])))
-        if err > roundtrip_tol:
+        if err > _ROUNDTRIP_TOL:
             raise NumericalError(
                 f"logarithm round-trip error {err:.3e} at position {k}")
     return from_ustack(A.weight, pl, out)
@@ -433,6 +435,8 @@ def resolvent_bound_check(A: MatElement, z: complex, c2: float, b2: float
 
 _MAX_STEPS = 1 << 20
 _PIVOT_FLOOR = 1e-8
+# path steps are subdivided until each is this close to the identity
+_STEP_NORM = 0.5
 
 
 class _PivotVanished(Exception):
@@ -507,8 +511,14 @@ def _apply_factors(factors: Sequence[ElementaryFactor], P: int, n: int
     return prod
 
 
-def sl_factor(A: MatElement, step_norm: float = 0.5,
-              tol: float = 1e-9) -> list[ElementaryFactor]:
+def factor_error(factors: Sequence[ElementaryFactor], A: MatElement) -> float:
+    """Largest entry deviation of the ordered product of factors from A over
+    A's window."""
+    pl, cl, stack = A.ustack()
+    return float(np.max(np.abs(_apply_factors(factors, len(stack), A.n) - stack)))
+
+
+def sl_factor(A: MatElement, tol: float = 1e-9) -> list[ElementaryFactor]:
     """Factor a determinant-one matrix into elementary matrices.
 
     Strategy: if direct Gauss-Jordan elimination keeps every pivot invertible
@@ -516,11 +526,9 @@ def sl_factor(A: MatElement, step_norm: float = 0.5,
     directly.  Otherwise follow the connecting path gamma(t) =
     D(t) * exp((1-t) log A) (column 1 rescaled by exp(-(1-t) trace) to stay
     in SL_n), adaptively subdivided until each incremental step is within
-    step_norm of the identity, and factor each step.  The ordered product of
+    _STEP_NORM of the identity, and factor each step.  The ordered product of
     the emitted factors reproduces A within tol per position (verified).
     """
-    if not 0.0 < step_norm < 1.0:
-        raise ValueError("step_norm must lie in (0, 1)")
     if A.m != A.n:
         raise DimensionMismatch("factorization needs a square matrix")
     w = A.weight
@@ -535,12 +543,9 @@ def sl_factor(A: MatElement, step_norm: float = 0.5,
     if float(np.max(np.abs(stack - np.eye(n)))) == 0.0:
         return []
 
-    def error(factors) -> float:
-        return float(np.max(np.abs(_apply_factors(factors, P, n) - stack)))
-
     try:
         factors = _factor_stack(stack, pl, w)
-        if error(factors) <= tol:
+        if factor_error(factors, A) <= tol:
             return factors
     except _PivotVanished:
         pass
@@ -566,7 +571,7 @@ def sl_factor(A: MatElement, step_norm: float = 0.5,
         ga, gb = gamma(ta), gamma(tb)
         step = ga @ np.linalg.inv(gb)
         dev = max(float(np.linalg.norm(U - np.eye(n), 2)) for U in step)
-        if dev <= step_norm:
+        if dev <= _STEP_NORM:
             segments.append(step)
             count += 1
             if count > _MAX_STEPS:
@@ -584,7 +589,7 @@ def sl_factor(A: MatElement, step_norm: float = 0.5,
     for step in segments:
         factors.extend(_factor_stack(step, pl, w))
     # gamma(0) equals A up to the determinant defect absorbed into column 1
-    err = error(factors)
+    err = factor_error(factors, A)
     if err > tol:
         raise NumericalError(
             f"factor product deviates from the input by {err:.3e} > {tol:.3e}")

@@ -56,7 +56,11 @@ class Weight:
                 raise OverflowAtIndex(n)
             return float(math.factorial(n))
         if self.kind == "superexp":
-            if self.log_p(n) > _LOG_MAX_DOUBLE:
+            try:
+                representable = self.log_p(n) <= _LOG_MAX_DOUBLE
+            except OverflowError:  # n^q itself is past the double range
+                representable = False
+            if not representable:
                 raise OverflowAtIndex(n)
             return float(self.base) ** (n ** self.power)
         v = float(self.rule(n))
