@@ -182,7 +182,9 @@ def _cmd_mat(args):
                 "matrix exponential computed")
     if op == "log":
         A = serialize.matrix_from_json(doc)
-        B = matalg.mat_log(A, agreement_tol=max(args.tol, 1e-12))
+        # a tiny positive tol is floored; mat_log refuses one not positive
+        tol = max(args.tol, 1e-12) if args.tol > 0 else args.tol
+        B = matalg.mat_log(A, agreement_tol=tol)
         return ({"log": serialize.matrix_to_json(B)}, "matrix logarithm computed")
     if op == "sl-factor":
         A = serialize.matrix_from_json(doc)

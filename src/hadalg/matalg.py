@@ -22,8 +22,8 @@ import scipy.linalg
 from . import algebra
 from .algebra import Element
 from .coeffseq import EPSeq, _abs, _canonical, _mul, _silent, joint_shape
-from .errors import (DimensionMismatch, Inconsistent, NotInGL, NotSL,
-                     NumericalError, QuadratureDisagreement, SpectrumHit,
+from .errors import (DimensionMismatch, Inconsistent, InvalidArgument, NotInGL,
+                     NotSL, NumericalError, QuadratureDisagreement, SpectrumHit,
                      SubdivisionOverflow, WeightMismatch)
 from .weights import Weight
 
@@ -208,6 +208,8 @@ def mat_solve(A: MatElement, b: MatElement,
     Euclidean solvability condition.  Raises Inconsistent with the first bad
     position and a left-null certificate vector y.
     """
+    if rtol <= 0:
+        raise InvalidArgument("tol must be positive")
     if b.n != 1 or b.m != A.m:
         raise DimensionMismatch(f"b must be {A.m}x1, got {b.m}x{b.n}")
     if A.weight != b.weight:
@@ -334,30 +336,52 @@ def _graded(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, dw
 
 
-def _contour_log(U: np.ndarray, theta: float, r: float, R: float,
-                 nodes: int) -> np.ndarray:
-    """(1/2 pi i) * integral over the keyhole path of log(zeta) times the
-    resolvent, by the trapezoid rule on a graded parametrization."""
-    n = U.shape[0]
-    pieces = _keyhole_pieces(theta, n, r, R)
-    I = np.eye(n, dtype=complex)
-    acc = np.zeros_like(U)
-    # fixed per-piece split: the short pieces (small arc, radial segments)
-    # carry the sharpest integrand and starve under length-proportional
-    # allocation when R/r is large
-    fractions = (0.4, 0.2, 0.2, 0.2)
-    for piece, frac in zip(pieces, fractions):
-        m = max(8, int(round(nodes * frac)))
-        s = np.linspace(0.0, 1.0, m)
-        w, dw = _graded(s)
-        z, dz = piece(w)
+# the trapezoid rule's share of the nodes on each piece of _keyhole_pieces:
+# the short pieces (small arc, radial segments) carry the sharpest integrand
+# and starve under length-proportional allocation when R/r is large
+_PIECE_SHARES = (0.4, 0.2, 0.2, 0.2)
+
+
+def _contour_grid(nodes: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per piece: the graded parameters w, their derivatives dw and the
+    trapezoid weights.  None of them depends on the matrix or the position."""
+    grid = []
+    for share in _PIECE_SHARES:
+        m = max(8, int(round(nodes * share)))
+        w, dw = _graded(np.linspace(0.0, 1.0, m))
         weights = np.full(m, 1.0 / (m - 1))
         weights[0] *= 0.5
         weights[-1] *= 0.5
+        grid.append((w, dw, weights))
+    return grid
+
+
+def _contour_log(U: np.ndarray, theta: float, r: float, R: float,
+                 grid) -> np.ndarray:
+    """(1/2 pi i) * integral over the keyhole path of log(zeta) times the
+    resolvent, by the trapezoid rule on a graded parametrization.
+
+    The resolvent is taken on the complex Schur form U = Q T Q*: each
+    (zI - T)^-1 is upper triangular and is solved by back substitution, row
+    by row from the last, for all nodes of a piece at once.  Q is unitary and
+    independent of the eigenvector basis the eigenvalue path uses.
+    """
+    n = U.shape[0]
+    T, Q = scipy.linalg.schur(U, output="complex")
+    acc = np.zeros_like(U)
+    for piece, (w, dw, weights) in zip(_keyhole_pieces(theta, n, r, R), grid):
+        z, dz = piece(w)
+        # X[:, :, k] = (z_k I - T)^-1, the node axis last
+        inv_d = 1.0 / (z - np.diag(T)[:, None])
+        X = np.zeros((n, n, len(z)), dtype=complex)
+        for i in range(n - 1, -1, -1):
+            X[i, i] = inv_d[i]
+            # row i of (zI - T) X = I: (z - t_ii) x_i = sum_{l > i} t_il x_l
+            X[i, i + 1:] = np.einsum("l,ljk->jk", T[i, i + 1:],
+                                     X[i + 1:, i + 1:]) * inv_d[i]
         logs = _log_on_branch(z, theta)
-        res = np.linalg.inv(z[:, None, None] * I[None, :, :] - U[None, :, :])
-        acc += np.einsum("k,kij->ij", weights * logs * dz * dw, res)
-    return acc / (2j * math.pi)
+        acc += np.einsum("ijk,k->ij", X, weights * logs * dz * dw)
+    return Q @ acc @ Q.conj().T / (2j * math.pi)
 
 
 # largest entry deviation of exp(log A) from A that mat_log accepts
@@ -376,6 +400,8 @@ def mat_log(A: MatElement, quadrature_nodes: int = 2048,
     agreement_tol.  The result satisfies mat_exp(B) = A within _ROUNDTRIP_TOL
     per position (verified).
     """
+    if agreement_tol <= 0:
+        raise InvalidArgument("tol must be positive")
     if A.m != A.n:
         raise DimensionMismatch("logarithm needs a square matrix")
     pl, cl, stack = A.ustack()
@@ -385,12 +411,13 @@ def mat_log(A: MatElement, quadrature_nodes: int = 2048,
     if singular.any():
         raise NotInGL(int(singular.argmax()))
     r, R = float(mods.min()), float(mods.max())
+    grid = _contour_grid(quadrature_nodes) if cross_check else None
     out = np.empty_like(stack)
     for k in range(len(stack)):
         theta = _branch_angle(eigs[k])
         B = _eig_log(stack[k], theta)
         if cross_check:
-            Bq = _contour_log(stack[k], theta, r, R, quadrature_nodes)
+            Bq = _contour_log(stack[k], theta, r, R, grid)
             dev = float(np.linalg.norm(B - Bq, 2))
             if dev > agreement_tol:
                 raise QuadratureDisagreement(k, dev, agreement_tol)
@@ -529,6 +556,8 @@ def sl_factor(A: MatElement, tol: float = 1e-9) -> list[ElementaryFactor]:
     _STEP_NORM of the identity, and factor each step.  The ordered product of
     the emitted factors reproduces A within tol per position (verified).
     """
+    if tol <= 0:
+        raise InvalidArgument("tol must be positive")
     if A.m != A.n:
         raise DimensionMismatch("factorization needs a square matrix")
     w = A.weight

@@ -13,7 +13,9 @@ import functools
 import math
 import operator
 
-from hadalg import algebra
+import numpy as np
+
+from hadalg import algebra, matalg
 from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal,
                            NotInvertible, PointwiseDomainError)
 
@@ -204,3 +206,25 @@ def mat_mul(a, b):
                                                 (A[i][k] * B[k][j] for k in range(n)))
                                for j in range(p)) for i in range(m)))
     return canonical_items(tuple(out[:pl]), tuple(out[pl:]))
+
+
+def contour_log(U, theta, r, R, nodes):
+    """The keyhole-contour logarithm with one dense np.linalg.inv of
+    (zI - U) per node, as matalg computed its cross-check before the
+    resolvent was taken on the Schur form."""
+    n = U.shape[0]
+    pieces = matalg._keyhole_pieces(theta, n, r, R)
+    I = np.eye(n, dtype=complex)
+    acc = np.zeros_like(U)
+    for piece, frac in zip(pieces, (0.4, 0.2, 0.2, 0.2)):
+        m = max(8, int(round(nodes * frac)))
+        s = np.linspace(0.0, 1.0, m)
+        w, dw = matalg._graded(s)
+        z, dz = piece(w)
+        weights = np.full(m, 1.0 / (m - 1))
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        logs = matalg._log_on_branch(z, theta)
+        res = np.linalg.inv(z[:, None, None] * I[None, :, :] - U[None, :, :])
+        acc += np.einsum("k,kij->ij", weights * logs * dz * dw, res)
+    return acc / (2j * math.pi)

@@ -124,6 +124,17 @@ class TestTypedExits:
     def test_tol_zero(self, op, tmp_path):
         assert elem(tmp_path, op, element([], [[1, 0]]), "--tol=0")[0] == 3
 
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    @pytest.mark.parametrize("op", ["solve", "log", "sl-factor"])
+    def test_matrix_tol_not_positive(self, op, tol, tmp_path, capsys):
+        one = {"weight": "factorial", "entries": [[{"cycle": [[1, 0]]}]]}
+        doc = {"A": one, "b": one} if op == "solve" else one
+        out = tmp_path / "out.json"
+        argv = ["mat", op, "--json", write(tmp_path, doc), "--out", str(out), f"--tol={tol}"]
+        assert run(argv) == 3
+        assert "tol must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bass_reduce_eps_zero_refused(self, tmp_path):
         one, zero = element([], [[1, 0]]), element([], [[0, 0]])
         doc = {"f1": one, "f2": zero, "g1": one, "g2": zero}

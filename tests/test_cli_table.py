@@ -200,7 +200,7 @@ POOL = ["0", "-1", "4", str(MAX_N + 1), str(MAX_WINDOW + 1), "171", "nan",
 DRAWN_FLAGS = [f for f in FLAGS if f not in ("json", "out")]
 
 
-@settings(max_examples=1000, deadline=None,
+@settings(max_examples=1000, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_fuzz_argv_ends_in_a_documented_exit(data, tmp_path):
@@ -214,3 +214,17 @@ def test_fuzz_argv_ends_in_a_documented_exit(data, tmp_path):
     for flag in flags:
         argv.append(f"--{flag}={data.draw(st.sampled_from(POOL))}")
     assert run(argv + ["--out", str(tmp_path / "out.json")]) in (0, 2, 3, 4)
+
+
+# argvs that once ended in an exception or a wrong verdict, with their exits
+@pytest.mark.parametrize("argv, code", [
+    (["ideal", "krull-family", "--n", "5000", "--horizon", "65536"], 3),
+    (["mat", "solve", "--tol=-1"], 3),
+    (["mat", "sl-factor", "--tol=-1"], 3),
+    (["ideal", "chain", "--n", "3000000"], 4),
+], ids=["krull-family-n-5000", "solve-tol-neg", "sl-factor-tol-neg",
+        "chain-n-3000000"])
+def test_found_argv(argv, code, tmp_path):
+    if argv[0] == "mat":
+        argv = argv + ["--json", doc_path(tmp_path, *argv[:2])]
+    assert run(argv + ["--out", str(tmp_path / "out.json")]) == code
