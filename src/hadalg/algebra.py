@@ -197,16 +197,23 @@ def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
     if tol <= 0:
         raise InvalidArgument("tol must be positive")
     w = f.weight
-    r = abs(z)
+    try:
+        r = abs(z)
+    except OverflowError:  # |z| itself is past the double range
+        r = math.inf
     if f.exact:
         sup = sup_abs(f.u)
         nmax = 100_000
     else:
         sup = f.u.certified_bound
         nmax = f.u.horizon
-    N = 0
+    N = w.tail_start(r, nmax)
     bound = None
     while True:
+        if N > nmax:
+            raise BoundUnavailable(
+                f"no truncation index up to {nmax} certifies tolerance {tol} "
+                f"at |z| = {r}")
         try:
             t = w.tail_bound(N, r)
             if sup * t <= tol:
@@ -218,10 +225,6 @@ def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
             raise NumericalError(
                 f"tail bound overflows the double range at |z| = {r}") from exc
         N += 1
-        if N > nmax:
-            raise BoundUnavailable(
-                f"no truncation index up to {nmax} certifies tolerance {tol} "
-                f"at |z| = {r}")
     s = 0.0 + 0.0j
     t = cmath.exp(-w.log_p(0))  # z^0 / p(0)
     for n in range(N + 1):

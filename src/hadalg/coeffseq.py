@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import HorizonExceeded, PointwiseDomainError, WindowTooLarge
+from .errors import HorizonExceeded, WindowTooLarge
 
 
 def _as_values(values) -> np.ndarray:
@@ -35,6 +35,15 @@ def _repeat(cycle: np.ndarray, count: int) -> np.ndarray:
     out = np.empty((-(-count // c) * c,) + cycle.shape[1:], dtype=np.complex128)
     out.reshape((-1,) + cycle.shape)[:] = cycle
     return out[:count]
+
+
+def _take(s, count: int) -> np.ndarray:
+    """Values of s (an EPSeq, a MatElement or a Canonical) at n < count,
+    along the first axis: index n >= L reads the cycle at (n - L) mod c."""
+    if count == len(s.array):
+        return s.array
+    L = min(s.period_start, count)
+    return np.concatenate((s.array[:L], _repeat(s.array[s.period_start:], count - L)))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -64,10 +73,19 @@ def _primitive_cycle(cycle: np.ndarray) -> np.ndarray:
     return cycle[:d]
 
 
-def _canonical(prefix: np.ndarray, cycle: np.ndarray) -> tuple[np.ndarray, int]:
-    """(prefix + cycle as one read-only array, prefix length), canonical
-    along the first axis.  The values at one position (a scalar, or a matrix
-    over the trailing axes) are equal when all their entries are."""
+class Canonical(NamedTuple):
+    """Canonical values (prefix then cycle, one read-only array) and the
+    prefix length: what an EPSeq or a MatElement stores, without the object."""
+
+    array: np.ndarray
+    period_start: int
+
+
+def _canonical(prefix: np.ndarray, cycle: np.ndarray) -> Canonical:
+    """prefix + cycle as one read-only array and the prefix length,
+    canonical along the first axis.  The values at one position (a scalar,
+    or a matrix over the trailing axes) are equal when all their entries
+    are."""
     if not len(cycle):
         raise ValueError("cycle must be nonempty")
     cycle = _primitive_cycle(cycle)
@@ -80,7 +98,7 @@ def _canonical(prefix: np.ndarray, cycle: np.ndarray) -> tuple[np.ndarray, int]:
         prefix, cycle = prefix[:len(prefix) - t], np.roll(cycle, t, axis=0)
     rep = np.concatenate((prefix, cycle))
     rep.flags.writeable = False
-    return rep, len(prefix)
+    return Canonical(rep, len(prefix))
 
 
 class EPSeq:
@@ -143,14 +161,7 @@ class EPSeq:
     def __call__(self, n: int) -> complex:
         return self.value(n)
 
-    def take(self, count: int) -> np.ndarray:
-        """Values at n < count as a complex128 array: index n >= L reads
-        the cycle at (n - L) mod c."""
-        if count == len(self.array):
-            return self.array
-        L = min(self.period_start, count)
-        return np.concatenate((self.array[:L],
-                               _repeat(self.array[self.period_start:], count - L)))
+    take = _take
 
     @property
     def rep_len(self) -> int:
@@ -178,49 +189,14 @@ MAX_WINDOW = 1 << 20
 
 def joint_shape(*seqs) -> tuple[int, int]:
     """Common (prefix length, cycle length) refining every argument (an
-    EPSeq or a MatElement), refused above MAX_WINDOW positions."""
+    EPSeq, a MatElement or a Canonical), refused above MAX_WINDOW
+    positions."""
     pl = max((s.period_start for s in seqs), default=0)
     cl = lcm(*(len(s.array) - s.period_start for s in seqs))
     if pl + cl > MAX_WINDOW:
         raise WindowTooLarge(f"joint window of {pl + cl} positions exceeds "
                              f"the budget of {MAX_WINDOW}")
     return pl, cl
-
-
-def joint_values(*seqs: EPSeq) -> tuple[int, int, list[list[complex]]]:
-    """Materialize all sequences over one shared representative window.
-
-    Returns (prefix length L, cycle length c, rows); row n holds the values
-    of every sequence at index n, for n < L + c.  Index n >= L repeats with
-    period c, so any pointwise predicate checked on the window holds on all
-    of N_0.
-    """
-    pl, cl = joint_shape(*seqs)
-    rows = np.stack([s.take(pl + cl) for s in seqs], axis=1).tolist()
-    return pl, cl, rows
-
-
-def ep_zip(a: EPSeq, b: EPSeq, op: Callable[[complex, complex], complex]) -> EPSeq:
-    """Pointwise binary combination; result is canonical."""
-    pl, cl, rows = joint_values(a, b)
-    out = []
-    for n, (va, vb) in enumerate(rows):
-        try:
-            out.append(op(va, vb))
-        except (ZeroDivisionError, ValueError) as exc:
-            raise PointwiseDomainError(n, str(exc) or "pointwise operation undefined") from exc
-    return EPSeq.from_values(out, pl)
-
-
-def ep_map(a: EPSeq, op: Callable[[complex], complex]) -> EPSeq:
-    pl = a.period_start
-    out = []
-    for n, v in enumerate(a.array.tolist()):
-        try:
-            out.append(op(v))
-        except (ZeroDivisionError, ValueError) as exc:
-            raise PointwiseDomainError(n, str(exc) or "pointwise operation undefined") from exc
-    return EPSeq.from_values(out, pl)
 
 
 def sup_abs(a: EPSeq) -> float:
@@ -303,12 +279,3 @@ class GenSeq:
 
     def __call__(self, n: int) -> complex:
         return self.value(n)
-
-
-def gen_window(g: GenSeq, lo: int, hi: int) -> list:
-    """Values rule(lo..hi) inclusive; horizon-certified by construction."""
-    if lo < 0 or lo > hi:
-        raise ValueError(f"invalid window [{lo}, {hi}]")
-    if hi > g.horizon:
-        raise HorizonExceeded(hi, g.horizon)
-    return [g.value(n) for n in range(lo, hi + 1)]

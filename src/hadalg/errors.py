@@ -151,8 +151,7 @@ class BoundUnavailable(NumericalError):
 class QuadratureDisagreement(NumericalError):
     def __init__(self, position: int, deviation: float, tol: float):
         super().__init__(f"contour quadrature disagrees with the eigenvalue path "
-                         f"at position {position}: {deviation:.3e} > {tol:.3e} "
-                         "(increase the node count)")
+                         f"at position {position}: {deviation:.3e} > {tol:.3e}")
         self.position = position
         self.deviation = deviation
 

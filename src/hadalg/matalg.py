@@ -21,7 +21,8 @@ import scipy.linalg
 
 from . import algebra
 from .algebra import Element
-from .coeffseq import EPSeq, _abs, _canonical, _mul, _silent, joint_shape
+from .coeffseq import (EPSeq, _abs, _canonical, _mul, _silent, _take,
+                       joint_shape)
 from .errors import (DimensionMismatch, Inconsistent, InvalidArgument, NotInGL,
                      NotSL, NumericalError, QuadratureDisagreement, SpectrumHit,
                      SubdivisionOverflow, WeightMismatch)
@@ -39,8 +40,7 @@ class MatElement:
     k >= L reading U(L + (k - L) mod c), where L = ``period_start``.  The
     array is canonical along the position axis, exactly as an EPSeq is, so
     (L, c) is the joint window of the canonical entries.  ``entries``, the
-    rows of Elements, is built on first use (or kept, when the matrix was
-    made from them).
+    rows of Elements, is rebuilt from the array on first use.
     """
 
     weight: Weight
@@ -48,20 +48,22 @@ class MatElement:
     period_start: int
 
     def __init__(self, weight: Weight, entries):
+        """entries: rows of Elements of this weight, or of canonical
+        sequences (EPSeqs or Canonicals) read as normalized coefficients."""
         rows = tuple(tuple(r) for r in entries)
         if not rows or not rows[0]:
             raise DimensionMismatch("matrix must be nonempty")
         if len(set(map(len, rows))) > 1:
             raise DimensionMismatch("ragged rows")
-        flat = [e for r in rows for e in r]
-        for e in flat:
+        els = [e for r in rows for e in r if isinstance(e, Element)]
+        for e in els:
             if e.weight != weight:
                 raise WeightMismatch(f"{e.weight.name} entry in {weight.name} matrix")
-        algebra._require_exact(*flat)
-        pl, cols = algebra._window(*flat)
-        stack = np.stack(cols, axis=1).reshape(-1, len(rows), len(rows[0]))
-        self._store(weight, pl, stack)
-        vars(self)["entries"] = rows
+        algebra._require_exact(*els)
+        cells = [e.u if isinstance(e, Element) else e for r in rows for e in r]
+        pl, cl = joint_shape(*cells)
+        stack = np.stack([_take(s, pl + cl) for s in cells], axis=1)
+        self._store(weight, pl, stack.reshape(-1, len(rows), len(rows[0])))
 
     def _store(self, weight: Weight, pl: int, stack: np.ndarray) -> "MatElement":
         array, L = _canonical(stack[:pl], stack[pl:])
@@ -69,7 +71,7 @@ class MatElement:
         return self
 
     # the stack is indexed along its first axis exactly as an EPSeq's values
-    take = EPSeq.take
+    take = _take
 
     @cached_property
     def entries(self) -> tuple:
@@ -278,14 +280,16 @@ def _log_on_branch(values: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _eig_log(U: np.ndarray, theta: float) -> np.ndarray:
-    """Functional-calculus logarithm via eigendecomposition, falling back to
-    Schur-Parlett (scipy.linalg.funm) when the eigenvector basis is
-    ill-conditioned."""
+    """Functional-calculus logarithm via eigendecomposition.  When the
+    eigenvector basis is ill-conditioned (a Jordan block, say) it is the
+    principal logm of U turned by e^{-i(theta + pi)}, which puts the cut on
+    the negative axis, plus i(theta + pi) I."""
     lam, V = np.linalg.eig(U)
     cond = np.linalg.cond(V)
     if math.isfinite(cond) and cond < 1e10:
         return V @ np.diag(_log_on_branch(lam, theta)) @ np.linalg.inv(V)
-    return scipy.linalg.funm(U, lambda x: _log_on_branch(np.asarray(x), theta))
+    turn = theta + math.pi
+    return scipy.linalg.logm(np.exp(-1j * turn) * U) + 1j * turn * np.eye(len(U))
 
 
 def _keyhole_pieces(theta: float, n: int, r: float, R: float):

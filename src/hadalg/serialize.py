@@ -14,7 +14,7 @@ import numpy as np
 
 from . import weights as weights_mod
 from .algebra import Element, from_raw_coeffs
-from .coeffseq import EPSeq
+from .coeffseq import Canonical, EPSeq, _canonical
 from .errors import SchemaError
 from .matalg import ElementaryFactor, MatElement
 
@@ -60,18 +60,20 @@ def _values_to_json(values: np.ndarray) -> list[list[float]]:
     return values.view(np.float64).reshape(-1, 2).tolist()
 
 
-def epseq_to_json(s: EPSeq) -> dict:
+def epseq_to_json(s: EPSeq | Canonical) -> dict:
     L = s.period_start
     return {"prefix": _values_to_json(s.array[:L]),
             "cycle": _values_to_json(s.array[L:])}
 
 
-def epseq_from_json(obj: Any, field: str = "normalized") -> EPSeq:
+def epseq_from_json(obj: Any, field: str = "normalized", canonical=EPSeq):
+    """canonical(prefix, cycle) of a sequence document: an EPSeq, or with
+    ``_canonical`` its Canonical form alone."""
     if not isinstance(obj, dict) or "cycle" not in obj:
         raise SchemaError("sequence document needs a 'cycle' field")
     try:
-        return EPSeq(_values_from_json(obj.get("prefix", []), f"{field}.prefix"),
-                     _values_from_json(obj["cycle"], f"{field}.cycle"))
+        return canonical(_values_from_json(obj.get("prefix", []), f"{field}.prefix"),
+                         _values_from_json(obj["cycle"], f"{field}.cycle"))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -97,9 +99,11 @@ def element_from_json(obj: Any, field: str = "") -> Element:
 
 
 def matrix_to_json(A: MatElement) -> dict:
+    """Each entry's column of the stack, canonicalised on its own."""
+    L = A.period_start
     return {"weight": A.weight.name, "rows": A.m, "cols": A.n,
-            "entries": [[epseq_to_json(e.u) for e in row]
-                        for row in A.entries]}
+            "entries": [[epseq_to_json(_canonical(A.array[:L, i, j], A.array[L:, i, j]))
+                         for j in range(A.n)] for i in range(A.m)]}
 
 
 def matrix_from_json(obj: Any) -> MatElement:
@@ -112,10 +116,11 @@ def matrix_from_json(obj: Any) -> MatElement:
     for i, row in enumerate(entries):
         if not isinstance(row, list):
             raise SchemaError(f"entries[{i}] must be a list of sequence documents")
-    rows = tuple(tuple(Element(w, epseq_from_json(cell, f"entries[{i}][{j}]"))
-                       for j, cell in enumerate(row))
-                 for i, row in enumerate(entries))
-    A = MatElement(w, rows)
+    # every cell is checked before the shape is
+    cells = [[epseq_from_json(cell, f"entries[{i}][{j}]", _canonical)
+              for j, cell in enumerate(row)]
+             for i, row in enumerate(entries)]
+    A = MatElement(w, cells)
     if "rows" in obj and obj["rows"] != A.m:
         raise SchemaError(f"declared rows={obj['rows']} but found {A.m}")
     if "cols" in obj and obj["cols"] != A.n:

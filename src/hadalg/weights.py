@@ -109,6 +109,21 @@ class Weight:
                 "evaluation cannot be certified")
         return self.tail_rule(N, r)
 
+    def tail_start(self, r: float, limit: int) -> int:
+        """Where the search for a truncation index starts.  Factorial: the
+        first N that tail_bound accepts at radius r (r/(N+2) <= 1/2, the same
+        float test), or an N > limit when none up to limit does.  Other
+        kinds: 0, as their thresholds are found by calling tail_bound."""
+        if self.kind != "factorial":
+            return 0
+        # 2r - 2 up to rounding; an r past the limit (or inf) lands past it
+        N = max(0, math.ceil(2.0 * min(r, limit + 2.0)) - 2)
+        while N and r / (N + 1) <= 0.5:
+            N -= 1
+        while N <= limit and r / (N + 2) > 0.5:
+            N += 1
+        return N
+
 
 FACTORIAL = Weight(name="factorial", kind="factorial")
 

@@ -10,7 +10,7 @@ import pytest
 
 from hadalg import algebra as alg
 from hadalg import matalg as ma
-from hadalg.coeffseq import EPSeq, _abs, _div, _mul, joint_values
+from hadalg.coeffseq import EPSeq, _abs, _div, _mul, joint_shape
 from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal,
                            NotInvertible, NumericalError)
 from hadalg.weights import FACTORIAL
@@ -99,7 +99,9 @@ def test_canonical_form():
 def test_joint_values():
     for rng, draw in cases():
         seqs = [raw_seq(rng, draw) for _ in range(rng.randint(1, 4))]
-        got = joint_values(*(EPSeq(p, c) for p, c in seqs))
+        ss = [EPSeq(p, c) for p, c in seqs]
+        pl, cl = joint_shape(*ss)
+        got = pl, cl, np.stack([s.take(pl + cl) for s in ss], axis=1).tolist()
         want = ref.joint_values(*(ref.canonical(p, c) for p, c in seqs))
         assert bits(got) == bits(want)
 
@@ -193,4 +195,19 @@ def test_mat_det_memo_matches_cofactor(n):
             rows = tuple(tuple(pair(rng, draw)[0] for _ in range(n))
                          for _ in range(n))
             A = ma.MatElement(W, rows)
-            assert bits(ma.mat_det(A)) == bits(ref.mat_det(A.entries))
+            assert bits(ma.mat_det(A)) == bits(ref.mat_det(rows))
+
+
+def test_matrix_entries_are_its_rows():
+    """A matrix keeps only its stack: the entries rebuilt from it are the
+    rows it was made of, bit for bit, and so is the determinant taken on
+    them (signed zeros included)."""
+    rng = random.Random(41)
+    for draw in KINDS:
+        for _ in range(250):
+            n = rng.randint(1, 4)
+            rows = tuple(tuple(pair(rng, draw)[0] for _ in range(n))
+                         for _ in range(n))
+            A = ma.MatElement(W, rows)
+            assert bits(A.entries) == bits(rows)
+            assert bits(ma.mat_det(A)) == bits(ref.mat_det(rows))

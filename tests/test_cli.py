@@ -135,6 +135,19 @@ class TestMat:
         assert code == 0
         assert payload["spectral_sup"] <= payload["entry_bound"]
 
+    def test_cells_are_canonical_before_their_joint_window(self, tmp_path):
+        # raw cycles of 1,024 and 1,025 copies would need lcm 1,049,600 >
+        # MAX_WINDOW positions; their canonical cycles (1,) and (2,) need 1
+        doc = {"weight": "factorial",
+               "entries": [[{"prefix": [], "cycle": [[1, 0]] * 1024},
+                            {"prefix": [], "cycle": [[2, 0]] * 1025}]]}
+        code, payload = invoke(["mat", "norm-bounds",
+                                "--json", write(tmp_path, "m.json", doc)],
+                               tmp_path)
+        assert code == 0
+        assert payload == {"spectral_sup": pytest.approx(5 ** 0.5),
+                           "entry_bound": 4.0}
+
 
 class TestIdealAndWeight:
     def test_index_order(self, tmp_path):

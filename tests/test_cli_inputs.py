@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from hadalg import serialize
+from hadalg import serialize, weights
 from hadalg.cli import _emit, run
 from hadalg.errors import SchemaError
 
@@ -157,6 +157,23 @@ class TestTypedExits:
         assert (code, out) == (4, None)
         err = capsys.readouterr().err
         assert cause in err and f"|z| = {float(z)}" in err
+
+    @pytest.mark.parametrize("z, r", [("1e6", "1000000.0"),
+                                      ("1e308+1e308j", "1.4142135623730951e+308"),
+                                      ("1.5e308+1.5e308j", "inf")])
+    def test_eval_refuses_past_the_index_budget(self, z, r, tmp_path, capsys,
+                                                monkeypatch):
+        # the factorial threshold N >= 2|z| - 2 is computed: tail_bound is
+        # never called below it, here not at all
+        calls = []
+        tail_bound = weights.Weight.tail_bound
+        monkeypatch.setattr(weights.Weight, "tail_bound",
+                            lambda w, N, r: calls.append(N) or tail_bound(w, N, r))
+        code, out = elem(tmp_path, "eval", element([], [[1, 0]]), f"--z={z}")
+        assert (code, out, calls) == (4, None, [])
+        assert capsys.readouterr().err == (
+            "numerical failure: no truncation index up to 100000 certifies "
+            f"tolerance 1e-10 at |z| = {r}\n")
 
     def test_window_budget_is_numerical(self, tmp_path, capsys):
         def matrix(c):

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hadalg.coeffseq import (EPSeq, GenSeq, ZERO, ONE, ep_map, ep_zip,
-                             gen_window, inf_abs, joint_values, sup_abs)
-from hadalg.errors import HorizonExceeded, PointwiseDomainError
+from hadalg.coeffseq import (EPSeq, GenSeq, ZERO, ONE, inf_abs, joint_shape,
+                             sup_abs)
+from hadalg.errors import HorizonExceeded
 
 finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
                                     max_magnitude=1e6)
@@ -61,29 +61,12 @@ class TestCanonicalization:
 
 
 class TestPointwise:
-    @given(seqs(), seqs())
-    def test_ep_zip_matches_pointwise(self, a, b):
-        c = ep_zip(a, b, lambda x, y: x + y)
-        for n in range(40):
-            assert c.value(n) == a.value(n) + b.value(n)
-
-    @given(seqs())
-    def test_ep_map_matches_pointwise(self, a):
-        c = ep_map(a, lambda x: 3 * x)
-        for n in range(40):
-            assert c.value(n) == 3 * a.value(n)
-
-    def test_domain_error_carries_index(self):
-        a = EPSeq((1, 0), (1,))
-        with pytest.raises(PointwiseDomainError) as ei:
-            ep_map(a, lambda v: 1 / v)
-        assert ei.value.index == 1
-
     @given(st.lists(seqs(), min_size=1, max_size=4))
     def test_joint_window_determines_tail(self, ss):
-        pl, cl, rows = joint_values(*ss)
-        for n in range(pl + cl, pl + 3 * cl):
-            expect = rows[pl + (n - pl) % cl]
+        pl, cl = joint_shape(*ss)
+        window = [s.take(pl + cl) for s in ss]
+        for n in range(pl + 3 * cl):
+            expect = [w[n if n < pl + cl else pl + (n - pl) % cl] for w in window]
             assert [s.value(n) for s in ss] == expect
 
 
@@ -105,11 +88,3 @@ class TestGenSeq:
         assert g.value(10) == 10.0
         with pytest.raises(HorizonExceeded):
             g.value(11)
-
-    def test_window(self):
-        g = GenSeq(rule=lambda n: n * 1.0, horizon=10, certified_bound=10.0)
-        assert gen_window(g, 2, 4) == [2.0, 3.0, 4.0]
-        with pytest.raises(ValueError):
-            gen_window(g, 4, 2)
-        with pytest.raises(HorizonExceeded):
-            gen_window(g, 0, 11)

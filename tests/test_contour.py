@@ -9,8 +9,10 @@ import random
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hadalg import matalg as ma
+from hadalg import serialize
 from hadalg.cli import run
 from hadalg.errors import QuadratureDisagreement
 from hadalg.weights import FACTORIAL
@@ -46,7 +48,7 @@ def non_normal(rng, n):
 def near_jordan(n):
     """A bidiagonal block at eigenvalue -1 whose eigenvalues are 1e-13
     apart: the eigenvector basis is too ill-conditioned for the eigenvalue
-    path, so _eig_log takes the Schur-Parlett fallback."""
+    path, so _eig_log takes the turned-logm fallback."""
     U = -np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1)
     U[np.diag_indices(n)] += 1e-13 * np.arange(n)
     return U
@@ -98,8 +100,9 @@ class TestAgreesWithDenseInverse:
     def test_near_jordan_block(self, n):
         U = near_jordan(n)
         V = np.linalg.eig(U)[1]
-        assert not np.linalg.cond(V) < 1e10      # _eig_log falls back to funm
-        check(U[None])
+        assert not np.linalg.cond(V) < 1e10      # _eig_log falls back to logm
+        (_, theta, Bq), = check(U[None])
+        assert np.linalg.norm(Bq - ma._eig_log(U, theta), 2) <= 1e-9
 
 
 @pytest.mark.parametrize("position", [0, 3, 5])
@@ -122,6 +125,24 @@ def test_wrong_branch_at_one_position_is_caught(position, monkeypatch):
         ma.mat_log(A)
     assert ei.value.position == position
     assert abs(ei.value.deviation - 2 * math.pi) < 1e-6
+    assert "node count" not in str(ei.value)     # no flag sets one
+
+
+@pytest.mark.parametrize("lam, n", [(2, 2), (-1, 2), (1j, 3)])
+def test_mat_log_answers_exact_jordan_blocks(lam, n, tmp_path):
+    """lam I + N with N the shift: log = log(lam) I + N / lam - N^2 / (2 lam^2),
+    with log(lam) on mat_log's branch."""
+    U = lam * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1)
+    doc, out = tmp_path / "a.json", tmp_path / "log.json"
+    doc.write_text(json.dumps(matrix_doc(U[None])))
+    assert run(["mat", "log", "--json", str(doc), "--out", str(out)]) == 0
+    B = serialize.matrix_from_json(json.loads(out.read_text())["log"]).U(0)
+    theta = ma._branch_angle(np.array([lam]))
+    want = (ma._log_on_branch(np.array([lam]), theta)[0] * np.eye(n)
+            + np.diag(np.full(n - 1, 1 / lam), 1)
+            - np.diag(np.full(n - 2, 1 / (2 * lam ** 2)), 2))
+    assert np.max(np.abs(B - want)) <= 1e-14
+    assert np.max(np.abs(scipy.linalg.expm(B) - U)) <= 1e-15
 
 
 # -- golden output bytes of `mat log` ------------------------------------------

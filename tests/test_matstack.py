@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from hadalg import algebra as alg
 from hadalg import matalg as ma
-from hadalg.coeffseq import MAX_WINDOW, EPSeq, GenSeq, joint_shape
-from hadalg.errors import HorizonCertifiedOnly, WindowTooLarge
+from hadalg.coeffseq import MAX_WINDOW, EPSeq, GenSeq, _canonical, joint_shape
+from hadalg.errors import (DimensionMismatch, HorizonCertifiedOnly, WeightMismatch,
+                           WindowTooLarge)
 from hadalg.weights import FACTORIAL
 
 import loop_reference as ref
@@ -103,6 +104,28 @@ def test_generated_entries_refused():
     g = alg.Element(W, GenSeq(lambda n: 1.0, horizon=8, certified_bound=1.0))
     with pytest.raises(HorizonCertifiedOnly):
         ma.MatElement(W, ((g,),))
+
+
+def test_constructor_checks_in_order():
+    """Shape, then weight, then exactness; a matrix of canonical cells
+    stacks as the matrix of their Elements does."""
+    from hadalg.weights import superexp
+
+    g = alg.Element(W, GenSeq(lambda n: 1.0, horizon=8, certified_bound=1.0))
+    other, one = alg.unit(superexp(2.0, 2)), alg.unit(W)
+    with pytest.raises(DimensionMismatch, match="nonempty"):
+        ma.MatElement(W, ((),))
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        ma.MatElement(W, ((g, other), (one,)))
+    with pytest.raises(WeightMismatch):
+        ma.MatElement(W, ((g, other),))
+    rng = random.Random(3)
+    for draw in KINDS:
+        rows = [[pair(rng, draw)[0] for _ in range(3)] for _ in range(2)]
+        cells = [[_canonical(e.u.array[:e.u.period_start], e.u.array[e.u.period_start:])
+                  for e in r] for r in rows]
+        assert bits(ma.MatElement(W, cells).array.tolist()) == \
+            bits(ma.MatElement(W, rows).array.tolist())
 
 
 def test_window_budget():

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 
@@ -6,10 +8,12 @@ from hadalg import algebra as alg
 from hadalg import matalg as ma
 from hadalg import serialize as ser
 from hadalg.coeffseq import EPSeq, GenSeq
-from hadalg.errors import SchemaError
+from hadalg.errors import DimensionMismatch, SchemaError
 from hadalg.weights import FACTORIAL
 
 from conftest import exact_divisor, gauss_int, rand_element
+from test_bitwise import KINDS
+from test_matstack import raw_stack
 
 W = FACTORIAL
 
@@ -61,6 +65,29 @@ class TestMatrix:
         doc = json.loads(json.dumps(ser.matrix_to_json(A)))
         B = ser.matrix_from_json(doc)
         assert A.entries == B.entries
+
+    def test_bad_cell_reported_before_ragged_row(self):
+        cell = {"cycle": [[1, 0]]}
+        doc = {"weight": "factorial",
+               "entries": [[cell, cell], [{"cycle": [[1, 0], [math.inf, 0]]}]]}
+        with pytest.raises(SchemaError, match=r"entries\[1\]\[0\]\.cycle\[1\] is not"):
+            ser.matrix_from_json(doc)
+        doc["entries"][1] = [cell]
+        with pytest.raises(DimensionMismatch, match="ragged"):
+            ser.matrix_from_json(doc)
+
+    def test_columns_written_as_their_elements(self):
+        """Each entry is written from its column of the stack exactly as
+        from its Element, signed zeros included."""
+        rng = random.Random(9)
+        for draw in KINDS:
+            for _ in range(40):
+                pl, stack = raw_stack(rng, draw, rng.randint(1, 3), rng.randint(1, 3))
+                A = ma.from_ustack(W, pl, stack)
+                want = [[ser.epseq_to_json(e.u) for e in r] for r in A.entries]
+                doc = ser.matrix_to_json(A)
+                assert json.dumps(doc["entries"]) == json.dumps(want)
+                assert ser.matrix_from_json(doc) == A
 
     def test_declared_shape_checked(self):
         doc = ser.matrix_to_json(ma.mat_identity(W, 2))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -34,6 +35,33 @@ class TestFactorial:
     def test_tail_bound_refuses_below_threshold(self):
         with pytest.raises(BoundUnavailable):
             weights.FACTORIAL.tail_bound(0, 10.0)
+
+    def test_tail_start_is_the_first_index_accepted(self):
+        def refused(N, r):
+            try:
+                weights.FACTORIAL.tail_bound(N, r)
+            except BoundUnavailable:
+                return True
+            except OverflowError:   # past the threshold, the bound overflows
+                pass
+            return False
+
+        rng = random.Random(5)
+        radii = [0.0, 1e-300, 0.5, 1.0, 1.5, 2.0, 3.0, 709.9, 710.0, 1164.0,
+                 2.0 ** 20 + 0.5] + [rng.uniform(0, 3000) for _ in range(300)]
+        radii += [f(r, d) for r in radii for f, d in
+                  ((math.nextafter, math.inf), (math.nextafter, 0.0))]
+        for r in radii:
+            N = weights.FACTORIAL.tail_start(r, 10 ** 7)
+            assert not refused(N, r) and (N == 0 or refused(N - 1, r))
+
+    def test_tail_start_past_the_limit(self):
+        w = weights.FACTORIAL
+        assert w.tail_start(2.0, 2) == 2          # 2 / (2 + 2) <= 1/2
+        assert w.tail_start(2.5, 2) > 2
+        for r in (1e6, 1.4e308, math.inf):
+            assert w.tail_start(r, 100_000) > 100_000
+        assert weights.superexp(2.0, 2).tail_start(1e6, 100_000) == 0
 
 
 class TestSuperexp:
