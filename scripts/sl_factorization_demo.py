@@ -27,10 +27,7 @@ def random_sl(rng, n, cycles, scale):
 
 
 def report(tag, A):
-    factors = ma.sl_factor(A)
-    pl, cl, stack = A.ustack()
-    prod = ma._apply_factors(factors, len(stack), A.n)
-    err = float(np.max(np.abs(prod - stack)))
+    factors, err = ma.sl_factor(A)
     print(f"{tag}: {len(factors):3d} factors, reconstruction error {err:.3e}")
 
 

@@ -284,7 +284,7 @@ def gcd(fs: Sequence[Element]) -> Element:
     nonnegative representative.
     """
     if not fs:
-        raise ValueError("gcd needs at least one element")
+        raise InvalidArgument("gcd needs at least one element")
     w = _same_weight(*fs)
     _require_exact(*fs)
     pl, us = _window(*fs)
@@ -300,7 +300,7 @@ def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]
     where the denominator vanishes), so sum_k h_k * u_gk reproduces u_f.
     """
     if not gens:
-        raise ValueError("need at least one generator")
+        raise InvalidArgument("need at least one generator")
     w = _same_weight(f, *gens)
     _require_exact(f, *gens)
     pl, (uf, *ugs) = _window(f, *gens)
@@ -327,7 +327,7 @@ def corona_solve(fs: Sequence[Element]) -> tuple[float, list[Element]]:
     constant moduli (2, 1)).
     """
     if not fs:
-        raise ValueError("need at least one element")
+        raise InvalidArgument("need at least one element")
     w = _same_weight(*fs)
     _require_exact(*fs)
     pl, us = _window(*fs)

@@ -16,8 +16,8 @@ import sys
 
 from . import algebra, ideals, matalg, serialize, weights
 from .coeffseq import inf_abs
-from .errors import (HadalgError, InvalidArgument, MathConditionError,
-                     NumericalError, SchemaError)
+from .errors import (InvalidArgument, MathConditionError, NumericalError,
+                     SchemaError, complex_json)
 
 EXIT_OK = 0
 EXIT_MATH = 2
@@ -28,18 +28,21 @@ EXIT_NUMERIC = 4
 def _load_doc(args) -> object:
     if args.json is None:
         raise SchemaError("this subcommand needs an input document (--json)")
-    if args.json == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    name = "standard input" if args.json == "-" else args.json
+    try:
+        if args.json == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.json) as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read {args.json}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {name}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past 4300 digits
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"invalid JSON: {name} is nested too deeply") from None
 
 
 def _field(doc, key):
@@ -65,13 +68,11 @@ def _finite_float(text: str) -> float:
     return v
 
 
-def _c_json(v: complex) -> list[float]:
-    return [v.real, v.imag]
-
-
 def _elements(doc, key) -> list:
-    return [serialize.element_from_json(d, f"{key}[{k}].")
-            for k, d in enumerate(_field(doc, key))]
+    docs = _field(doc, key)
+    if not isinstance(docs, list):
+        raise SchemaError(f"{key!r} must be a list of element documents")
+    return [serialize.element_from_json(d, f"{key}[{k}].") for k, d in enumerate(docs)]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ def _cmd_elem(args):
         f = serialize.element_from_json(doc)
         z = _parse_z(args.z)
         res = algebra.eval_at(f, z, tol=args.tol)
-        return ({"value": _c_json(res.value), "error_bound": res.error_bound,
+        return ({"value": complex_json(res.value), "error_bound": res.error_bound,
                  "terms": res.terms},
                 f"f({z}) = {res.value} (+- {res.error_bound:.3e})")
     if op == "invert":
@@ -188,8 +189,7 @@ def _cmd_mat(args):
         return ({"log": serialize.matrix_to_json(B)}, "matrix logarithm computed")
     if op == "sl-factor":
         A = serialize.matrix_from_json(doc)
-        factors = matalg.sl_factor(A, tol=args.tol)
-        err = matalg.factor_error(factors, A)
+        factors, err = matalg.sl_factor(A, tol=args.tol)
         return ({"factors": serialize.factors_to_json(factors),
                  "verification": {"max_error": err, "tol": args.tol}},
                 f"{len(factors)} elementary factors, max_error = {err:.3e}")
@@ -398,9 +398,6 @@ def run(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except HadalgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     _emit(payload, args)
     print(summary, file=sys.stderr)
     return EXIT_OK

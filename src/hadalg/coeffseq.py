@@ -158,9 +158,6 @@ class EPSeq:
             return self.prefix[n]
         return self.cycle[(n - self.period_start) % len(self.cycle)]
 
-    def __call__(self, n: int) -> complex:
-        return self.value(n)
-
     take = _take
 
     @property
@@ -276,6 +273,3 @@ class GenSeq:
         if n > self.horizon:
             raise HorizonExceeded(n, self.horizon)
         return complex(self.rule(n))
-
-    def __call__(self, n: int) -> complex:
-        return self.value(n)

@@ -6,11 +6,28 @@ Three families matter for the CLI exit-code contract:
   not divisible, inconsistent system, ...).  These carry a witness.
 * ``NumericalError`` — a numerical procedure could not certify its result.
 * ``SchemaError`` — malformed input documents or incompatible operands.
+
+Every error is a message plus named fields, readable as attributes; the
+witness of a math failure is its fields, in the order they were given.
 """
+
+
+def complex_json(v):
+    """A complex (numpy's included) as an [re, im] pair, a list elementwise;
+    any other value as it is."""
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, list):
+        return [complex_json(x) for x in v]
+    return v
 
 
 class HadalgError(Exception):
     """Base class for all package errors."""
+
+    def __init__(self, message: str = "", **fields):
+        super().__init__(message)
+        vars(self).update(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -21,82 +38,54 @@ class MathConditionError(HadalgError):
     """A decision procedure returned a definite negative answer."""
 
     def witness(self) -> dict:
-        return {}
+        """The named fields (the public attributes), in the order set."""
+        return {k: complex_json(v) for k, v in vars(self).items()
+                if not k.startswith("_")}
 
 
 class NotInvertible(MathConditionError):
     def __init__(self, index: int, value: complex):
-        super().__init__(f"not invertible: |u({index})| = {abs(value)}")
-        self.index = index
-        self.value = value
-
-    def witness(self):
-        return {"index": self.index, "value": [self.value.real, self.value.imag]}
+        super().__init__(f"not invertible: |u({index})| = {abs(value)}",
+                         index=index, value=value)
 
 
 class NotDivisible(MathConditionError):
     def __init__(self, index: int):
         super().__init__(f"not divisible: divisor vanishes at index {index} "
-                         "while the dividend does not")
-        self.index = index
-
-    def witness(self):
-        return {"index": self.index}
+                         "while the dividend does not", index=index)
 
 
 class NotInIdeal(MathConditionError):
     def __init__(self, index: int):
         super().__init__(f"not in ideal: all generators vanish at index {index} "
-                         "while the element does not")
-        self.index = index
-
-    def witness(self):
-        return {"index": self.index}
+                         "while the element does not", index=index)
 
 
 class CoronaFails(MathConditionError):
     def __init__(self, index: int):
         super().__init__(f"corona condition fails: generator moduli sum to 0 "
-                         f"at index {index}")
-        self.index = index
-
-    def witness(self):
-        return {"index": self.index}
+                         f"at index {index}", index=index)
 
 
 class Inconsistent(MathConditionError):
     """Ax = b has no solution; carries a certifying left-null vector."""
 
     def __init__(self, position: int, y):
-        super().__init__(f"system inconsistent at coefficient position {position}")
-        self.position = position
-        self.y = y
-
-    def witness(self):
-        return {"position": self.position,
-                "y": [[v.real, v.imag] for v in self.y]}
+        super().__init__(f"system inconsistent at coefficient position {position}",
+                         position=position, y=y)
 
 
 class NotInGL(MathConditionError):
     def __init__(self, position: int):
         super().__init__(f"matrix not invertible over the algebra: singular "
-                         f"coefficient matrix at position {position}")
-        self.position = position
-
-    def witness(self):
-        return {"position": self.position}
+                         f"coefficient matrix at position {position}",
+                         position=position)
 
 
 class NotSL(MathConditionError):
     def __init__(self, position: int, det: complex):
         super().__init__(f"determinant differs from the unit at position "
-                         f"{position}: {det}")
-        self.position = position
-        self.det = det
-
-    def witness(self):
-        return {"position": self.position,
-                "det": [self.det.real, self.det.imag]}
+                         f"{position}: {det}", position=position, det=det)
 
 
 class PreconditionFailed(MathConditionError):
@@ -106,12 +95,7 @@ class PreconditionFailed(MathConditionError):
 class BadMask(MathConditionError):
     def __init__(self, index: int, value: complex):
         super().__init__(f"mask value at index {index} is {value}, "
-                         "expected exactly 0 or 1")
-        self.index = index
-        self.value = value
-
-    def witness(self):
-        return {"index": self.index, "value": [self.value.real, self.value.imag]}
+                         "expected exactly 0 or 1", index=index, value=value)
 
 
 class HorizonCertifiedOnly(MathConditionError):
@@ -120,11 +104,8 @@ class HorizonCertifiedOnly(MathConditionError):
 
 class SpectrumHit(MathConditionError):
     def __init__(self, position: int):
-        super().__init__(f"query point lies in the spectrum at position {position}")
-        self.position = position
-
-    def witness(self):
-        return {"position": self.position}
+        super().__init__(f"query point lies in the spectrum at position {position}",
+                         position=position)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +121,7 @@ class OverflowAtIndex(NumericalError):
         # an index of thousands of digits has no decimal str (int max str digits)
         at = index if index.bit_length() <= 4096 else f">= 2^{index.bit_length() - 1}"
         super().__init__(f"weight value at index {at} exceeds the double range; "
-                         "use log-space evaluation")
-        self.index = index
+                         "use log-space evaluation", index=index)
 
 
 class BoundUnavailable(NumericalError):
@@ -151,9 +131,8 @@ class BoundUnavailable(NumericalError):
 class QuadratureDisagreement(NumericalError):
     def __init__(self, position: int, deviation: float, tol: float):
         super().__init__(f"contour quadrature disagrees with the eigenvalue path "
-                         f"at position {position}: {deviation:.3e} > {tol:.3e}")
-        self.position = position
-        self.deviation = deviation
+                         f"at position {position}: {deviation:.3e} > {tol:.3e}",
+                         position=position, deviation=deviation)
 
 
 class WindowTooLarge(NumericalError):
@@ -162,8 +141,7 @@ class WindowTooLarge(NumericalError):
 
 class SubdivisionOverflow(NumericalError):
     def __init__(self, limit: int):
-        super().__init__(f"path subdivision exceeded {limit} steps")
-        self.limit = limit
+        super().__init__(f"path subdivision exceeded {limit} steps", limit=limit)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +162,13 @@ class DimensionMismatch(SchemaError):
 
 class PointwiseDomainError(SchemaError):
     def __init__(self, index: int, message: str = "pointwise operation undefined"):
-        super().__init__(f"{message} at index {index}")
-        self.index = index
+        super().__init__(f"{message} at index {index}", index=index)
 
 
 class HorizonExceeded(SchemaError):
     def __init__(self, requested: int, horizon: int):
-        super().__init__(f"index {requested} beyond horizon {horizon}")
-        self.requested = requested
-        self.horizon = horizon
+        super().__init__(f"index {requested} beyond horizon {horizon}",
+                         requested=requested, horizon=horizon)
 
 
 class InvalidArgument(SchemaError, ValueError):

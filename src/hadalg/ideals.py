@@ -42,7 +42,6 @@ class IndexOrderReport:
 
     k: int
     m: float
-    horizon: int
     flag: str  # "exact" | "horizon"
 
     def to_json(self) -> dict:
@@ -51,12 +50,12 @@ class IndexOrderReport:
                 "flag": self.flag}
 
 
-def index_order(f: Element, k: int, horizon: int = 1 << 14) -> IndexOrderReport:
+def index_order(f: Element, k: int) -> IndexOrderReport:
     """m(f, k): maximal m with u(k + l) = 0 for 0 <= l <= m - 1.
 
     Exact for EPSeq input (the run either terminates inside the window or the
     cycle is identically zero, giving infinity).  GenSeq input is scanned up
-    to the horizon and flagged when the run is still open there.
+    to its horizon and flagged when the run is still open there.
     """
     if k < 0:
         raise InvalidArgument(f"k must be nonnegative, got {k}")
@@ -67,16 +66,16 @@ def index_order(f: Element, k: int, horizon: int = 1 << 14) -> IndexOrderReport:
         bound = max(k, u.period_start) + len(u.cycle)
         for n in range(k, bound):
             if u.value(n) != 0:
-                return IndexOrderReport(k, n - k, horizon, "exact")
-        return IndexOrderReport(k, INFINITE, horizon, "exact")
+                return IndexOrderReport(k, n - k, "exact")
+        return IndexOrderReport(k, INFINITE, "exact")
     if k > u.horizon:
         raise HorizonExceeded(k, u.horizon)
     n = k
     while n <= u.horizon:
         if u.value(n) != 0:
-            return IndexOrderReport(k, n - k, horizon, "exact")
+            return IndexOrderReport(k, n - k, "exact")
         n += 1
-    return IndexOrderReport(k, u.horizon - k + 1, u.horizon, "horizon")
+    return IndexOrderReport(k, u.horizon - k + 1, "horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -135,20 +134,20 @@ def growth_trajectory(f: Element, n: int, horizon: int = 1 << 14
     while (1 << k) <= horizon:
         start = 1 << k
         if start >= end:
-            end = start + index_order(f, start, horizon).m
+            end = start + index_order(f, start).m
         m = end - start
         out.append((k, math.inf if math.isinf(m) else m / (k ** n)))
         k += 1
     return out
 
 
-def p1_p2_check(f: Element, g: Element, k: int, horizon: int = 1 << 14) -> bool:
+def p1_p2_check(f: Element, g: Element, k: int) -> bool:
     """Check m(f+g, k) >= min(m(f,k), m(g,k)) and
     m(f*g, k) >= max(m(f,k), m(g,k)) with horizon-limited index orders."""
-    mf = index_order(f, k, horizon).m
-    mg = index_order(g, k, horizon).m
-    ms = index_order(algebra.add(f, g), k, horizon).m
-    mp = index_order(algebra.star(f, g), k, horizon).m
+    mf = index_order(f, k).m
+    mg = index_order(g, k).m
+    ms = index_order(algebra.add(f, g), k).m
+    mp = index_order(algebra.star(f, g), k).m
     return ms >= min(mf, mg) and mp >= max(mf, mg)
 
 

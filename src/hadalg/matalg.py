@@ -360,6 +360,7 @@ def _contour_grid(nodes: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     return grid
 
 
+@_silent  # a near-zero eigenvalue gives nan, which mat_log refuses
 def _contour_log(U: np.ndarray, theta: float, r: float, R: float,
                  grid) -> np.ndarray:
     """(1/2 pi i) * integral over the keyhole path of log(zeta) times the
@@ -390,10 +391,12 @@ def _contour_log(U: np.ndarray, theta: float, r: float, R: float,
 
 # largest entry deviation of exp(log A) from A that mat_log accepts
 _ROUNDTRIP_TOL = 1e-9
+# trapezoid nodes of the contour cross-check
+_QUADRATURE_NODES = 2048
 
 
-def mat_log(A: MatElement, quadrature_nodes: int = 2048,
-            agreement_tol: float = 1e-6, cross_check: bool = True) -> MatElement:
+def mat_log(A: MatElement, agreement_tol: float = 1e-6,
+            cross_check: bool = True) -> MatElement:
     """Logarithm of an invertible matrix over the algebra.
 
     Per position: pick the branch cut through the largest angular gap of the
@@ -415,19 +418,20 @@ def mat_log(A: MatElement, quadrature_nodes: int = 2048,
     if singular.any():
         raise NotInGL(int(singular.argmax()))
     r, R = float(mods.min()), float(mods.max())
-    grid = _contour_grid(quadrature_nodes) if cross_check else None
+    grid = _contour_grid(_QUADRATURE_NODES) if cross_check else None
     out = np.empty_like(stack)
     for k in range(len(stack)):
         theta = _branch_angle(eigs[k])
         B = _eig_log(stack[k], theta)
         if cross_check:
-            Bq = _contour_log(stack[k], theta, r, R, grid)
-            dev = float(np.linalg.norm(B - Bq, 2))
+            D = B - _contour_log(stack[k], theta, r, R, grid)
+            # a nan (log of a near-zero eigenvalue) agrees with nothing
+            dev = float(np.linalg.norm(D, 2)) if np.isfinite(D).all() else math.inf
             if dev > agreement_tol:
                 raise QuadratureDisagreement(k, dev, agreement_tol)
         out[k] = B
         err = float(np.max(np.abs(scipy.linalg.expm(B) - stack[k])))
-        if err > _ROUNDTRIP_TOL:
+        if not err <= _ROUNDTRIP_TOL:  # nan included
             raise NumericalError(
                 f"logarithm round-trip error {err:.3e} at position {k}")
     return from_ustack(A.weight, pl, out)
@@ -542,14 +546,15 @@ def _apply_factors(factors: Sequence[ElementaryFactor], P: int, n: int
     return prod
 
 
-def factor_error(factors: Sequence[ElementaryFactor], A: MatElement) -> float:
+def _factor_error(factors: Sequence[ElementaryFactor], A: MatElement) -> float:
     """Largest entry deviation of the ordered product of factors from A over
     A's window."""
     pl, cl, stack = A.ustack()
     return float(np.max(np.abs(_apply_factors(factors, len(stack), A.n) - stack)))
 
 
-def sl_factor(A: MatElement, tol: float = 1e-9) -> list[ElementaryFactor]:
+def sl_factor(A: MatElement, tol: float = 1e-9
+              ) -> tuple[list[ElementaryFactor], float]:
     """Factor a determinant-one matrix into elementary matrices.
 
     Strategy: if direct Gauss-Jordan elimination keeps every pivot invertible
@@ -559,6 +564,8 @@ def sl_factor(A: MatElement, tol: float = 1e-9) -> list[ElementaryFactor]:
     in SL_n), adaptively subdivided until each incremental step is within
     _STEP_NORM of the identity, and factor each step.  The ordered product of
     the emitted factors reproduces A within tol per position (verified).
+    Returns the factors and that verified error, the largest entry deviation
+    of their product from A over A's window.
     """
     if tol <= 0:
         raise InvalidArgument("tol must be positive")
@@ -574,12 +581,13 @@ def sl_factor(A: MatElement, tol: float = 1e-9) -> list[ElementaryFactor]:
         raise NotSL(int(bad), complex(dets[bad]))
 
     if float(np.max(np.abs(stack - np.eye(n)))) == 0.0:
-        return []
+        return [], 0.0
 
     try:
         factors = _factor_stack(stack, pl, w)
-        if factor_error(factors, A) <= tol:
-            return factors
+        err = _factor_error(factors, A)
+        if err <= tol:
+            return factors, err
     except _PivotVanished:
         pass
 
@@ -622,8 +630,8 @@ def sl_factor(A: MatElement, tol: float = 1e-9) -> list[ElementaryFactor]:
     for step in segments:
         factors.extend(_factor_stack(step, pl, w))
     # gamma(0) equals A up to the determinant defect absorbed into column 1
-    err = factor_error(factors, A)
+    err = _factor_error(factors, A)
     if err > tol:
         raise NumericalError(
             f"factor product deviates from the input by {err:.3e} > {tol:.3e}")
-    return factors
+    return factors, err

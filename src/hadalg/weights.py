@@ -19,6 +19,10 @@ from typing import Callable, Optional
 from .errors import BoundUnavailable, OverflowAtIndex, SchemaError
 
 _LOG_MAX_DOUBLE = math.log(1.7976931348623157e308)
+# the largest superexp power q: from q = 62 on, p(2) = b^(2^q) overflows the
+# double range for every double b > 1, so no larger q could be evaluated past
+# p(1), while exact-int powers n^q grow without bound
+MAX_POWER = 64
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,11 @@ class Weight:
     def tail_start(self, r: float, limit: int) -> int:
         """Where the search for a truncation index starts.  Factorial: the
         first N that tail_bound accepts at radius r (r/(N+2) <= 1/2, the same
-        float test), or an N > limit when none up to limit does.  Other
+        float test), or an N > limit when none up to limit does.  A custom
+        weight without a tail rule: limit + 1, as no N is accepted.  Other
         kinds: 0, as their thresholds are found by calling tail_bound."""
+        if self.kind == "custom" and self.tail_rule is None:
+            return limit + 1
         if self.kind != "factorial":
             return 0
         # 2r - 2 up to rounding; an r past the limit (or inf) lands past it
@@ -129,10 +136,14 @@ FACTORIAL = Weight(name="factorial", kind="factorial")
 
 
 def superexp(base: float = 2.0, power: int = 2) -> Weight:
-    if base <= 1.0:
+    if not base > 1.0:
         raise SchemaError("superexp base must exceed 1")
+    if math.isinf(base):
+        raise SchemaError("superexp base must be finite")
     if power < 2:
         raise SchemaError("superexp power must be at least 2")
+    if power > MAX_POWER:
+        raise SchemaError(f"superexp power must be at most {MAX_POWER}")
     # strip a trailing ".0" so superexp:b=2,q=2 round-trips through its name
     b = int(base) if float(base).is_integer() else base
     return Weight(name=f"superexp:b={b},q={power}", kind="superexp",
@@ -164,7 +175,11 @@ def from_name(name: str) -> Weight:
         return FACTORIAL
     m = _SUPEREXP_RE.match(name)
     if m:
-        return superexp(float(m.group(1)), int(m.group(2)))
+        try:  # "." is no number, nor an int past 4300 digits
+            base, power = float(m.group(1)), int(m.group(2))
+        except ValueError as exc:
+            raise SchemaError(f"bad weight name {name!r}: {exc}") from None
+        return superexp(base, power)
     if name.startswith("custom:"):
         ident = name[len("custom:"):]
         try:

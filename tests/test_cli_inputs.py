@@ -1,8 +1,10 @@
 """CLI boundary: the JSON writer's bytes, refused input and typed exits."""
 
 import argparse
+import io
 import json
 import math
+import sys
 import warnings
 
 import pytest
@@ -223,3 +225,63 @@ class TestDocumentShape:
         op = "norm" if group == "elem" else "det"
         assert run([group, op, "--json", write(tmp_path, doc)]) == 3
         assert "weight must be a name string" in capsys.readouterr().err
+
+
+class TestOutsideTheOldContract:
+    """Inputs that ended in a traceback or a long walk; each now exits with a
+    documented code and a message naming the input."""
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000 + "]" * 100000)
+        assert run(["elem", "norm", "--json", str(p)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: invalid JSON: {p} is nested too deeply\n")
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe{}")
+        assert run(["elem", "norm", "--json", str(p)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {p}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_undecodable_stdin(self, monkeypatch, capsys):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(["elem", "norm", "--json", "-"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read standard input: 'utf-8' codec can't decode")
+
+    def test_superexp_base_not_a_number_in_a_document(self, tmp_path, capsys):
+        doc = {"weight": "superexp:b=.,q=2", "normalized": {"cycle": [[1, 0]]}}
+        assert elem(tmp_path, "norm", doc)[0] == 3
+        assert "'superexp:b=.,q=2'" in capsys.readouterr().err
+
+    def test_superexp_base_not_a_number_on_the_command_line(self, capsys):
+        assert run(["ideal", "chain", "--weight", "superexp:b=1.2.3,q=2"]) == 3
+        assert "'superexp:b=1.2.3,q=2'" in capsys.readouterr().err
+
+    def test_superexp_power_budget(self, tmp_path, capsys):
+        # at q = 10^20, p(n) and its tail bounds need exact ints n^q: eval
+        # would not return
+        doc = {"weight": "superexp:b=2,q=99999999999999999999",
+               "normalized": {"cycle": [[1, 0]]}}
+        assert elem(tmp_path, "eval", doc, "--z=3") == (3, None)
+        assert capsys.readouterr().err == "error: superexp power must be at most 64\n"
+        doc["weight"] = "superexp:b=2,q=64"
+        assert elem(tmp_path, "eval", doc, "--z=3")[0] == 0
+
+    def test_custom_weight_without_a_tail_rule_refuses_at_once(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(weights, "_CUSTOM_REGISTRY", {})
+        weights.register_custom("bare", lambda n: float(math.factorial(n)))
+        calls = []
+        tail_bound = weights.Weight.tail_bound
+        monkeypatch.setattr(weights.Weight, "tail_bound",
+                            lambda w, N, r: calls.append(N) or tail_bound(w, N, r))
+        doc = {"weight": "custom:bare", "normalized": {"cycle": [[1, 0]]}}
+        code, out = elem(tmp_path, "eval", doc, "--z=1")
+        assert (code, out, calls) == (4, None, [])
+        assert capsys.readouterr().err == (
+            "numerical failure: no truncation index up to 100000 certifies "
+            "tolerance 1e-10 at |z| = 1.0\n")

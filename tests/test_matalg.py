@@ -162,12 +162,12 @@ class TestExpLog:
 
 class TestSLFactor:
     def test_identity_empty(self):
-        assert ma.sl_factor(ma.mat_identity(W, 2)) == []
+        assert ma.sl_factor(ma.mat_identity(W, 2)) == ([], 0.0)
 
     def test_diagonal_block_budget(self):
         A = ma.MatElement(W, ((const_el(2.0), const_el(0.0)),
                               (const_el(0.0), const_el(0.5))))
-        factors = ma.sl_factor(A)
+        factors, _ = ma.sl_factor(A)
         assert len(factors) <= 6
         prod = ma._apply_factors(factors, 1, 2)
         assert np.max(np.abs(prod[0] - A.U(0))) <= 1e-9
@@ -182,7 +182,7 @@ class TestSLFactor:
                     Uk = scipy.linalg.expm(raw[k])
                     stack.append(Uk / np.linalg.det(Uk) ** (1.0 / n))
                 A = mat_from_stack(stack)
-                factors = ma.sl_factor(A)
+                factors, _ = ma.sl_factor(A)
                 pl, cl, st = A.ustack()
                 prod = ma._apply_factors(factors, len(st), n)
                 assert float(np.max(np.abs(prod - st))) <= 1e-9
@@ -197,6 +197,6 @@ class TestSLFactor:
     def test_far_from_identity_path(self):
         # elimination hits a vanishing pivot; the connecting path must rescue
         A = mat_from_stack([np.array([[0.0, -1.0], [1.0, 0.0]])])
-        factors = ma.sl_factor(A)
+        factors, _ = ma.sl_factor(A)
         prod = ma._apply_factors(factors, 1, 2)
         assert np.max(np.abs(prod[0] - A.U(0))) <= 1e-9

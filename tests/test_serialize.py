@@ -100,7 +100,7 @@ class TestFactors:
     def test_round_trip(self):
         A = ma.MatElement(W, ((alg.Element(W, EPSeq((), (2.0,))), alg.zero(W)),
                               (alg.zero(W), alg.Element(W, EPSeq((), (0.5,))))))
-        factors = ma.sl_factor(A)
+        factors, _ = ma.sl_factor(A)
         doc = json.loads(json.dumps(ser.factors_to_json(factors)))
         back = ser.factors_from_json(doc)
         assert [(f.i, f.j) for f in back] == [(f.i, f.j) for f in factors]

@@ -23,7 +23,7 @@ def per_scale(f, n, horizon):
     """The trajectory with one index_order scan per scale 2^k."""
     out, k = [], 1
     while (1 << k) <= horizon:
-        rep = ideals.index_order(f, 1 << k, horizon)
+        rep = ideals.index_order(f, 1 << k)
         out.append((k, math.inf if math.isinf(rep.m) else rep.m / (k ** n)))
         k += 1
     return out

@@ -82,6 +82,18 @@ class TestSuperexp:
         with pytest.raises(SchemaError):
             weights.superexp(2.0, 1)
 
+    def test_power_budget(self):
+        with pytest.raises(SchemaError, match="at most 64"):
+            weights.superexp(2.0, weights.MAX_POWER + 1)
+        with pytest.raises(SchemaError, match="finite"):
+            weights.superexp(math.inf, 2)
+        assert weights.superexp(2.0, weights.MAX_POWER).p_eval(1) == 2.0
+        # past q = 61, p(2) = b^(2^q) overflows for the least double b > 1
+        b = math.nextafter(1.0, 2.0)
+        assert math.isfinite(weights.superexp(b, 61).p_eval(2))
+        with pytest.raises(OverflowAtIndex):
+            weights.superexp(b, 62).p_eval(2)
+
 
 class TestNames:
     def test_round_trip(self):
