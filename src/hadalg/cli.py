@@ -237,10 +237,9 @@ def _cmd_ideal(args):
                                       f"got {args.ks!r}") from None
             rep = ideals.nonfixed_ideal_trajectory(f, ks)
             return rep.to_json(), f"trajectory [{rep.certified}], verdict = {rep.verdict}"
-        f = ideals.krull_family(w, args.n, horizon=args.horizon)
-        traj = ideals.growth_trajectory(f, args.n + 1, horizon=args.horizon)
+        traj = ideals.krull_trajectory(args.n, horizon=args.horizon)
         return ({"n": args.n, "exponent": args.n + 1,
-                 "ratios": [[k, "inf" if math.isinf(r) else r] for k, r in traj],
+                 "ratios": [[k, r] for k, r in traj],
                  "certified": "horizon"},
                 f"growth trajectory over {len(traj)} scales")
     # chain

@@ -97,9 +97,9 @@ def zero_blocks(n: int, horizon: int) -> list[tuple[int, int]]:
     return [(1 << k, (1 << k) + k ** (n + 1)) for k in range(horizon.bit_length())]
 
 
-def krull_family(w: Weight, n: int, horizon: int = 1 << 14) -> Element:
-    """The witness f_n: u(m) = 0 on the blocks {2^k + l : 0 <= l <= k^(n+1)},
-    u(m) = 1 elsewhere.  GenSeq-backed (the zero set is not periodic)."""
+def _zero_runs(n: int, horizon: int) -> tuple[list[int], list[int]]:
+    """The zero blocks of f_n merged into maximal runs [los[i], his[i]],
+    in increasing order; validates as zero_blocks does."""
     los: list[int] = []
     his: list[int] = []
     for lo, hi in zero_blocks(n, horizon):
@@ -108,6 +108,13 @@ def krull_family(w: Weight, n: int, horizon: int = 1 << 14) -> Element:
         else:
             los.append(lo)
             his.append(hi)
+    return los, his
+
+
+def krull_family(w: Weight, n: int, horizon: int = 1 << 14) -> Element:
+    """The witness f_n: u(m) = 0 on the blocks {2^k + l : 0 <= l <= k^(n+1)},
+    u(m) = 1 elsewhere.  GenSeq-backed (the zero set is not periodic)."""
+    los, his = _zero_runs(n, horizon)
 
     def rule(m: int) -> complex:
         i = bisect.bisect_right(los, m) - 1
@@ -138,6 +145,25 @@ def growth_trajectory(f: Element, n: int, horizon: int = 1 << 14
         m = end - start
         out.append((k, math.inf if math.isinf(m) else m / (k ** n)))
         k += 1
+    return out
+
+
+def krull_trajectory(n: int, horizon: int = 1 << 14) -> list[tuple[int, float]]:
+    """growth_trajectory(krull_family(w, n, horizon), n + 1, horizon), for
+    any weight w, read off the merged zero runs of f_n: one bisect per scale
+    2^k in place of a scan over the zero indices.
+
+    The scale s lies in the run [lo, hi] or in none, and the scan would stop
+    at the first nonzero min(hi, horizon) + 1 (horizon + 1 for a run still
+    open at the horizon), so m(f_n, s) = min(hi, horizon) + 1 - s, or 0.
+    """
+    los, his = _zero_runs(n, horizon)
+    out = []
+    for k in range(1, horizon.bit_length()):
+        s = 1 << k
+        i = bisect.bisect_right(los, s) - 1
+        m = min(his[i], horizon) + 1 - s if i >= 0 and s <= his[i] else 0
+        out.append((k, m / (k ** (n + 1))))
     return out
 
 

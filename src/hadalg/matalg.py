@@ -17,8 +17,9 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
+# scipy.linalg (about 28 MB and 0.35 s to import) is imported inside the
+# functions that call it, so operations that never do skip the import
 from . import algebra
 from .algebra import Element
 from .coeffseq import (EPSeq, _abs, _canonical, _mul, _silent, _take,
@@ -159,33 +160,40 @@ def mat_mul(A: MatElement, B: MatElement) -> MatElement:
     return from_ustack(A.weight, pl, acc)
 
 
-def mat_det(A: MatElement) -> Element:
-    """Determinant over the algebra (cofactor expansion with star/add).
+def _cofactor_det(rows, mul, add, neg):
+    """Determinant of the square rows by cofactor expansion along the top
+    row, with the ring operations mul, add and neg.
 
     The minor below row r depends only on the columns it keeps, so each of
-    the 2^n column subsets is expanded once: n 2^(n-1) star/add pairs in
+    the 2^n column subsets is expanded once: n 2^(n-1) mul/add pairs in
     place of about e n!, with the same operations on each minor.
     """
-    if A.m != A.n:
-        raise DimensionMismatch("determinant needs a square matrix")
-    rows, n = A.entries, A.n
-    memo: dict[tuple, Element] = {}
+    n = len(rows)
+    memo: dict[tuple, object] = {}
 
-    def det(cols: tuple) -> Element:
+    def det(cols: tuple):
         row = rows[n - len(cols)]
         if len(cols) == 1:
             return row[cols[0]]
         if cols not in memo:
             acc = None
             for j, c in enumerate(cols):
-                term = algebra.star(row[c], det(cols[:j] + cols[j + 1:]))
+                term = mul(row[c], det(cols[:j] + cols[j + 1:]))
                 if j % 2:
-                    term = algebra.scalar_mul(-1.0, term)
-                acc = term if acc is None else algebra.add(acc, term)
+                    term = neg(term)
+                acc = term if acc is None else add(acc, term)
             memo[cols] = acc
         return memo[cols]
 
     return det(tuple(range(n)))
+
+
+def mat_det(A: MatElement) -> Element:
+    """Determinant over the algebra (cofactor expansion with star/add)."""
+    if A.m != A.n:
+        raise DimensionMismatch("determinant needs a square matrix")
+    return _cofactor_det(A.entries, algebra.star, algebra.add,
+                         lambda t: algebra.scalar_mul(-1.0, t))
 
 
 def mat_norm_bounds(A: MatElement) -> tuple[float, float]:
@@ -248,6 +256,7 @@ def mat_exp(B: MatElement) -> MatElement:
     """Positionwise matrix exponential (scipy's Pade scaling-and-squaring)."""
     if B.m != B.n:
         raise DimensionMismatch("exponential needs a square matrix")
+    import scipy.linalg
     out = np.array([scipy.linalg.expm(U) for U in B.array])
     return from_ustack(B.weight, B.period_start, out)
 
@@ -288,6 +297,7 @@ def _eig_log(U: np.ndarray, theta: float) -> np.ndarray:
     cond = np.linalg.cond(V)
     if math.isfinite(cond) and cond < 1e10:
         return V @ np.diag(_log_on_branch(lam, theta)) @ np.linalg.inv(V)
+    import scipy.linalg
     turn = theta + math.pi
     return scipy.linalg.logm(np.exp(-1j * turn) * U) + 1j * turn * np.eye(len(U))
 
@@ -371,6 +381,7 @@ def _contour_log(U: np.ndarray, theta: float, r: float, R: float,
     by row from the last, for all nodes of a piece at once.  Q is unitary and
     independent of the eigenvector basis the eigenvalue path uses.
     """
+    import scipy.linalg
     n = U.shape[0]
     T, Q = scipy.linalg.schur(U, output="complex")
     acc = np.zeros_like(U)
@@ -389,6 +400,28 @@ def _contour_log(U: np.ndarray, theta: float, r: float, R: float,
     return Q @ acc @ Q.conj().T / (2j * math.pi)
 
 
+def _exactly_singular(U: np.ndarray) -> bool:
+    """Whether det U = 0 exactly, for U as its doubles read.  Every double
+    is an integer over a power of two, so one power of two scales U to a
+    matrix of Gaussian integers, expanded with Python ints."""
+    n = len(U)
+    ratios = [x.as_integer_ratio()
+              for x in np.stack([U.real, U.imag], axis=-1).ravel().tolist()]
+    scale = max(q for _, q in ratios)
+    ints = [p * (scale // q) for p, q in ratios]
+    cells = list(zip(ints[0::2], ints[1::2]))   # (re, im) of row-major entries
+    rows = [cells[i * n:(i + 1) * n] for i in range(n)]
+    det = _cofactor_det(
+        rows, lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]),
+        lambda a, b: (a[0] + b[0], a[1] + b[1]), lambda a: (-a[0], -a[1]))
+    return det == (0, 0)
+
+
+# a position whose smallest singular value is at most this many n eps
+# sigma_max is decided singular or not by _exactly_singular; the exactly
+# singular matrices with entries in {-1, 0, 1, 2} and integer rank-deficient
+# products up to 7x7 stay under 0.7 of it
+_SINGULAR_FLAG = 4.0
 # largest entry deviation of exp(log A) from A that mat_log accepts
 _ROUNDTRIP_TOL = 1e-9
 # trapezoid nodes of the contour cross-check
@@ -406,6 +439,10 @@ def mat_log(A: MatElement, agreement_tol: float = 1e-6,
     max |lambda| over all positions.  The two must agree within
     agreement_tol.  The result satisfies mat_exp(B) = A within _ROUNDTRIP_TOL
     per position (verified).
+
+    A position is refused as singular when an eigenvalue is exactly 0, or
+    when its smallest singular value is within rounding of 0 and its exact
+    determinant is 0.
     """
     if agreement_tol <= 0:
         raise InvalidArgument("tol must be positive")
@@ -415,8 +452,14 @@ def mat_log(A: MatElement, agreement_tol: float = 1e-6,
     eigs = np.linalg.eigvals(stack)
     mods = np.abs(eigs)
     singular = mods.min(axis=1) == 0.0
+    sv = np.linalg.svd(stack, compute_uv=False)
+    eps = np.finfo(np.float64).eps
+    flagged = sv[:, -1] <= _SINGULAR_FLAG * A.n * eps * sv[:, 0]
+    for k in np.flatnonzero(flagged & ~singular):
+        singular[k] = _exactly_singular(stack[k])
     if singular.any():
         raise NotInGL(int(singular.argmax()))
+    import scipy.linalg
     r, R = float(mods.min()), float(mods.max())
     grid = _contour_grid(_QUADRATURE_NODES) if cross_check else None
     out = np.empty_like(stack)
@@ -591,6 +634,7 @@ def sl_factor(A: MatElement, tol: float = 1e-9
     except _PivotVanished:
         pass
 
+    import scipy.linalg
     B = mat_log(A, cross_check=False)
     bstack = B.take(P)
     traces = np.array([np.trace(bstack[k]) for k in range(P)])

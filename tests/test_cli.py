@@ -1,4 +1,9 @@
+import itertools
 import json
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +154,75 @@ class TestMat:
                            "entry_bound": 4.0}
 
 
+def exact_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * exact_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def singular_at_1(rows):
+    """The matrix with U(0) = I, U(1) = rows and U(k) = I from k = 2 on."""
+    n = len(rows)
+    return {"weight": "factorial",
+            "entries": [[{"prefix": [[float(i == j), 0], [v.real, v.imag]],
+                          "cycle": [[float(i == j), 0]]}
+                         for j, v in enumerate(map(complex, row))]
+                        for i, row in enumerate(rows)]}
+
+
+SMALL = (-1, 0, 1, 2)
+SINGULAR_2X2 = [[[a, b], [c, d]] for a, b, c, d in itertools.product(SMALL, repeat=4)
+                if a * d == b * c]
+
+
+def singular_3x3(count, seed=3):
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        rows = [[rng.choice(SMALL) for _ in range(3)] for _ in range(3)]
+        if exact_det(rows) == 0:
+            out.append(rows)
+    return out
+
+
+class TestSingularLog:
+    """mat log decides singularity exactly where eigvals leaves a rounding
+    residue in place of the zero eigenvalue."""
+
+    def check_singular_at_1(self, rows, tmp_path):
+        code, payload = invoke(["mat", "log", "--json",
+                                write(tmp_path, "m.json", singular_at_1(rows))],
+                               tmp_path)
+        assert (code, payload["witness"]) == (2, {"position": 1}), rows
+
+    def test_constant_twos(self, tmp_path):
+        doc = {"weight": "factorial",
+               "entries": [[{"cycle": [[2, 0]]}, {"cycle": [[2, 0]]}],
+                           [{"cycle": [[2, 0]]}, {"cycle": [[2, 0]]}]]}
+        code, payload = invoke(["mat", "log", "--json",
+                                write(tmp_path, "m.json", doc)], tmp_path)
+        assert (code, payload["witness"]) == (2, {"position": 0})
+
+    @pytest.mark.parametrize("scale", [1, 0.375j])
+    def test_every_singular_2x2(self, scale, tmp_path):
+        assert len(SINGULAR_2X2) == 66
+        for rows in SINGULAR_2X2:
+            self.check_singular_at_1([[v * scale for v in r] for r in rows], tmp_path)
+
+    def test_sampled_singular_3x3(self, tmp_path):
+        for rows in singular_3x3(60):
+            self.check_singular_at_1(rows, tmp_path)
+
+    def test_flagged_but_invertible_keeps_its_outcome(self, tmp_path, capsys):
+        # sigma_min = 2^-60 is within rounding of 0, but det = 2^-60 is not 0
+        doc = singular_at_1([[1, 0], [0, 2.0 ** -60]])
+        code = run(["mat", "log", "--json", write(tmp_path, "m.json", doc)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: contour quadrature disagrees with the eigenvalue"
+            " path at position 0: inf > 1.000e-10\n")
+
+
 class TestIdealAndWeight:
     def test_index_order(self, tmp_path):
         code, payload = invoke(["ideal", "index-order", "--k", "0",
@@ -180,6 +254,39 @@ class TestIdealAndWeight:
         code, payload = invoke(["weight", "list"], tmp_path)
         assert code == 0
         assert "factorial" in payload["weights"]
+
+
+IMPORT_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+from hadalg.cli import run
+
+tmp = Path(tempfile.mkdtemp())
+one = {"weight": "factorial", "normalized": {"cycle": [[2, 0]]}}
+mat = {"weight": "factorial", "entries": [[one["normalized"]]]}
+for name, doc in [("e", one), ("m", mat), ("s", {"A": mat, "b": mat}),
+                  ("p", {"A": mat, "B": mat})]:
+    (tmp / name).write_text(json.dumps(doc))
+out = ["--out", str(tmp / "out")]
+for argv in (["weight", "list"], ["elem", "invert", "--json", str(tmp / "e")],
+             ["ideal", "trajectory", "--n", "2", "--horizon", "4096"],
+             ["mat", "mul", "--json", str(tmp / "p")],
+             ["mat", "det", "--json", str(tmp / "m")],
+             ["mat", "solve", "--json", str(tmp / "s")],
+             ["mat", "norm-bounds", "--json", str(tmp / "m")]):
+    assert run(argv + out) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert run(["mat", "exp", "--json", str(tmp / "m")] + out) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_scipy_loaded_only_by_the_operations_that_call_it():
+    """A fresh interpreter, since the test session has imported scipy."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})"
+                           + IMPORT_PROBE], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestExitCodes:

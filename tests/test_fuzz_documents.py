@@ -188,7 +188,7 @@ def constant_matrix(rows):
     ("elem", "corona", json.dumps({"elements": None}), 3),
     ("elem", "norm", to_text({"weight": "factorial",
                               "normalized": {"cycle": ["@digits:5000@"]}}), 3),
-    ("mat", "log", json.dumps(constant_matrix([[2, 2], [2, 2]])), 4),
+    ("mat", "log", json.dumps(constant_matrix([[2, 2], [2, 2]])), 2),
 ], ids=["gcd-no-elements", "corona-no-elements", "ideal-member-no-generators",
         "corona-elements-null", "int-of-5000-digits", "log-singular-2x2"])
 def test_found_documents(group, op, text, code, tmp_path):

@@ -1,5 +1,6 @@
 """The demo scripts run end to end on small arguments."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -28,6 +29,12 @@ def run_script(name, *args):
 ])
 def test_demo_runs(name, args):
     assert run_script(name, *args)
+
+
+def test_index_order_trajectories_text():
+    out = run_script("index_order_trajectories.py", "--max-n", "3", "--horizon", "16384")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "78fe74836b3f9d419922ce4dd5ddd81be54ba313d2202e7ee9fc94e92583a69d")
 
 
 def test_sl_factorization_demo_reconstructs():

@@ -1,7 +1,8 @@
 """growth_trajectory's one pass against a per-scale index_order loop, the
-Krull witness against block arithmetic, and its bisect rule against a loop
-over the unmerged blocks."""
+Krull witness and krull_trajectory against block arithmetic, and the
+witness's bisect rule against a loop over the unmerged blocks."""
 
+import hashlib
 import math
 import random
 
@@ -9,7 +10,8 @@ import pytest
 
 from hadalg import algebra as alg
 from hadalg import ideals
-from hadalg.coeffseq import EPSeq, GenSeq
+from hadalg.cli import run
+from hadalg.coeffseq import MAX_WINDOW, EPSeq, GenSeq
 from hadalg.errors import HorizonExceeded
 from hadalg.weights import FACTORIAL
 
@@ -143,7 +145,7 @@ class TestKrullWitness:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_block_arithmetic(self, n):
-        for h in self.horizons(n, 4096) + BENCH_HORIZONS:
+        for h in self.horizons(n, 4096) + BENCH_HORIZONS + [MAX_WINDOW]:
             f = ideals.krull_family(W, n, horizon=h)
             blocks = old_blocks(n, h)
             want, k = [], 1
@@ -151,6 +153,7 @@ class TestKrullWitness:
                 want.append((k, zero_run(1 << k, blocks, h) / (k ** (n + 1))))
                 k += 1
             same(ideals.growth_trajectory(f, n + 1, h), want)
+            same(ideals.krull_trajectory(n, h), want)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bisect_rule_equals_block_loop(self, n):
@@ -173,3 +176,24 @@ class TestKrullWitness:
                    certified_bound=1.0)
         ideals.growth_trajectory(alg.Element(W, g), 4, h)
         assert len(seen) == len(set(seen)) <= h + 1
+
+
+class TestTrajectoryCommand:
+    def test_no_rule_evaluations(self, monkeypatch, tmp_path):
+        calls = []
+        value = GenSeq.value
+        monkeypatch.setattr(GenSeq, "value",
+                            lambda s, m: calls.append(m) or value(s, m))
+        assert run(["ideal", "trajectory", "--n", "3", "--horizon", "16384",
+                    "--out", str(tmp_path / "t.json")]) == 0
+        assert calls == []
+
+    def test_bad_weight_still_refused(self):
+        assert run(["ideal", "trajectory", "--weight", "superexp:b=.,q=2"]) == 3
+
+    def test_bytes_at_the_largest_horizon(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert run(["ideal", "trajectory", "--n", "3", "--horizon", "1048576",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2626c14c59632b0736f04608c673a2a8c8d168882f089fd2f657055a5fcc63bc")
