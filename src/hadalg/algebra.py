@@ -4,9 +4,11 @@ Everything works in normalized coordinates u(n) = p(n) * fhat(n).  In these
 coordinates the multiplication is pointwise, the norm is sup |u|, the unit is
 the all-ones sequence, and every criterion implemented below (divisibility,
 invertibility, ideal membership, the corona condition, idempotency, exp/log)
-is a finite scan over the representative window of an EPSeq.  Raw Taylor
-coefficients fhat(n) = u(n)/p(n) appear only at the serialization boundary
-and inside point evaluation.
+is a finite scan over the representative window of an EPSeq.  An Element's
+coefficients are always an EPSeq, checked once at construction, so every
+procedure here is exact on the window.  Raw Taylor coefficients
+fhat(n) = u(n)/p(n) appear only at the serialization boundary and inside
+point evaluation.
 """
 
 from __future__ import annotations
@@ -14,36 +16,36 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coeffseq import (MAX_WINDOW, EPSeq, GenSeq, _abs, _div, _mul, _silent,
-                       inf_abs, joint_shape, sup_abs)
-from .errors import (BadMask, BoundUnavailable, CoronaFails,
-                     HorizonCertifiedOnly, InvalidArgument, NotDivisible,
-                     NotInIdeal, NotInvertible, NumericalError,
+from .coeffseq import (MAX_WINDOW, EPSeq, _abs, _div, _mul, _silent, inf_abs,
+                       joint_shape, sup_abs)
+from .errors import (BadMask, BoundUnavailable, CoronaFails, InvalidArgument,
+                     NotDivisible, NotInIdeal, NotInvertible, NumericalError,
                      PointwiseDomainError, PreconditionFailed, WeightMismatch,
                      WindowTooLarge)
 from .weights import Weight
 
-Coeffs = Union[EPSeq, GenSeq]
+MAX_EVAL_TERMS = 100_000  # the largest truncation index eval_at tries
 
 
 @dataclass(frozen=True)
 class Element:
     """Member of the algebra: a weight and the normalized coefficients u.
 
-    Boundedness of u *is* membership (fhat(n) = O(1/p(n)) iff sup |u| < oo);
-    it is automatic for an EPSeq and declared for a GenSeq.
+    Boundedness of u *is* membership (fhat(n) = O(1/p(n)) iff sup |u| < oo),
+    automatic for u an EPSeq, the only coefficients accepted.
     """
 
     weight: Weight
-    u: Coeffs
+    u: EPSeq
 
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.u, EPSeq)
+    def __post_init__(self):
+        if not isinstance(self.u, EPSeq):
+            raise TypeError("an Element's coefficients must be an EPSeq, "
+                            f"not {type(self.u).__name__}")
 
     def __repr__(self):
         return f"Element({self.weight.name}, {self.u!r})"
@@ -55,14 +57,6 @@ def _same_weight(*els: Element) -> Weight:
         if e.weight != w:
             raise WeightMismatch(f"{e.weight.name} vs {w.name}")
     return w
-
-
-def _require_exact(*els: Element) -> None:
-    for e in els:
-        if not e.exact:
-            raise HorizonCertifiedOnly(
-                "operation requires an eventually periodic element; "
-                "a generated sequence only supports horizon-certified queries")
 
 
 def _window(*els: Element) -> tuple[int, list[np.ndarray]]:
@@ -137,7 +131,6 @@ def from_raw_coeffs(w: Weight, raw_prefix: Sequence[complex]) -> Element:
 @_silent
 def add(f: Element, g: Element) -> Element:
     _same_weight(f, g)
-    _require_exact(f, g)
     pl, (a, b) = _window(f, g)
     return _element(f.weight, a + b, pl)
 
@@ -145,34 +138,28 @@ def add(f: Element, g: Element) -> Element:
 @_silent
 def sub(f: Element, g: Element) -> Element:
     _same_weight(f, g)
-    _require_exact(f, g)
     pl, (a, b) = _window(f, g)
     return _element(f.weight, a - b, pl)
 
 
 def scalar_mul(c: complex, f: Element) -> Element:
-    _require_exact(f)
     return _element(f.weight, _mul(complex(c), f.u.array), f.u.period_start)
 
 
 def star(f: Element, g: Element) -> Element:
     """Weighted Hadamard product: pointwise product of normalized coefficients."""
     _same_weight(f, g)
-    _require_exact(f, g)
     pl, (a, b) = _window(f, g)
     return _element(f.weight, _mul(a, b), pl)
 
 
 def norm(f: Element) -> float:
-    """sup_n p(n) |fhat(n)| = sup |u|; horizon-certified for a GenSeq."""
-    if f.exact:
-        return sup_abs(f.u)
-    return max(abs(f.u.value(n)) for n in range(f.u.horizon + 1))
+    """sup_n p(n) |fhat(n)| = sup |u|."""
+    return sup_abs(f.u)
 
 
 def equal(f: Element, g: Element) -> bool:
-    """Exact equality via canonical forms (EPSeq-backed only)."""
-    _require_exact(f, g)
+    """Exact equality via canonical forms."""
     return f.weight == g.weight and f.u == g.u
 
 
@@ -190,9 +177,10 @@ class EvalResult:
 def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
     """Certified partial sum of f(z) = sum u(n)/p(n) z^n.
 
-    The truncation index N is chosen so that sup|u| * tail_bound(N, |z|)
-    <= tol.  Terms are accumulated through the incremental ratio
-    t_{n+1} = t_n * z * p(n)/p(n+1), avoiding raw weight values.
+    The truncation index N <= MAX_EVAL_TERMS is chosen so that
+    sup|u| * tail_bound(N, |z|) <= tol.  Terms are accumulated through the
+    incremental ratio t_{n+1} = t_n * z * p(n)/p(n+1), avoiding raw weight
+    values.
     """
     if tol <= 0:
         raise InvalidArgument("tol must be positive")
@@ -201,18 +189,13 @@ def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
         r = abs(z)
     except OverflowError:  # |z| itself is past the double range
         r = math.inf
-    if f.exact:
-        sup = sup_abs(f.u)
-        nmax = 100_000
-    else:
-        sup = f.u.certified_bound
-        nmax = f.u.horizon
-    N = w.tail_start(r, nmax)
+    sup = sup_abs(f.u)
+    N = w.tail_start(r, MAX_EVAL_TERMS)
     bound = None
     while True:
-        if N > nmax:
+        if N > MAX_EVAL_TERMS:
             raise BoundUnavailable(
-                f"no truncation index up to {nmax} certifies tolerance {tol} "
+                f"no truncation index up to {MAX_EVAL_TERMS} certifies tolerance {tol} "
                 f"at |z| = {r}")
         try:
             t = w.tail_bound(N, r)
@@ -244,7 +227,6 @@ def invertible(f: Element) -> Optional[tuple[float, Element]]:
 
     The inverse has u_inv(n) = 1/u(n), so star(f, inverse) is the unit.
     """
-    _require_exact(f)
     delta = inf_abs(f.u)
     if delta == 0.0:
         return None
@@ -266,7 +248,6 @@ def divide(f: Element, g: Element) -> tuple[float, Element]:
     NotDivisible with the first violating index otherwise.
     """
     _same_weight(f, g)
-    _require_exact(f, g)
     pl, (uf, ug) = _window(f, g)
     zero = ug == 0
     bad = zero & (uf != 0)
@@ -286,7 +267,6 @@ def gcd(fs: Sequence[Element]) -> Element:
     if not fs:
         raise InvalidArgument("gcd needs at least one element")
     w = _same_weight(*fs)
-    _require_exact(*fs)
     pl, us = _window(*fs)
     return _element(w, np.max([_abs(u) for u in us], axis=0), pl)
 
@@ -302,7 +282,6 @@ def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]
     if not gens:
         raise InvalidArgument("need at least one generator")
     w = _same_weight(f, *gens)
-    _require_exact(f, *gens)
     pl, (uf, *ugs) = _window(f, *gens)
     s = sum(_abs(v) for v in ugs)
     zero = s == 0.0
@@ -329,7 +308,6 @@ def corona_solve(fs: Sequence[Element]) -> tuple[float, list[Element]]:
     if not fs:
         raise InvalidArgument("need at least one element")
     w = _same_weight(*fs)
-    _require_exact(*fs)
     pl, us = _window(*fs)
     s = sum(_abs(v) for v in us)
     zero = s == 0.0
@@ -351,7 +329,6 @@ def approx_invertible(f: Element, eps: float) -> Element:
     """
     if not eps > 0:
         raise InvalidArgument("eps must be positive")
-    _require_exact(f)
     u = f.u.array
     return _element(f.weight, np.where(_abs(u) > eps, u, complex(eps)),
                     f.u.period_start)
@@ -370,7 +347,6 @@ def bass_reduce(f1: Element, f2: Element, g1: Element, g2: Element,
     if not 0 < eps < 0.5:
         raise InvalidArgument("eps must lie in (0, 1/2)")
     w = _same_weight(f1, f2, g1, g2)
-    _require_exact(f1, f2, g1, g2)
     bezout = add(star(g1, f1), star(g2, f2))
     if bezout.u != EPSeq.constant(1.0):
         raise PreconditionFailed("g1*f1 + g2*f2 is not exactly the unit")
@@ -398,7 +374,6 @@ def bass_reduce(f1: Element, f2: Element, g1: Element, g2: Element,
 
 def is_idempotent(f: Element) -> bool:
     """f * f == f, equivalently u(n) in {0, 1} for every n (exact)."""
-    _require_exact(f)
     u = f.u.array
     return bool(np.all((u == 0) | (u == 1)))
 
@@ -416,7 +391,6 @@ def idempotent_from_mask(w: Weight, mask: EPSeq) -> Element:
 def exp_el(f: Element) -> Element:
     """Exponential: u_{exp f}(k) = e^{u_f(k)}; invertible with
     inf |u| >= e^{-||f||}."""
-    _require_exact(f)
     return Element(f.weight, _map(cmath.exp, f.u))
 
 
@@ -425,7 +399,6 @@ def log_el(g: Element) -> Element:
     with imaginary part in (-pi, pi].  exp_el(log_el(g)) recovers g and
     ||f|| <= sqrt(max(|log delta|, |log ||g|| |)^2 + pi^2).
     """
-    _require_exact(g)
     if inf_abs(g.u) == 0.0:
         raise not_invertible_witness(g)
     return Element(g.weight, _map(cmath.log, g.u))

@@ -208,7 +208,7 @@ def _cmd_ideal(args):
     op = args.op
     if op == "index-order":
         f = serialize.element_from_json(_load_doc(args))
-        rep = ideals.index_order(f, args.k)
+        rep = ideals.index_order(f.u, args.k)
         return rep.to_json(), f"m(f, {args.k}) = {rep.m} [{rep.flag}]"
     if op == "annihilator":
         f = serialize.element_from_json(_load_doc(args))
@@ -217,11 +217,10 @@ def _cmd_ideal(args):
         return ({"chi": serialize.element_to_json(chi),
                  "product_is_zero": prod_zero},
                 f"annihilator generator computed, f*chi = 0: {prod_zero}")
-    w = weights.from_name(args.weight)
     if op == "krull-family":
-        f = ideals.krull_family(w, args.n, horizon=args.horizon)
+        u = ideals.krull_family(args.n, horizon=args.horizon)
         blocks = [list(b) for b in ideals.zero_blocks(args.n, args.horizon)]
-        sample = [f.u.value(m).real for m in range(min(64, args.horizon + 1))]
+        sample = [u.value(m).real for m in range(min(64, args.horizon + 1))]
         return ({"n": args.n, "horizon": args.horizon, "zero_blocks": blocks,
                  "sample": sample, "certified": "horizon"},
                 f"witness f_{args.n} generated, {len(blocks)} zero blocks")
@@ -235,7 +234,7 @@ def _cmd_ideal(args):
             except ValueError:
                 raise InvalidArgument("--ks must be comma-separated integers, "
                                       f"got {args.ks!r}") from None
-            rep = ideals.nonfixed_ideal_trajectory(f, ks)
+            rep = ideals.nonfixed_ideal_trajectory(f.u, ks)
             return rep.to_json(), f"trajectory [{rep.certified}], verdict = {rep.verdict}"
         traj = ideals.krull_trajectory(args.n, horizon=args.horizon)
         return ({"n": args.n, "exponent": args.n + 1,
@@ -243,7 +242,7 @@ def _cmd_ideal(args):
                  "certified": "horizon"},
                 f"growth trajectory over {len(traj)} scales")
     # chain
-    f, rep = ideals.chain_witness(args.kind, args.n, w)
+    f, rep = ideals.chain_witness(args.kind, args.n, weights.from_name(args.weight))
     out = rep.to_json()
     out["witness_element"] = serialize.element_to_json(f)
     return out, f"{args.kind} witness for n = {args.n}: ok = {rep.ok}"
@@ -290,8 +289,8 @@ OPERATIONS = {
         "exp": ("json",), "log": ("json", "tol"), "sl-factor": ("json", "tol"),
         "norm-bounds": ("json",)}),
     "ideal": (_cmd_ideal, {
-        "index-order": ("json", "k"), "krull-family": ("weight", "n", "horizon"),
-        "trajectory": ("weight", "n", "horizon", "json", "ks"),
+        "index-order": ("json", "k"), "krull-family": ("n", "horizon"),
+        "trajectory": ("n", "horizon", "json", "ks"),
         "annihilator": ("json",), "chain": ("weight", "kind", "n")}),
     "weight": (_cmd_weight, {"list": ()}),
 }

@@ -1,12 +1,13 @@
 """Eventually periodic complex sequences and horizon-limited generated ones.
 
-``EPSeq`` is the workhorse representation: a finite prefix followed by a
-repeating cycle.  The class is closed under every pointwise operation used
+``EPSeq``, a finite prefix followed by a repeating cycle, holds every
+element's coefficients.  It is closed under every pointwise operation used
 downstream, and suprema / infima / run lengths over all of N_0 reduce to
 finite scans, so criteria phrased "for all n" become decidable.
 
-``GenSeq`` holds non-periodic witnesses (rule + horizon + declared bound);
-anything computed from one is advisory, never a certificate.
+``GenSeq`` holds non-periodic witnesses (a rule and a horizon), which only
+the index-order code of ``hadalg.ideals`` reads; anything computed from one
+is advisory, never a certificate.
 """
 
 from __future__ import annotations
@@ -256,16 +257,11 @@ def _div(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenSeq:
-    """Rule-generated sequence, trusted only up to ``horizon``.
-
-    ``certified_bound`` is a declared bound on |rule(n)| for every n; it is
-    spot-checkable below the horizon but otherwise taken on faith.  Results
-    derived from a GenSeq are labeled horizon-certified downstream.
-    """
+    """Rule-generated sequence, read only up to ``horizon``.  Index orders
+    derived from it are labeled horizon-certified downstream."""
 
     rule: Callable[[int], complex] = field(compare=False)
     horizon: int
-    certified_bound: float
 
     def value(self, n: int) -> complex:
         if n < 0:

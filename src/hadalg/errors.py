@@ -98,10 +98,6 @@ class BadMask(MathConditionError):
                          "expected exactly 0 or 1", index=index, value=value)
 
 
-class HorizonCertifiedOnly(MathConditionError):
-    """The requested certificate needs an exact sequence, not a sampled one."""
-
-
 class SpectrumHit(MathConditionError):
     def __init__(self, position: int):
         super().__init__(f"query point lies in the spectrum at position {position}",

@@ -6,7 +6,8 @@ non-fixed ideal of subsequence type) is *not* decidable from finitely many
 coefficients; this module reports trajectories flagged exact or
 horizon-certified and never fakes a boolean where only a sample exists.
 The one genuinely decidable case (an EPSeq sampled along a single cycle
-residue) gets an exact verdict.
+residue) gets an exact verdict.  The index-order functions read a sequence,
+an EPSeq or a GenSeq such as the weight-free Krull witness, not an Element.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import algebra
 from .algebra import Element
 from .coeffseq import MAX_WINDOW, EPSeq, GenSeq
-from .errors import HorizonCertifiedOnly, HorizonExceeded, InvalidArgument
+from .errors import HorizonExceeded, InvalidArgument
 from .weights import Weight
 
 INFINITE = math.inf
@@ -50,8 +51,8 @@ class IndexOrderReport:
                 "flag": self.flag}
 
 
-def index_order(f: Element, k: int) -> IndexOrderReport:
-    """m(f, k): maximal m with u(k + l) = 0 for 0 <= l <= m - 1.
+def index_order(u: EPSeq | GenSeq, k: int) -> IndexOrderReport:
+    """m(u, k): maximal m with u(k + l) = 0 for 0 <= l <= m - 1.
 
     Exact for EPSeq input (the run either terminates inside the window or the
     cycle is identically zero, giving infinity).  GenSeq input is scanned up
@@ -59,7 +60,6 @@ def index_order(f: Element, k: int) -> IndexOrderReport:
     """
     if k < 0:
         raise InvalidArgument(f"k must be nonnegative, got {k}")
-    u = f.u
     if isinstance(u, EPSeq):
         # the run either hits a nonzero within one full cycle past the
         # prefix, or the cycle is identically zero and the run is infinite
@@ -70,11 +70,9 @@ def index_order(f: Element, k: int) -> IndexOrderReport:
         return IndexOrderReport(k, INFINITE, "exact")
     if k > u.horizon:
         raise HorizonExceeded(k, u.horizon)
-    n = k
-    while n <= u.horizon:
+    for n in range(k, u.horizon + 1):
         if u.value(n) != 0:
             return IndexOrderReport(k, n - k, "exact")
-        n += 1
     return IndexOrderReport(k, u.horizon - k + 1, "horizon")
 
 
@@ -111,21 +109,22 @@ def _zero_runs(n: int, horizon: int) -> tuple[list[int], list[int]]:
     return los, his
 
 
-def krull_family(w: Weight, n: int, horizon: int = 1 << 14) -> Element:
-    """The witness f_n: u(m) = 0 on the blocks {2^k + l : 0 <= l <= k^(n+1)},
-    u(m) = 1 elsewhere.  GenSeq-backed (the zero set is not periodic)."""
+def krull_family(n: int, horizon: int = 1 << 14) -> GenSeq:
+    """The normalized coefficients of the witness f_n: u(m) = 0 on the blocks
+    {2^k + l : 0 <= l <= k^(n+1)}, u(m) = 1 elsewhere, the same for every
+    weight.  A GenSeq: the zero set is not periodic."""
     los, his = _zero_runs(n, horizon)
 
     def rule(m: int) -> complex:
         i = bisect.bisect_right(los, m) - 1
         return 0.0 if i >= 0 and m <= his[i] else 1.0
 
-    return Element(w, GenSeq(rule=rule, horizon=horizon, certified_bound=1.0))
+    return GenSeq(rule=rule, horizon=horizon)
 
 
-def growth_trajectory(f: Element, n: int, horizon: int = 1 << 14
+def growth_trajectory(u: EPSeq | GenSeq, n: int, horizon: int = 1 << 14
                       ) -> list[tuple[int, float]]:
-    """Ratios m(f, 2^k) / k^n for k >= 1 with 2^k <= horizon.
+    """Ratios m(u, 2^k) / k^n for k >= 1 with 2^k <= horizon.
 
     Advisory diagnostics for the limit/sup criteria defining the ideal I_n
     and multiplicative set M_n; the limits themselves are not decided.
@@ -141,7 +140,7 @@ def growth_trajectory(f: Element, n: int, horizon: int = 1 << 14
     while (1 << k) <= horizon:
         start = 1 << k
         if start >= end:
-            end = start + index_order(f, start).m
+            end = start + index_order(u, start).m
         m = end - start
         out.append((k, math.inf if math.isinf(m) else m / (k ** n)))
         k += 1
@@ -149,9 +148,9 @@ def growth_trajectory(f: Element, n: int, horizon: int = 1 << 14
 
 
 def krull_trajectory(n: int, horizon: int = 1 << 14) -> list[tuple[int, float]]:
-    """growth_trajectory(krull_family(w, n, horizon), n + 1, horizon), for
-    any weight w, read off the merged zero runs of f_n: one bisect per scale
-    2^k in place of a scan over the zero indices.
+    """growth_trajectory(krull_family(n, horizon), n + 1, horizon), read off
+    the merged zero runs of f_n: one bisect per scale 2^k in place of a scan
+    over the zero indices.
 
     The scale s lies in the run [lo, hi] or in none, and the scan would stop
     at the first nonzero min(hi, horizon) + 1 (horizon + 1 for a run still
@@ -169,11 +168,11 @@ def krull_trajectory(n: int, horizon: int = 1 << 14) -> list[tuple[int, float]]:
 
 def p1_p2_check(f: Element, g: Element, k: int) -> bool:
     """Check m(f+g, k) >= min(m(f,k), m(g,k)) and
-    m(f*g, k) >= max(m(f,k), m(g,k)) with horizon-limited index orders."""
-    mf = index_order(f, k).m
-    mg = index_order(g, k).m
-    ms = index_order(algebra.add(f, g), k).m
-    mp = index_order(algebra.star(f, g), k).m
+    m(f*g, k) >= max(m(f,k), m(g,k)), index orders of the coefficients."""
+    mf = index_order(f.u, k).m
+    mg = index_order(g.u, k).m
+    ms = index_order(algebra.add(f, g).u, k).m
+    mp = index_order(algebra.star(f, g).u, k).m
     return ms >= min(mf, mg) and mp >= max(mf, mg)
 
 
@@ -185,9 +184,6 @@ def annihilator_generator(f: Element) -> Element:
     """The generator chi of the annihilator ideal {h : f * h = 0}:
     u_chi = indicator of the zero set of u_f.  Then f * chi = 0 exactly and
     every annihilating h is a multiple of chi with constant ||h||."""
-    if not f.exact:
-        raise HorizonCertifiedOnly(
-            "annihilator generator requires an eventually periodic element")
     chi = np.where(f.u.array == 0, 1.0, 0.0)
     return Element(f.weight, EPSeq.from_values(chi, f.u.period_start))
 
@@ -258,8 +254,9 @@ class TrajectoryReport:
                 "verdict": self.verdict}
 
 
-def nonfixed_ideal_trajectory(f: Element, ks: Sequence[int]) -> TrajectoryReport:
-    """|u_f(k_n)| along a subsequence: the quantity whose vanishing limit
+def nonfixed_ideal_trajectory(u: EPSeq | GenSeq, ks: Sequence[int]
+                              ) -> TrajectoryReport:
+    """|u(k_n)| along a subsequence: the quantity whose vanishing limit
     defines membership in the subsequence ideal.
 
     Advisory in general.  For an EPSeq sampled at indices that eventually
@@ -272,7 +269,6 @@ def nonfixed_ideal_trajectory(f: Element, ks: Sequence[int]) -> TrajectoryReport
             raise InvalidArgument(f"ks must be strictly increasing, got {a} then {b}")
     if ks and ks[0] < 0:
         raise InvalidArgument(f"ks must be nonnegative, got {ks[0]}")
-    u = f.u
     if isinstance(u, GenSeq):
         if ks and ks[-1] > u.horizon:
             raise HorizonExceeded(ks[-1], u.horizon)

@@ -79,8 +79,6 @@ def epseq_from_json(obj: Any, field: str = "normalized", canonical=EPSeq):
 
 
 def element_to_json(e: Element) -> dict:
-    if not e.exact:
-        raise SchemaError("generated sequences are not serializable")
     return {"weight": e.weight.name, "normalized": epseq_to_json(e.u)}
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from hadalg import algebra as alg
 from hadalg.coeffseq import EPSeq, GenSeq, inf_abs
-from hadalg.errors import (BadMask, CoronaFails, HorizonCertifiedOnly,
-                           NotDivisible, NotInIdeal, NotInvertible,
-                           PreconditionFailed, WeightMismatch)
+from hadalg.errors import (BadMask, CoronaFails, NotDivisible, NotInIdeal,
+                           NotInvertible, PreconditionFailed, WeightMismatch)
 from hadalg.weights import FACTORIAL, superexp
 
 from conftest import exact_divisor, gauss_int, rand_element
@@ -45,10 +44,10 @@ class TestConstruction:
             alg.add(alg.unit(W), alg.unit(superexp(2.0, 2)))
 
     def test_gen_backed_rejected_for_exact_ops(self):
-        g = alg.Element(W, GenSeq(rule=lambda n: 1.0, horizon=10,
-                                  certified_bound=1.0))
-        with pytest.raises(HorizonCertifiedOnly):
-            alg.star(g, g)
+        # an Element's coefficients are an EPSeq: the constructor refuses
+        # anything else, so no operation ever sees a generated sequence
+        with pytest.raises(TypeError, match="GenSeq"):
+            alg.Element(W, GenSeq(rule=lambda n: 1.0, horizon=10))
 
 
 class TestEval:

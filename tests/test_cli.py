@@ -220,7 +220,7 @@ class TestSingularLog:
         assert code == 4
         assert capsys.readouterr().err == (
             "numerical failure: contour quadrature disagrees with the eigenvalue"
-            " path at position 0: inf > 1.000e-10\n")
+            " path at position 1: inf > 1.000e-10\n")
 
 
 class TestIdealAndWeight:

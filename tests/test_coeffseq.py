@@ -84,7 +84,7 @@ class TestExtremes:
 
 class TestGenSeq:
     def test_value_and_horizon(self):
-        g = GenSeq(rule=lambda n: n * 1.0, horizon=10, certified_bound=10.0)
+        g = GenSeq(rule=lambda n: n * 1.0, horizon=10)
         assert g.value(10) == 10.0
         with pytest.raises(HorizonExceeded):
             g.value(11)

@@ -12,6 +12,7 @@ import copy
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -180,16 +181,28 @@ def constant_matrix(rows):
             "entries": [[{"cycle": [[v, 0]]} for v in row] for row in rows]}
 
 
-# documents that once ended in an exception, with their exits
-@pytest.mark.parametrize("group, op, text, code", [
-    ("elem", "gcd", json.dumps({"elements": []}), 3),
-    ("elem", "corona", json.dumps({"elements": []}), 3),
-    ("elem", "ideal-member", json.dumps({"f": ONE, "generators": []}), 3),
-    ("elem", "corona", json.dumps({"elements": None}), 3),
+# documents that once ended in an exception or printed more than the
+# one-line summary, with their exits and (where pinned) their stderr
+@pytest.mark.parametrize("group, op, text, code, err", [
+    ("elem", "gcd", json.dumps({"elements": []}), 3, None),
+    ("elem", "corona", json.dumps({"elements": []}), 3, None),
+    ("elem", "ideal-member", json.dumps({"f": ONE, "generators": []}), 3, None),
+    ("elem", "corona", json.dumps({"elements": None}), 3, None),
     ("elem", "norm", to_text({"weight": "factorial",
-                              "normalized": {"cycle": ["@digits:5000@"]}}), 3),
-    ("mat", "log", json.dumps(constant_matrix([[2, 2], [2, 2]])), 2),
+                              "normalized": {"cycle": ["@digits:5000@"]}}), 3, None),
+    ("mat", "log", json.dumps(constant_matrix([[2, 2], [2, 2]])), 2, None),
+    # a Jordan-like position sends _eig_log to scipy's logm, which warns
+    ("mat", "log", json.dumps(constant_matrix([[1e-300, 1e-300], [1, 1e-300]])), 4,
+     "numerical failure: contour quadrature disagrees with the eigenvalue path "
+     "at position 0: inf > 1.000e-10\n"),
 ], ids=["gcd-no-elements", "corona-no-elements", "ideal-member-no-generators",
-        "corona-elements-null", "int-of-5000-digits", "log-singular-2x2"])
-def test_found_documents(group, op, text, code, tmp_path):
-    assert run_doc(tmp_path, group, op, text) == code
+        "corona-elements-null", "int-of-5000-digits", "log-singular-2x2",
+        "log-nearly-singular-logm"])
+def test_found_documents(group, op, text, code, err, tmp_path, capsys):
+    # outside pytest a warning prints to stderr, so none may be raised
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_doc(tmp_path, group, op, text) == code
+    assert [str(w.message) for w in caught] == []
+    if err is not None:
+        assert capsys.readouterr().err == err

@@ -5,7 +5,7 @@ import pytest
 from hadalg import algebra as alg
 from hadalg import ideals
 from hadalg.coeffseq import EPSeq, GenSeq
-from hadalg.errors import HorizonCertifiedOnly, HorizonExceeded
+from hadalg.errors import HorizonExceeded
 from hadalg.weights import FACTORIAL
 
 from conftest import rand_element
@@ -20,25 +20,25 @@ def el(prefix, cycle):
 class TestIndexOrder:
     def test_exact_runs(self):
         f = el([1.0, 0.0, 0.0, 5.0], [1.0])
-        assert ideals.index_order(f, 0).m == 0
-        assert ideals.index_order(f, 1).m == 2
-        assert ideals.index_order(f, 2).m == 1
-        assert ideals.index_order(f, 3).m == 0
+        assert ideals.index_order(f.u, 0).m == 0
+        assert ideals.index_order(f.u, 1).m == 2
+        assert ideals.index_order(f.u, 2).m == 1
+        assert ideals.index_order(f.u, 3).m == 0
 
     def test_infinite_run(self):
         f = el([1.0], [0.0])
-        rep = ideals.index_order(f, 1)
+        rep = ideals.index_order(f.u, 1)
         assert math.isinf(rep.m) and rep.flag == "exact"
 
     def test_run_through_cycle(self):
         f = el([], [0.0, 0.0, 1.0])
-        assert ideals.index_order(f, 0).m == 2
-        assert ideals.index_order(f, 3).m == 2
-        assert ideals.index_order(f, 30).m == 2
+        assert ideals.index_order(f.u, 0).m == 2
+        assert ideals.index_order(f.u, 3).m == 2
+        assert ideals.index_order(f.u, 30).m == 2
 
     def test_gen_backed_flags_open_run(self):
-        g = GenSeq(rule=lambda n: 0.0, horizon=100, certified_bound=1.0)
-        rep = ideals.index_order(alg.Element(W, g), 10)
+        g = GenSeq(rule=lambda n: 0.0, horizon=100)
+        rep = ideals.index_order(g, 10)
         assert rep.flag == "horizon"
         assert rep.m == 91  # lower bound only
 
@@ -46,7 +46,7 @@ class TestIndexOrder:
         for _ in range(50):
             f = rand_element(rng)
             k = rng.randint(0, 8)
-            rep = ideals.index_order(f, k)
+            rep = ideals.index_order(f.u, k)
             scan = 0
             while scan < 200 and f.u.value(k + scan) == 0:
                 scan += 1
@@ -56,15 +56,14 @@ class TestIndexOrder:
 
 class TestKrullFamily:
     def test_zero_blocks(self):
-        f = ideals.krull_family(W, 1, horizon=256)
+        u = ideals.krull_family(1, horizon=256)
         for m in range(257):
             in_block = any(2 ** k <= m <= 2 ** k + k * k
                            for k in range(9))
-            assert (f.u.value(m) == 0) == in_block
+            assert (u.value(m) == 0) == in_block
 
     def test_growth_ratio_near_one(self):
-        f = ideals.krull_family(W, 1)
-        traj = dict(ideals.growth_trajectory(f, 2))
+        traj = dict(ideals.growth_trajectory(ideals.krull_family(1), 2))
         for k in range(8, 13):
             assert 0.9 <= traj[k] <= 1.2
 
@@ -92,12 +91,6 @@ class TestAnnihilator:
             C, q = alg.divide(h, chi)
             assert alg.equal(alg.star(chi, q), h)
 
-    def test_requires_exact(self):
-        g = alg.Element(W, GenSeq(rule=lambda n: 1.0, horizon=10,
-                                  certified_bound=1.0))
-        with pytest.raises(HorizonCertifiedOnly):
-            ideals.annihilator_generator(g)
-
 
 class TestChains:
     def test_both_kinds(self):
@@ -117,18 +110,17 @@ class TestChains:
 class TestTrajectory:
     def test_exact_verdict_single_residue(self):
         f = el([], [0.0, 1.0])
-        rep = ideals.nonfixed_ideal_trajectory(f, [0, 2, 4, 8, 16])
+        rep = ideals.nonfixed_ideal_trajectory(f.u, [0, 2, 4, 8, 16])
         assert rep.certified == "exact"
         assert rep.verdict is True  # the sampled residue is the zero one
 
     def test_mixed_residues_undecided(self):
         f = el([], [0.0, 1.0])
-        rep = ideals.nonfixed_ideal_trajectory(f, [0, 1, 2])
+        rep = ideals.nonfixed_ideal_trajectory(f.u, [0, 1, 2])
         assert rep.verdict is None
 
     def test_gen_backed_horizon(self):
-        g = alg.Element(W, GenSeq(rule=lambda n: 1.0 / (n + 1), horizon=100,
-                                  certified_bound=1.0))
+        g = GenSeq(rule=lambda n: 1.0 / (n + 1), horizon=100)
         rep = ideals.nonfixed_ideal_trajectory(g, [1, 10, 100])
         assert rep.certified == "horizon" and rep.verdict is None
         with pytest.raises(HorizonExceeded):
@@ -137,4 +129,4 @@ class TestTrajectory:
     def test_monotone_required(self):
         f = el([], [1.0])
         with pytest.raises(ValueError):
-            ideals.nonfixed_ideal_trajectory(f, [3, 2])
+            ideals.nonfixed_ideal_trajectory(f.u, [3, 2])

@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from hadalg import algebra as alg
 from hadalg import matalg as ma
-from hadalg.coeffseq import MAX_WINDOW, EPSeq, GenSeq, _canonical, joint_shape
-from hadalg.errors import (DimensionMismatch, HorizonCertifiedOnly, WeightMismatch,
-                           WindowTooLarge)
+from hadalg.coeffseq import MAX_WINDOW, EPSeq, _canonical, joint_shape
+from hadalg.errors import DimensionMismatch, WeightMismatch, WindowTooLarge
 from hadalg.weights import FACTORIAL
 
 import loop_reference as ref
@@ -100,25 +99,18 @@ def test_mat_mul_matches_loop_reference(draw):
         assert C == star_add_product(A, B)
 
 
-def test_generated_entries_refused():
-    g = alg.Element(W, GenSeq(lambda n: 1.0, horizon=8, certified_bound=1.0))
-    with pytest.raises(HorizonCertifiedOnly):
-        ma.MatElement(W, ((g,),))
-
-
 def test_constructor_checks_in_order():
-    """Shape, then weight, then exactness; a matrix of canonical cells
-    stacks as the matrix of their Elements does."""
+    """Shape, then weight; a matrix of canonical cells stacks as the matrix
+    of their Elements does."""
     from hadalg.weights import superexp
 
-    g = alg.Element(W, GenSeq(lambda n: 1.0, horizon=8, certified_bound=1.0))
     other, one = alg.unit(superexp(2.0, 2)), alg.unit(W)
     with pytest.raises(DimensionMismatch, match="nonempty"):
         ma.MatElement(W, ((),))
     with pytest.raises(DimensionMismatch, match="ragged"):
-        ma.MatElement(W, ((g, other), (one,)))
+        ma.MatElement(W, ((one, other), (one,)))
     with pytest.raises(WeightMismatch):
-        ma.MatElement(W, ((g, other),))
+        ma.MatElement(W, ((one, other),))
     rng = random.Random(3)
     for draw in KINDS:
         rows = [[pair(rng, draw)[0] for _ in range(3)] for _ in range(2)]

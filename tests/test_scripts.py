@@ -1,6 +1,7 @@
-"""The demo scripts run end to end on small arguments."""
+"""The demo scripts and the replay tool run end to end on small arguments."""
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -42,3 +43,19 @@ def test_sl_factorization_demo_reconstructs():
     errors = [float(e) for e in re.findall(r"reconstruction error (\S+)", out)]
     assert len(errors) == 4
     assert max(errors) <= 1e-9
+
+
+@pytest.mark.parametrize("workload", ["scalar-window", "matrix-positions",
+                                      "series-horizon"])
+def test_replay_outputs_prints_one_line_per_request(workload, tmp_path):
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload",
+                    workload, "--seed", "1", "--dir", str(tmp_path), "--tiny"],
+                   check=True, timeout=120)
+    requests = json.loads((tmp_path / "manifest.json").read_text())["requests"]
+    lines = run_script("replay_outputs.py", str(tmp_path)).splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == [str(r["id"]) for r in requests]
+    for line in lines:
+        _, code, digest, err = line.split(" ", 3)
+        assert code in ("0", "2", "3", "4"), line
+        assert digest == "-" or re.fullmatch("[0-9a-f]{64}", digest), line
+        assert json.loads(err).endswith("\n"), line

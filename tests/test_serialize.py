@@ -7,7 +7,7 @@ import pytest
 from hadalg import algebra as alg
 from hadalg import matalg as ma
 from hadalg import serialize as ser
-from hadalg.coeffseq import EPSeq, GenSeq
+from hadalg.coeffseq import EPSeq
 from hadalg.errors import DimensionMismatch, SchemaError
 from hadalg.weights import FACTORIAL
 
@@ -48,12 +48,6 @@ class TestElement:
         f = ser.element_from_json({"weight": "factorial",
                                    "raw_prefix": [1, 1, 1], "tail": "zero"})
         assert f.u.value(2) == 2.0 and f.u.value(3) == 0.0
-
-    def test_gen_backed_not_serializable(self):
-        g = alg.Element(W, GenSeq(rule=lambda n: 0.0, horizon=4,
-                                  certified_bound=1.0))
-        with pytest.raises(SchemaError):
-            ser.element_to_json(g)
 
 
 class TestMatrix:

@@ -8,24 +8,21 @@ import random
 
 import pytest
 
-from hadalg import algebra as alg
 from hadalg import ideals
 from hadalg.cli import run
 from hadalg.coeffseq import MAX_WINDOW, EPSeq, GenSeq
 from hadalg.errors import HorizonExceeded
-from hadalg.weights import FACTORIAL
 
 from conftest import gauss_int, rand_element
 
-W = FACTORIAL
 BENCH_HORIZONS = [21247, 35734, 60097, 88752, 101070]
 
 
-def per_scale(f, n, horizon):
+def per_scale(u, n, horizon):
     """The trajectory with one index_order scan per scale 2^k."""
     out, k = [], 1
     while (1 << k) <= horizon:
-        rep = ideals.index_order(f, 1 << k)
+        rep = ideals.index_order(u, 1 << k)
         out.append((k, math.inf if math.isinf(rep.m) else rep.m / (k ** n)))
         k += 1
     return out
@@ -72,7 +69,7 @@ def same(a, b):
 class TestAgainstPerScaleLoop:
     def test_epseq(self, rng):
         for _ in range(200):
-            f = rand_element(rng, sparse, max_prefix=6, max_cycle=5)
+            f = rand_element(rng, sparse, max_prefix=6, max_cycle=5).u
             for n in (1, 2, 3):
                 h = rng.randint(2, 600)
                 same(ideals.growth_trajectory(f, n, h), per_scale(f, n, h))
@@ -83,12 +80,12 @@ class TestAgainstPerScaleLoop:
             cycle = zero_runs(rng, rng.randint(1, 40), 50)
             if rng.random() < 0.25:
                 cycle = [0j] * len(cycle)     # an infinite run
-            f = alg.Element(W, EPSeq(tuple(prefix), tuple(cycle)))
+            f = EPSeq(tuple(prefix), tuple(cycle))
             h = rng.randint(2, 2000)
             same(ideals.growth_trajectory(f, 2, h), per_scale(f, 2, h))
 
     def test_infinite_run_stays_infinite(self):
-        f = alg.Element(W, EPSeq((1.0, 0.0, 0.0, 2.0, 0.0), (0.0,)))
+        f = EPSeq((1.0, 0.0, 0.0, 2.0, 0.0), (0.0,))
         traj = dict(ideals.growth_trajectory(f, 1, 64))
         assert traj[1] == 1.0 and math.isinf(traj[2]) and math.isinf(traj[6])
         assert traj == dict(per_scale(f, 1, 64))
@@ -102,17 +99,14 @@ class TestAgainstPerScaleLoop:
                 zeros.update(range(lo, lo + rng.randint(0, 200)))
             if rng.random() < 0.3:            # open at the horizon
                 zeros.update(range(rng.randint(0, horizon), horizon + 1))
-            g = GenSeq(rule=lambda m, z=frozenset(zeros): 0.0 if m in z else 1.0,
-                       horizon=horizon, certified_bound=1.0)
-            f = alg.Element(W, g)
+            f = GenSeq(rule=lambda m, z=frozenset(zeros): 0.0 if m in z else 1.0,
+                       horizon=horizon)
             for n in (1, 3):
                 h = rng.randint(2, horizon)
                 same(ideals.growth_trajectory(f, n, h), per_scale(f, n, h))
 
     def test_open_run_at_horizon(self):
-        g = GenSeq(rule=lambda m: 0.0 if m >= 5 else 1.0, horizon=100,
-                   certified_bound=1.0)
-        f = alg.Element(W, g)
+        f = GenSeq(rule=lambda m: 0.0 if m >= 5 else 1.0, horizon=100)
         traj = ideals.growth_trajectory(f, 1, 100)
         assert traj == per_scale(f, 1, 100)
         assert dict(traj)[3] == (100 - 8 + 1) / 3
@@ -120,9 +114,8 @@ class TestAgainstPerScaleLoop:
     @pytest.mark.parametrize("open_run", [False, True])
     @pytest.mark.parametrize("horizon", [100, 127])
     def test_growth_horizon_beyond_sequence(self, open_run, horizon):
-        g = GenSeq(rule=lambda m: 0.0 if open_run and m >= 20 else 1.0,
-                   horizon=horizon, certified_bound=1.0)
-        f = alg.Element(W, g)
+        f = GenSeq(rule=lambda m: 0.0 if open_run and m >= 20 else 1.0,
+                   horizon=horizon)
         with pytest.raises(HorizonExceeded) as want:
             per_scale(f, 2, 300)
         with pytest.raises(HorizonExceeded) as got:
@@ -146,23 +139,23 @@ class TestKrullWitness:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_block_arithmetic(self, n):
         for h in self.horizons(n, 4096) + BENCH_HORIZONS + [MAX_WINDOW]:
-            f = ideals.krull_family(W, n, horizon=h)
+            u = ideals.krull_family(n, horizon=h)
             blocks = old_blocks(n, h)
             want, k = [], 1
             while (1 << k) <= h:
                 want.append((k, zero_run(1 << k, blocks, h) / (k ** (n + 1))))
                 k += 1
-            same(ideals.growth_trajectory(f, n + 1, h), want)
+            same(ideals.growth_trajectory(u, n + 1, h), want)
             same(ideals.krull_trajectory(n, h), want)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bisect_rule_equals_block_loop(self, n):
         h = 1 << 12
-        f = ideals.krull_family(W, n, horizon=h)
+        u = ideals.krull_family(n, horizon=h)
         blocks = old_blocks(n, h)
         for m in range(h + 1):
             want = 0.0 if any(lo <= m <= hi for lo, hi in blocks) else 1.0
-            assert f.u.value(m) == want
+            assert u.value(m) == want
 
     @pytest.mark.parametrize("n,h", [(1, 4), (2, 300), (3, 4096), (4, 101070)])
     def test_zero_blocks_unmerged(self, n, h):
@@ -170,11 +163,9 @@ class TestKrullWitness:
 
     def test_each_index_evaluated_at_most_once(self):
         h = 1 << 14
-        f = ideals.krull_family(W, 3, horizon=h)
-        rule, seen = f.u.rule, []
-        g = GenSeq(rule=lambda m: seen.append(m) or rule(m), horizon=h,
-                   certified_bound=1.0)
-        ideals.growth_trajectory(alg.Element(W, g), 4, h)
+        rule, seen = ideals.krull_family(3, horizon=h).rule, []
+        g = GenSeq(rule=lambda m: seen.append(m) or rule(m), horizon=h)
+        ideals.growth_trajectory(g, 4, h)
         assert len(seen) == len(set(seen)) <= h + 1
 
 
@@ -197,3 +188,19 @@ class TestTrajectoryCommand:
                     "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "2626c14c59632b0736f04608c673a2a8c8d168882f089fd2f657055a5fcc63bc")
+
+    @pytest.mark.parametrize("n, horizon, digest", [
+        (1, 21247, "426751296bfe4222261843a180e2a5342d6a2d97fb185240d3e1ffda7af3e518"),
+        (2, 21247, "1ab8f88548097041dfbb554c34fc158fc747a924547099ab622d82b4cce79f3d"),
+        (3, 21247, "21242f5ed1e36887b320b4be75dbb0f1d6e85e677d584728a64de04d06728289"),
+        (1, MAX_WINDOW, "8b18ebdc32930a5a33b1da1cc3781935d138c5c6bd321752e9c05621aabedf76"),
+        (2, MAX_WINDOW, "0ef5b645fe22f45e318012f16e9a99b15aa5084dd957ced1b87da3254ae10565"),
+        (3, MAX_WINDOW, "befbf4f72e4b7a9ddd780c8c3855ffc9e39c5cd56c495abafc5a439afedbfb68"),
+    ])
+    def test_krull_family_bytes(self, n, horizon, digest, tmp_path):
+        """The weight-free witness writes the sample and zero blocks that
+        the witness built over the factorial weight wrote."""
+        out = tmp_path / "k.json"
+        assert run(["ideal", "krull-family", "--n", str(n), "--horizon", str(horizon),
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
