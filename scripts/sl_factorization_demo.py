@@ -4,7 +4,7 @@
 Builds determinant-normalized exponentials positionwise, runs the
 factorization, and reports factor counts and reconstruction error, including
 rotation-like inputs where plain elimination hits a vanishing pivot and the
-connecting-path fallback takes over.
+elimination runs again with each pivot raised by the stable-rank-1 step.
 """
 
 import argparse

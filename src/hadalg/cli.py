@@ -225,6 +225,12 @@ def _cmd_ideal(args):
                  "sample": sample, "certified": "horizon"},
                 f"witness f_{args.n} generated, {len(blocks)} zero blocks")
     if op == "trajectory":
+        # a document sampled at --ks, or the witness f_n traced to --horizon:
+        # each mode refuses the other's flags
+        other = ("n", "horizon") if args.json is not None else ("ks",)
+        if any(getattr(args, f) is not None for f in other):
+            raise InvalidArgument("trajectory takes --json and --ks, or --n and "
+                                  "--horizon, not both")
         if args.json is not None:
             f = serialize.element_from_json(_load_doc(args))
             if not args.ks:
@@ -236,8 +242,10 @@ def _cmd_ideal(args):
                                       f"got {args.ks!r}") from None
             rep = ideals.nonfixed_ideal_trajectory(f.u, ks)
             return rep.to_json(), f"trajectory [{rep.certified}], verdict = {rep.verdict}"
-        traj = ideals.krull_trajectory(args.n, horizon=args.horizon)
-        return ({"n": args.n, "exponent": args.n + 1,
+        n = _FLAGS["n"]["default"] if args.n is None else args.n
+        horizon = _FLAGS["horizon"]["default"] if args.horizon is None else args.horizon
+        traj = ideals.krull_trajectory(n, horizon=horizon)
+        return ({"n": n, "exponent": n + 1,
                  "ratios": [[k, r] for k, r in traj],
                  "certified": "horizon"},
                 f"growth trajectory over {len(traj)} scales")
@@ -296,6 +304,10 @@ OPERATIONS = {
 }
 
 
+# defaults the handler applies itself, to tell a flag given from one left out
+_UNSET = {("ideal", "trajectory"): {"n": None, "horizon": None}}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # no abbreviations: --k must not stand for --ks where only --ks exists
     ap = _Parser(prog="hadalg", allow_abbrev=False)
@@ -307,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p = op_parsers.add_parser(op, allow_abbrev=False)
             for flag in (*flags, "out"):
                 p.add_argument("--" + flag, **_FLAGS[flag])
-            p.set_defaults(func=handler)
+            p.set_defaults(func=handler, **_UNSET.get((group, op), {}))
     return ap
 
 

@@ -135,11 +135,6 @@ class WindowTooLarge(NumericalError):
     """A joint window would span more positions than coeffseq.MAX_WINDOW."""
 
 
-class SubdivisionOverflow(NumericalError):
-    def __init__(self, limit: int):
-        super().__init__(f"path subdivision exceeded {limit} steps", limit=limit)
-
-
 # ---------------------------------------------------------------------------
 # input / usage errors (CLI exit code 3)
 

@@ -27,7 +27,7 @@ from .coeffseq import (EPSeq, _abs, _canonical, _mul, _silent, _take,
                        joint_shape)
 from .errors import (DimensionMismatch, Inconsistent, InvalidArgument, NotInGL,
                      NotSL, NumericalError, QuadratureDisagreement, SpectrumHit,
-                     SubdivisionOverflow, WeightMismatch)
+                     WeightMismatch)
 from .weights import Weight
 
 _TWO_PI = 2.0 * math.pi
@@ -431,13 +431,12 @@ _ROUNDTRIP_TOL = 1e-9
 _QUADRATURE_NODES = 2048
 
 
-def mat_log(A: MatElement, agreement_tol: float = 1e-6,
-            cross_check: bool = True) -> MatElement:
+def mat_log(A: MatElement, agreement_tol: float = 1e-6) -> MatElement:
     """Logarithm of an invertible matrix over the algebra.
 
     Per position: pick the branch cut through the largest angular gap of the
     spectrum of U(k), compute log U(k) by eigenvalue functional calculus, and
-    (when cross_check) also by trapezoid quadrature of the resolvent integral
+    also by trapezoid quadrature of the resolvent integral
     on the keyhole contour with the radii r = min |lambda|, R = max |lambda|
     of that position's spectrum.  The two must agree within
     agreement_tol.  The result satisfies mat_exp(B) = A within _ROUNDTRIP_TOL
@@ -463,17 +462,16 @@ def mat_log(A: MatElement, agreement_tol: float = 1e-6,
     if singular.any():
         raise NotInGL(int(singular.argmax()))
     import scipy.linalg
-    grid = _contour_grid(_QUADRATURE_NODES) if cross_check else None
+    grid = _contour_grid(_QUADRATURE_NODES)
     out = np.empty_like(stack)
     for k in range(len(stack)):
         theta = _branch_angle(eigs[k])
         B = _eig_log(stack[k], theta)
-        if cross_check:
-            D = B - _contour_log(stack[k], theta, mods[k].min(), mods[k].max(), grid)
-            # a nan (log of a near-zero eigenvalue) agrees with nothing
-            dev = float(np.linalg.norm(D, 2)) if np.isfinite(D).all() else math.inf
-            if dev > agreement_tol:
-                raise QuadratureDisagreement(k, dev, agreement_tol)
+        D = B - _contour_log(stack[k], theta, mods[k].min(), mods[k].max(), grid)
+        # a nan (log of a near-zero eigenvalue) agrees with nothing
+        dev = float(np.linalg.norm(D, 2)) if np.isfinite(D).all() else math.inf
+        if dev > agreement_tol:
+            raise QuadratureDisagreement(k, dev, agreement_tol)
         out[k] = B
         err = float(np.max(np.abs(scipy.linalg.expm(B) - stack[k])))
         if not err <= _ROUNDTRIP_TOL:  # nan included
@@ -513,35 +511,59 @@ def resolvent_bound_check(A: MatElement, z: complex, c2: float, b2: float
 # SL_n factorization into elementary matrices
 
 
-_MAX_STEPS = 1 << 20
+def _elementary(i: int, j: int, vals: np.ndarray, pl: int, w: Weight
+                ) -> ElementaryFactor:
+    """I + alpha e_ij, alpha the sequence with window values vals, periodic
+    from position pl on."""
+    return ElementaryFactor(i, j, Element(w, EPSeq.from_values(vals, pl)))
+
+
+# a pivot below this modulus sends direct elimination to the boosted pass;
+# after the boost it is refused as numerically singular at its position
 _PIVOT_FLOOR = 1e-8
-# path steps are subdivided until each is this close to the identity
-_STEP_NORM = 0.5
 
 
-class _PivotVanished(Exception):
-    pass
-
-
-def _gauss_factors(stack: np.ndarray, pl: int, w: Weight
+def _gauss_factors(stack: np.ndarray, pl: int, w: Weight, boost: bool = False
                    ) -> tuple[list[ElementaryFactor], np.ndarray]:
     """Reduce each positionwise matrix to diagonal form by Gauss-Jordan
     elimination without pivoting, recording the elementary factors so that
-    input = product(factors) * diagonal.  Raises _PivotVanished when a pivot
-    gets too close to zero at some position."""
+    input = product(factors) * diagonal.
+
+    With boost, column j's pivot is first raised by the stable-rank-1 step:
+    where |M_jj| < rho = ||M_{j+1:, j}||, row j gains t_i * row i for each
+    i > j, t_i = e^{i arg M_jj} conj(M_ij) / rho, so the pivot becomes
+    e^{i arg M_jj} (|M_jj| + rho) and every multiplier is at most 1 in
+    modulus.  Raises NumericalError naming the first position where a pivot
+    is below _PIVOT_FLOOR."""
     M = stack.copy()
     P, n, _ = M.shape
     factors: list[ElementaryFactor] = []
     order = [(i, j) for j in range(n) for i in range(j + 1, n)] + \
             [(i, j) for j in range(n - 1, -1, -1) for i in range(j - 1, -1, -1)]
     for i, j in order:
-        if np.min(np.abs(M[:, j, j])) < _PIVOT_FLOOR:
-            raise _PivotVanished
+        if boost and i == j + 1:  # before the first elimination in column j
+            below = M[:, j + 1:, j]
+            rho = np.linalg.norm(below, axis=1)
+            low = np.abs(M[:, j, j]) < rho
+            phase = np.exp(1j * np.angle(M[:, j, j]))
+            # t[k, r - j - 1] = t_r at position k, 0 where the pivot is not low
+            t = np.where(low, phase / np.where(low, rho, 1.0), 0)[:, None] * below.conj()
+            for r in range(j + 1, n):
+                tr = t[:, r - j - 1]
+                if tr.any():
+                    M[:, j, :] += tr[:, None] * M[:, r, :]
+                    factors.append(_elementary(j, r, -tr, pl, w))
+        piv = np.abs(M[:, j, j])
+        if piv.min() < _PIVOT_FLOOR:
+            k = int(np.argmax(piv < _PIVOT_FLOOR))
+            raise NumericalError(f"pivot {piv[k]:.3e} below {_PIVOT_FLOOR:.0e} "
+                                 f"at position {k}: numerically singular",
+                                 position=k)
         alpha = M[:, i, j] / M[:, j, j]
         if np.all(alpha == 0):
             continue
         M[:, i, :] -= alpha[:, None] * M[:, j, :]
-        factors.append(ElementaryFactor(i, j, Element(w, EPSeq.from_values(alpha, pl))))
+        factors.append(_elementary(i, j, alpha, pl, w))
     return factors, M
 
 
@@ -556,27 +578,22 @@ def _whitehead_factors(diag_stack: np.ndarray, pl: int, w: Weight
     P, n, _ = diag_stack.shape
     d = np.diagonal(diag_stack, axis1=1, axis2=2)  # (P, n)
     factors: list[ElementaryFactor] = []
-    c = np.ones(P, dtype=complex)
+    one = np.ones(P, dtype=complex)
+    c = one
     for j in range(n - 1):
         c = c * d[:, j]
         if np.all(c == 1):
             continue
-        cinv = 1.0 / c
-
-        def el(vals):
-            return Element(w, EPSeq.from_values(vals, pl))
-
-        factors.append(ElementaryFactor(j, j + 1, el(c)))
-        factors.append(ElementaryFactor(j + 1, j, el(-cinv)))
-        factors.append(ElementaryFactor(j, j + 1, el(c - 1.0)))
-        factors.append(ElementaryFactor(j + 1, j, el(np.ones(P, dtype=complex))))
-        factors.append(ElementaryFactor(j, j + 1, el(-np.ones(P, dtype=complex))))
+        up, down = (j, j + 1), (j + 1, j)
+        for (a, b), vals in ((up, c), (down, -(1.0 / c)), (up, c - 1.0),
+                             (down, one), (up, -one)):
+            factors.append(_elementary(a, b, vals, pl, w))
     return factors
 
 
-def _factor_stack(stack: np.ndarray, pl: int, w: Weight
+def _factor_stack(stack: np.ndarray, pl: int, w: Weight, boost: bool = False
                   ) -> list[ElementaryFactor]:
-    factors, M = _gauss_factors(stack, pl, w)
+    factors, M = _gauss_factors(stack, pl, w, boost)
     factors.extend(_whitehead_factors(M, pl, w))
     return factors
 
@@ -602,82 +619,39 @@ def sl_factor(A: MatElement, tol: float = 1e-9
               ) -> tuple[list[ElementaryFactor], float]:
     """Factor a determinant-one matrix into elementary matrices.
 
-    Strategy: if direct Gauss-Jordan elimination keeps every pivot invertible
-    (always true near the identity and for triangular inputs), factor
-    directly.  Otherwise follow the connecting path gamma(t) =
-    D(t) * exp((1-t) log A) (column 1 rescaled by exp(-(1-t) trace) to stay
-    in SL_n), adaptively subdivided until each incremental step is within
-    _STEP_NORM of the identity, and factor each step.  The ordered product of
-    the emitted factors reproduces A within tol per position (verified).
-    Returns the factors and that verified error, the largest entry deviation
-    of their product from A over A's window.
+    Strategy: factor by direct Gauss-Jordan elimination (always enough near
+    the identity and for triangular inputs).  If a pivot vanishes or the
+    product misses A by more than tol, eliminate again with each pivot
+    raised by the paper's stable-rank-1 step (_gauss_factors with boost),
+    which takes at most n(n-1)/2 + n(n-1) + 5(n-1) factors however far A is
+    from the identity.  The ordered product of the emitted factors
+    reproduces A within tol per position (verified).  Returns the factors
+    and that verified error, the largest entry deviation of their product
+    from A over A's window.  A pivot still below _PIVOT_FLOOR after the
+    boost raises NumericalError with its position.
     """
     if tol <= 0:
         raise InvalidArgument("tol must be positive")
     if A.m != A.n:
         raise DimensionMismatch("factorization needs a square matrix")
-    w = A.weight
-    n = A.n
     pl, cl, stack = A.ustack()
-    P = len(stack)
     dets = np.linalg.det(stack)
     bad = np.argmax(np.abs(dets - 1.0))
     if abs(dets[bad] - 1.0) > tol:
         raise NotSL(int(bad), complex(dets[bad]))
 
-    if float(np.max(np.abs(stack - np.eye(n)))) == 0.0:
+    if float(np.max(np.abs(stack - np.eye(A.n)))) == 0.0:
         return [], 0.0
 
     try:
-        factors = _factor_stack(stack, pl, w)
+        factors = _factor_stack(stack, pl, A.weight)
         err = _factor_error(factors, A)
-        if err <= tol:
-            return factors, err
-    except _PivotVanished:
-        pass
-
-    import scipy.linalg
-    B = mat_log(A, cross_check=False)
-    bstack = B.take(P)
-    traces = np.array([np.trace(bstack[k]) for k in range(P)])
-
-    cache: dict[float, np.ndarray] = {}
-
-    def gamma(t: float) -> np.ndarray:
-        if t not in cache:
-            g = np.array([scipy.linalg.expm((1.0 - t) * U) for U in bstack])
-            g[:, :, 0] *= np.exp(-(1.0 - t) * traces)[:, None]
-            cache[t] = g
-        return cache[t]
-
-    segments: list[np.ndarray] = []
-    count = 0
-
-    def subdivide(ta: float, tb: float) -> None:
-        nonlocal count
-        ga, gb = gamma(ta), gamma(tb)
-        step = ga @ np.linalg.inv(gb)
-        dev = max(float(np.linalg.norm(U - np.eye(n), 2)) for U in step)
-        if dev <= _STEP_NORM:
-            segments.append(step)
-            count += 1
-            if count > _MAX_STEPS:
-                raise SubdivisionOverflow(_MAX_STEPS)
-            return
-        tm = 0.5 * (ta + tb)
-        if tb - ta < 1.0 / _MAX_STEPS:
-            raise SubdivisionOverflow(_MAX_STEPS)
-        subdivide(ta, tm)
-        subdivide(tm, tb)
-
-    subdivide(0.0, 1.0)
-
-    factors = []
-    for step in segments:
-        factors.extend(_factor_stack(step, pl, w))
-    # gamma(0) equals A up to the determinant defect absorbed into column 1
-    err = _factor_error(factors, A)
-    if err > tol:
-        raise NumericalError(
-            f"factor product deviates from the input by {err:.3e} > {tol:.3e}")
+    except NumericalError:  # a pivot vanished
+        err = math.inf
+    if not err <= tol:  # nan included
+        factors = _factor_stack(stack, pl, A.weight, boost=True)
+        err = _factor_error(factors, A)
+        if not err <= tol:
+            raise NumericalError(
+                f"factor product deviates from the input by {err:.3e} > {tol:.3e}")
     return factors, err

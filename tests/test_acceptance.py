@@ -255,7 +255,7 @@ def test_criterion_08_matrix_logarithm():
             B0 = (nrng.standard_normal((c, n, n))
                   + 1j * nrng.standard_normal((c, n, n))) * 0.8
             A = ma.mat_exp(ma.from_ustack(W, 0, B0))
-            # default cross_check=True enforces the 1e-6 agreement internally
+            # mat_log enforces the 1e-6 eigen/contour agreement internally
             L = ma.mat_log(A, agreement_tol=1e-6)
             back = ma.mat_exp(L)
             pl, cl, stack = A.ustack()

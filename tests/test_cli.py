@@ -100,6 +100,19 @@ class TestMat:
         assert len(payload["factors"]) <= 6
         assert payload["verification"]["max_error"] <= 1e-9
 
+    def test_singular_after_boost_exit_4(self, tmp_path, capsys):
+        # det 1 at both positions, but at position 1 the first pivot is
+        # 2^-40 with nothing below it for the boost to add
+        tiny = 2.0 ** -40
+        doc = {"weight": "factorial",
+               "entries": [[{"cycle": [[1, 0], [tiny, 0]]}, {"cycle": [[0, 0]]}],
+                           [{"cycle": [[0, 0]]}, {"cycle": [[1, 0], [1 / tiny, 0]]}]]}
+        code = run(["mat", "sl-factor", "--json", write(tmp_path, "m.json", doc)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: pivot 9.095e-13 below 1e-08 at position 1: "
+            "numerically singular\n")
+
     def test_not_sl_exit_2(self, tmp_path):
         doc = {"weight": "factorial",
                "entries": [[{"prefix": [], "cycle": [[2, 0]]},
@@ -264,8 +277,11 @@ from hadalg.cli import run
 tmp = Path(tempfile.mkdtemp())
 one = {"weight": "factorial", "normalized": {"cycle": [[2, 0]]}}
 mat = {"weight": "factorial", "entries": [[one["normalized"]]]}
+turn = {"weight": "factorial",  # a quarter turn: the boosted pass factors it
+        "entries": [[{"cycle": [[0, 0]]}, {"cycle": [[-1, 0]]}],
+                    [{"cycle": [[1, 0]]}, {"cycle": [[0, 0]]}]]}
 for name, doc in [("e", one), ("m", mat), ("s", {"A": mat, "b": mat}),
-                  ("p", {"A": mat, "B": mat})]:
+                  ("p", {"A": mat, "B": mat}), ("r", turn)]:
     (tmp / name).write_text(json.dumps(doc))
 out = ["--out", str(tmp / "out")]
 for argv in (["weight", "list"], ["elem", "invert", "--json", str(tmp / "e")],
@@ -273,7 +289,8 @@ for argv in (["weight", "list"], ["elem", "invert", "--json", str(tmp / "e")],
              ["mat", "mul", "--json", str(tmp / "p")],
              ["mat", "det", "--json", str(tmp / "m")],
              ["mat", "solve", "--json", str(tmp / "s")],
-             ["mat", "norm-bounds", "--json", str(tmp / "m")]):
+             ["mat", "norm-bounds", "--json", str(tmp / "m")],
+             ["mat", "sl-factor", "--json", str(tmp / "r")]):
     assert run(argv + out) == 0, argv
     assert "scipy" not in sys.modules, argv
 assert run(["mat", "exp", "--json", str(tmp / "m")] + out) == 0

@@ -62,6 +62,12 @@ FULL = {
                          "--n", "2"],
     ("weight", "list"): [],
 }
+# operations whose flags split into modes that refuse each other's flags:
+# each mode alone succeeds, and FULL, which mixes them, exits 3
+MODES = {
+    ("ideal", "trajectory"): [["--n", "1", "--horizon", "64"],
+                              ["--json", "--ks", "0,2,4"]],
+}
 FLAGS = ["json", "z", "tol", "eps", "weight", "horizon", "k", "n", "ks",
          "kind", "out"]
 # a value each flag would accept, were the operation to take it
@@ -76,9 +82,9 @@ def doc_path(tmp_path, group, op):
     return str(p)
 
 
-def full_argv(tmp_path, group, op):
+def full_argv(tmp_path, group, op, flags=None):
     argv = [group, op]
-    for a in FULL[group, op]:
+    for a in FULL[group, op] if flags is None else flags:
         argv += [a, doc_path(tmp_path, group, op)] if a == "--json" else [a]
     return argv + ["--out", str(tmp_path / "out.json")]
 
@@ -96,7 +102,9 @@ def test_table_lists_the_flags_each_handler_reads():
 
 @pytest.mark.parametrize("group, op", list(FULL), ids=[" ".join(k) for k in FULL])
 def test_accepts_exactly_the_listed_flags(group, op, tmp_path, capsys):
-    assert run(full_argv(tmp_path, group, op)) == 0
+    assert run(full_argv(tmp_path, group, op)) == (3 if (group, op) in MODES else 0)
+    for flags in MODES.get((group, op), []):
+        assert run(full_argv(tmp_path, group, op, flags)) == 0
     capsys.readouterr()
     for flag in set(FLAGS) - listed(group, op):
         argv = full_argv(tmp_path, group, op) + [f"--{flag}", ANY_VALUE[flag]]
@@ -221,9 +229,16 @@ def test_fuzz_argv_ends_in_a_documented_exit(data, tmp_path):
     (["mat", "solve", "--tol=-1"], 3),
     (["mat", "sl-factor", "--tol=-1"], 3),
     (["ideal", "chain", "--n", "3000000"], 4),
+    (["ideal", "trajectory", "--json", "--ks", "0,2", "--n", "99",
+      "--horizon", "3"], 3),
+    (["ideal", "trajectory", "--n", "1", "--horizon", "64", "--ks", "0,junk"], 3),
 ], ids=["krull-family-n-5000", "solve-tol-neg", "sl-factor-tol-neg",
-        "chain-n-3000000"])
+        "chain-n-3000000", "trajectory-doc-with-witness-flags",
+        "trajectory-witness-with-ks"])
 def test_found_argv(argv, code, tmp_path):
     if argv[0] == "mat":
         argv = argv + ["--json", doc_path(tmp_path, *argv[:2])]
+    elif "--json" in argv:
+        at = argv.index("--json") + 1
+        argv = argv[:at] + [doc_path(tmp_path, *argv[:2])] + argv[at:]
     assert run(argv + ["--out", str(tmp_path / "out.json")]) == code

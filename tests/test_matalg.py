@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,9 +9,11 @@ import scipy.linalg
 
 from hadalg import algebra as alg
 from hadalg import matalg as ma
+from hadalg import serialize
+from hadalg.cli import run
 from hadalg.coeffseq import EPSeq
 from hadalg.errors import (DimensionMismatch, Inconsistent, NotInGL, NotSL,
-                           WeightMismatch)
+                           NumericalError, WeightMismatch)
 from hadalg.weights import FACTORIAL
 
 W = FACTORIAL
@@ -160,6 +165,64 @@ class TestExpLog:
         assert holds and lhs <= rhs
 
 
+def factor_budget(n):
+    """The boosted pass's bound: n(n-1)/2 boosts, n(n-1) eliminations and
+    five Whitehead factors per diagonal block."""
+    return n * (n - 1) // 2 + n * (n - 1) + 5 * (n - 1)
+
+
+def far_sl(rng, n, positions):
+    """exp(3 G) scaled to determinant one, G standard complex Gaussian."""
+    G = (rng.standard_normal((positions, n, n))
+         + 1j * rng.standard_normal((positions, n, n))) / math.sqrt(2)
+    stack = np.array([scipy.linalg.expm(3 * g) for g in G])
+    return stack / (np.linalg.det(stack) ** (1.0 / n))[:, None, None]
+
+
+def cyclic_sl(rng, n, positions):
+    """The cyclic shift e_i -> e_(i+1) times a diagonal of unit phases,
+    scaled to determinant one: every pivot is 0 at every position."""
+    shift = np.roll(np.eye(n), 1, axis=0)
+    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, (positions, n)))
+    phases[:, -1] = (-1) ** (n - 1) / np.prod(phases[:, :-1], axis=1)
+    return shift[None] * phases[:, None, :]
+
+
+def near_identity_5():
+    """L U with unit lower L and upper U, off-diagonal entries Gaussian
+    integers over 16, diagonal of U all ones at position 0 and
+    (2, 1/2, 1, 1, 1) at position 1: every value is dyadic, so the document
+    and its determinant one are exact."""
+    rng = random.Random(5)
+    stack = []
+    for d in ([1, 1, 1, 1, 1], [2, 0.5, 1, 1, 1]):
+        L, U = np.eye(5, dtype=complex), np.diag(np.array(d, dtype=complex))
+        for i in range(5):
+            for j in range(i):
+                L[i, j] = complex(rng.randint(-2, 2), rng.randint(-2, 2)) / 16
+                U[j, i] = complex(rng.randint(-2, 2), rng.randint(-2, 2)) / 16
+        stack.append(L @ U)
+    return np.array(stack)
+
+
+# exp(3 G) at two positions, G standard complex Gaussian (numpy seed 3),
+# scaled to determinant one: direct elimination factors it within 2.6e-11
+FAR_3X3 = [
+    [[115.45998527058211 - 119.73749034225145j, -116.29810798477016 + 57.914575093878554j,
+      20.840209018652725 + 12.550504868769883j],
+     [17.92093211941886 + 93.02069748274421j, 11.169567268300069 - 73.24596346994593j,
+      -12.766504200486615 + 5.640611480752478j],
+     [-86.0836937793729 + 3.774976074209975j, 64.44017093456377 + 19.963338196378743j,
+      -3.2793416565810047 - 12.321378622064778j]],
+    [[80.64670970329665 - 144.8028871479144j, -2.536222824894126 - 7.3159330692356495j,
+      20.718263878272587 + 46.80579528676006j],
+     [-44.237408398974935 - 17.306931947277526j, -2.0106254468033637 + 0.9800452864196763j,
+      12.386005068990796 - 7.760717306448062j],
+     [0.5418711287114776 + 26.57630035186237j, 0.9554381813535398 + 0.8428519052904093j,
+      -6.749702765061432 - 4.760752782887961j]],
+]
+
+
 class TestSLFactor:
     def test_identity_empty(self):
         assert ma.sl_factor(ma.mat_identity(W, 2)) == ([], 0.0)
@@ -195,8 +258,61 @@ class TestSLFactor:
         assert abs(ei.value.det - 2.0) < 1e-12
 
     def test_far_from_identity_path(self):
-        # elimination hits a vanishing pivot; the connecting path must rescue
+        # elimination hits a vanishing pivot; the boosted pass must rescue
         A = mat_from_stack([np.array([[0.0, -1.0], [1.0, 0.0]])])
         factors, _ = ma.sl_factor(A)
         prod = ma._apply_factors(factors, 1, 2)
         assert np.max(np.abs(prod[0] - A.U(0))) <= 1e-9
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_factor_count_bound(self, n, nrng):
+        for stack in (far_sl(nrng, n, 3), cyclic_sl(nrng, n, 3)):
+            boosted = ma._factor_stack(stack, 0, W, boost=True)
+            assert len(boosted) <= factor_budget(n)
+            factors, _ = ma.sl_factor(mat_from_stack(stack), tol=1e-6)
+            assert len(factors) <= factor_budget(n)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_zero_pivot_at_every_position(self, n, nrng):
+        stack = cyclic_sl(nrng, n, 4)
+        A = mat_from_stack(stack)
+        factors, err = ma.sl_factor(A)
+        prod = ma._apply_factors(factors, len(stack), n)
+        assert err == float(np.max(np.abs(prod - stack))) <= 1e-12
+        assert len(factors) <= factor_budget(n)
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_far_from_identity_relative_error(self, n, nrng):
+        # within n eps kappa of the largest entry, kappa the worst condition
+        # number over the positions, for the direct and the boosted pass
+        eps = np.finfo(np.float64).eps
+        for _ in range(4):
+            stack = far_sl(nrng, n, 6)
+            A = mat_from_stack(stack)
+            scale = float(np.abs(stack).max())
+            bound = n * eps * float(np.linalg.cond(stack).max())
+            _, err = ma.sl_factor(A, tol=1e-9 * scale)
+            boosted = ma._factor_stack(stack, 0, W, boost=True)
+            assert err / scale <= bound
+            assert ma._factor_error(boosted, A) / scale <= bound
+
+    def test_pivot_below_floor_after_boost(self):
+        # det 1 but the first pivot is 2^-40 with nothing below it to boost
+        tiny = 2.0 ** -40
+        A = mat_from_stack([np.eye(2), np.diag([tiny, 1.0 / tiny])])
+        with pytest.raises(NumericalError) as ei:
+            ma.sl_factor(A)
+        assert ei.value.position == 1
+        assert "at position 1" in str(ei.value)
+
+    @pytest.mark.parametrize("stack, digest", [
+        (near_identity_5(), "5fe47873c1789688eb5237dbf91a2d69be7c26f3124bdf6ac49ed60bcf886970"),
+        (np.array(FAR_3X3), "fac6084d099ec8e0922b426be19573a73d4de4eba1e71f9426e137e89650ffdf"),
+    ], ids=["5x5-near-identity", "3x3-far-from-identity"])
+    def test_direct_path_output_bytes(self, stack, digest, tmp_path):
+        # the parent's bytes: direct elimination succeeds, so the boost never runs
+        doc, out = tmp_path / "a.json", tmp_path / "f.json"
+        doc.write_text(json.dumps(serialize.matrix_to_json(mat_from_stack(stack))))
+        assert run(["mat", "sl-factor", "--json", str(doc), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
