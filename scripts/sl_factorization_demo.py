@@ -3,8 +3,8 @@
 
 Builds determinant-normalized exponentials positionwise, runs the
 factorization, and reports factor counts and reconstruction error, including
-rotation-like inputs where plain elimination hits a vanishing pivot and the
-elimination runs again with each pivot raised by the stable-rank-1 step.
+rotation-like inputs whose pivots vanish until the stable-rank-1 step raises
+them.
 """
 
 import argparse

@@ -518,30 +518,25 @@ def _elementary(i: int, j: int, vals: np.ndarray, pl: int, w: Weight
     return ElementaryFactor(i, j, Element(w, EPSeq.from_values(vals, pl)))
 
 
-# a pivot below this modulus sends direct elimination to the boosted pass;
-# after the boost it is refused as numerically singular at its position
-_PIVOT_FLOOR = 1e-8
-
-
-def _gauss_factors(stack: np.ndarray, pl: int, w: Weight, boost: bool = False
+def _gauss_factors(stack: np.ndarray, pl: int, w: Weight
                    ) -> tuple[list[ElementaryFactor], np.ndarray]:
     """Reduce each positionwise matrix to diagonal form by Gauss-Jordan
-    elimination without pivoting, recording the elementary factors so that
+    elimination, recording the elementary factors so that
     input = product(factors) * diagonal.
 
-    With boost, column j's pivot is first raised by the stable-rank-1 step:
-    where |M_jj| < rho = ||M_{j+1:, j}||, row j gains t_i * row i for each
-    i > j, t_i = e^{i arg M_jj} conj(M_ij) / rho, so the pivot becomes
+    Column j's pivot is first raised by the stable-rank-1 step: where
+    |M_jj| < rho = ||M_{j+1:, j}||, row j gains t_i * row i for each i > j,
+    t_i = e^{i arg M_jj} conj(M_ij) / rho, so the pivot becomes
     e^{i arg M_jj} (|M_jj| + rho) and every multiplier is at most 1 in
     modulus.  Raises NumericalError naming the first position where a pivot
-    is below _PIVOT_FLOOR."""
+    is 0 or not finite."""
     M = stack.copy()
     P, n, _ = M.shape
     factors: list[ElementaryFactor] = []
     order = [(i, j) for j in range(n) for i in range(j + 1, n)] + \
             [(i, j) for j in range(n - 1, -1, -1) for i in range(j - 1, -1, -1)]
     for i, j in order:
-        if boost and i == j + 1:  # before the first elimination in column j
+        if i == j + 1:  # before the first elimination in column j
             below = M[:, j + 1:, j]
             rho = np.linalg.norm(below, axis=1)
             low = np.abs(M[:, j, j]) < rho
@@ -554,11 +549,11 @@ def _gauss_factors(stack: np.ndarray, pl: int, w: Weight, boost: bool = False
                     M[:, j, :] += tr[:, None] * M[:, r, :]
                     factors.append(_elementary(j, r, -tr, pl, w))
         piv = np.abs(M[:, j, j])
-        if piv.min() < _PIVOT_FLOOR:
-            k = int(np.argmax(piv < _PIVOT_FLOOR))
-            raise NumericalError(f"pivot {piv[k]:.3e} below {_PIVOT_FLOOR:.0e} "
-                                 f"at position {k}: numerically singular",
-                                 position=k)
+        bad = ~(np.isfinite(piv) & (piv > 0))
+        if bad.any():
+            k = int(bad.argmax())
+            raise NumericalError(f"pivot {piv[k]:.3e} at position {k}: "
+                                 f"numerically singular", position=k)
         alpha = M[:, i, j] / M[:, j, j]
         if np.all(alpha == 0):
             continue
@@ -591,9 +586,9 @@ def _whitehead_factors(diag_stack: np.ndarray, pl: int, w: Weight
     return factors
 
 
-def _factor_stack(stack: np.ndarray, pl: int, w: Weight, boost: bool = False
+def _factor_stack(stack: np.ndarray, pl: int, w: Weight
                   ) -> list[ElementaryFactor]:
-    factors, M = _gauss_factors(stack, pl, w, boost)
+    factors, M = _gauss_factors(stack, pl, w)
     factors.extend(_whitehead_factors(M, pl, w))
     return factors
 
@@ -619,16 +614,13 @@ def sl_factor(A: MatElement, tol: float = 1e-9
               ) -> tuple[list[ElementaryFactor], float]:
     """Factor a determinant-one matrix into elementary matrices.
 
-    Strategy: factor by direct Gauss-Jordan elimination (always enough near
-    the identity and for triangular inputs).  If a pivot vanishes or the
-    product misses A by more than tol, eliminate again with each pivot
-    raised by the paper's stable-rank-1 step (_gauss_factors with boost),
-    which takes at most n(n-1)/2 + n(n-1) + 5(n-1) factors however far A is
-    from the identity.  The ordered product of the emitted factors
-    reproduces A within tol per position (verified).  Returns the factors
-    and that verified error, the largest entry deviation of their product
-    from A over A's window.  A pivot still below _PIVOT_FLOOR after the
-    boost raises NumericalError with its position.
+    Gauss-Jordan elimination with each pivot raised by the paper's
+    stable-rank-1 step (_gauss_factors), then Whitehead blocks for the
+    diagonal that remains: at most n(n-1)/2 + n(n-1) + 5(n-1) factors
+    however far A is from the identity.  The ordered product of the emitted
+    factors reproduces A within tol per position (verified).  Returns the
+    factors and that verified error, the largest entry deviation of their
+    product from A over A's window.
     """
     if tol <= 0:
         raise InvalidArgument("tol must be positive")
@@ -643,15 +635,9 @@ def sl_factor(A: MatElement, tol: float = 1e-9
     if float(np.max(np.abs(stack - np.eye(A.n)))) == 0.0:
         return [], 0.0
 
-    try:
-        factors = _factor_stack(stack, pl, A.weight)
-        err = _factor_error(factors, A)
-    except NumericalError:  # a pivot vanished
-        err = math.inf
+    factors = _factor_stack(stack, pl, A.weight)
+    err = _factor_error(factors, A)
     if not err <= tol:  # nan included
-        factors = _factor_stack(stack, pl, A.weight, boost=True)
-        err = _factor_error(factors, A)
-        if not err <= tol:
-            raise NumericalError(
-                f"factor product deviates from the input by {err:.3e} > {tol:.3e}")
+        raise NumericalError(
+            f"factor product deviates from the input by {err:.3e} > {tol:.3e}")
     return factors, err

@@ -100,17 +100,33 @@ class TestMat:
         assert len(payload["factors"]) <= 6
         assert payload["verification"]["max_error"] <= 1e-9
 
-    def test_singular_after_boost_exit_4(self, tmp_path, capsys):
-        # det 1 at both positions, but at position 1 the first pivot is
-        # 2^-40 with nothing below it for the boost to add
+    def test_tiny_pivot_factored(self, tmp_path):
+        # det 1 at both positions; at position 1 the first pivot is 2^-40
+        # with nothing below it for the boost to add, and the factors of
+        # diag(2^-40, 2^40) are exact
         tiny = 2.0 ** -40
         doc = {"weight": "factorial",
                "entries": [[{"cycle": [[1, 0], [tiny, 0]]}, {"cycle": [[0, 0]]}],
                            [{"cycle": [[0, 0]]}, {"cycle": [[1, 0], [1 / tiny, 0]]}]]}
-        code = run(["mat", "sl-factor", "--json", write(tmp_path, "m.json", doc)])
+        code, payload = invoke(["mat", "sl-factor",
+                                "--json", write(tmp_path, "m.json", doc)],
+                               tmp_path)
+        assert code == 0
+        assert len(payload["factors"]) == 5
+        assert payload["verification"]["max_error"] == 0.0
+
+    def test_zero_column_exit_4(self, tmp_path, capsys):
+        # a --tol of 2 lets det 0 through; the first column of position 1
+        # is 0, so its pivot stays 0
+        zero = {"cycle": [[1, 0], [0, 0]]}
+        doc = {"weight": "factorial",
+               "entries": [[zero, {"cycle": [[0, 0]]}],
+                           [{"cycle": [[0, 0]]}, zero]]}
+        code = run(["mat", "sl-factor", "--json", write(tmp_path, "m.json", doc),
+                    "--tol", "2"])
         assert code == 4
         assert capsys.readouterr().err == (
-            "numerical failure: pivot 9.095e-13 below 1e-08 at position 1: "
+            "numerical failure: pivot 0.000e+00 at position 1: "
             "numerically singular\n")
 
     def test_not_sl_exit_2(self, tmp_path):
@@ -277,7 +293,7 @@ from hadalg.cli import run
 tmp = Path(tempfile.mkdtemp())
 one = {"weight": "factorial", "normalized": {"cycle": [[2, 0]]}}
 mat = {"weight": "factorial", "entries": [[one["normalized"]]]}
-turn = {"weight": "factorial",  # a quarter turn: the boosted pass factors it
+turn = {"weight": "factorial",  # a quarter turn: its first pivot is 0
         "entries": [[{"cycle": [[0, 0]]}, {"cycle": [[-1, 0]]}],
                     [{"cycle": [[1, 0]]}, {"cycle": [[0, 0]]}]]}
 for name, doc in [("e", one), ("m", mat), ("s", {"A": mat, "b": mat}),

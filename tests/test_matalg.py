@@ -166,8 +166,8 @@ class TestExpLog:
 
 
 def factor_budget(n):
-    """The boosted pass's bound: n(n-1)/2 boosts, n(n-1) eliminations and
-    five Whitehead factors per diagonal block."""
+    """sl_factor's bound: n(n-1)/2 boosts, n(n-1) eliminations and five
+    Whitehead factors per diagonal block."""
     return n * (n - 1) // 2 + n * (n - 1) + 5 * (n - 1)
 
 
@@ -205,24 +205,6 @@ def near_identity_5():
     return np.array(stack)
 
 
-# exp(3 G) at two positions, G standard complex Gaussian (numpy seed 3),
-# scaled to determinant one: direct elimination factors it within 2.6e-11
-FAR_3X3 = [
-    [[115.45998527058211 - 119.73749034225145j, -116.29810798477016 + 57.914575093878554j,
-      20.840209018652725 + 12.550504868769883j],
-     [17.92093211941886 + 93.02069748274421j, 11.169567268300069 - 73.24596346994593j,
-      -12.766504200486615 + 5.640611480752478j],
-     [-86.0836937793729 + 3.774976074209975j, 64.44017093456377 + 19.963338196378743j,
-      -3.2793416565810047 - 12.321378622064778j]],
-    [[80.64670970329665 - 144.8028871479144j, -2.536222824894126 - 7.3159330692356495j,
-      20.718263878272587 + 46.80579528676006j],
-     [-44.237408398974935 - 17.306931947277526j, -2.0106254468033637 + 0.9800452864196763j,
-      12.386005068990796 - 7.760717306448062j],
-     [0.5418711287114776 + 26.57630035186237j, 0.9554381813535398 + 0.8428519052904093j,
-      -6.749702765061432 - 4.760752782887961j]],
-]
-
-
 class TestSLFactor:
     def test_identity_empty(self):
         assert ma.sl_factor(ma.mat_identity(W, 2)) == ([], 0.0)
@@ -258,7 +240,7 @@ class TestSLFactor:
         assert abs(ei.value.det - 2.0) < 1e-12
 
     def test_far_from_identity_path(self):
-        # elimination hits a vanishing pivot; the boosted pass must rescue
+        # the first pivot is 0: the stable-rank-1 step must raise it
         A = mat_from_stack([np.array([[0.0, -1.0], [1.0, 0.0]])])
         factors, _ = ma.sl_factor(A)
         prod = ma._apply_factors(factors, 1, 2)
@@ -267,10 +249,7 @@ class TestSLFactor:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_factor_count_bound(self, n, nrng):
         for stack in (far_sl(nrng, n, 3), cyclic_sl(nrng, n, 3)):
-            boosted = ma._factor_stack(stack, 0, W, boost=True)
-            assert len(boosted) <= factor_budget(n)
-            factors, _ = ma.sl_factor(mat_from_stack(stack), tol=1e-6)
-            assert len(factors) <= factor_budget(n)
+            assert len(ma._factor_stack(stack, 0, W)) <= factor_budget(n)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_zero_pivot_at_every_position(self, n, nrng):
@@ -284,35 +263,40 @@ class TestSLFactor:
     @pytest.mark.parametrize("n", [3, 7])
     def test_far_from_identity_relative_error(self, n, nrng):
         # within n eps kappa of the largest entry, kappa the worst condition
-        # number over the positions, for the direct and the boosted pass
+        # number over the positions
         eps = np.finfo(np.float64).eps
         for _ in range(4):
             stack = far_sl(nrng, n, 6)
             A = mat_from_stack(stack)
             scale = float(np.abs(stack).max())
             bound = n * eps * float(np.linalg.cond(stack).max())
-            _, err = ma.sl_factor(A, tol=1e-9 * scale)
-            boosted = ma._factor_stack(stack, 0, W, boost=True)
+            _, err = ma.sl_factor(A, tol=bound * scale)
             assert err / scale <= bound
-            assert ma._factor_error(boosted, A) / scale <= bound
 
-    def test_pivot_below_floor_after_boost(self):
-        # det 1 but the first pivot is 2^-40 with nothing below it to boost
+    def test_tiny_pivot_factored_exactly(self):
+        # the first pivot at position 1 is 2^-40 with nothing below it to
+        # boost; the Whitehead factors of diag(2^-40, 2^40) are exact
         tiny = 2.0 ** -40
         A = mat_from_stack([np.eye(2), np.diag([tiny, 1.0 / tiny])])
+        factors, err = ma.sl_factor(A)
+        assert err == 0.0
+        assert len(factors) == 5
+
+    def test_zero_column_refused_at_its_position(self):
+        # only a tol of 1 or more lets det 0 through; the first column of
+        # position 1 is 0, so no boost can raise its pivot
+        A = mat_from_stack([np.eye(2), np.zeros((2, 2))])
         with pytest.raises(NumericalError) as ei:
-            ma.sl_factor(A)
+            ma.sl_factor(A, tol=2.0)
         assert ei.value.position == 1
         assert "at position 1" in str(ei.value)
 
-    @pytest.mark.parametrize("stack, digest", [
-        (near_identity_5(), "5fe47873c1789688eb5237dbf91a2d69be7c26f3124bdf6ac49ed60bcf886970"),
-        (np.array(FAR_3X3), "fac6084d099ec8e0922b426be19573a73d4de4eba1e71f9426e137e89650ffdf"),
-    ], ids=["5x5-near-identity", "3x3-far-from-identity"])
-    def test_direct_path_output_bytes(self, stack, digest, tmp_path):
-        # the parent's bytes: direct elimination succeeds, so the boost never runs
+    def test_near_identity_output_bytes(self, tmp_path):
+        # the bytes elimination wrote before the boost existed: no pivot is
+        # smaller than the entries below it, so the boost never fires
         doc, out = tmp_path / "a.json", tmp_path / "f.json"
-        doc.write_text(json.dumps(serialize.matrix_to_json(mat_from_stack(stack))))
+        doc.write_text(json.dumps(serialize.matrix_to_json(mat_from_stack(near_identity_5()))))
         assert run(["mat", "sl-factor", "--json", str(doc), "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "5fe47873c1789688eb5237dbf91a2d69be7c26f3124bdf6ac49ed60bcf886970"
 
