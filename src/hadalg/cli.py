@@ -182,10 +182,7 @@ def _cmd_mat(args):
         return ({"exp": serialize.matrix_to_json(matalg.mat_exp(B))},
                 "matrix exponential computed")
     if op == "log":
-        A = serialize.matrix_from_json(doc)
-        # a tiny positive tol is floored; mat_log refuses one not positive
-        tol = max(args.tol, 1e-12) if args.tol > 0 else args.tol
-        B = matalg.mat_log(A, agreement_tol=tol)
+        B = matalg.mat_log(serialize.matrix_from_json(doc))
         return ({"log": serialize.matrix_to_json(B)}, "matrix logarithm computed")
     if op == "sl-factor":
         A = serialize.matrix_from_json(doc)
@@ -294,7 +291,7 @@ OPERATIONS = {
         "bass-reduce": ("json", "eps")}),
     "mat": (_cmd_mat, {
         "mul": ("json",), "det": ("json",), "solve": ("json", "tol"),
-        "exp": ("json",), "log": ("json", "tol"), "sl-factor": ("json", "tol"),
+        "exp": ("json",), "log": ("json",), "sl-factor": ("json", "tol"),
         "norm-bounds": ("json",)}),
     "ideal": (_cmd_ideal, {
         "index-order": ("json", "k"), "krull-family": ("n", "horizon"),

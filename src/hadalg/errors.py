@@ -98,12 +98,6 @@ class BadMask(MathConditionError):
                          "expected exactly 0 or 1", index=index, value=value)
 
 
-class SpectrumHit(MathConditionError):
-    def __init__(self, position: int):
-        super().__init__(f"query point lies in the spectrum at position {position}",
-                         position=position)
-
-
 # ---------------------------------------------------------------------------
 # numerical failures (CLI exit code 4)
 
@@ -124,11 +118,13 @@ class BoundUnavailable(NumericalError):
     pass
 
 
-class QuadratureDisagreement(NumericalError):
-    def __init__(self, position: int, deviation: float, tol: float):
-        super().__init__(f"contour quadrature disagrees with the eigenvalue path "
-                         f"at position {position}: {deviation:.3e} > {tol:.3e}",
-                         position=position, deviation=deviation)
+class OffBranch(NumericalError):
+    """A logarithm whose spectrum leaves the strip of its branch."""
+
+    def __init__(self, position: int, margin: float):
+        super().__init__(f"logarithm leaves its branch at position {position}: "
+                         f"eigenvalue margin {margin:.3e} to the strip edges "
+                         "is not positive", position=position, margin=margin)
 
 
 class WindowTooLarge(NumericalError):

@@ -26,8 +26,7 @@ from .algebra import Element
 from .coeffseq import (EPSeq, _abs, _canonical, _mul, _silent, _take,
                        joint_shape)
 from .errors import (DimensionMismatch, Inconsistent, InvalidArgument, NotInGL,
-                     NotSL, NumericalError, QuadratureDisagreement, SpectrumHit,
-                     WeightMismatch)
+                     NotSL, NumericalError, OffBranch, WeightMismatch)
 from .weights import Weight
 
 _TWO_PI = 2.0 * math.pi
@@ -257,8 +256,7 @@ def mat_exp(B: MatElement) -> MatElement:
     if B.m != B.n:
         raise DimensionMismatch("exponential needs a square matrix")
     import scipy.linalg
-    out = np.array([scipy.linalg.expm(U) for U in B.array])
-    return from_ustack(B.weight, B.period_start, out)
+    return from_ustack(B.weight, B.period_start, scipy.linalg.expm(B.array))
 
 
 def _branch_angle(eigs: np.ndarray) -> float:
@@ -293,7 +291,7 @@ def _eig_log(U: np.ndarray, theta: float) -> np.ndarray:
     eigenvector basis is ill-conditioned (a Jordan block, say) it is the
     principal logm of U turned by e^{-i(theta + pi)}, which puts the cut on
     the negative axis, plus i(theta + pi) I.  logm's accuracy warnings are
-    silenced: the round-trip and quadrature checks of mat_log judge it."""
+    silenced: mat_log's round-trip and branch checks judge the result."""
     lam, V = np.linalg.eig(U)
     cond = np.linalg.cond(V)
     if math.isfinite(cond) and cond < 1e10:
@@ -303,104 +301,6 @@ def _eig_log(U: np.ndarray, theta: float) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return scipy.linalg.logm(np.exp(-1j * turn) * U) + 1j * turn * np.eye(len(U))
-
-
-def _keyhole_pieces(theta: float, n: int, r: float, R: float):
-    """The four smooth pieces of the keyhole-sector contour: big arc (CCW,
-    radius R + 1), radial inward segment, small arc (CW, radius r/2), radial
-    outward segment.  The radial segments sit at theta +- pi/(2n), inside the
-    spectrum-free sector of half-width pi/n around theta."""
-    phi1 = theta + math.pi / (2 * n)
-    phi2 = theta + _TWO_PI - math.pi / (2 * n)
-    rb, rs = R + 1.0, r / 2.0
-
-    def big_arc(t):
-        ang = phi1 + t * (phi2 - phi1)
-        z = rb * np.exp(1j * ang)
-        return z, 1j * (phi2 - phi1) * z
-
-    def radial_in(t):
-        rad = rb + t * (rs - rb)
-        e = np.exp(1j * phi2)
-        return rad * e, (rs - rb) * e * np.ones_like(t)
-
-    def small_arc(t):
-        ang = phi2 + t * (phi1 - phi2)
-        z = rs * np.exp(1j * ang)
-        return z, 1j * (phi1 - phi2) * z
-
-    def radial_out(t):
-        rad = rs + t * (rb - rs)
-        e = np.exp(1j * phi1)
-        return rad * e, (rb - rs) * e * np.ones_like(t)
-
-    return [big_arc, radial_in, small_arc, radial_out]
-
-
-_KRESS_P = 4
-
-
-def _graded(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kress-style grading w(s) = s^p / (s^p + (1-s)^p): derivatives vanish
-    to high order at the endpoints, restoring high-order accuracy of the
-    trapezoid rule on each open contour piece despite the corners."""
-    p = _KRESS_P
-    a = s ** p
-    b = (1.0 - s) ** p
-    denom = a + b
-    w = a / denom
-    dw = p * (s ** (p - 1) * b + (1.0 - s) ** (p - 1) * a) / denom ** 2
-    return w, dw
-
-
-# the trapezoid rule's share of the nodes on each piece of _keyhole_pieces:
-# the short pieces (small arc, radial segments) carry the sharpest integrand
-# and starve under length-proportional allocation when R/r is large
-_PIECE_SHARES = (0.4, 0.2, 0.2, 0.2)
-
-
-def _contour_grid(nodes: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per piece: the graded parameters w, their derivatives dw and the
-    trapezoid weights.  None of them depends on the matrix or the position."""
-    grid = []
-    for share in _PIECE_SHARES:
-        m = max(8, int(round(nodes * share)))
-        w, dw = _graded(np.linspace(0.0, 1.0, m))
-        weights = np.full(m, 1.0 / (m - 1))
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        grid.append((w, dw, weights))
-    return grid
-
-
-@_silent  # a near-zero eigenvalue gives nan, which mat_log refuses
-def _contour_log(U: np.ndarray, theta: float, r: float, R: float,
-                 grid) -> np.ndarray:
-    """(1/2 pi i) * integral over the keyhole path of log(zeta) times the
-    resolvent, by the trapezoid rule on a graded parametrization.
-
-    The resolvent is taken on the complex Schur form U = Q T Q*: each
-    (zI - T)^-1 is upper triangular and is solved by back substitution, row
-    by row from the last, for all nodes of a piece at once.  Q is unitary and
-    independent of the eigenvector basis the eigenvalue path uses.
-    """
-    import scipy.linalg
-    n = U.shape[0]
-    T, Q = scipy.linalg.schur(U, output="complex")
-    acc = np.zeros_like(U)
-    for piece, (w, dw, weights) in zip(_keyhole_pieces(theta, n, r, R), grid):
-        z, dz = piece(w)
-        # X[:, :, k] = (z_k I - T)^-1, the node axis last
-        inv_d = 1.0 / (z - np.diag(T)[:, None])
-        X = np.zeros((n, n, len(z)), dtype=complex)
-        for i in range(n - 1, -1, -1):
-            X[i, i] = inv_d[i]
-            # row i of (zI - T) X = I: (z - t_ii) x_i = sum_{l > i} t_il x_l
-            X[i, i + 1:] = np.einsum("l,ljk->jk", T[i, i + 1:],
-                                     X[i + 1:, i + 1:]) * inv_d[i]
-        logs = _log_on_branch(z, theta)
-        acc += np.einsum("ijk,k->ij", X, weights * logs * dz * dw)
-    return Q @ acc @ Q.conj().T / (2j * math.pi)
 
 
 def _exactly_singular(U: np.ndarray) -> bool:
@@ -427,33 +327,40 @@ def _exactly_singular(U: np.ndarray) -> bool:
 _SINGULAR_FLAG = 4.0
 # largest entry deviation of exp(log A) from A that mat_log accepts
 _ROUNDTRIP_TOL = 1e-9
-# trapezoid nodes of the contour cross-check
-_QUADRATURE_NODES = 2048
 
 
-def mat_log(A: MatElement, agreement_tol: float = 1e-6) -> MatElement:
+def _branch_margin(logs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Per position k, the least distance of an eigenvalue's imaginary part
+    from the edges of the strip (thetas[k], thetas[k] + 2 pi): positive
+    exactly when the whole spectrum of logs[k] lies inside, nan when it is
+    not finite."""
+    im = np.linalg.eigvals(logs).imag - thetas[:, None]
+    return np.minimum(im, _TWO_PI - im).min(axis=1)
+
+
+def mat_log(A: MatElement) -> MatElement:
     """Logarithm of an invertible matrix over the algebra.
 
-    Per position: pick the branch cut through the largest angular gap of the
-    spectrum of U(k), compute log U(k) by eigenvalue functional calculus, and
-    also by trapezoid quadrature of the resolvent integral
-    on the keyhole contour with the radii r = min |lambda|, R = max |lambda|
-    of that position's spectrum.  The two must agree within
-    agreement_tol.  The result satisfies mat_exp(B) = A within _ROUNDTRIP_TOL
-    per position (verified).
+    Per position: pick the branch cut theta through the largest angular gap
+    of the spectrum of U(k) and compute B(k) = log U(k) by eigenvalue
+    functional calculus (_eig_log).  Two checks certify B(k) as log U(k) on
+    that branch: exp(B(k)) = U(k) within _ROUNDTRIP_TOL, and every eigenvalue
+    of B(k) has imaginary part inside (theta, theta + 2 pi).  log_theta is
+    the inverse of exp on that strip, and primary matrix functions compose,
+    so B(k) = log_theta(exp(B(k))) = log_theta(U(k)).  The round trip
+    catches a wrong B, the strip a wrong branch (B + 2 pi i I, say); the
+    latter raises OffBranch at the first position whose margin to the strip
+    edges is not positive.
 
     A position is refused as singular when an eigenvalue is exactly 0, or
     when its smallest singular value is within rounding of 0 and its exact
     determinant is 0.
     """
-    if agreement_tol <= 0:
-        raise InvalidArgument("tol must be positive")
     if A.m != A.n:
         raise DimensionMismatch("logarithm needs a square matrix")
     pl, cl, stack = A.ustack()
     eigs = np.linalg.eigvals(stack)
-    mods = np.abs(eigs)
-    singular = mods.min(axis=1) == 0.0
+    singular = np.abs(eigs).min(axis=1) == 0.0
     sv = np.linalg.svd(stack, compute_uv=False)
     eps = np.finfo(np.float64).eps
     flagged = sv[:, -1] <= _SINGULAR_FLAG * A.n * eps * sv[:, 0]
@@ -462,49 +369,21 @@ def mat_log(A: MatElement, agreement_tol: float = 1e-6) -> MatElement:
     if singular.any():
         raise NotInGL(int(singular.argmax()))
     import scipy.linalg
-    grid = _contour_grid(_QUADRATURE_NODES)
-    out = np.empty_like(stack)
-    for k in range(len(stack)):
-        theta = _branch_angle(eigs[k])
-        B = _eig_log(stack[k], theta)
-        D = B - _contour_log(stack[k], theta, mods[k].min(), mods[k].max(), grid)
-        # a nan (log of a near-zero eigenvalue) agrees with nothing
-        dev = float(np.linalg.norm(D, 2)) if np.isfinite(D).all() else math.inf
-        if dev > agreement_tol:
-            raise QuadratureDisagreement(k, dev, agreement_tol)
-        out[k] = B
-        err = float(np.max(np.abs(scipy.linalg.expm(B) - stack[k])))
-        if not err <= _ROUNDTRIP_TOL:  # nan included
-            raise NumericalError(
-                f"logarithm round-trip error {err:.3e} at position {k}")
+    thetas = np.array([_branch_angle(lam) for lam in eigs])
+    out = np.array([_eig_log(U, theta) for U, theta in zip(stack, thetas)])
+    err = np.max(np.abs(scipy.linalg.expm(out) - stack), axis=(1, 2))
+    bad = ~(err <= _ROUNDTRIP_TOL)  # nan included
+    if bad.any():
+        k = int(bad.argmax())
+        raise NumericalError(
+            f"logarithm round-trip error {err[k]:.3e} at position {k}")
+    # every B(k) is finite here: a nan or inf in it fails the round trip
+    margin = _branch_margin(out, thetas)
+    bad = ~(margin > 0)
+    if bad.any():
+        k = int(bad.argmax())
+        raise OffBranch(k, float(margin[k]))
     return from_ustack(A.weight, pl, out)
-
-
-def resolvent_bound_check(A: MatElement, z: complex, c2: float, b2: float
-                          ) -> tuple[float, float, bool]:
-    """Evaluate both sides of the resolvent estimate
-    ||(zI - U)^-1|| <= (1/d) exp(c2 * 2n ||U||^2 / d^2 + b2)
-    positionwise (d = distance from z to the spectrum); diagnostic only.
-    Returns the worst (lhs, rhs) pair and whether the bound held everywhere.
-    """
-    if c2 <= 0 or b2 <= 0:
-        raise ValueError("c2 and b2 must be positive")
-    I = np.eye(A.n, dtype=complex)
-    worst = (0.0, math.inf)
-    holds = True
-    for k, U in enumerate(A.array):
-        lam = np.linalg.eigvals(U)
-        d = float(np.min(np.abs(lam - z)))
-        if d == 0.0:
-            raise SpectrumHit(k)
-        lhs = float(np.linalg.norm(np.linalg.inv(z * I - U), 2))
-        opn = float(np.linalg.norm(U, 2))
-        rhs = (1.0 / d) * math.exp(min(700.0, c2 * 2 * A.n * opn ** 2 / d ** 2 + b2))
-        if lhs > rhs:
-            holds = False
-        if lhs > worst[0]:
-            worst = (lhs, rhs)
-    return worst[0], worst[1], holds
 
 
 # ---------------------------------------------------------------------------

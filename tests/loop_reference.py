@@ -15,7 +15,7 @@ import operator
 
 import numpy as np
 
-from hadalg import algebra, matalg
+from hadalg import algebra
 from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal,
                            NotInvertible, PointwiseDomainError)
 
@@ -208,23 +208,57 @@ def mat_mul(a, b):
     return canonical_items(tuple(out[:pl]), tuple(out[pl:]))
 
 
+def keyhole_pieces(theta, n, r, R):
+    """The four smooth pieces of the keyhole-sector contour around a
+    spectrum with moduli in [r, R] and no argument within pi/n of theta: big
+    arc (CCW, radius R + 1), radial inward segment, small arc (CW, radius
+    r/2), radial outward segment.  The radial segments sit at
+    theta +- pi/(2n).  Each piece maps t in [0, 1] to (z, dz/dt)."""
+    phi1 = theta + math.pi / (2 * n)
+    phi2 = theta + 2 * math.pi - math.pi / (2 * n)
+    rb, rs = R + 1.0, r / 2.0
+
+    def arc(rad, a0, a1):
+        def piece(t):
+            z = rad * np.exp(1j * (a0 + t * (a1 - a0)))
+            return z, 1j * (a1 - a0) * z
+        return piece
+
+    def radial(r0, r1, phi):
+        e = np.exp(1j * phi)
+        return lambda t: ((r0 + t * (r1 - r0)) * e, (r1 - r0) * e * np.ones_like(t))
+
+    return [arc(rb, phi1, phi2), radial(rb, rs, phi2),
+            arc(rs, phi2, phi1), radial(rs, rb, phi1)]
+
+
+def graded(s, p=4):
+    """Kress grading w(s) = s^p / (s^p + (1-s)^p) and its derivative: the
+    derivatives vanish to high order at the endpoints, which keeps the
+    trapezoid rule accurate on each open piece despite the corners."""
+    a, b = s ** p, (1.0 - s) ** p
+    denom = a + b
+    return a / denom, p * (s ** (p - 1) * b + (1.0 - s) ** (p - 1) * a) / denom ** 2
+
+
 def contour_log(U, theta, r, R, nodes):
-    """The keyhole-contour logarithm with one dense np.linalg.inv of
-    (zI - U) per node, as matalg computed its cross-check before the
-    resolvent was taken on the Schur form."""
+    """log U on the branch theta as (1/2 pi i) times the integral of
+    log(z) (zI - U)^-1 over the keyhole contour, by the trapezoid rule on
+    the graded parametrization of each piece, with one dense np.linalg.inv
+    per node.  The short pieces carry the sharpest integrand, so they get a
+    fixed share of the nodes rather than one proportional to length."""
     n = U.shape[0]
-    pieces = matalg._keyhole_pieces(theta, n, r, R)
     I = np.eye(n, dtype=complex)
     acc = np.zeros_like(U)
-    for piece, frac in zip(pieces, (0.4, 0.2, 0.2, 0.2)):
-        m = max(8, int(round(nodes * frac)))
-        s = np.linspace(0.0, 1.0, m)
-        w, dw = matalg._graded(s)
+    for piece, share in zip(keyhole_pieces(theta, n, r, R), (0.4, 0.2, 0.2, 0.2)):
+        m = max(8, int(round(nodes * share)))
+        w, dw = graded(np.linspace(0.0, 1.0, m))
         z, dz = piece(w)
         weights = np.full(m, 1.0 / (m - 1))
         weights[0] *= 0.5
         weights[-1] *= 0.5
-        logs = matalg._log_on_branch(z, theta)
+        # no node lies on the cut, the ray of argument theta
+        logs = np.log(np.abs(z)) + 1j * (theta + np.mod(np.angle(z) - theta, 2 * math.pi))
         res = np.linalg.inv(z[:, None, None] * I[None, :, :] - U[None, :, :])
         acc += np.einsum("k,kij->ij", weights * logs * dz * dw, res)
     return acc / (2j * math.pi)

@@ -21,6 +21,7 @@ from hadalg.weights import FACTORIAL
 
 from conftest import (GAUSS_UNITS, exact_divisor, gauss_int, rand_element,
                       rand_epseq)
+import loop_reference as ref
 
 W = FACTORIAL
 
@@ -255,12 +256,16 @@ def test_criterion_08_matrix_logarithm():
             B0 = (nrng.standard_normal((c, n, n))
                   + 1j * nrng.standard_normal((c, n, n))) * 0.8
             A = ma.mat_exp(ma.from_ustack(W, 0, B0))
-            # mat_log enforces the 1e-6 eigen/contour agreement internally
-            L = ma.mat_log(A, agreement_tol=1e-6)
+            L = ma.mat_log(A)
             back = ma.mat_exp(L)
             pl, cl, stack = A.ustack()
             for k in range(len(stack)):
                 assert np.max(np.abs(back.U(k) - A.U(k))) <= 1e-9
+                lam = np.linalg.eigvals(stack[k])
+                mods = np.abs(lam)
+                Bq = ref.contour_log(stack[k], ma._branch_angle(lam),
+                                     mods.min(), mods.max(), 2048)
+                assert np.max(np.abs(L.U(k) - Bq)) <= 1e-6
 
 
 def test_criterion_09_sl_factorization():

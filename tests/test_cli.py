@@ -1,12 +1,15 @@
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hadalg import serialize
 from hadalg.cli import run
 
 EPS_DOC = {"weight": "factorial", "normalized": {"prefix": [], "cycle": [[1, 0]]}}
@@ -242,14 +245,16 @@ class TestSingularLog:
         for rows in singular_3x3(60):
             self.check_singular_at_1(rows, tmp_path)
 
-    def test_flagged_but_invertible_keeps_its_outcome(self, tmp_path, capsys):
-        # sigma_min = 2^-60 is within rounding of 0, but det = 2^-60 is not 0
+    def test_flagged_but_invertible_keeps_its_outcome(self, tmp_path):
+        # sigma_min = 2^-60 is within rounding of 0, but det = 2^-60 is not 0;
+        # a positive spectrum's branch takes arguments in (pi, 3 pi)
         doc = singular_at_1([[1, 0], [0, 2.0 ** -60]])
-        code = run(["mat", "log", "--json", write(tmp_path, "m.json", doc)])
-        assert code == 4
-        assert capsys.readouterr().err == (
-            "numerical failure: contour quadrature disagrees with the eigenvalue"
-            " path at position 1: inf > 1.000e-10\n")
+        code, payload = invoke(["mat", "log", "--json",
+                                write(tmp_path, "m.json", doc)], tmp_path)
+        assert code == 0
+        B = serialize.matrix_from_json(payload["log"]).U(1)
+        want = np.diag([0, -60 * math.log(2)]) + 2j * math.pi * np.eye(2)
+        assert np.max(np.abs(B - want)) <= 1e-12
 
 
 class TestIdealAndWeight:

@@ -127,7 +127,7 @@ class TestTypedExits:
         assert elem(tmp_path, op, element([], [[1, 0]]), "--tol=0")[0] == 3
 
     @pytest.mark.parametrize("tol", ["0", "-1"])
-    @pytest.mark.parametrize("op", ["solve", "log", "sl-factor"])
+    @pytest.mark.parametrize("op", ["solve", "sl-factor"])
     def test_matrix_tol_not_positive(self, op, tol, tmp_path, capsys):
         one = {"weight": "factorial", "entries": [[{"cycle": [[1, 0]]}]]}
         doc = {"A": one, "b": one} if op == "solve" else one
@@ -135,6 +135,15 @@ class TestTypedExits:
         argv = ["mat", op, "--json", write(tmp_path, doc), "--out", str(out), f"--tol={tol}"]
         assert run(argv) == 3
         assert "tol must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mat_log_has_no_tol(self, tmp_path, capsys):
+        one = {"weight": "factorial", "entries": [[{"cycle": [[1, 0]]}]]}
+        out = tmp_path / "out.json"
+        argv = ["mat", "log", "--json", write(tmp_path, one), "--out", str(out),
+                "--tol", "1e-9"]
+        assert run(argv) == 3
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bass_reduce_eps_zero_refused(self, tmp_path):

@@ -1,6 +1,7 @@
-"""The mat_log cross-check: the contour quadrature on the Schur form agrees
-with the dense-inverse quadrature, still catches a wrong branch, and mat log
-documents keep their output bytes."""
+"""mat_log's logarithm agrees with independent ones: the logarithm of a
+known spectrum, and the keyhole-contour quadrature of tests/loop_reference.py
+where the spectrum is only computed.  Its branch check catches a wrong
+branch, and mat log documents keep their output bytes."""
 
 import hashlib
 import json
@@ -14,7 +15,7 @@ import scipy.linalg
 from hadalg import matalg as ma
 from hadalg import serialize
 from hadalg.cli import run
-from hadalg.errors import QuadratureDisagreement
+from hadalg.errors import OffBranch
 from hadalg.weights import FACTORIAL
 
 import loop_reference as ref
@@ -32,10 +33,12 @@ def spectrum(rng, n):
     return mods * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
 
 
-def conjugated(rng, n):
-    """Q diag(lambda) Q* for a random unitary Q and a random spectrum."""
+def conjugated(rng, n, lam=None):
+    """(Q diag(lam) Q*, Q, lam) for a random unitary Q and, unless given, a
+    random spectrum lam."""
+    lam = spectrum(rng, n) if lam is None else lam
     Q = unitary(rng, n)
-    return Q @ np.diag(spectrum(rng, n)) @ Q.conj().T
+    return Q @ np.diag(lam) @ Q.conj().T, Q, lam
 
 
 def non_normal(rng, n):
@@ -54,63 +57,85 @@ def near_jordan(n):
     return U
 
 
-def check(stack):
-    """Both quadratures at every position, with mat_log's branch and radii."""
-    eigs = np.linalg.eigvals(stack)
-    r, R = float(np.abs(eigs).min()), float(np.abs(eigs).max())
-    grid, out = ma._contour_grid(NODES), []
-    for U, lam in zip(stack, eigs):
-        theta = ma._branch_angle(lam)
-        Bq = ma._contour_log(U, theta, r, R, grid)
-        assert np.max(np.abs(Bq - ref.contour_log(U, theta, r, R, NODES))) <= 1e-12
-        out.append((U, theta, Bq))
-    return out
+def mat_log(stack):
+    """mat_log of the matrix whose cycle is the stack, as a stack."""
+    B = ma.mat_log(ma.from_ustack(FACTORIAL, 0, np.asarray(stack)))
+    assert len(B.array) == len(stack)
+    return B.array
+
+
+def known_log(Q, lam):
+    """Q diag(log lam) Q* on mat_log's branch for the spectrum lam."""
+    return Q @ np.diag(ma._log_on_branch(lam, ma._branch_angle(lam))) @ Q.conj().T
+
+
+def check_known(cases):
+    """mat_log of each Q diag(lam) Q* against the logarithm of lam."""
+    B = mat_log([U for U, _, _ in cases])
+    for Bk, (_, Q, lam) in zip(B, cases):
+        assert np.max(np.abs(Bk - known_log(Q, lam))) <= 1e-12
+
+
+def check_quadrature(stack):
+    """mat_log against the dense-inverse quadrature at every position, on
+    the position's branch and with its spectral radii."""
+    for U, Bk in zip(stack, mat_log(stack)):
+        lam = np.linalg.eigvals(U)
+        Bq = ref.contour_log(U, ma._branch_angle(lam),
+                             np.abs(lam).min(), np.abs(lam).max(), NODES)
+        assert np.max(np.abs(Bk - Bq)) <= 1e-9
 
 
 class TestAgreesWithDenseInverse:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_unitary_conjugated_spectra(self, n):
         rng = np.random.default_rng(100 + n)
-        stack = np.array([conjugated(rng, n) for _ in range(3)])
-        for U, theta, Bq in check(stack):
-            assert np.linalg.norm(Bq - ma._eig_log(U, theta), 2) <= 1e-9
+        check_known([conjugated(rng, n) for _ in range(3)])
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_non_normal(self, n):
         rng = np.random.default_rng(200 + n)
-        check(np.array([non_normal(rng, n) for _ in range(3)]))
+        check_quadrature(np.array([non_normal(rng, n) for _ in range(3)]))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_scalar_negative(self, n):
-        (_, _, Bq), = check(-np.eye(n, dtype=complex)[None])
-        assert np.max(np.abs(Bq - 1j * math.pi * np.eye(n))) <= 1e-10
+        check_known([(-np.eye(n, dtype=complex), np.eye(n), -np.ones(n, dtype=complex))])
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_eigenvalues_at_the_global_radii(self, n):
         # position 0 holds both the smallest and the largest modulus over the
-        # window, so the contour passes r / 2 and 1 away from its spectrum
+        # window
         rng = np.random.default_rng(300 + n)
         lam = spectrum(rng, n)
         lam[0], lam[-1] = 0.05 * np.exp(0.7j), 40.0 * np.exp(-2.1j)
-        Q = unitary(rng, n)
-        stack = np.array([Q @ np.diag(lam) @ Q.conj().T, conjugated(rng, n)])
-        check(stack)
+        check_known([conjugated(rng, n, lam), conjugated(rng, n)])
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_near_jordan_block(self, n):
         U = near_jordan(n)
         V = np.linalg.eig(U)[1]
         assert not np.linalg.cond(V) < 1e10      # _eig_log falls back to logm
-        (_, theta, Bq), = check(U[None])
-        assert np.linalg.norm(Bq - ma._eig_log(U, theta), 2) <= 1e-9
+        check_quadrature(U[None])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_branch_margin_is_at_least_pi_over_n(n):
+    """The cut runs through the middle of the largest gap between eigenvalue
+    arguments, which is at least 2 pi / n wide."""
+    rng = np.random.default_rng(400 + n)
+    stack = np.array([conjugated(rng, n)[0] for _ in range(20)]
+                     + [non_normal(rng, n) for _ in range(20)])
+    thetas = np.array([ma._branch_angle(lam) for lam in np.linalg.eigvals(stack)])
+    assert np.all(ma._branch_margin(mat_log(stack), thetas) >= math.pi / n - 1e-9)
 
 
 @pytest.mark.parametrize("position", [0, 3, 5])
 def test_wrong_branch_at_one_position_is_caught(position, monkeypatch):
     """A logarithm off by 2 pi i I still exponentiates back to A, so only the
-    quadrature can tell it from the right one."""
+    branch check can tell it from the right one: every eigenvalue moves 2 pi
+    up, past the strip's upper edge by at least pi / n."""
     rng = np.random.default_rng(7)
-    stack = np.array([conjugated(rng, 4) for _ in range(6)])
+    stack = np.array([conjugated(rng, 4)[0] for _ in range(6)])
     A = ma.from_ustack(FACTORIAL, 0, stack)
     eig_log, calls = ma._eig_log, []
 
@@ -121,11 +146,10 @@ def test_wrong_branch_at_one_position_is_caught(position, monkeypatch):
 
     ma.mat_log(A)
     monkeypatch.setattr(ma, "_eig_log", shifted)
-    with pytest.raises(QuadratureDisagreement) as ei:
+    with pytest.raises(OffBranch) as ei:
         ma.mat_log(A)
     assert ei.value.position == position
-    assert abs(ei.value.deviation - 2 * math.pi) < 1e-6
-    assert "node count" not in str(ei.value)     # no flag sets one
+    assert ei.value.margin <= -math.pi / 4 + 1e-9
 
 
 @pytest.mark.parametrize("lam, n", [(2, 2), (-1, 2), (1j, 3)])
@@ -133,10 +157,7 @@ def test_mat_log_answers_exact_jordan_blocks(lam, n, tmp_path):
     """lam I + N with N the shift: log = log(lam) I + N / lam - N^2 / (2 lam^2),
     with log(lam) on mat_log's branch."""
     U = lam * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1)
-    doc, out = tmp_path / "a.json", tmp_path / "log.json"
-    doc.write_text(json.dumps(matrix_doc(U[None])))
-    assert run(["mat", "log", "--json", str(doc), "--out", str(out)]) == 0
-    B = serialize.matrix_from_json(json.loads(out.read_text())["log"]).U(0)
+    B = run_log(U[None], tmp_path)[0]
     theta = ma._branch_angle(np.array([lam]))
     want = (ma._log_on_branch(np.array([lam]), theta)[0] * np.eye(n)
             + np.diag(np.full(n - 1, 1 / lam), 1)
@@ -145,7 +166,7 @@ def test_mat_log_answers_exact_jordan_blocks(lam, n, tmp_path):
     assert np.max(np.abs(scipy.linalg.expm(B) - U)) <= 1e-15
 
 
-# -- golden output bytes of `mat log` ------------------------------------------
+# -- `mat log` documents -------------------------------------------------------
 
 
 def matrix_doc(stack):
@@ -154,6 +175,36 @@ def matrix_doc(stack):
     return {"weight": "factorial",
             "entries": [[{"prefix": [], "cycle": [[v.real, v.imag] for v in stack[:, i, j]]}
                          for j in range(n)] for i in range(m)]}
+
+
+def run_log(stack, tmp_path):
+    """`mat log` on the matrix whose cycle is the stack; its log as a stack."""
+    doc, out = tmp_path / "a.json", tmp_path / "log.json"
+    doc.write_text(json.dumps(matrix_doc(stack)))
+    assert run(["mat", "log", "--json", str(doc), "--out", str(out)]) == 0
+    _, _, B = serialize.matrix_from_json(json.loads(out.read_text())["log"]).ustack()
+    assert len(B) == len(stack)
+    return B
+
+
+def test_constants_at_every_scale(tmp_path):
+    """[[m]] from 1e-3 to 1e3 has log m + 2 pi i on mat_log's branch, whose
+    cut for a positive spectrum is the negative axis with arguments in
+    (pi, 3 pi)."""
+    for m in np.geomspace(1e-3, 1e3, 61):
+        B = run_log(np.array([[[m]]], dtype=complex), tmp_path)
+        assert abs(B[0, 0, 0] - complex(math.log(m), 2 * math.pi)) <= 1e-12, m
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_normal_with_moduli_from_005_to_40(n, tmp_path):
+    rng = np.random.default_rng(500 + n)
+    mods = np.geomspace(40.0, 0.05, n) if n > 1 else np.array([40.0])
+    cases = [conjugated(rng, n, mods * np.exp(1j * rng.uniform(0, 2 * math.pi, n)))
+             for _ in range(2)]
+    B = run_log(np.array([U for U, _, _ in cases]), tmp_path)
+    for Bk, (_, Q, lam) in zip(B, cases):
+        assert np.max(np.abs(Bk - known_log(Q, lam))) <= 1e-12
 
 
 def seven_by_seven():

@@ -25,7 +25,6 @@ CASES = [
     (E.PreconditionFailed("g1*f1 + g2*f2 is not exactly the unit"), {}, {}),
     (E.BadMask(5, complex(0.5, -0.0)),
      {"index": 5, "value": [0.5, -0.0]}, {"index": 5, "value": 0.5 - 0.0j}),
-    (E.SpectrumHit(9), {"position": 9}, {"position": 9}),
 ]
 
 

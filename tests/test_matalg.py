@@ -159,11 +159,6 @@ class TestExpLog:
                                  - math.pi))
             assert dist >= (2 * math.pi / 3) / 2 - 1e-9
 
-    def test_resolvent_diagnostic(self, nrng):
-        A = rand_mat(nrng, 2, 2, cycles=1)
-        lhs, rhs, holds = ma.resolvent_bound_check(A, 100.0 + 0j, 1.0, 1.0)
-        assert holds and lhs <= rhs
-
 
 def factor_budget(n):
     """sl_factor's bound: n(n-1)/2 boosts, n(n-1) eliminations and five
