@@ -22,7 +22,7 @@ import numpy as np
 
 from .coeffseq import (MAX_WINDOW, EPSeq, _abs, _div, _mul, _silent, inf_abs,
                        joint_shape, sup_abs)
-from .errors import (BadMask, BoundUnavailable, CoronaFails, InvalidArgument,
+from .errors import (BoundUnavailable, CoronaFails, InvalidArgument,
                      NotDivisible, NotInIdeal, NotInvertible, NumericalError,
                      PointwiseDomainError, PreconditionFailed, WeightMismatch,
                      WindowTooLarge)
@@ -376,16 +376,6 @@ def is_idempotent(f: Element) -> bool:
     """f * f == f, equivalently u(n) in {0, 1} for every n (exact)."""
     u = f.u.array
     return bool(np.all((u == 0) | (u == 1)))
-
-
-def idempotent_from_mask(w: Weight, mask: EPSeq) -> Element:
-    """Element with u = mask; requires mask values exactly 0 or 1."""
-    u = mask.array
-    bad = (u != 0) & (u != 1)
-    if bad.any():
-        n = int(bad.argmax())
-        raise BadMask(n, complex(u[n]))
-    return Element(w, mask)
 
 
 def exp_el(f: Element) -> Element:

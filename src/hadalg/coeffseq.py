@@ -177,10 +177,6 @@ class EPSeq:
         return EPSeq(values[:period_start], values[period_start:])
 
 
-ZERO = EPSeq((), (0.0,))
-ONE = EPSeq((), (1.0,))
-
-
 # cycle lengths combine by lcm: two coprime cycles near 10^4 need ~10^8
 MAX_WINDOW = 1 << 20
 

@@ -92,12 +92,6 @@ class PreconditionFailed(MathConditionError):
     pass
 
 
-class BadMask(MathConditionError):
-    def __init__(self, index: int, value: complex):
-        super().__init__(f"mask value at index {index} is {value}, "
-                         "expected exactly 0 or 1", index=index, value=value)
-
-
 # ---------------------------------------------------------------------------
 # numerical failures (CLI exit code 4)
 

@@ -122,35 +122,12 @@ def krull_family(n: int, horizon: int = 1 << 14) -> GenSeq:
     return GenSeq(rule=rule, horizon=horizon)
 
 
-def growth_trajectory(u: EPSeq | GenSeq, n: int, horizon: int = 1 << 14
-                      ) -> list[tuple[int, float]]:
-    """Ratios m(u, 2^k) / k^n for k >= 1 with 2^k <= horizon.
-
-    Advisory diagnostics for the limit/sup criteria defining the ideal I_n
-    and multiplicative set M_n; the limits themselves are not decided.
-
-    One pass over the indices: ``end`` is where the last scanned zero run
-    stops (its first nonzero index, u.horizon + 1 when the run was open at
-    the horizon, inf for an infinite run).  A scale 2^k < end lies inside
-    that run, so m(f, 2^k) = end - 2^k without a scan.
-    """
-    out = []
-    end = 0
-    k = 1
-    while (1 << k) <= horizon:
-        start = 1 << k
-        if start >= end:
-            end = start + index_order(u, start).m
-        m = end - start
-        out.append((k, math.inf if math.isinf(m) else m / (k ** n)))
-        k += 1
-    return out
-
-
 def krull_trajectory(n: int, horizon: int = 1 << 14) -> list[tuple[int, float]]:
-    """growth_trajectory(krull_family(n, horizon), n + 1, horizon), read off
+    """Ratios m(f_n, 2^k) / k^(n+1) for k >= 1 with 2^k <= horizon, read off
     the merged zero runs of f_n: one bisect per scale 2^k in place of a scan
-    over the zero indices.
+    over the zero indices.  The scan of krull_family(n, horizon) with
+    index_order that this replaces is the reference in
+    tests/loop_reference.py.
 
     The scale s lies in the run [lo, hi] or in none, and the scan would stop
     at the first nonzero min(hi, horizon) + 1 (horizon + 1 for a run still
@@ -164,16 +141,6 @@ def krull_trajectory(n: int, horizon: int = 1 << 14) -> list[tuple[int, float]]:
         m = min(his[i], horizon) + 1 - s if i >= 0 and s <= his[i] else 0
         out.append((k, m / (k ** (n + 1))))
     return out
-
-
-def p1_p2_check(f: Element, g: Element, k: int) -> bool:
-    """Check m(f+g, k) >= min(m(f,k), m(g,k)) and
-    m(f*g, k) >= max(m(f,k), m(g,k)), index orders of the coefficients."""
-    mf = index_order(f.u, k).m
-    mg = index_order(g.u, k).m
-    ms = index_order(algebra.add(f, g).u, k).m
-    mp = index_order(algebra.star(f, g).u, k).m
-    return ms >= min(mf, mg) and mp >= max(mf, mg)
 
 
 # ---------------------------------------------------------------------------

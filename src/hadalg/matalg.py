@@ -138,10 +138,6 @@ class ElementaryFactor:
 # basic operations
 
 
-def mat_identity(w: Weight, n: int) -> MatElement:
-    return from_ustack(w, 0, np.eye(n, dtype=complex)[None])
-
-
 @_silent
 def mat_mul(A: MatElement, B: MatElement) -> MatElement:
     """Positionwise product.  Each entry is summed left to right from the
@@ -198,7 +194,7 @@ def mat_det(A: MatElement) -> Element:
 def mat_norm_bounds(A: MatElement) -> tuple[float, float]:
     """(S, n * max entry norm) with S = sup_k ||U(k)||_{2,2}, exact over the
     window.  S <= n * max ||a_ij|| always (membership bound)."""
-    S = max(float(np.linalg.norm(U, 2)) for U in A.array)
+    S = float(np.linalg.norm(A.array, 2, axis=(1, 2)).max())
     upper = max(A.m, A.n) * float(_abs(A.array).max())
     return S, upper
 

@@ -16,7 +16,7 @@ from . import weights as weights_mod
 from .algebra import Element, from_raw_coeffs
 from .coeffseq import Canonical, EPSeq, _canonical
 from .errors import SchemaError
-from .matalg import ElementaryFactor, MatElement
+from .matalg import MatElement
 
 
 def _c_from_json(obj: Any) -> complex:
@@ -130,8 +130,3 @@ def factors_to_json(factors) -> list[dict]:
     return [{"i": f.i, "j": f.j, "alpha": element_to_json(f.alpha)}
             for f in factors]
 
-
-def factors_from_json(obj: Any) -> list[ElementaryFactor]:
-    return [ElementaryFactor(d["i"], d["j"],
-                             element_from_json(d["alpha"], f"[{k}].alpha."))
-            for k, d in enumerate(obj)]

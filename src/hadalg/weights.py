@@ -1,20 +1,19 @@
 """Weight sequences p : N_0 -> (0, oo) with super-exponential growth.
 
-The defining growth condition lim p(n)^(1/n) = oo cannot be verified from
-finitely many values; it is trusted for the presets and declared for custom
-weights.  All internal arithmetic is in log-space (log p(n)); raw values are
-materialized only on demand and report overflow explicitly.
+Two kinds serve the CLI: factorial and superexp b^(n^q).  Both satisfy the
+defining growth condition lim p(n)^(1/n) = oo.  All internal arithmetic is in
+log-space (log p(n)); raw values are materialized only on demand and report
+overflow explicitly.
 
-Each weight kind carries its own certified tail-bound rule for sums
-sum_{n>N} r^n / p(n); custom weights without one refuse to certify.
+Each kind carries its own certified tail-bound rule for sums
+sum_{n>N} r^n / p(n).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 from .errors import BoundUnavailable, OverflowAtIndex, SchemaError
 
@@ -30,11 +29,9 @@ class Weight:
     """A named weight sequence.  Immutable; all methods are pure."""
 
     name: str
-    kind: str  # "factorial" | "superexp" | "custom"
+    kind: str  # "factorial" | "superexp"
     base: float = 0.0   # superexp only
     power: int = 0      # superexp only
-    rule: Optional[Callable[[int], float]] = field(default=None, compare=False)
-    tail_rule: Optional[Callable[[int, float], float]] = field(default=None, compare=False)
 
     # -- evaluation --------------------------------------------------------
 
@@ -43,13 +40,7 @@ class Weight:
             raise ValueError("index must be nonnegative")
         if self.kind == "factorial":
             return math.lgamma(n + 1)
-        if self.kind == "superexp":
-            return (n ** self.power) * math.log(self.base)
-        v = self.rule(n)
-        if v <= 0:
-            raise SchemaError(f"custom weight {self.name!r} returned "
-                              f"nonpositive value at n={n}")
-        return math.log(v)
+        return (n ** self.power) * math.log(self.base)
 
     def p_eval(self, n: int) -> float:
         """p(n) as a double.  Presets are exact while representable."""
@@ -59,21 +50,13 @@ class Weight:
             if n > 170:  # 171! overflows the double range
                 raise OverflowAtIndex(n)
             return float(math.factorial(n))
-        if self.kind == "superexp":
-            try:
-                representable = self.log_p(n) <= _LOG_MAX_DOUBLE
-            except OverflowError:  # n^q itself is past the double range
-                representable = False
-            if not representable:
-                raise OverflowAtIndex(n)
-            return float(self.base) ** (n ** self.power)
-        v = float(self.rule(n))
-        if v <= 0:
-            raise SchemaError(f"custom weight {self.name!r} returned "
-                              f"nonpositive value at n={n}")
-        if math.isinf(v):
+        try:
+            representable = self.log_p(n) <= _LOG_MAX_DOUBLE
+        except OverflowError:  # n^q itself is past the double range
+            representable = False
+        if not representable:
             raise OverflowAtIndex(n)
-        return v
+        return float(self.base) ** (n ** self.power)
 
     # -- tail bounds -------------------------------------------------------
 
@@ -98,29 +81,20 @@ class Weight:
                     f"factorial tail bound needs r/(N+2) <= 1/2; got "
                     f"r={r}, N={N}")
             return 2.0 * math.exp((N + 1) * math.log(r) - math.lgamma(N + 2))
-        if self.kind == "superexp":
-            logb = math.log(self.base)
-            gap = (N + 2) ** self.power - (N + 1) ** self.power
-            if math.log(r) - gap * logb > math.log(0.5):
-                raise BoundUnavailable(
-                    f"superexp tail bound needs r/b^((N+2)^q-(N+1)^q) <= 1/2; "
-                    f"got r={r}, N={N}")
-            return 2.0 * math.exp((N + 1) * math.log(r)
-                                  - ((N + 1) ** self.power) * logb)
-        if self.tail_rule is None:
+        logb = math.log(self.base)
+        gap = (N + 2) ** self.power - (N + 1) ** self.power
+        if math.log(r) - gap * logb > math.log(0.5):
             raise BoundUnavailable(
-                f"custom weight {self.name!r} declares no tail-bound rule; "
-                "evaluation cannot be certified")
-        return self.tail_rule(N, r)
+                f"superexp tail bound needs r/b^((N+2)^q-(N+1)^q) <= 1/2; "
+                f"got r={r}, N={N}")
+        return 2.0 * math.exp((N + 1) * math.log(r)
+                              - ((N + 1) ** self.power) * logb)
 
     def tail_start(self, r: float, limit: int) -> int:
         """Where the search for a truncation index starts.  Factorial: the
         first N that tail_bound accepts at radius r (r/(N+2) <= 1/2, the same
-        float test), or an N > limit when none up to limit does.  A custom
-        weight without a tail rule: limit + 1, as no N is accepted.  Other
-        kinds: 0, as their thresholds are found by calling tail_bound."""
-        if self.kind == "custom" and self.tail_rule is None:
-            return limit + 1
+        float test), or an N > limit when none up to limit does.  Superexp:
+        0, as its threshold is found by calling tail_bound."""
         if self.kind != "factorial":
             return 0
         # 2r - 2 up to rounding; an r past the limit (or inf) lands past it
@@ -150,21 +124,6 @@ def superexp(base: float = 2.0, power: int = 2) -> Weight:
                   base=float(base), power=int(power))
 
 
-_CUSTOM_REGISTRY: dict[str, Weight] = {}
-
-
-def register_custom(ident: str,
-                    rule: Callable[[int], float],
-                    tail_rule: Optional[Callable[[int, float], float]] = None) -> Weight:
-    """Register a custom weight addressable as ``custom:<ident>``.
-
-    The growth condition is declared by the caller, not checked.
-    """
-    w = Weight(name=f"custom:{ident}", kind="custom", rule=rule, tail_rule=tail_rule)
-    _CUSTOM_REGISTRY[ident] = w
-    return w
-
-
 _SUPEREXP_RE = re.compile(r"^superexp:b=([0-9.]+),q=([0-9]+)$")
 
 
@@ -180,15 +139,8 @@ def from_name(name: str) -> Weight:
         except ValueError as exc:
             raise SchemaError(f"bad weight name {name!r}: {exc}") from None
         return superexp(base, power)
-    if name.startswith("custom:"):
-        ident = name[len("custom:"):]
-        try:
-            return _CUSTOM_REGISTRY[ident]
-        except KeyError:
-            raise SchemaError(f"unknown custom weight {ident!r}") from None
     raise SchemaError(f"unknown weight name {name!r}")
 
 
 def known_weights() -> list[str]:
-    return ["factorial", "superexp:b=<base>,q=<power>",
-            *(f"custom:{k}" for k in sorted(_CUSTOM_REGISTRY))]
+    return ["factorial", "superexp:b=<base>,q=<power>"]

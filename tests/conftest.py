@@ -8,10 +8,12 @@ by them is exact), and generic floats for the approximate procedures.
 
 import random
 
+import numpy as np
 import pytest
 
 from hadalg.algebra import Element
 from hadalg.coeffseq import EPSeq
+from hadalg.matalg import from_ustack
 from hadalg.weights import FACTORIAL
 
 GAUSS_UNITS = [1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]
@@ -35,6 +37,10 @@ def rand_epseq(rng, draw, max_prefix=3, max_cycle=4):
 
 def rand_element(rng, draw=gauss_int, **kw):
     return Element(FACTORIAL, rand_epseq(rng, draw, **kw))
+
+
+def mat_identity(w, n):
+    return from_ustack(w, 0, np.eye(n, dtype=complex)[None])
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import operator
 
 import numpy as np
 
-from hadalg import algebra
+from hadalg import algebra, ideals
 from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal,
                            NotInvertible, PointwiseDomainError)
 
@@ -262,3 +262,39 @@ def contour_log(U, theta, r, R, nodes):
         res = np.linalg.inv(z[:, None, None] * I[None, :, :] - U[None, :, :])
         acc += np.einsum("k,kij->ij", weights * logs * dz * dw, res)
     return acc / (2j * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# index orders
+
+
+def growth_trajectory(u, n, horizon=1 << 14):
+    """Ratios m(u, 2^k) / k^n for k >= 1 with 2^k <= horizon, for an EPSeq
+    or a GenSeq such as the Krull witness.
+
+    One pass over the indices: ``end`` is where the last scanned zero run
+    stops (its first nonzero index, u.horizon + 1 when the run was open at
+    the horizon, inf for an infinite run).  A scale 2^k < end lies inside
+    that run, so m(f, 2^k) = end - 2^k without a scan.
+    """
+    out = []
+    end = 0
+    k = 1
+    while (1 << k) <= horizon:
+        start = 1 << k
+        if start >= end:
+            end = start + ideals.index_order(u, start).m
+        m = end - start
+        out.append((k, math.inf if math.isinf(m) else m / (k ** n)))
+        k += 1
+    return out
+
+
+def p1_p2_check(f, g, k):
+    """m(f+g, k) >= min(m(f,k), m(g,k)) and m(f*g, k) >= max(m(f,k), m(g,k)),
+    index orders of the coefficients of Elements f and g."""
+    mf = ideals.index_order(f.u, k).m
+    mg = ideals.index_order(g.u, k).m
+    ms = ideals.index_order(algebra.add(f, g).u, k).m
+    mp = ideals.index_order(algebra.star(f, g).u, k).m
+    return ms >= min(mf, mg) and mp >= max(mf, mg)

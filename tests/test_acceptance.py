@@ -308,8 +308,8 @@ def test_criterion_10_index_order_growth():
         for _ in range(500):
             f = rand_element(rng)
             g = rand_element(rng)
-            assert ideals.p1_p2_check(f, g, rng.randint(0, 8))
-        traj = dict(ideals.growth_trajectory(f1, 2, horizon=horizon))
+            assert ref.p1_p2_check(f, g, rng.randint(0, 8))
+        traj = dict(ref.growth_trajectory(f1, 2, horizon=horizon))
         for k in range(8, 13):
             assert 0.9 <= traj[k] <= 1.2
 

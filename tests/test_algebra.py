@@ -5,8 +5,8 @@ import pytest
 
 from hadalg import algebra as alg
 from hadalg.coeffseq import EPSeq, GenSeq, inf_abs
-from hadalg.errors import (BadMask, CoronaFails, NotDivisible, NotInIdeal,
-                           NotInvertible, PreconditionFailed, WeightMismatch)
+from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal, NotInvertible,
+                           PreconditionFailed, WeightMismatch)
 from hadalg.weights import FACTORIAL, superexp
 
 from conftest import exact_divisor, gauss_int, rand_element
@@ -229,12 +229,6 @@ class TestIdempotents:
 
     def test_non_mask_rejected(self):
         assert not alg.is_idempotent(el([], [2.0]))
-        with pytest.raises(BadMask):
-            alg.idempotent_from_mask(W, EPSeq((), (0.5,)))
-
-    def test_mask_constructor(self):
-        p = alg.idempotent_from_mask(W, EPSeq((), (1.0, 0.0)))
-        assert alg.is_idempotent(p)
 
 
 class TestExpLog:

@@ -285,9 +285,10 @@ class TestIdealAndWeight:
         assert payload["certified"] == "exact"
 
     def test_weight_list(self, tmp_path):
-        code, payload = invoke(["weight", "list"], tmp_path)
-        assert code == 0
-        assert "factorial" in payload["weights"]
+        assert invoke(["weight", "list"], tmp_path)[0] == 0
+        assert (tmp_path / "out.json").read_text() == (
+            '{\n  "weights": [\n    "factorial",\n'
+            '    "superexp:b=<base>,q=<power>"\n  ]\n}\n')
 
 
 IMPORT_PROBE = """

@@ -3,8 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hadalg.coeffseq import (EPSeq, GenSeq, ZERO, ONE, inf_abs, joint_shape,
-                             sup_abs)
+from hadalg.coeffseq import EPSeq, GenSeq, inf_abs, joint_shape, sup_abs
 from hadalg.errors import HorizonExceeded
 
 finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
@@ -78,8 +77,8 @@ class TestExtremes:
         assert inf_abs(a) == min(vals)
 
     def test_constants(self):
-        assert sup_abs(ZERO) == 0.0
-        assert inf_abs(ONE) == 1.0
+        assert sup_abs(EPSeq.constant(0.0)) == 0.0
+        assert inf_abs(EPSeq.constant(1.0)) == 1.0
 
 
 class TestGenSeq:

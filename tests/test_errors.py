@@ -23,8 +23,6 @@ CASES = [
     (E.NotSL(1, complex(np.complex128(2 + 1e-3j))),
      {"position": 1, "det": [2.0, 0.001]}, {"position": 1, "det": 2 + 1e-3j}),
     (E.PreconditionFailed("g1*f1 + g2*f2 is not exactly the unit"), {}, {}),
-    (E.BadMask(5, complex(0.5, -0.0)),
-     {"index": 5, "value": [0.5, -0.0]}, {"index": 5, "value": 0.5 - 0.0j}),
 ]
 
 

@@ -16,6 +16,8 @@ from hadalg.errors import (DimensionMismatch, Inconsistent, NotInGL, NotSL,
                            NumericalError, WeightMismatch)
 from hadalg.weights import FACTORIAL
 
+from conftest import mat_identity
+
 W = FACTORIAL
 
 
@@ -45,7 +47,7 @@ def nrng():
 class TestBasics:
     def test_identity_multiplication(self, nrng):
         A = rand_mat(nrng, 3, 3)
-        assert ma.mat_mul(ma.mat_identity(W, 3), A).entries == A.entries
+        assert ma.mat_mul(mat_identity(W, 3), A).entries == A.entries
 
     def test_mul_matches_positionwise(self, nrng):
         A = rand_mat(nrng, 2, 3, cycles=2)
@@ -76,6 +78,14 @@ class TestBasics:
         A = rand_mat(nrng, 3, 3, cycles=3)
         S, upper = ma.mat_norm_bounds(A)
         assert 0 < S <= upper + 1e-12
+
+    @pytest.mark.parametrize("positions", [1, 5, 200])
+    def test_spectral_sup_is_the_per_position_max(self, nrng, positions):
+        # the batched norm gives the bits of one np.linalg.norm per position
+        for n in range(1, 8):
+            A = rand_mat(nrng, n, n, cycles=positions)
+            want = max(float(np.linalg.norm(U, 2)) for U in A.array)
+            assert ma.mat_norm_bounds(A)[0] == want
 
 
 class TestSolve:
@@ -202,7 +212,7 @@ def near_identity_5():
 
 class TestSLFactor:
     def test_identity_empty(self):
-        assert ma.sl_factor(ma.mat_identity(W, 2)) == ([], 0.0)
+        assert ma.sl_factor(mat_identity(W, 2)) == ([], 0.0)
 
     def test_diagonal_block_budget(self):
         A = ma.MatElement(W, ((const_el(2.0), const_el(0.0)),

@@ -1,6 +1,7 @@
-"""growth_trajectory's one pass against a per-scale index_order loop, the
-Krull witness and krull_trajectory against block arithmetic, and the
-witness's bisect rule against a loop over the unmerged blocks."""
+"""The one pass of loop_reference.growth_trajectory against a per-scale
+index_order loop, the Krull witness and krull_trajectory against block
+arithmetic, and the witness's bisect rule against a loop over the unmerged
+blocks."""
 
 import hashlib
 import math
@@ -14,6 +15,7 @@ from hadalg.coeffseq import MAX_WINDOW, EPSeq, GenSeq
 from hadalg.errors import HorizonExceeded
 
 from conftest import gauss_int, rand_element
+import loop_reference as ref
 
 BENCH_HORIZONS = [21247, 35734, 60097, 88752, 101070]
 
@@ -72,7 +74,7 @@ class TestAgainstPerScaleLoop:
             f = rand_element(rng, sparse, max_prefix=6, max_cycle=5).u
             for n in (1, 2, 3):
                 h = rng.randint(2, 600)
-                same(ideals.growth_trajectory(f, n, h), per_scale(f, n, h))
+                same(ref.growth_trajectory(f, n, h), per_scale(f, n, h))
 
     def test_epseq_long_runs(self, rng):
         for _ in range(100):
@@ -82,11 +84,11 @@ class TestAgainstPerScaleLoop:
                 cycle = [0j] * len(cycle)     # an infinite run
             f = EPSeq(tuple(prefix), tuple(cycle))
             h = rng.randint(2, 2000)
-            same(ideals.growth_trajectory(f, 2, h), per_scale(f, 2, h))
+            same(ref.growth_trajectory(f, 2, h), per_scale(f, 2, h))
 
     def test_infinite_run_stays_infinite(self):
         f = EPSeq((1.0, 0.0, 0.0, 2.0, 0.0), (0.0,))
-        traj = dict(ideals.growth_trajectory(f, 1, 64))
+        traj = dict(ref.growth_trajectory(f, 1, 64))
         assert traj[1] == 1.0 and math.isinf(traj[2]) and math.isinf(traj[6])
         assert traj == dict(per_scale(f, 1, 64))
 
@@ -103,11 +105,11 @@ class TestAgainstPerScaleLoop:
                        horizon=horizon)
             for n in (1, 3):
                 h = rng.randint(2, horizon)
-                same(ideals.growth_trajectory(f, n, h), per_scale(f, n, h))
+                same(ref.growth_trajectory(f, n, h), per_scale(f, n, h))
 
     def test_open_run_at_horizon(self):
         f = GenSeq(rule=lambda m: 0.0 if m >= 5 else 1.0, horizon=100)
-        traj = ideals.growth_trajectory(f, 1, 100)
+        traj = ref.growth_trajectory(f, 1, 100)
         assert traj == per_scale(f, 1, 100)
         assert dict(traj)[3] == (100 - 8 + 1) / 3
 
@@ -119,7 +121,7 @@ class TestAgainstPerScaleLoop:
         with pytest.raises(HorizonExceeded) as want:
             per_scale(f, 2, 300)
         with pytest.raises(HorizonExceeded) as got:
-            ideals.growth_trajectory(f, 2, 300)
+            ref.growth_trajectory(f, 2, 300)
         assert (got.value.requested, got.value.horizon) == (128, horizon)
         assert str(got.value) == str(want.value)
 
@@ -145,7 +147,7 @@ class TestKrullWitness:
             while (1 << k) <= h:
                 want.append((k, zero_run(1 << k, blocks, h) / (k ** (n + 1))))
                 k += 1
-            same(ideals.growth_trajectory(u, n + 1, h), want)
+            same(ref.growth_trajectory(u, n + 1, h), want)
             same(ideals.krull_trajectory(n, h), want)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -165,7 +167,7 @@ class TestKrullWitness:
         h = 1 << 14
         rule, seen = ideals.krull_family(3, horizon=h).rule, []
         g = GenSeq(rule=lambda m: seen.append(m) or rule(m), horizon=h)
-        ideals.growth_trajectory(g, 4, h)
+        ref.growth_trajectory(g, 4, h)
         assert len(seen) == len(set(seen)) <= h + 1
 
 
