@@ -6,14 +6,14 @@ chain diagnostics."""
 
 from . import algebra, coeffseq, errors, ideals, matalg, serialize, weights
 from .algebra import Element, unit, zero, monomial, star, norm, eval_at
-from .coeffseq import EPSeq, GenSeq
+from .coeffseq import EPSeq
 from .matalg import ElementaryFactor, MatElement
 from .weights import FACTORIAL, Weight, superexp
 
 __all__ = [
     "algebra", "coeffseq", "errors", "ideals", "matalg", "serialize",
     "weights", "Element", "unit", "zero", "monomial", "star", "norm",
-    "eval_at", "EPSeq", "GenSeq", "ElementaryFactor", "MatElement",
+    "eval_at", "EPSeq", "ElementaryFactor", "MatElement",
     "FACTORIAL", "Weight", "superexp",
 ]
 

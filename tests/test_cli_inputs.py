@@ -1,6 +1,7 @@
 """CLI boundary: the JSON writer's bytes, refused input and typed exits."""
 
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -116,9 +117,20 @@ class TestTypedExits:
         assert elem(tmp_path, "approx-invert", element([], [[1, 0]]),
                     f"--eps={eps}")[0] == 3
 
-    @pytest.mark.parametrize("op", ["eval", "approx-invert"])
+    @pytest.mark.parametrize("op", ["eval"])
     def test_tol_zero(self, op, tmp_path):
         assert elem(tmp_path, op, element([], [[1, 0]]), "--tol=0")[0] == 3
+
+    def test_approx_invert_has_no_tol(self, tmp_path, capsys):
+        doc = element([[0.5, 0]], [[0, 0], [1, 0]])
+        assert elem(tmp_path, "approx-invert", doc, "--tol", "1e-9") == (3, None)
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+        # without --eps the threshold stays 1e-10, and so do the bytes
+        assert elem(tmp_path, "approx-invert", doc)[0] == 0
+        assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == (
+            "8ef7bc4fbf87d1bc83572964274dfbc45786c040279bcd72f65e9f6c195feab1")
+        assert capsys.readouterr().err == (
+            "invertible approximant at distance 1e-10 <= 2e-10\n")
 
     @pytest.mark.parametrize("tol", ["0", "-1"])
     @pytest.mark.parametrize("op", ["solve", "sl-factor"])

@@ -213,6 +213,15 @@ def near_identity_5():
 class TestSLFactor:
     def test_identity_empty(self):
         assert ma.sl_factor(mat_identity(W, 2)) == ([], 0.0)
+        # a 3-position identity window with signed-zero off-diagonals: the
+        # canonical form keeps the -0.0s in one position, and the raw
+        # three-position stack factors to nothing as well
+        I = np.eye(3, dtype=complex)
+        I[~np.eye(3, dtype=bool)] = complex(-0.0, -0.0)
+        A = ma.from_ustack(W, 0, np.stack([I, I, I]))
+        assert np.signbit(A.ustack()[2].real).any()
+        assert ma.sl_factor(A) == ([], 0.0)
+        assert ma._factor_stack(np.stack([I, I, I]), 0, W) == []
 
     def test_diagonal_block_budget(self):
         A = ma.MatElement(W, ((const_el(2.0), const_el(0.0)),

@@ -1,5 +1,6 @@
 """The benchmark's layer tracer (perfbench/spans.py) still finds every name it
-patches in hadalg, and puts every one back.  A src deletion that breaks
+patches in hadalg, reads what it reads per call on a traced elem, mat and
+ideal operation, and puts every name back.  A src deletion that breaks
 ``perfbench/run.py --trace 1`` or ``--self-check`` fails here."""
 
 import json
@@ -39,6 +40,19 @@ def test_install_patches_and_uninstall_restores(monkeypatch, tmp_path):
         assert run(["elem", "norm", "--json", str(doc),
                     "--out", str(tmp_path / "out.json")]) == 0
         assert "cli.json.loads" in {tracer.names[i] for i in tracer.name_id}
+        # the matrix names the tracer reads per call, and the ideals path
+        mat = tmp_path / "m.json"
+        mat.write_text(json.dumps({"weight": "factorial", "entries": [
+            [{"cycle": [[2, 0]]}, {"cycle": [[3, 0], [1, 0]]}],
+            [{"cycle": [[1, 0]]}, {"cycle": [[2, 0], [1, 0]]}]]}))
+        assert run(["mat", "sl-factor", "--json", str(mat),
+                    "--out", str(tmp_path / "out.json")]) == 0
+        assert run(["ideal", "krull-family", "--n", "2", "--horizon", "64",
+                    "--out", str(tmp_path / "out.json")]) == 0
+        spans_run = {tracer.names[i] for i in tracer.name_id}
+        assert {"matalg.sl_factor", "matalg.MatElement.ustack",
+                "matalg._apply_factors", "ideals.zero_blocks"} <= spans_run
+        assert tracer.counts["matalg.positions"] > 0
     finally:
         tracer.uninstall()
     assert changed(before) == []

@@ -1,7 +1,7 @@
 """The one pass of loop_reference.growth_trajectory against a per-scale
-index_order loop, the Krull witness and krull_trajectory against block
-arithmetic, and the witness's bisect rule against a loop over the unmerged
-blocks."""
+run-length loop, the Krull witness and krull_trajectory against block
+arithmetic, and the witness's bisect rule over ideals._zero_runs against a
+loop over the unmerged blocks."""
 
 import hashlib
 import math
@@ -21,11 +21,11 @@ BENCH_HORIZONS = [21247, 35734, 60097, 88752, 101070]
 
 
 def per_scale(u, n, horizon):
-    """The trajectory with one index_order scan per scale 2^k."""
+    """The trajectory with one run-length scan per scale 2^k."""
     out, k = [], 1
     while (1 << k) <= horizon:
-        rep = ideals.index_order(u, 1 << k)
-        out.append((k, math.inf if math.isinf(rep.m) else rep.m / (k ** n)))
+        m = ref.run_length(u, 1 << k)
+        out.append((k, math.inf if math.isinf(m) else m / (k ** n)))
         k += 1
     return out
 
@@ -40,7 +40,7 @@ def old_blocks(n, horizon):
 
 def zero_run(start, blocks, horizon):
     """Length of the zero run from start through possibly overlapping
-    blocks, cut at the horizon as index_order's open-run bound."""
+    blocks, cut at the horizon as run_length's open-run bound."""
     cur, moved = start, True
     while moved:
         moved = False
@@ -141,7 +141,7 @@ class TestKrullWitness:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_block_arithmetic(self, n):
         for h in self.horizons(n, 4096) + BENCH_HORIZONS + [MAX_WINDOW]:
-            u = ideals.krull_family(n, horizon=h)
+            u = ref.krull_witness(n, horizon=h)
             blocks = old_blocks(n, h)
             want, k = [], 1
             while (1 << k) <= h:
@@ -153,7 +153,7 @@ class TestKrullWitness:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bisect_rule_equals_block_loop(self, n):
         h = 1 << 12
-        u = ideals.krull_family(n, horizon=h)
+        u = ref.krull_witness(n, horizon=h)
         blocks = old_blocks(n, h)
         for m in range(h + 1):
             want = 0.0 if any(lo <= m <= hi for lo, hi in blocks) else 1.0
@@ -165,7 +165,7 @@ class TestKrullWitness:
 
     def test_each_index_evaluated_at_most_once(self):
         h = 1 << 14
-        rule, seen = ideals.krull_family(3, horizon=h).rule, []
+        rule, seen = ref.krull_witness(3, horizon=h).rule, []
         g = GenSeq(rule=lambda m: seen.append(m) or rule(m), horizon=h)
         ref.growth_trajectory(g, 4, h)
         assert len(seen) == len(set(seen)) <= h + 1
