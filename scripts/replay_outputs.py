@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from hadalg.cli import run
@@ -28,15 +29,16 @@ def main():
     root = Path(sys.argv[1]).resolve()
     requests = json.loads((root / "manifest.json").read_text())["requests"]
     os.chdir(root)  # the manifest's document paths are relative to DIR
-    out = root / "replay.out"
-    for req in requests:
-        out.unlink(missing_ok=True)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run(req["argv"] + ["--out", str(out)])
-        digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
-        print(req["id"], code, digest, json.dumps(err.getvalue()))
-    out.unlink(missing_ok=True)
+    # each run writes to its own directory, so replays of one DIR can run at once
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "replay.out"
+        for req in requests:
+            out.unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(req["argv"] + ["--out", str(out)])
+            digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
+            print(req["id"], code, digest, json.dumps(err.getvalue()))
 
 
 if __name__ == "__main__":

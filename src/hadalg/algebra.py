@@ -222,6 +222,20 @@ def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
 # divisibility, gcd, ideals, corona
 
 
+def _quotient(a, b, zero=False) -> np.ndarray:
+    """_div(a, b), 0 where ``zero`` marks b = 0 = a.  Refused at the first
+    index where it is 0 though a is not: Smith's method overflows its
+    denominator near the top of the double range (1 / 1.7e308(1+i) gives 0,
+    not 2.9e-309(1-i)), and a 0 would pass for an exact quotient."""
+    q = np.where(zero, 0, _div(a, b))
+    lost = (q == 0) & (a != 0)
+    if lost.any():
+        n = int(lost.argmax())
+        raise NumericalError(f"quotient at index {n} underflows to 0: "
+                             f"dividing by {complex(b[n])}", index=n)
+    return q
+
+
 def invertible(f: Element) -> Optional[tuple[float, Element]]:
     """(delta, inverse) when inf |u| = delta > 0, else None.
 
@@ -230,7 +244,7 @@ def invertible(f: Element) -> Optional[tuple[float, Element]]:
     delta = inf_abs(f.u)
     if delta == 0.0:
         return None
-    return delta, _element(f.weight, _div(1.0, f.u.array), f.u.period_start)
+    return delta, _element(f.weight, _quotient(1.0, f.u.array), f.u.period_start)
 
 
 def not_invertible_witness(f: Element) -> NotInvertible:
@@ -255,7 +269,7 @@ def divide(f: Element, g: Element) -> tuple[float, Element]:
         raise NotDivisible(int(bad.argmax()))
     nz = ~zero
     C = float(np.max(_abs(uf[nz]) / _abs(ug[nz]), initial=0.0))
-    return C, _element(f.weight, np.where(zero, 0, _div(uf, ug)), pl)
+    return C, _element(f.weight, _quotient(uf, ug, zero), pl)
 
 
 def gcd(fs: Sequence[Element]) -> Element:

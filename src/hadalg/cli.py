@@ -323,66 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _json_str(s: str) -> str:
-    return f'"{s}"' if s.isascii() and s.isidentifier() else json.dumps(s)
-
-
-def _pairs(items: list, nl: str):
-    """Text of items when each is a [re, im] pair of finite floats, else None."""
-    if not set(map(type, items)) <= {list, tuple}:
-        return None
-    inner = nl + "  "
-    fmt = "[" + inner + "%s," + inner + "%s" + nl + "]"
-    r = float.__repr__
-    try:
-        text = ("," + nl).join([fmt % (r(a), r(b)) for a, b in items])
-    except (TypeError, ValueError):
-        return None
-    return None if "n" in text else text  # nan and inf need json's spelling
-
-
-def _write(o, nl: str, out: list) -> None:
-    """Append the text of json.dumps(o, indent=2) to out, at the indentation
-    that the newline string nl sets.
-
-    json's pure-Python encoder (used whenever indent is set) pays a generator
-    step per item; this writes the same text, and formats lists of float
-    pairs, the bulk of every document, in one comprehension."""
-    t = type(o)
-    if (t is list or t is tuple) and o:
-        inner = nl + "  "
-        body = _pairs(o, inner)
-        out.append("[" + inner)
-        if body is None:
-            for k, v in enumerate(o):
-                if k:
-                    out.append("," + inner)
-                _write(v, inner, out)
-        else:
-            out.append(body)
-        out.append(nl + "]")
-    elif t is dict and o and all(type(k) is str for k in o):
-        inner = nl + "  "
-        sep = "{" + inner
-        for k, v in o.items():
-            out.append(sep + _json_str(k) + ": ")
-            _write(v, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif t is str:
-        out.append(_json_str(o))
-    elif t is int or (t is float and math.isfinite(o)):
-        out.append(repr(o))
-    elif t is bool or o is None:
-        out.append("null" if o is None else "true" if o else "false")
-    else:
-        out.append(json.dumps(o, indent=2).replace("\n", nl))
-
-
 def _emit(payload: dict, args) -> None:
-    parts: list[str] = []
-    _write(payload, "\n", parts)
-    text = "".join(parts)
+    text = serialize.dumps(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import Element
-from .coeffseq import MAX_WINDOW, EPSeq
+from .coeffseq import MAX_WINDOW, EPSeq, _abs
 from .errors import InvalidArgument
 from .weights import Weight
 
@@ -215,7 +215,7 @@ def nonfixed_ideal_trajectory(u: EPSeq, ks: Sequence[int]) -> TrajectoryReport:
     if ks and ks[0] < 0:
         raise InvalidArgument(f"ks must be nonnegative, got {ks[0]}")
     pos = [_position(u, k) for k in ks]
-    vals = [abs(v) for v in u.array[pos].tolist()]
+    vals = _abs(u.array[pos]).tolist()  # inf past the double range, as in norm
     residues = {p for p in pos if p >= u.period_start}
     verdict = bool(u.array[residues.pop()] == 0) if len(residues) == 1 else None
     return TrajectoryReport(vals, verdict)

@@ -1,13 +1,17 @@
 """JSON document schemas for sequences, elements, matrices and factor lists.
 
 Complex numbers travel as [re, im] pairs (bare reals are accepted on input).
-Floats are emitted with Python's shortest-roundtrip repr, so every document
+A written document holds each sequence's values as the read-only (k, 2)
+float64 view of its complex array; ``dumps`` turns it into text.  Floats are
+emitted with Python's shortest-roundtrip repr, so every document
 reconstructs bit-identically in double precision.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
 from typing import Any
 
 import numpy as np
@@ -34,7 +38,7 @@ def _values_from_json(cells: Any, field: str) -> np.ndarray:
     Lists of pairs of numbers convert in one numpy call; any other list goes
     through _c_from_json cell by cell.  Non-finite values are refused.
     """
-    if not isinstance(cells, (list, tuple)):
+    if not isinstance(cells, (list, tuple, np.ndarray)):
         raise SchemaError(f"{field} must be a list of [re, im] pairs")
     try:
         flat = np.array(list(itertools.chain.from_iterable(cells)))
@@ -56,8 +60,11 @@ def _values_from_json(cells: Any, field: str) -> np.ndarray:
     return values
 
 
-def _values_to_json(values: np.ndarray) -> list[list[float]]:
-    return values.view(np.float64).reshape(-1, 2).tolist()
+def _values_to_json(values: np.ndarray) -> np.ndarray:
+    """Contiguous complex values as read-only [re, im] rows, with no copy."""
+    rows = values.view(np.float64).reshape(-1, 2)
+    rows.flags.writeable = False
+    return rows
 
 
 def epseq_to_json(s: EPSeq | Canonical) -> dict:
@@ -130,3 +137,80 @@ def factors_to_json(factors) -> list[dict]:
     return [{"i": f.i, "j": f.j, "alpha": element_to_json(f.alpha)}
             for f in factors]
 
+
+# ---------------------------------------------------------------------------
+# writer
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def dumps(doc: Any) -> str:
+    """The text of json.dumps(doc, indent=2), where doc may also hold (k, 2)
+    float64 arrays, written as lists of [re, im] pairs.
+
+    json's pure-Python encoder (used whenever indent is set) pays a generator
+    step per item.  This walks the document once, writing all but its
+    arrays; the values of all the arrays are then deduplicated together by
+    their bits (so -0.0 stays apart from 0.0), each distinct value is
+    formatted once, and each array is filled into one template of its rows.
+    """
+    parts: list[str] = []
+    arrays: list[tuple[int, np.ndarray, str]] = []
+    _write(doc, "\n", parts, arrays)
+    if arrays:
+        bits = np.concatenate([a.ravel() for _, a, _ in arrays]).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        values = distinct.view(np.float64)
+        texts = list(map(float.__repr__, values.tolist()))
+        for k in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[k] = _NONFINITE[texts[k]]
+        cells = np.array(texts, dtype=object)[inverse].tolist()
+        start = 0
+        for slot, a, nl in arrays:
+            inner = nl + "  "
+            row = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+            body = ("," + inner).join([row] * len(a))
+            parts[slot] = ("[" + inner + body + nl + "]") % tuple(
+                cells[start:start + a.size])
+            start += a.size
+    return "".join(parts)
+
+
+def _json_str(s: str) -> str:
+    return f'"{s}"' if s.isascii() and s.isidentifier() else json.dumps(s)
+
+
+def _write(o, nl: str, out: list, arrays: list) -> None:
+    """Append the text of o to out, at the indentation that the newline
+    string nl sets; a nonempty array gets an empty slot, recorded in arrays
+    with its position and nl."""
+    t = type(o)
+    if t is np.ndarray:
+        if o.size:
+            arrays.append((len(out), o, nl))
+        out.append("" if o.size else "[]")
+    elif (t is list or t is tuple) and o:
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, inner, out, arrays)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict and o and all(type(k) is str for k in o):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            out.append(sep + _json_str(k) + ": ")
+            _write(v, inner, out, arrays)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is str:
+        out.append(_json_str(o))
+    elif t is int or (t is float and math.isfinite(o)):
+        out.append(repr(o))
+    elif t is bool or o is None:
+        out.append("null" if o is None else "true" if o else "false")
+    else:
+        out.append(json.dumps(o, indent=2).replace("\n", nl))

@@ -167,6 +167,29 @@ class TestTypedExits:
                         {"f": big, "generators": [big, tiny]})[0] == 0
             assert elem(tmp_path, "divide", {"f": big, "g": tiny})[0] == 0
 
+    def test_quotient_lost_to_smith_overflow_is_numerical(self, tmp_path, capsys):
+        # 1/u = 2.9e-309(1 - i) is representable, but Smith's denominator
+        # overflows and the quotient comes out 0: no answer, not a wrong one
+        u = element([[2, 0]], [[1.7e308, 1.7e308]])
+        assert elem(tmp_path, "invert", u) == (4, None)
+        assert "quotient at index 1 underflows to 0" in capsys.readouterr().err
+        one = element([], [[1, 0]])
+        assert elem(tmp_path, "divide", {"f": one, "g": u}) == (4, None)
+        assert "quotient at index 1 underflows to 0" in capsys.readouterr().err
+        # a zero dividend still divides to 0
+        zero = element([], [[0, 0]])
+        code, out = elem(tmp_path, "divide", {"f": zero, "g": u})
+        assert (code, out["quotient"]["normalized"]["cycle"]) == (0, [[0.0, 0.0]])
+
+    def test_trajectory_past_the_double_range(self, tmp_path):
+        # |u| overflows: inf, as elem norm answers, not a traceback
+        u = element([], [[1.7e308, 1.7e308]])
+        out = tmp_path / "out.json"
+        assert run(["ideal", "trajectory", "--json", write(tmp_path, u), "--ks", "0,1",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["values"] == [math.inf, math.inf]
+        assert elem(tmp_path, "norm", u) == (0, {"norm": math.inf})
+
     @pytest.mark.parametrize("z, cause", [("800", "not finite"),
                                           ("2000", "tail bound overflows")])
     def test_eval_overflow_is_numerical(self, z, cause, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import random
 
@@ -309,7 +308,8 @@ class TestSLFactor:
         # the bytes elimination wrote before the boost existed: no pivot is
         # smaller than the entries below it, so the boost never fires
         doc, out = tmp_path / "a.json", tmp_path / "f.json"
-        doc.write_text(json.dumps(serialize.matrix_to_json(mat_from_stack(near_identity_5()))))
+        A = mat_from_stack(near_identity_5())
+        doc.write_text(serialize.dumps(serialize.matrix_to_json(A)))
         assert run(["mat", "sl-factor", "--json", str(doc), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             "5fe47873c1789688eb5237dbf91a2d69be7c26f3124bdf6ac49ed60bcf886970"

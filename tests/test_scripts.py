@@ -13,14 +13,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def start_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return subprocess.Popen([sys.executable, str(ROOT / "scripts" / name), *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
+
+
+def finish(proc):
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return out
+
+
+def run_script(name, *args):
+    return finish(start_script(name, *args))
 
 
 @pytest.mark.parametrize("name, args", [
@@ -59,3 +68,15 @@ def test_replay_outputs_prints_one_line_per_request(workload, tmp_path):
         assert code in ("0", "2", "3", "4"), line
         assert digest == "-" or re.fullmatch("[0-9a-f]{64}", digest), line
         assert json.loads(err).endswith("\n"), line
+
+
+def test_replays_of_one_manifest_run_at_once(tmp_path):
+    """Two replays of one DIR, run side by side, print what one alone does.
+    The full scalar-window round writes documents large enough that replays
+    sharing one output file overwrite each other's within a run."""
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload",
+                    "scalar-window", "--seed", "1", "--dir", str(tmp_path)],
+                   check=True, timeout=120)
+    alone = run_script("replay_outputs.py", str(tmp_path))
+    procs = [start_script("replay_outputs.py", str(tmp_path)) for _ in range(2)]
+    assert [finish(p) for p in procs] == [alone, alone]
