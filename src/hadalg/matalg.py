@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -183,10 +184,57 @@ def _cofactor_det(rows, mul, add, neg):
     return det(tuple(range(n)))
 
 
+@cache
+def _minor_plan(n: int) -> tuple:
+    """_cofactor_det's expansion of an n x n matrix, one level per minor
+    size s = 2..n.  Level s lists, for each j < s, the column that row
+    n - s contributes to every s-column subset (in combinations order) and
+    the index of the minor it multiplies among the (s - 1)-column subsets."""
+    levels, prev = [], {(c,): c for c in range(n)}
+    for s in range(2, n + 1):
+        subsets = list(combinations(range(n), s))
+        levels.append(tuple((np.array([S[j] for S in subsets]),
+                             np.array([prev[S[:j] + S[j + 1:]] for S in subsets]))
+                            for j in range(s)))
+        prev = {S: i for i, S in enumerate(subsets)}
+    return tuple(levels)
+
+
+@_silent
+def _stacked_det(stack: np.ndarray) -> np.ndarray:
+    """_cofactor_det of every matrix of the stack, with CPython's complex
+    product, + and the product by -1 that scalar_mul makes: all minors of
+    one size at once, each by the same operations in the same order as
+    star/add/scalar_mul over the entries."""
+    n = stack.shape[1]
+    det = stack[:, n - 1, :]
+    for s, level in enumerate(_minor_plan(n), start=2):
+        row = stack[:, n - s, :]
+        acc = None
+        for j, (cols, minors) in enumerate(level):
+            term = _mul(row[:, cols], det[:, minors])
+            if j % 2:
+                term = _mul(complex(-1.0), term)
+            acc = term if acc is None else acc + term
+        det = acc
+    return det[:, 0]
+
+
 def mat_det(A: MatElement) -> Element:
-    """Determinant over the algebra (cofactor expansion with star/add)."""
+    """Determinant over the algebra (cofactor expansion with star/add).
+
+    The expansion runs on A's stack (_stacked_det).  Star/add over the
+    entries differ from it only where canonicalising a sequence picks the
+    sign of a zero part, and such a sign reaches only output parts that are
+    themselves zero.  So the stacked value is the answer when every real and
+    imaginary part of it is finite and nonzero; otherwise star/add run over
+    A.entries, which get the signs of zeros right.
+    """
     if A.m != A.n:
         raise DimensionMismatch("determinant needs a square matrix")
+    det = _stacked_det(A.array)
+    if np.isfinite(det).all() and det.real.all() and det.imag.all():
+        return algebra._element(A.weight, det, A.period_start)
     return _cofactor_det(A.entries, algebra.star, algebra.add,
                          lambda t: algebra.scalar_mul(-1.0, t))
 
@@ -221,26 +269,28 @@ def mat_solve(A: MatElement, b: MatElement,
         raise WeightMismatch(f"{A.weight.name} vs {b.weight.name}")
     pl, cl = joint_shape(A, b)
     As, bs = A.take(pl + cl), b.take(pl + cl)
-    xs = []
+    uu, s, vh = np.linalg.svd(As, full_matrices=True)
+    smax = s[:, 0]
+    rank = np.sum(s > (rtol * smax)[:, None], axis=1)
+    coeff = np.swapaxes(uu.conj(), 1, 2) @ bs
+    # the minimal-norm solution, one matmul per rank; 0 at rank 0
+    xs = np.zeros((len(As), A.n, 1), dtype=complex)
+    for r in np.unique(rank[rank > 0]):
+        at = np.flatnonzero(rank == r)
+        xs[at] = np.swapaxes(vh[at].conj(), 1, 2)[:, :, :r] @ (
+            coeff[at, :r] / s[at, :r, None])
+    resid = bs - As @ xs
     supx = 0.0
-    for k, (U, v) in enumerate(zip(As, bs[:, :, 0])):
-        uu, s, vh = np.linalg.svd(U, full_matrices=True)
-        smax = s[0] if len(s) else 0.0
-        tau = rtol * smax
-        rank = int(np.sum(s > tau))
-        coeff = uu.conj().T @ v
-        x = vh.conj().T[:, :rank] @ (coeff[:rank] / s[:rank]) if rank else \
-            np.zeros(A.n, dtype=complex)
-        resid = v - U @ x
-        rnorm = float(np.linalg.norm(resid))
-        scale = max(1.0, float(np.linalg.norm(v)) + smax * float(np.linalg.norm(x)))
+    for k in range(len(As)):
+        rnorm = float(np.linalg.norm(resid[k, :, 0]))
+        xnorm = float(np.linalg.norm(xs[k, :, 0]))
+        scale = max(1.0, float(np.linalg.norm(bs[k, :, 0])) + smax[k] * xnorm)
         if rnorm > rtol * scale:
-            y = resid / rnorm
+            y = resid[k, :, 0] / rnorm
             raise Inconsistent(k, list(y))
-        xs.append(x)
-        supx = max(supx, float(np.linalg.norm(x)))
+        supx = max(supx, xnorm)
     delta = math.inf if supx == 0.0 else 1.0 / supx
-    return delta, from_ustack(A.weight, pl, np.array(xs)[:, :, None])
+    return delta, from_ustack(A.weight, pl, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +305,26 @@ def mat_exp(B: MatElement) -> MatElement:
     return from_ustack(B.weight, B.period_start, scipy.linalg.expm(B.array))
 
 
-def _branch_angle(eigs: np.ndarray) -> float:
-    """Midpoint of the largest angular gap between eigenvalue arguments.
+def _branch_angles(eigs: np.ndarray) -> np.ndarray:
+    """Per row of eigenvalues, the midpoint of the largest angular gap
+    between their arguments.
 
     An n x n invertible matrix has at most n distinct argument values, so the
     largest gap is at least 2 pi / n.  Ties are broken by the smallest
-    midpoint in [0, 2 pi).
+    midpoint in [0, 2 pi).  A repeated argument leaves a zero gap, which is
+    never the largest unless every argument is the same; then the cut is
+    opposite that argument.
     """
-    args = np.sort(np.unique(np.mod(np.angle(eigs), _TWO_PI)))
-    if len(args) == 1:
-        theta = math.fmod(args[0] + math.pi, _TWO_PI)
-        return theta
-    gaps = np.diff(args, append=args[0] + _TWO_PI)
+    args = np.sort(np.mod(np.angle(eigs), _TWO_PI), axis=1)
+    gaps = np.diff(args, axis=1, append=args[:, :1] + _TWO_PI)
     mids = np.mod(args + gaps / 2.0, _TWO_PI)
-    best = gaps.max()
-    cand = [float(m) for g, m in zip(gaps, mids) if g >= best - 1e-12]
-    return min(cand)
+    best = gaps.max(axis=1, keepdims=True)
+    thetas = np.where(gaps >= best - 1e-12, mids, np.inf).min(axis=1)
+    one = args[:, 0] == args[:, -1]
+    return np.where(one, np.fmod(args[:, 0] + math.pi, _TWO_PI), thetas)
 
 
-def _log_on_branch(values: np.ndarray, theta: float) -> np.ndarray:
+def _log_on_branch(values: np.ndarray, theta) -> np.ndarray:
     """log with the branch cut along the ray of argument theta
     (arguments taken in (theta, theta + 2 pi))."""
     a = theta + np.mod(np.angle(values) - theta, _TWO_PI)
@@ -282,21 +333,30 @@ def _log_on_branch(values: np.ndarray, theta: float) -> np.ndarray:
     return np.log(np.abs(values)) + 1j * a
 
 
-def _eig_log(U: np.ndarray, theta: float) -> np.ndarray:
-    """Functional-calculus logarithm via eigendecomposition.  When the
-    eigenvector basis is ill-conditioned (a Jordan block, say) it is the
-    principal logm of U turned by e^{-i(theta + pi)}, which puts the cut on
-    the negative axis, plus i(theta + pi) I.  logm's accuracy warnings are
-    silenced: mat_log's round-trip and branch checks judge the result."""
-    lam, V = np.linalg.eig(U)
-    cond = np.linalg.cond(V)
-    if math.isfinite(cond) and cond < 1e10:
-        return V @ np.diag(_log_on_branch(lam, theta)) @ np.linalg.inv(V)
+def _eig_logs(stack: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Functional-calculus logarithm of each U(k) via its eigendecomposition,
+    V diag(log_theta lam) V^-1.  Where the eigenvector basis is
+    ill-conditioned (a Jordan block, say) it is the principal logm of U(k)
+    turned by e^{-i(theta + pi)}, which puts the cut on the negative axis,
+    plus i(theta + pi) I.  logm's accuracy warnings are silenced: mat_log's
+    round-trip and branch checks judge the result."""
     import scipy.linalg
-    turn = theta + math.pi
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return scipy.linalg.logm(np.exp(-1j * turn) * U) + 1j * turn * np.eye(len(U))
+    n = stack.shape[1]
+    lam, V = np.linalg.eig(stack)
+    cond = np.linalg.cond(V)
+    good = np.isfinite(cond) & (cond < 1e10)
+    out = np.empty_like(stack)
+    Vg = V[good]
+    D = np.zeros_like(Vg)
+    D[:, range(n), range(n)] = _log_on_branch(lam[good], thetas[good, None])
+    out[good] = Vg @ D @ np.linalg.inv(Vg)
+    for k in np.flatnonzero(~good):
+        turn = float(thetas[k]) + math.pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out[k] = (scipy.linalg.logm(np.exp(-1j * turn) * stack[k])
+                      + 1j * turn * np.eye(n))
+    return out
 
 
 def _exactly_singular(U: np.ndarray) -> bool:
@@ -321,7 +381,8 @@ def _exactly_singular(U: np.ndarray) -> bool:
 # singular matrices with entries in {-1, 0, 1, 2} and integer rank-deficient
 # products up to 7x7 stay under 0.7 of it
 _SINGULAR_FLAG = 4.0
-# largest entry deviation of exp(log A) from A that mat_log accepts
+# largest entry deviation of exp(log U(k)) from U(k) that mat_log accepts,
+# relative to max(1, max |U(k)|): doubles round in proportion to the entries
 _ROUNDTRIP_TOL = 1e-9
 
 
@@ -339,11 +400,12 @@ def mat_log(A: MatElement) -> MatElement:
 
     Per position: pick the branch cut theta through the largest angular gap
     of the spectrum of U(k) and compute B(k) = log U(k) by eigenvalue
-    functional calculus (_eig_log).  Two checks certify B(k) as log U(k) on
-    that branch: exp(B(k)) = U(k) within _ROUNDTRIP_TOL, and every eigenvalue
-    of B(k) has imaginary part inside (theta, theta + 2 pi).  log_theta is
-    the inverse of exp on that strip, and primary matrix functions compose,
-    so B(k) = log_theta(exp(B(k))) = log_theta(U(k)).  The round trip
+    functional calculus (_eig_logs).  Two checks certify B(k) as log U(k) on
+    that branch: exp(B(k)) = U(k) within _ROUNDTRIP_TOL max(1, max |U(k)|),
+    and every eigenvalue of B(k) has imaginary part inside
+    (theta, theta + 2 pi).  log_theta is the inverse of exp on that strip,
+    and primary matrix functions compose, so
+    B(k) = log_theta(exp(B(k))) = log_theta(U(k)).  The round trip
     catches a wrong B, the strip a wrong branch (B + 2 pi i I, say); the
     latter raises OffBranch at the first position whose margin to the strip
     edges is not positive.
@@ -365,10 +427,11 @@ def mat_log(A: MatElement) -> MatElement:
     if singular.any():
         raise NotInGL(int(singular.argmax()))
     import scipy.linalg
-    thetas = np.array([_branch_angle(lam) for lam in eigs])
-    out = np.array([_eig_log(U, theta) for U, theta in zip(stack, thetas)])
+    thetas = _branch_angles(eigs)
+    out = _eig_logs(stack, thetas)
     err = np.max(np.abs(scipy.linalg.expm(out) - stack), axis=(1, 2))
-    bad = ~(err <= _ROUNDTRIP_TOL)  # nan included
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    bad = ~(err <= _ROUNDTRIP_TOL * scale)  # nan included
     if bad.any():
         k = int(bad.argmax())
         raise NumericalError(

@@ -210,6 +210,19 @@ def mat_mul(a, b):
     return canonical_items(tuple(out[:pl]), tuple(out[pl:]))
 
 
+def branch_angle(eigs):
+    """Midpoint of the largest angular gap between the arguments of one
+    spectrum, over its distinct arguments; ties go to the smallest midpoint
+    in [0, 2 pi).  One distinct argument puts the cut opposite it."""
+    args = np.sort(np.unique(np.mod(np.angle(eigs), 2 * math.pi)))
+    if len(args) == 1:
+        return math.fmod(args[0] + math.pi, 2 * math.pi)
+    gaps = np.diff(args, append=args[0] + 2 * math.pi)
+    mids = np.mod(args + gaps / 2.0, 2 * math.pi)
+    best = gaps.max()
+    return min(float(m) for g, m in zip(gaps, mids) if g >= best - 1e-12)
+
+
 def keyhole_pieces(theta, n, r, R):
     """The four smooth pieces of the keyhole-sector contour around a
     spectrum with moduli in [r, R] and no argument within pi/n of theta: big

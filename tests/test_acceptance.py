@@ -263,7 +263,7 @@ def test_criterion_08_matrix_logarithm():
                 assert np.max(np.abs(back.U(k) - A.U(k))) <= 1e-9
                 lam = np.linalg.eigvals(stack[k])
                 mods = np.abs(lam)
-                Bq = ref.contour_log(stack[k], ma._branch_angle(lam),
+                Bq = ref.contour_log(stack[k], ref.branch_angle(lam),
                                      mods.min(), mods.max(), 2048)
                 assert np.max(np.abs(L.U(k) - Bq)) <= 1e-6
 

@@ -198,6 +198,84 @@ def test_mat_det_memo_matches_cofactor(n):
             assert bits(ma.mat_det(A)) == bits(ref.mat_det(rows))
 
 
+def real_gauss_int(rng):
+    """A real Gaussian integer whose imaginary part is a zero of either sign."""
+    return complex(rng.randint(-4, 4), rng.choice((0.0, -0.0)))
+
+
+def overflowing(rng):
+    return generic(rng) * 10.0 ** rng.randint(100, 300)
+
+
+def underflowing(rng):
+    return generic(rng) * 10.0 ** -rng.randint(200, 320)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_mat_det_stacked_matches_memo(n, monkeypatch):
+    """At n = 6 and 7, where the e n! reference is too slow, mat_det matches
+    the memoised star/add expansion over the entries bit for bit.  The draws
+    take both of mat_det's paths: the stacked expansion, and the expansion
+    over the entries where a part of the stacked value is zero or not
+    finite (overflow, underflow, real values, signed zeros)."""
+    memo, fallbacks = ma._cofactor_det, []
+
+    def counted(*args):
+        fallbacks.append(None)
+        return memo(*args)
+
+    monkeypatch.setattr(ma, "_cofactor_det", counted)
+    rng = random.Random(600 + n)
+    draws = 0
+    for draw in KINDS + [real_gauss_int, overflowing, underflowing]:
+        for _ in range(4):
+            rows = tuple(tuple(pair(rng, draw)[0] for _ in range(n))
+                         for _ in range(n))
+            A = ma.MatElement(W, rows)
+            want = memo(A.entries, alg.star, alg.add,
+                        lambda t: alg.scalar_mul(-1.0, t))
+            assert bits(ma.mat_det(A)) == bits(want)
+            draws += 1
+    assert 0 < len(fallbacks) < draws
+
+
+SPECTRA = [
+    [1, 2, 1j, 3j, -1],                        # repeated arguments
+    [2j, 1j, 1j, -3, -1, 0.5],
+    [2, 3, 0.5],                               # one distinct argument
+    [1 + 1j, 2 + 2j],
+    [-1, -2, complex(-0.5, -0.0)],
+    [complex(-1, -0.0), 1j],                   # on the cut at pi, either sign
+    [1, complex(1, -1e-300), 1j],              # argument 2 pi after the mod
+    [complex(1, -1e-300)],
+    [1, 1j, -1, -1j],                          # gaps tied within 1e-12
+    np.exp(2j * np.pi * np.arange(3) / 3),
+    np.exp(1j * (2 * np.pi * np.arange(3) / 3 + [0.0, 0.0, 4e-13])),
+    np.exp(1j * (2 * np.pi * np.arange(3) / 3 + [0.0, 0.0, -4e-13])),
+    np.exp(1j * (2 * np.pi * np.arange(3) / 3 + [0.0, 0.0, 4e-12])),  # no tie
+    [3.0],
+]
+
+
+def test_branch_angles_match_scalar_rule():
+    """matalg's batched branch angle is the one-spectrum rule of
+    loop_reference bit for bit, row by row and in one stack."""
+    spectra = [np.asarray(lam, dtype=complex) for lam in SPECTRA]
+    nrng = np.random.default_rng(31)
+    for n in range(1, 8):
+        lam = nrng.standard_normal((40, n)) + 1j * nrng.standard_normal((40, n))
+        lam[::4, 0] = lam[::4, -1] * 2.0        # a repeated argument
+        spectra += list(lam)
+    for lam in spectra:
+        assert bits(float(ma._branch_angles(lam[None])[0])) == \
+            bits(ref.branch_angle(lam))
+    for n in range(1, 8):
+        rows = [lam for lam in spectra if len(lam) == n]
+        got = ma._branch_angles(np.array(rows))
+        assert bits([float(t) for t in got]) == \
+            bits([ref.branch_angle(lam) for lam in rows])
+
+
 def test_matrix_entries_are_its_rows():
     """A matrix keeps only its stack: the entries rebuilt from it are the
     rows it was made of, bit for bit, and so is the determinant taken on

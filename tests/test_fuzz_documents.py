@@ -191,7 +191,7 @@ def constant_matrix(rows):
     ("elem", "norm", to_text({"weight": "factorial",
                               "normalized": {"cycle": ["@digits:5000@"]}}), 3, None),
     ("mat", "log", json.dumps(constant_matrix([[2, 2], [2, 2]])), 2, None),
-    # a Jordan-like position sends _eig_log to scipy's logm, which warns
+    # a Jordan-like position sends _eig_logs to scipy's logm, which warns
     ("mat", "log", json.dumps(constant_matrix([[1e-300, 1e-300], [1, 1e-300]])), 4,
      "numerical failure: logarithm round-trip error 4.576e+155 at position 0\n"),
 ], ids=["gcd-no-elements", "corona-no-elements", "ideal-member-no-generators",

@@ -160,13 +160,13 @@ class TestExpLog:
         assert ei.value.position == 0
 
     def test_branch_angle_avoids_spectrum(self, nrng):
-        for _ in range(20):
-            lam = nrng.standard_normal(3) + 1j * nrng.standard_normal(3)
-            theta = ma._branch_angle(lam)
-            args = np.mod(np.angle(lam), 2 * math.pi)
-            dist = np.min(np.abs(np.mod(args - theta + math.pi, 2 * math.pi)
-                                 - math.pi))
-            assert dist >= (2 * math.pi / 3) / 2 - 1e-9
+        lam = np.array([nrng.standard_normal(3) + 1j * nrng.standard_normal(3)
+                        for _ in range(20)])
+        theta = ma._branch_angles(lam)
+        args = np.mod(np.angle(lam), 2 * math.pi)
+        dist = np.min(np.abs(np.mod(args - theta[:, None] + math.pi, 2 * math.pi)
+                             - math.pi), axis=1)
+        assert np.all(dist >= (2 * math.pi / 3) / 2 - 1e-9)
 
 
 def factor_budget(n):
