@@ -333,16 +333,19 @@ def _log_on_branch(values: np.ndarray, theta) -> np.ndarray:
     return np.log(np.abs(values)) + 1j * a
 
 
-def _eig_logs(stack: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Functional-calculus logarithm of each U(k) via its eigendecomposition,
-    V diag(log_theta lam) V^-1.  Where the eigenvector basis is
-    ill-conditioned (a Jordan block, say) it is the principal logm of U(k)
-    turned by e^{-i(theta + pi)}, which puts the cut on the negative axis,
-    plus i(theta + pi) I.  logm's accuracy warnings are silenced: mat_log's
-    round-trip and branch checks judge the result."""
+def _eig_logs(stack: np.ndarray, lam: np.ndarray, V: np.ndarray,
+              thetas: np.ndarray) -> np.ndarray:
+    """Functional-calculus logarithm of each U(k) from its eigendecomposition
+    U(k) = V diag(lam) V^-1, that is V diag(log_theta lam) V^-1.  Where the
+    eigenvector basis is ill-conditioned (a Jordan block, say) it is the
+    principal logm of U(k) turned by e^{-i(theta + pi)}, which puts the cut
+    on the negative axis, plus i(theta + pi) I.  logm's accuracy warnings
+    are silenced: mat_log's round-trip and branch checks judge the result.
+    logm estimates 1-norms from random vectors of numpy's global generator,
+    so each position runs it from seed 0 and the caller's generator state
+    is put back afterwards; a logm that fails raises NumericalError."""
     import scipy.linalg
     n = stack.shape[1]
-    lam, V = np.linalg.eig(stack)
     cond = np.linalg.cond(V)
     good = np.isfinite(cond) & (cond < 1e10)
     out = np.empty_like(stack)
@@ -350,12 +353,20 @@ def _eig_logs(stack: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     D = np.zeros_like(Vg)
     D[:, range(n), range(n)] = _log_on_branch(lam[good], thetas[good, None])
     out[good] = Vg @ D @ np.linalg.inv(Vg)
-    for k in np.flatnonzero(~good):
-        turn = float(thetas[k]) + math.pi
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out[k] = (scipy.linalg.logm(np.exp(-1j * turn) * stack[k])
-                      + 1j * turn * np.eye(n))
+    state = np.random.get_state()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            for k in np.flatnonzero(~good):
+                turn = float(thetas[k]) + math.pi
+                np.random.seed(0)
+                out[k] = (scipy.linalg.logm(np.exp(-1j * turn) * stack[k])
+                          + 1j * turn * np.eye(n))
+        except ValueError as exc:
+            raise NumericalError(f"logm failed at position {k}: {exc}",
+                                 position=int(k)) from None
+        finally:
+            np.random.set_state(state)
     return out
 
 
@@ -417,8 +428,8 @@ def mat_log(A: MatElement) -> MatElement:
     if A.m != A.n:
         raise DimensionMismatch("logarithm needs a square matrix")
     pl, cl, stack = A.ustack()
-    eigs = np.linalg.eigvals(stack)
-    singular = np.abs(eigs).min(axis=1) == 0.0
+    lam, V = np.linalg.eig(stack)
+    singular = np.abs(lam).min(axis=1) == 0.0
     sv = np.linalg.svd(stack, compute_uv=False)
     eps = np.finfo(np.float64).eps
     flagged = sv[:, -1] <= _SINGULAR_FLAG * A.n * eps * sv[:, 0]
@@ -427,8 +438,8 @@ def mat_log(A: MatElement) -> MatElement:
     if singular.any():
         raise NotInGL(int(singular.argmax()))
     import scipy.linalg
-    thetas = _branch_angles(eigs)
-    out = _eig_logs(stack, thetas)
+    thetas = _branch_angles(lam)
+    out = _eig_logs(stack, lam, V, thetas)
     err = np.max(np.abs(scipy.linalg.expm(out) - stack), axis=(1, 2))
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
     bad = ~(err <= _ROUNDTRIP_TOL * scale)  # nan included
@@ -449,86 +460,74 @@ def mat_log(A: MatElement) -> MatElement:
 # SL_n factorization into elementary matrices
 
 
-def _elementary(i: int, j: int, vals: np.ndarray, pl: int, w: Weight
-                ) -> ElementaryFactor:
-    """I + alpha e_ij, alpha the sequence with window values vals, periodic
-    from position pl on."""
-    return ElementaryFactor(i, j, Element(w, EPSeq.from_values(vals, pl)))
-
-
-def _gauss_factors(stack: np.ndarray, pl: int, w: Weight
-                   ) -> tuple[list[ElementaryFactor], np.ndarray]:
+def _gauss_factors(stack: np.ndarray) -> tuple[list, np.ndarray]:
     """Reduce each positionwise matrix to diagonal form by Gauss-Jordan
-    elimination, recording the elementary factors so that
-    input = product(factors) * diagonal.
+    elimination, recording each row operation as an (i, j, values) triple
+    so that input = product(I + values e_ij) * diagonal.
 
-    Column j's pivot is first raised by the stable-rank-1 step: where
-    |M_jj| < rho = ||M_{j+1:, j}||, row j gains t_i * row i for each i > j,
+    The forward sweep takes the columns left to right.  Column j's pivot is
+    first raised by the stable-rank-1 step: where |M_jj| < rho =
+    ||M_{j+1:, j}||, row j gains t_i * row i for each i > j,
     t_i = e^{i arg M_jj} conj(M_ij) / rho, so the pivot becomes
     e^{i arg M_jj} (|M_jj| + rho) and every multiplier is at most 1 in
-    modulus.  Raises NumericalError naming the first position where a pivot
-    is 0 or not finite."""
+    modulus; then the rows below are cleared.  The backward sweep clears
+    the rows above each pivot, right to left.  Raises NumericalError naming
+    the first position where a pivot is 0 or not finite."""
     M = stack.copy()
-    P, n, _ = M.shape
-    factors: list[ElementaryFactor] = []
-    order = [(i, j) for j in range(n) for i in range(j + 1, n)] + \
-            [(i, j) for j in range(n - 1, -1, -1) for i in range(j - 1, -1, -1)]
-    for i, j in order:
-        if i == j + 1:  # before the first elimination in column j
-            below = M[:, j + 1:, j]
-            rho = np.linalg.norm(below, axis=1)
-            low = np.abs(M[:, j, j]) < rho
-            phase = np.exp(1j * np.angle(M[:, j, j]))
-            # t[k, r - j - 1] = t_r at position k, 0 where the pivot is not low
-            t = np.where(low, phase / np.where(low, rho, 1.0), 0)[:, None] * below.conj()
-            for r in range(j + 1, n):
-                tr = t[:, r - j - 1]
-                if tr.any():
-                    M[:, j, :] += tr[:, None] * M[:, r, :]
-                    factors.append(_elementary(j, r, -tr, pl, w))
+    n = M.shape[1]
+    ops = []
+
+    def clear(j, rows):
         piv = np.abs(M[:, j, j])
         bad = ~(np.isfinite(piv) & (piv > 0))
         if bad.any():
             k = int(bad.argmax())
             raise NumericalError(f"pivot {piv[k]:.3e} at position {k}: "
                                  f"numerically singular", position=k)
-        alpha = M[:, i, j] / M[:, j, j]
-        if np.all(alpha == 0):
-            continue
-        M[:, i, :] -= alpha[:, None] * M[:, j, :]
-        factors.append(_elementary(i, j, alpha, pl, w))
-    return factors, M
+        for i in rows:
+            alpha = M[:, i, j] / M[:, j, j]
+            if alpha.any():
+                M[:, i, :] -= alpha[:, None] * M[:, j, :]
+                ops.append((i, j, alpha))
+
+    for j in range(n - 1):
+        below = M[:, j + 1:, j]
+        rho = np.linalg.norm(below, axis=1)
+        low = np.abs(M[:, j, j]) < rho
+        phase = np.exp(1j * np.angle(M[:, j, j]))
+        # t[k, r - j - 1] = t_r at position k, 0 where the pivot is not low
+        t = np.where(low, phase / np.where(low, rho, 1.0), 0)[:, None] * below.conj()
+        for r in range(j + 1, n):
+            tr = t[:, r - j - 1]
+            if tr.any():
+                M[:, j, :] += tr[:, None] * M[:, r, :]
+                ops.append((j, r, -tr))
+        clear(j, range(j + 1, n))
+    for j in range(n - 1, 0, -1):
+        clear(j, range(j - 1, -1, -1))
+    return ops, M
 
 
-def _whitehead_factors(diag_stack: np.ndarray, pl: int, w: Weight
-                       ) -> list[ElementaryFactor]:
-    """Factor a diagonal matrix of determinant ~1 into elementary factors.
+def _whitehead_factors(diag: np.ndarray) -> list:
+    """Factor a diagonal matrix of determinant ~1 into elementary factors,
+    (i, j, values) triples as _gauss_factors records them.
 
     diag(d_1, ..., d_n) telescopes into blocks diag(c_j, c_j^-1) on rows
     (j, j+1) with c_j = d_1 ... d_j; each block yields the five factors
     E12(c) E21(-1/c) E12(c-1) E21(1) E12(-1) (the classical commutator
     identity with the two middle shears merged)."""
-    P, n, _ = diag_stack.shape
-    d = np.diagonal(diag_stack, axis1=1, axis2=2)  # (P, n)
-    factors: list[ElementaryFactor] = []
+    P, n, _ = diag.shape
+    d = np.diagonal(diag, axis1=1, axis2=2)  # (P, n)
+    ops = []
     one = np.ones(P, dtype=complex)
     c = one
     for j in range(n - 1):
         c = c * d[:, j]
         if np.all(c == 1):
             continue
-        up, down = (j, j + 1), (j + 1, j)
-        for (a, b), vals in ((up, c), (down, -(1.0 / c)), (up, c - 1.0),
-                             (down, one), (up, -one)):
-            factors.append(_elementary(a, b, vals, pl, w))
-    return factors
-
-
-def _factor_stack(stack: np.ndarray, pl: int, w: Weight
-                  ) -> list[ElementaryFactor]:
-    factors, M = _gauss_factors(stack, pl, w)
-    factors.extend(_whitehead_factors(M, pl, w))
-    return factors
+        ops += [(j, j + 1, c), (j + 1, j, -(1.0 / c)), (j, j + 1, c - 1.0),
+                (j + 1, j, one), (j, j + 1, -one)]
+    return ops
 
 
 def _apply_factors(factors: Sequence[ElementaryFactor], P: int, n: int
@@ -539,13 +538,6 @@ def _apply_factors(factors: Sequence[ElementaryFactor], P: int, n: int
         # right-multiply by I + alpha e_ij: column j gains alpha * column i
         prod[:, :, f.j] += vals[:, None] * prod[:, :, f.i]
     return prod
-
-
-def _factor_error(factors: Sequence[ElementaryFactor], A: MatElement) -> float:
-    """Largest entry deviation of the ordered product of factors from A over
-    A's window."""
-    pl, cl, stack = A.ustack()
-    return float(np.max(np.abs(_apply_factors(factors, len(stack), A.n) - stack)))
 
 
 def sl_factor(A: MatElement, tol: float = 1e-9
@@ -570,8 +562,10 @@ def sl_factor(A: MatElement, tol: float = 1e-9
     if abs(dets[bad] - 1.0) > tol:
         raise NotSL(int(bad), complex(dets[bad]))
 
-    factors = _factor_stack(stack, pl, A.weight)
-    err = _factor_error(factors, A)
+    ops, diag = _gauss_factors(stack)
+    factors = [ElementaryFactor(i, j, Element(A.weight, EPSeq.from_values(vals, pl)))
+               for i, j, vals in ops + _whitehead_factors(diag)]
+    err = float(np.max(np.abs(_apply_factors(factors, len(stack), A.n) - stack)))
     if not err <= tol:  # nan included
         raise NumericalError(
             f"factor product deviates from the input by {err:.3e} > {tol:.3e}")

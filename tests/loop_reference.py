@@ -19,7 +19,9 @@ import numpy as np
 from hadalg import algebra, ideals
 from hadalg.coeffseq import EPSeq, GenSeq
 from hadalg.errors import (CoronaFails, HorizonExceeded, NotDivisible,
-                           NotInIdeal, NotInvertible, PointwiseDomainError)
+                           NotInIdeal, NotInvertible, NumericalError,
+                           PointwiseDomainError)
+from hadalg.matalg import ElementaryFactor
 
 
 def canonical(prefix, cycle):
@@ -277,6 +279,87 @@ def contour_log(U, theta, r, R, nodes):
         res = np.linalg.inv(z[:, None, None] * I[None, :, :] - U[None, :, :])
         acc += np.einsum("k,kij->ij", weights * logs * dz * dw, res)
     return acc / (2j * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# SL_n factorization
+
+
+def _elementary(i, j, vals, pl, w):
+    return ElementaryFactor(i, j, algebra.Element(w, EPSeq.from_values(vals, pl)))
+
+
+def gauss_factors(stack, pl, w):
+    """Gauss-Jordan elimination over one flat list of (row, column) pairs,
+    forward then backward, with the column's pivot raised by the
+    stable-rank-1 step before its first pair and checked before every pair;
+    each factor becomes an ElementaryFactor as soon as it is found."""
+    M = stack.copy()
+    P, n, _ = M.shape
+    factors = []
+    order = [(i, j) for j in range(n) for i in range(j + 1, n)] + \
+            [(i, j) for j in range(n - 1, -1, -1) for i in range(j - 1, -1, -1)]
+    for i, j in order:
+        if i == j + 1:  # before the first elimination in column j
+            below = M[:, j + 1:, j]
+            rho = np.linalg.norm(below, axis=1)
+            low = np.abs(M[:, j, j]) < rho
+            phase = np.exp(1j * np.angle(M[:, j, j]))
+            t = np.where(low, phase / np.where(low, rho, 1.0), 0)[:, None] * below.conj()
+            for r in range(j + 1, n):
+                tr = t[:, r - j - 1]
+                if tr.any():
+                    M[:, j, :] += tr[:, None] * M[:, r, :]
+                    factors.append(_elementary(j, r, -tr, pl, w))
+        piv = np.abs(M[:, j, j])
+        bad = ~(np.isfinite(piv) & (piv > 0))
+        if bad.any():
+            k = int(bad.argmax())
+            raise NumericalError(f"pivot {piv[k]:.3e} at position {k}: "
+                                 f"numerically singular", position=k)
+        alpha = M[:, i, j] / M[:, j, j]
+        if np.all(alpha == 0):
+            continue
+        M[:, i, :] -= alpha[:, None] * M[:, j, :]
+        factors.append(_elementary(i, j, alpha, pl, w))
+    return factors, M
+
+
+def whitehead_factors(diag_stack, pl, w):
+    """The five factors E12(c) E21(-1/c) E12(c-1) E21(1) E12(-1) of each
+    block diag(c_j, c_j^-1), c_j = d_1 ... d_j, skipping blocks with
+    c_j = 1 at every position."""
+    P, n, _ = diag_stack.shape
+    d = np.diagonal(diag_stack, axis1=1, axis2=2)
+    factors = []
+    one = np.ones(P, dtype=complex)
+    c = one
+    for j in range(n - 1):
+        c = c * d[:, j]
+        if np.all(c == 1):
+            continue
+        up, down = (j, j + 1), (j + 1, j)
+        for (a, b), vals in ((up, c), (down, -(1.0 / c)), (up, c - 1.0),
+                             (down, one), (up, -one)):
+            factors.append(_elementary(a, b, vals, pl, w))
+    return factors
+
+
+def sl_factor(stack, pl, w, tol):
+    """The factors of the stack and the largest entry deviation of their
+    ordered product from it, without the determinant check; raises
+    NumericalError where the deviation exceeds tol."""
+    factors, M = gauss_factors(stack, pl, w)
+    factors += whitehead_factors(M, pl, w)
+    P, n, _ = stack.shape
+    prod = np.broadcast_to(np.eye(n, dtype=complex), (P, n, n)).copy()
+    for f in factors:
+        prod[:, :, f.j] += f.alpha.u.take(P)[:, None] * prod[:, :, f.i]
+    err = float(np.max(np.abs(prod - stack)))
+    if not err <= tol:
+        raise NumericalError(
+            f"factor product deviates from the input by {err:.3e} > {tol:.3e}")
+    return factors, err
 
 
 # ---------------------------------------------------------------------------

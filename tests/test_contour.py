@@ -57,6 +57,27 @@ def near_jordan(n):
     return U
 
 
+def conjugated_jordans(n, positions=17):
+    """V J V^-1 at each position, J a Jordan block at a random eigenvalue
+    with its diagonal moved by about 1e-9 and V = I + 0.3 G: every position
+    takes the logm fallback.  The generator's seed is 1000 n + JORDAN_SEEDS[n]."""
+    rng = np.random.default_rng(1000 * n + JORDAN_SEEDS[n])
+    out = []
+    for _ in range(positions):
+        lam = np.exp(1j * rng.uniform(-3, 3)) * rng.uniform(0.5, 2)
+        J = lam * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1)
+        J[np.diag_indices(n)] += 1e-9 * rng.standard_normal(n)
+        V = np.eye(n) + 0.3 * (rng.standard_normal((n, n))
+                               + 1j * rng.standard_normal((n, n)))
+        out.append(V @ J @ np.linalg.inv(V))
+    return np.array(out)
+
+
+# seeds whose stacks logm answered differently after np.random.seed(0) and
+# np.random.seed(1) while it drew from the caller's global generator
+JORDAN_SEEDS = {5: 10, 6: 1}
+
+
 def mat_log(stack):
     """mat_log of the matrix whose cycle is the stack, as a stack."""
     B = ma.mat_log(ma.from_ustack(FACTORIAL, 0, np.asarray(stack)))
@@ -139,8 +160,8 @@ def test_wrong_branch_at_one_position_is_caught(position, monkeypatch):
     A = ma.from_ustack(FACTORIAL, 0, stack)
     eig_logs = ma._eig_logs
 
-    def shifted(stack, thetas):
-        B = eig_logs(stack, thetas)
+    def shifted(stack, lam, V, thetas):
+        B = eig_logs(stack, lam, V, thetas)
         B[position] += 2j * math.pi * np.eye(stack.shape[1])
         return B
 
@@ -150,6 +171,24 @@ def test_wrong_branch_at_one_position_is_caught(position, monkeypatch):
         ma.mat_log(A)
     assert ei.value.position == position
     assert ei.value.margin <= -math.pi / 4 + 1e-9
+
+
+@pytest.mark.parametrize("n", sorted(JORDAN_SEEDS))
+def test_logm_fallback_neither_reads_nor_moves_the_global_generator(n):
+    """logm's 1-norm estimates draw random vectors from numpy's global
+    generator; mat_log runs them from a fixed seed and puts the caller's
+    state back."""
+    stack = conjugated_jordans(n)
+    assert not np.any(np.linalg.cond(np.linalg.eig(stack)[1]) < 1e10)
+    logs = []
+    for seed in (0, 1):
+        np.random.seed(seed)
+        kind, keys, *rest = np.random.get_state()
+        logs.append(mat_log(stack))
+        after_kind, after_keys, *after_rest = np.random.get_state()
+        assert (after_kind, after_rest) == (kind, rest)
+        assert np.array_equal(after_keys, keys)
+    assert logs[0].tobytes() == logs[1].tobytes()
 
 
 @pytest.mark.parametrize("lam, n", [(2, 2), (-1, 2), (1j, 3)])

@@ -14,6 +14,7 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,16 @@ def constant_matrix(rows):
             "entries": [[{"cycle": [[v, 0]]} for v in row] for row in rows]}
 
 
+def wide_exponent_matrix(seed, n=7):
+    """Entries (uniform(-1, 1) + i uniform(-1, 1)) 10^e, e drawn from
+    100..300 per entry: logm's own error estimate overflows on it."""
+    rng = np.random.default_rng(seed)
+    U = ((rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
+         * 10.0 ** rng.integers(100, 301, (n, n)))
+    return {"weight": "factorial",
+            "entries": [[{"cycle": [[v.real, v.imag]]} for v in row] for row in U]}
+
+
 # documents that once ended in an exception or printed more than the
 # one-line summary, with their exits and (where pinned) their stderr
 @pytest.mark.parametrize("group, op, text, code, err", [
@@ -194,9 +205,12 @@ def constant_matrix(rows):
     # a Jordan-like position sends _eig_logs to scipy's logm, which warns
     ("mat", "log", json.dumps(constant_matrix([[1e-300, 1e-300], [1, 1e-300]])), 4,
      "numerical failure: logarithm round-trip error 4.576e+155 at position 0\n"),
+    ("mat", "log", json.dumps(wide_exponent_matrix(1)), 4,
+     "numerical failure: logm failed at position 0: "
+     "array must not contain infs or NaNs\n"),
 ], ids=["gcd-no-elements", "corona-no-elements", "ideal-member-no-generators",
         "corona-elements-null", "int-of-5000-digits", "log-singular-2x2",
-        "log-nearly-singular-logm"])
+        "log-nearly-singular-logm", "log-logm-overflows"])
 def test_found_documents(group, op, text, code, err, tmp_path, capsys):
     # outside pytest a warning prints to stderr, so none may be raised
     with warnings.catch_warnings(record=True) as caught:

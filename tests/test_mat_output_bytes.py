@@ -1,10 +1,13 @@
-"""`mat det`, `mat log` and `mat solve` keep their output bytes.
+"""`mat det`, `mat log`, `mat solve` and `mat sl-factor` keep their output
+bytes.
 
 Each document is built here from its own numpy seed: n = 2..7, windows of
 up to 129 positions, entries whose windows differ in length.  A det whose
 stacked value has a zero part (the real-valued documents) takes the
 expansion over the entries, and one solve per size is inconsistent at one
-position, so its exit 2 witness is pinned too.
+position, so its exit 2 witness is pinned too.  Every sl-factor document
+has one position whose pivots are all 0, so each of its columns boosts, and
+every position of a log-jordan document takes the logm fallback.
 """
 
 import hashlib
@@ -15,6 +18,8 @@ import pytest
 import scipy.linalg
 
 from hadalg.cli import run
+
+from test_contour import conjugated_jordans
 
 
 def cells(values, pl):
@@ -74,12 +79,29 @@ def solve_doc(n, consistent):
     return {"A": stack_doc(A), "b": stack_doc(b)}
 
 
+def sl_doc(n):
+    """exp of a traceless random matrix at n - 1 + 2^(n-1) positions,
+    periodic from position n - 1 on; one position is the cyclic shift times
+    unit phases of product (-1)^(n-1), determinant one with every pivot 0."""
+    rng = np.random.default_rng(1000 + n)
+    P = n - 1 + 2 ** (n - 1)
+    X = 0.8 * gaussian(rng, P, n, n)
+    X -= (np.trace(X, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    stack = scipy.linalg.expm(X)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    phases[-1] = (-1) ** (n - 1) / np.prod(phases[:-1])
+    stack[rng.integers(P)] = np.roll(np.eye(n), 1, axis=0) * phases
+    return stack_doc(stack, pl=n - 1)
+
+
 DOCS = {
     "det": lambda n: det_doc(n, real=False),
     "det-real": lambda n: det_doc(n, real=True),
     "log": log_doc,
     "solve": lambda n: solve_doc(n, consistent=True),
     "solve-inconsistent": lambda n: solve_doc(n, consistent=False),
+    "sl-factor": sl_doc,
+    "log-jordan": lambda n: stack_doc(conjugated_jordans(n)),
 }
 
 # (exit code, sha256 of the --out file)
@@ -114,6 +136,14 @@ DIGESTS = {
     ("solve-inconsistent", 5): (2, "211393ef0da321d7e716cf5d9ed84b0c271c3e70f8e29224d12a990c885d241b"),
     ("solve-inconsistent", 6): (2, "adc15c699fa55774f24a572eba48d0f13d6712e7d83ca89a32842194eb7acdc5"),
     ("solve-inconsistent", 7): (2, "e74be142a10af7556e8e480af2eb6308d836bb0062c577a599b451a19f7f2c0b"),
+    ("sl-factor", 2): (0, "40cf9e244e135ad53ee06fc7ac96ab046af2d954fa834ab659eda2cd75cfdfae"),
+    ("sl-factor", 3): (0, "62f25d9c58abbafe9e7e9a942c3035b4434c7b2d3241ca18f9ed0c8ec0b31f8f"),
+    ("sl-factor", 4): (0, "633394aba5b84720dacac948bfde95010d45c43570a70a37514b346d74ee82dc"),
+    ("sl-factor", 5): (0, "2dafbf6f037fbfdb25c32a19a60b94972590ee88a0cf4477d98ce4fbc488e43d"),
+    ("sl-factor", 6): (0, "fcb35f165f689085cd27250216a8fe0b5b61fe81e0ac5ece88a3661ee7a91136"),
+    ("sl-factor", 7): (0, "f7982bec1490f6723cc499f78a22d66ab9f2f1a194a467d3bc7ace403721c2e5"),
+    ("log-jordan", 5): (0, "7b62ca4e4f4116e6f124dc111306a73d40a4ae62da93be8c8cd06b896079986d"),
+    ("log-jordan", 6): (0, "426522e0df16c707565fee4931e4dabb6a8d37937b9ca898a076588524126993"),
 }
 
 
@@ -122,6 +152,6 @@ def test_output_bytes(kind, n, tmp_path):
     code, digest = DIGESTS[kind, n]
     doc, out = tmp_path / "doc.json", tmp_path / "out.json"
     doc.write_text(json.dumps(DOCS[kind](n)))
-    op = kind.split("-")[0]
+    op = "sl-factor" if kind == "sl-factor" else kind.split("-")[0]
     assert run(["mat", op, "--json", str(doc), "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,18 +1,23 @@
 """MatElement keeps one canonical stack of U(k): it agrees with its entries,
 round-trips through from_ustack, and mat_mul on the stack reproduces the
-position-by-position loop bit for bit and the star/add path under ==."""
+position-by-position loop bit for bit and the star/add path under ==.
+sl_factor's column sweeps reproduce the flat order-list elimination bit for
+bit."""
 
 import functools
+import math
 import random
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from hadalg import algebra as alg
 from hadalg import matalg as ma
 from hadalg.coeffseq import MAX_WINDOW, EPSeq, _canonical, joint_shape
-from hadalg.errors import DimensionMismatch, WeightMismatch, WindowTooLarge
+from hadalg.errors import (DimensionMismatch, NumericalError, WeightMismatch,
+                           WindowTooLarge)
 from hadalg.weights import FACTORIAL
 
 import loop_reference as ref
@@ -131,3 +136,76 @@ def test_window_budget():
         ma.mat_mul(A, B)
     with pytest.raises(WindowTooLarge):
         ma.MatElement(W, ((a, b),))
+
+
+def gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def exp_traceless(rng, P, n):
+    X = gaussian(rng, P, n, n)
+    X -= (np.trace(X, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    return scipy.linalg.expm(X)
+
+
+def quarter_turn(rng, P, n):
+    """exp_traceless with one position the cyclic shift times unit phases
+    of product (-1)^(n-1): every pivot there is 0, so every column boosts."""
+    stack = exp_traceless(rng, P, n)
+    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+    phases[-1] = (-1) ** (n - 1) / np.prod(phases[:-1])
+    stack[rng.integers(P)] = np.roll(np.eye(n), 1, axis=0) * phases
+    return stack
+
+
+def signed_permutation(rng, P, n):
+    """A permutation matrix with signed ones, its zeros -0.0 in a random
+    part at each cell."""
+    stack = np.empty((P, n, n), dtype=complex)
+    for k in range(P):
+        stack.real[k], stack.imag[k] = np.where(rng.integers(0, 2, (2, n, n)), -0.0, 0.0)
+        stack[k, range(n), rng.permutation(n)] = rng.choice([-1.0, 1.0], n)
+    return stack
+
+
+def zero_column(rng, P, n):
+    stack = gaussian(rng, P, n, n)
+    stack[rng.integers(P), :, rng.integers(n)] = 0.0
+    return stack
+
+
+SL_DRAWS = {
+    "exp-traceless": exp_traceless,
+    "quarter-turn": quarter_turn,
+    "real": lambda rng, P, n: rng.standard_normal((P, n, n)).astype(complex),
+    "signed-permutation": signed_permutation,
+    "upper-triangular": lambda rng, P, n: np.triu(gaussian(rng, P, n, n)),
+    "zero-column": zero_column,
+    "times-1e3": lambda rng, P, n: 1e3 * gaussian(rng, P, n, n),
+}
+
+
+def factoring(factor):
+    """What a factorization answers, bit for bit: each factor's i, j and
+    alpha (window and value bits) and the verified error, or the
+    NumericalError's message and position."""
+    try:
+        factors, err = factor()
+    except NumericalError as exc:
+        return str(exc), getattr(exc, "position", None)
+    return ([(f.i, f.j, f.alpha.u.period_start, f.alpha.u.array.tobytes())
+             for f in factors], np.float64(err).tobytes())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("kind", SL_DRAWS)
+def test_sl_factor_matches_order_list_reference(kind, n):
+    """With tol = inf neither the determinant check nor the product check
+    refuses, so every draw runs the whole elimination."""
+    rng = np.random.default_rng([n, list(SL_DRAWS).index(kind)])
+    for _ in range(6):
+        pl, cl = int(rng.integers(0, 3)), int(rng.integers(1, 5))
+        A = ma.from_ustack(W, pl, SL_DRAWS[kind](rng, pl + cl, n))
+        pl, _, stack = A.ustack()
+        assert factoring(lambda: ma.sl_factor(A, tol=math.inf)) == \
+            factoring(lambda: ref.sl_factor(stack, pl, W, math.inf))
