@@ -365,7 +365,6 @@ def bass_reduce(f1: Element, f2: Element, g1: Element, g2: Element,
     if bezout.u != EPSeq.constant(1.0):
         raise PreconditionFailed("g1*f1 + g2*f2 is not exactly the unit")
     u_el = _element(w, 1.0 + _abs(f1.u.array), f1.u.period_start)
-    _, u_inv = invertible(u_el)
     g1u = star(g1, u_el)
     h1 = approx_invertible(g1u, eps)
     inv_h1 = invertible(h1)
@@ -374,6 +373,11 @@ def bass_reduce(f1: Element, f2: Element, g1: Element, g2: Element,
     _, h1_inv = inv_h1
     h = star(star(h1_inv, u_el), g2)
     witness = add(f1, star(h, f2))
+    bad = [int(np.isfinite(u.array).argmin()) for u in (h.u, witness.u)
+           if not np.isfinite(u.array).all()]
+    if bad:
+        raise NumericalError(f"h or the witness is not finite at index {min(bad)}",
+                             index=min(bad))
     delta = inf_abs(witness.u)
     if delta <= 0.0:
         raise PreconditionFailed(

@@ -12,6 +12,7 @@ families of finite-dimensional problems.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -156,40 +157,14 @@ def mat_mul(A: MatElement, B: MatElement) -> MatElement:
     return from_ustack(A.weight, pl, acc)
 
 
-def _cofactor_det(rows, mul, add, neg):
-    """Determinant of the square rows by cofactor expansion along the top
-    row, with the ring operations mul, add and neg.
-
-    The minor below row r depends only on the columns it keeps, so each of
-    the 2^n column subsets is expanded once: n 2^(n-1) mul/add pairs in
-    place of about e n!, with the same operations on each minor.
-    """
-    n = len(rows)
-    memo: dict[tuple, object] = {}
-
-    def det(cols: tuple):
-        row = rows[n - len(cols)]
-        if len(cols) == 1:
-            return row[cols[0]]
-        if cols not in memo:
-            acc = None
-            for j, c in enumerate(cols):
-                term = mul(row[c], det(cols[:j] + cols[j + 1:]))
-                if j % 2:
-                    term = neg(term)
-                acc = term if acc is None else add(acc, term)
-            memo[cols] = acc
-        return memo[cols]
-
-    return det(tuple(range(n)))
-
-
 @cache
 def _minor_plan(n: int) -> tuple:
-    """_cofactor_det's expansion of an n x n matrix, one level per minor
-    size s = 2..n.  Level s lists, for each j < s, the column that row
-    n - s contributes to every s-column subset (in combinations order) and
-    the index of the minor it multiplies among the (s - 1)-column subsets."""
+    """The cofactor expansion of an n x n matrix along its top row, one
+    level per minor size s = 2..n.  The minor below row n - s depends only
+    on the s columns it keeps, so each of the 2^n column subsets is expanded
+    once.  Level s lists, for each j < s, the column that row n - s
+    contributes to every s-column subset (in combinations order) and the
+    index of the minor it multiplies among the (s - 1)-column subsets."""
     levels, prev = [], {(c,): c for c in range(n)}
     for s in range(2, n + 1):
         subsets = list(combinations(range(n), s))
@@ -200,43 +175,48 @@ def _minor_plan(n: int) -> tuple:
     return tuple(levels)
 
 
-@_silent
-def _stacked_det(stack: np.ndarray) -> np.ndarray:
-    """_cofactor_det of every matrix of the stack, with CPython's complex
-    product, + and the product by -1 that scalar_mul makes: all minors of
-    one size at once, each by the same operations in the same order as
-    star/add/scalar_mul over the entries."""
-    n = stack.shape[1]
-    det = stack[:, n - 1, :]
+def _expand(rows: np.ndarray, mul, add, neg) -> np.ndarray:
+    """Determinants of the square matrices on the last two axes of rows, by
+    cofactor expansion along the top row with the ring operations mul, add
+    and neg on arrays: every minor of one size at once (_minor_plan), terms
+    in ascending column order, odd ones through neg, summed left to right.
+    n 2^(n-1) mul/add pairs in place of about e n!."""
+    n = rows.shape[-1]
+    det = rows[..., n - 1, :]
     for s, level in enumerate(_minor_plan(n), start=2):
-        row = stack[:, n - s, :]
+        row = rows[..., n - s, :]
         acc = None
         for j, (cols, minors) in enumerate(level):
-            term = _mul(row[:, cols], det[:, minors])
+            term = mul(row[..., cols], det[..., minors])
             if j % 2:
-                term = _mul(complex(-1.0), term)
-            acc = term if acc is None else acc + term
+                term = neg(term)
+            acc = term if acc is None else add(acc, term)
         det = acc
-    return det[:, 0]
+    return det[..., 0]
 
 
+@_silent
 def mat_det(A: MatElement) -> Element:
     """Determinant over the algebra (cofactor expansion with star/add).
 
-    The expansion runs on A's stack (_stacked_det).  Star/add over the
-    entries differ from it only where canonicalising a sequence picks the
-    sign of a zero part, and such a sign reaches only output parts that are
-    themselves zero.  So the stacked value is the answer when every real and
-    imaginary part of it is finite and nonzero; otherwise star/add run over
-    A.entries, which get the signs of zeros right.
+    The expansion runs on A's stack with CPython's complex *, + and the
+    product by -1 that scalar_mul makes.  Star/add over the entries differ
+    from it only where canonicalising a sequence picks the sign of a zero
+    part, and such a sign reaches only output parts that are themselves
+    zero.  So the stacked value is the answer when every real and imaginary
+    part of it is finite and nonzero; otherwise star/add run over A.entries.
     """
     if A.m != A.n:
         raise DimensionMismatch("determinant needs a square matrix")
-    det = _stacked_det(A.array)
+    det = _expand(A.array, _mul, operator.add,
+                  lambda t: _mul(complex(-1.0), t))
     if np.isfinite(det).all() and det.real.all() and det.imag.all():
         return algebra._element(A.weight, det, A.period_start)
-    return _cofactor_det(A.entries, algebra.star, algebra.add,
-                         lambda t: algebra.scalar_mul(-1.0, t))
+    rows = np.empty((A.n, A.n), dtype=object)
+    rows[...] = A.entries
+    return _expand(rows, np.frompyfunc(algebra.star, 2, 1),
+                   np.frompyfunc(algebra.add, 2, 1),
+                   np.frompyfunc(lambda t: algebra.scalar_mul(-1.0, t), 1, 1))[()]
 
 
 def mat_norm_bounds(A: MatElement) -> tuple[float, float]:
@@ -339,8 +319,12 @@ def _eig_logs(stack: np.ndarray, lam: np.ndarray, V: np.ndarray,
     U(k) = V diag(lam) V^-1, that is V diag(log_theta lam) V^-1.  Where the
     eigenvector basis is ill-conditioned (a Jordan block, say) it is the
     principal logm of U(k) turned by e^{-i(theta + pi)}, which puts the cut
-    on the negative axis, plus i(theta + pi) I.  logm's accuracy warnings
-    are silenced: mat_log's round-trip and branch checks judge the result.
+    on the negative axis, plus i(theta + pi) I.  Where the binary exponent
+    e of that matrix's largest entry exceeds 64 in modulus, logm takes it
+    times 2^-e (exact for each part that stays normal) and e ln 2 I is
+    added: near the double range logm's inverse scaling and squaring can
+    run for minutes.  logm's accuracy warnings are silenced: mat_log's
+    round-trip and branch checks judge the result.
     logm estimates 1-norms from random vectors of numpy's global generator,
     so each position runs it from seed 0 and the caller's generator state
     is put back afterwards; a logm that fails raises NumericalError."""
@@ -359,9 +343,13 @@ def _eig_logs(stack: np.ndarray, lam: np.ndarray, V: np.ndarray,
         try:
             for k in np.flatnonzero(~good):
                 turn = float(thetas[k]) + math.pi
+                M, shift = np.exp(-1j * turn) * stack[k], 1j * turn
+                e = math.frexp(float(np.abs(M).max()))[1]
+                if abs(e) > 64:
+                    M = np.ldexp(M.view(np.float64), -e).view(M.dtype)
+                    shift += e * math.log(2.0)
                 np.random.seed(0)
-                out[k] = (scipy.linalg.logm(np.exp(-1j * turn) * stack[k])
-                          + 1j * turn * np.eye(n))
+                out[k] = scipy.linalg.logm(M) + shift * np.eye(n)
         except ValueError as exc:
             raise NumericalError(f"logm failed at position {k}: {exc}",
                                  position=int(k)) from None
@@ -374,17 +362,15 @@ def _exactly_singular(U: np.ndarray) -> bool:
     """Whether det U = 0 exactly, for U as its doubles read.  Every double
     is an integer over a power of two, so one power of two scales U to a
     matrix of Gaussian integers, expanded with Python ints."""
-    n = len(U)
     ratios = [x.as_integer_ratio()
-              for x in np.stack([U.real, U.imag], axis=-1).ravel().tolist()]
+              for x in np.stack([U.real, U.imag]).ravel().tolist()]
     scale = max(q for _, q in ratios)
-    ints = [p * (scale // q) for p, q in ratios]
-    cells = list(zip(ints[0::2], ints[1::2]))   # (re, im) of row-major entries
-    rows = [cells[i * n:(i + 1) * n] for i in range(n)]
-    det = _cofactor_det(
-        rows, lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]),
-        lambda a, b: (a[0] + b[0], a[1] + b[1]), lambda a: (-a[0], -a[1]))
-    return det == (0, 0)
+    ints = np.array([p * (scale // q) for p, q in ratios], dtype=object)
+    det = _expand(ints.reshape(2, *U.shape),
+                  lambda a, b: np.stack([a[0] * b[0] - a[1] * b[1],
+                                         a[0] * b[1] + a[1] * b[0]]),
+                  operator.add, operator.neg)
+    return not any(det)
 
 
 # a position whose smallest singular value is at most this many n eps
@@ -440,7 +426,8 @@ def mat_log(A: MatElement) -> MatElement:
     import scipy.linalg
     thetas = _branch_angles(lam)
     out = _eig_logs(stack, lam, V, thetas)
-    err = np.max(np.abs(scipy.linalg.expm(out) - stack), axis=(1, 2))
+    with np.errstate(all="ignore"):  # an overflow fails the round trip
+        err = np.max(np.abs(scipy.linalg.expm(out) - stack), axis=(1, 2))
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
     bad = ~(err <= _ROUNDTRIP_TOL * scale)  # nan included
     if bad.any():

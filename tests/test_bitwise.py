@@ -218,13 +218,14 @@ def test_mat_det_stacked_matches_memo(n, monkeypatch):
     take both of mat_det's paths: the stacked expansion, and the expansion
     over the entries where a part of the stacked value is zero or not
     finite (overflow, underflow, real values, signed zeros)."""
-    memo, fallbacks = ma._cofactor_det, []
+    expand, fallbacks = ma._expand, []
 
-    def counted(*args):
-        fallbacks.append(None)
-        return memo(*args)
+    def counted(rows, *ops):
+        if rows.dtype == object:
+            fallbacks.append(None)
+        return expand(rows, *ops)
 
-    monkeypatch.setattr(ma, "_cofactor_det", counted)
+    monkeypatch.setattr(ma, "_expand", counted)
     rng = random.Random(600 + n)
     draws = 0
     for draw in KINDS + [real_gauss_int, overflowing, underflowing]:
@@ -232,11 +233,38 @@ def test_mat_det_stacked_matches_memo(n, monkeypatch):
             rows = tuple(tuple(pair(rng, draw)[0] for _ in range(n))
                          for _ in range(n))
             A = ma.MatElement(W, rows)
-            want = memo(A.entries, alg.star, alg.add,
-                        lambda t: alg.scalar_mul(-1.0, t))
+            want = ref.memo_cofactor_det(A.entries, alg.star, alg.add,
+                                         lambda t: alg.scalar_mul(-1.0, t))
             assert bits(ma.mat_det(A)) == bits(want)
             draws += 1
     assert 0 < len(fallbacks) < draws
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_exactly_singular_matches_exact_det(n):
+    """mat_log's exact singularity test agrees with Bareiss's elimination
+    over the Gaussian integers on full-rank matrices and on ones with a
+    zero, repeated or scaled row, with entries scaled by 2^+-40, 2^+-1000
+    and into the subnormal range."""
+    rng = random.Random(1200 + n)
+    verdicts = set()
+    for scale in (1.0, 2.0 ** 40, 2.0 ** -40, 2.0 ** 1000, 2.0 ** -1000,
+                  2.0 ** -1060):
+        for draw in (gauss_int, generic):
+            for rank in ("full", "zero", "repeated", "scaled"):
+                U = np.array([[draw(rng) for _ in range(n)] for _ in range(n)])
+                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                if rank == "zero":
+                    U[i] = 0.0
+                elif rank == "repeated":
+                    U[i] = U[j]
+                elif rank == "scaled":
+                    U[i] = complex(rng.choice((-3, 1, 2)), rng.choice((0, 1))) * U[j]
+                U = U * scale
+                singular = ref.exact_det(U) == (0, 0)
+                assert ma._exactly_singular(U) == singular, (scale, draw, rank)
+                verdicts.add(singular)
+    assert verdicts == {False, True}
 
 
 SPECTRA = [

@@ -181,6 +181,14 @@ class TestTypedExits:
         code, out = elem(tmp_path, "divide", {"f": zero, "g": u})
         assert (code, out["quotient"]["normalized"]["cycle"]) == (0, [[0.0, 0.0]])
 
+    def test_bass_reduce_non_finite_witness_is_numerical(self, tmp_path, capsys):
+        # u = 1 + |f1| overflows to inf, so h = [Infinity, NaN] and the
+        # witness and its delta are NaN: no answer, not an uncertified one
+        one, zero = element([], [[1, 0]]), element([], [[0, 0]])
+        doc = {"f1": element([], [[1e308, 1e308]]), "f2": one, "g1": zero, "g2": one}
+        assert elem(tmp_path, "bass-reduce", doc) == (4, None)
+        assert "not finite at index 0" in capsys.readouterr().err
+
     def test_trajectory_past_the_double_range(self, tmp_path):
         # |u| overflows: inf, as elem norm answers, not a traceback
         u = element([], [[1.7e308, 1.7e308]])

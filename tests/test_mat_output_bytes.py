@@ -1,13 +1,14 @@
 """`mat det`, `mat log`, `mat solve` and `mat sl-factor` keep their output
 bytes.
 
-Each document is built here from its own numpy seed: n = 2..7, windows of
-up to 129 positions, entries whose windows differ in length.  A det whose
-stacked value has a zero part (the real-valued documents) takes the
-expansion over the entries, and one solve per size is inconsistent at one
-position, so its exit 2 witness is pinned too.  Every sl-factor document
-has one position whose pivots are all 0, so each of its columns boosts, and
-every position of a log-jordan document takes the logm fallback.
+Each document is built here from its own numpy seed: n = 2..7 (det-edge
+from n = 1), windows of up to 129 positions, entries whose windows differ
+in length.  A det whose stacked value has a zero or non-finite part (the
+real-valued and det-edge documents) takes the expansion over the entries,
+and one solve per size is inconsistent at one position, so its exit 2
+witness is pinned too.  Every sl-factor document has one position whose
+pivots are all 0, so each of its columns boosts, and every position of a
+log-jordan document takes the logm fallback.
 """
 
 import hashlib
@@ -59,6 +60,37 @@ def det_doc(n, real):
     return {"weight": "factorial", "entries": rows}
 
 
+def det_edge_doc(n):
+    """Entry (i, j) has a prefix of 0..3 and a cycle of 1..3 values, real
+    parts in {-1, 0, 1} and imaginary parts 0, every zero of either sign;
+    about one value in 4 n^2 is a Gaussian scaled by 10^100..10^300
+    (products overflow) and as many by 10^-320..10^-200 (products
+    underflow).  The seeds put both kinds in every document, and for n >= 2
+    make the expansion over the entries differ from the stacked one in the
+    sign of a zero part."""
+    rng = np.random.default_rng(DET_EDGE_SEEDS[n])
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            pl, cl = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+            size = pl + cl
+            vals = np.empty(size, dtype=complex)
+            vals.real = np.copysign(rng.choice([-1, 0, 0, 0, 1], size),
+                                    rng.choice([1.0, -1.0], size))
+            vals.imag = rng.choice([0.0, -0.0], size)
+            kind = rng.integers(0, 4 * n * n, size)
+            big = gaussian(rng, size) * 10.0 ** rng.integers(100, 301, size)
+            tiny = gaussian(rng, size) * 10.0 ** -rng.integers(200, 321, size)
+            vals = np.where(kind == 0, big, np.where(kind == 1, tiny, vals))
+            row.append(cells(vals, pl))
+        rows.append(row)
+    return {"weight": "factorial", "entries": rows}
+
+
+DET_EDGE_SEEDS = {1: 1201, 2: 1306, 3: 1444, 4: 1599, 5: 1731, 6: 1965, 7: 12529}
+
+
 def log_doc(n):
     """exp of a random matrix at each of 1 + 2^n positions."""
     rng = np.random.default_rng(800 + n)
@@ -97,6 +129,7 @@ def sl_doc(n):
 DOCS = {
     "det": lambda n: det_doc(n, real=False),
     "det-real": lambda n: det_doc(n, real=True),
+    "det-edge": det_edge_doc,
     "log": log_doc,
     "solve": lambda n: solve_doc(n, consistent=True),
     "solve-inconsistent": lambda n: solve_doc(n, consistent=False),
@@ -118,6 +151,13 @@ DIGESTS = {
     ("det-real", 5): (0, "c2461591408bd64fb5570a40b8c445d211eb74ea2488af7c35f35e08ff907aa0"),
     ("det-real", 6): (0, "3f2e06d41b4cd47489ed9711dd1c1edd7212fd4a6a4cf8765df925a3ac5a7447"),
     ("det-real", 7): (0, "4deee9d14d6cbe6c8fa873a8bbc3086e15b0baf23ed6e137e1ae9a6a7b457e70"),
+    ("det-edge", 1): (0, "770405327df8cadf24cbbe2a45c91f000f88affe854194464c8342266f05c5d6"),
+    ("det-edge", 2): (0, "b934addad08d3df6bdc98e7fd2538702e7f69ee78cb05d78aa2dab998eb6983d"),
+    ("det-edge", 3): (0, "08733105f3919f76a675a9caea21f53c47060b9238e2ebf7d48da3f3bebf53eb"),
+    ("det-edge", 4): (0, "63e041c8c34d442ac571bc3a5c1150ded4acd99845d9b0ffc6aeda23ee2ae9fd"),
+    ("det-edge", 5): (0, "d36a28088193a9e3d6b9b11e395c3d6daccfdc67e76029a1b2d3a18702726026"),
+    ("det-edge", 6): (0, "ee18d8852821bf3c1c075ee5b2df8fad40f66bccbc30e1da003c9011db407052"),
+    ("det-edge", 7): (0, "a93578fb451e9e03e9ea696461a3ca564ffdb7b00086ecc0a261af79722fdd8e"),
     ("log", 2): (0, "e2b58e96480c197df0516ab5873821ff472c46f8acdcc4b5eef1a1084fdb8fc5"),
     ("log", 3): (0, "803fdb71bbe83a0b1f58429de144f86ce0069fb073861a243197dc7a14700005"),
     ("log", 4): (0, "ba8909c9463b53e9663802fa707a512f0eac86d90ca6076e3a154f640a975e7e"),
