@@ -14,6 +14,8 @@ point evaluation.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -174,13 +176,40 @@ class EvalResult:
     terms: int
 
 
+def _least(hit: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
+    """The least N in [lo, hi] with hit(N), or None when there is none, for
+    a hit that is false up to some index and true from there on.  Gallops
+    (lo, lo + 2, lo + 6, lo + 14, ...) and bisects the last gap, so an
+    answer k indices past lo costs O(log k) calls of hit."""
+    below, step = lo - 1, 1
+    while True:
+        N = min(below + step, hi)
+        if N <= below:
+            return None
+        if hit(N):
+            break
+        below, step = N, 2 * step
+    while N - below > 1:  # hit(N) holds and hit(below) does not
+        mid = (below + N) // 2
+        if hit(mid):
+            N = mid
+        else:
+            below = mid
+    return N
+
+
 def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
     """Certified partial sum of f(z) = sum u(n)/p(n) z^n.
 
-    The truncation index N <= MAX_EVAL_TERMS is chosen so that
-    sup|u| * tail_bound(N, |z|) <= tol.  Terms are accumulated through the
-    incremental ratio t_{n+1} = t_n * z * p(n)/p(n+1), avoiding raw weight
-    values.
+    The truncation index N <= MAX_EVAL_TERMS is the first index from
+    w.tail_start(|z|) where sup|u| * tail_bound(N, |z|) certifies tol or
+    overflows, as a scan would meet it, found in O(log N) calls of
+    tail_bound.  One search finds the least N1 that the ratio test accepts
+    (refused below it, accepted from it on).  Unless N1 decides, a second
+    finds the least later N within tol or past the double range: past N1
+    the bound at least halves per index, so the bounds above tol come
+    first.  Terms are accumulated through the incremental ratio
+    t_{n+1} = t_n * z * p(n)/p(n+1), avoiding raw weight values.
     """
     if tol <= 0:
         raise InvalidArgument("tol must be positive")
@@ -190,32 +219,45 @@ def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
     except OverflowError:  # |z| itself is past the double range
         r = math.inf
     sup = sup_abs(f.u)
-    N = w.tail_start(r, MAX_EVAL_TERMS)
-    bound = None
-    while True:
-        if N > MAX_EVAL_TERMS:
-            raise BoundUnavailable(
-                f"no truncation index up to {MAX_EVAL_TERMS} certifies tolerance {tol} "
-                f"at |z| = {r}")
+
+    @functools.cache
+    def bound(N):
+        """sup * tail_bound(N, r); None below the ratio threshold, the
+        OverflowError when it overflows."""
         try:
-            t = w.tail_bound(N, r)
-            if sup * t <= tol:
-                bound = sup * t
-                break
+            return sup * w.tail_bound(N, r)
         except BoundUnavailable:
-            pass
+            return None
         except OverflowError as exc:
-            raise NumericalError(
-                f"tail bound overflows the double range at |z| = {r}") from exc
-        N += 1
+            return exc
+
+    def done(N):
+        b = bound(N)
+        return isinstance(b, OverflowError) or b <= tol
+
+    N = _least(lambda N: bound(N) is not None, w.tail_start(r, MAX_EVAL_TERMS),
+               MAX_EVAL_TERMS)
+    if N is not None and not done(N):
+        N = _least(done, N + 1, MAX_EVAL_TERMS)
+    if N is None:
+        raise BoundUnavailable(
+            f"no truncation index up to {MAX_EVAL_TERMS} certifies tolerance {tol} "
+            f"at |z| = {r}")
+    if isinstance(bound(N), OverflowError):
+        raise NumericalError(
+            f"tail bound overflows the double range at |z| = {r}") from bound(N)
     s = 0.0 + 0.0j
-    t = cmath.exp(-w.log_p(0))  # z^0 / p(0)
-    for n in range(N + 1):
-        s += f.u.value(n) * t
-        t *= z * math.exp(w.log_p(n) - w.log_p(n + 1))
+    lp = w.log_p(0)
+    t = cmath.exp(-lp)  # z^0 / p(0)
+    coeffs = itertools.chain(f.u.prefix, itertools.cycle(f.u.cycle))
+    for n, c in zip(range(N + 1), coeffs):
+        s += c * t
+        lq = w.log_p(n + 1)
+        t *= z * math.exp(lp - lq)
+        lp = lq
     if not cmath.isfinite(s):
         raise NumericalError(f"partial sum is not finite at |z| = {r}")
-    return EvalResult(value=s, error_bound=bound, terms=N + 1)
+    return EvalResult(value=s, error_bound=bound(N), terms=N + 1)
 
 
 # ---------------------------------------------------------------------------

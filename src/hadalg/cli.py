@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import math
 import sys
@@ -37,12 +38,19 @@ def _load_doc(args) -> object:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {name}: {exc}") from exc
+    # a decoded document is a tree: collecting cycles while decoding frees
+    # nothing, yet full passes over every list decoded so far add up
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int past 4300 digits
         raise SchemaError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"invalid JSON: {name} is nested too deeply") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _field(doc, key):
@@ -305,22 +313,38 @@ OPERATIONS = {
 _UNSET = {("ideal", "trajectory"): {"n": None, "horizon": None}}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The whole parser tree, and its leaf parser for each (group, op)."""
     # no abbreviations: --k must not stand for --ks where only --ks exists
     ap = _Parser(prog="hadalg", allow_abbrev=False)
     groups = ap.add_subparsers(dest="group", required=True)
+    leaves = {}
     for group, (handler, ops) in OPERATIONS.items():
         op_parsers = groups.add_parser(group, allow_abbrev=False).add_subparsers(
             dest="op", required=True)
         for op, flags in ops.items():
-            p = op_parsers.add_parser(op, allow_abbrev=False)
+            p = leaves[group, op] = op_parsers.add_parser(op, allow_abbrev=False)
             for flag in (*flags, "out"):
                 p.add_argument("--" + flag, **_FLAGS[flag])
-            p.set_defaults(func=handler, **_UNSET.get((group, op), {}))
-    return ap
+            p.set_defaults(func=handler, group=group, op=op,
+                           **_UNSET.get((group, op), {}))
+    return ap, leaves
 
 
-_PARSER = _build_parser()
+_PARSER, _LEAVES = _build_parser()
+
+
+def _parse(argv):
+    """argv parsed by the leaf parser of its first two words when they name
+    an operation, to the Namespace the whole tree gives, without walking its
+    three levels.  Everything else goes through the tree: help at the upper
+    levels, unknown words and flags before the operation."""
+    if argv is None:
+        argv = sys.argv[1:]
+    leaf = _LEAVES.get(tuple(argv[:2]))
+    if leaf is None:
+        return _PARSER.parse_args(argv)
+    return leaf.parse_args(argv[2:])
 
 
 def _emit(payload: dict, args) -> None:
@@ -334,7 +358,7 @@ def _emit(payload: dict, args) -> None:
 
 def run(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
         payload, summary = args.func(args)
     except MathConditionError as exc:
         # only args.func raises these, so args is bound

@@ -94,7 +94,8 @@ class Weight:
         """Where the search for a truncation index starts.  Factorial: the
         first N that tail_bound accepts at radius r (r/(N+2) <= 1/2, the same
         float test), or an N > limit when none up to limit does.  Superexp:
-        0, as its threshold is found by calling tail_bound."""
+        0, as its threshold is found by algebra.eval_at's search, which
+        calls tail_bound O(log N) times."""
         if self.kind != "factorial":
             return 0
         # 2r - 2 up to rounding; an r past the limit (or inf) lands past it

@@ -19,9 +19,9 @@ import numpy as np
 
 from hadalg import algebra, ideals
 from hadalg.coeffseq import EPSeq, GenSeq
-from hadalg.errors import (CoronaFails, HorizonExceeded, NotDivisible,
-                           NotInIdeal, NotInvertible, NumericalError,
-                           PointwiseDomainError)
+from hadalg.errors import (BoundUnavailable, CoronaFails, HorizonExceeded,
+                           InvalidArgument, NotDivisible, NotInIdeal,
+                           NotInvertible, NumericalError, PointwiseDomainError)
 from hadalg.matalg import ElementaryFactor
 
 
@@ -177,6 +177,45 @@ def log_el(a):
         bad = min(enumerate(a[0] + a[1]), key=lambda kv: abs(kv[1]))
         raise NotInvertible(bad[0], bad[1])
     return map_(a, cmath.log)
+
+
+def eval_at(w, a, z, tol):
+    """The certified partial sum as a scan: every index from w.tail_start
+    up is tried until sup|u| * tail_bound certifies tol, and each term calls
+    log_p twice.  ``a`` is the (prefix, cycle) of the normalized
+    coefficients; returns (value, error_bound, terms)."""
+    if tol <= 0:
+        raise InvalidArgument("tol must be positive")
+    try:
+        r = abs(z)
+    except OverflowError:
+        r = math.inf
+    sup = norm(a)
+    N = w.tail_start(r, algebra.MAX_EVAL_TERMS)
+    while True:
+        if N > algebra.MAX_EVAL_TERMS:
+            raise BoundUnavailable(
+                f"no truncation index up to {algebra.MAX_EVAL_TERMS} certifies "
+                f"tolerance {tol} at |z| = {r}")
+        try:
+            t = w.tail_bound(N, r)
+            if sup * t <= tol:
+                bound = sup * t
+                break
+        except BoundUnavailable:
+            pass
+        except OverflowError as exc:
+            raise NumericalError(
+                f"tail bound overflows the double range at |z| = {r}") from exc
+        N += 1
+    s = 0.0 + 0.0j
+    t = cmath.exp(-w.log_p(0))
+    for n in range(N + 1):
+        s += value(a, n) * t
+        t *= z * math.exp(w.log_p(n) - w.log_p(n + 1))
+    if not cmath.isfinite(s):
+        raise NumericalError(f"partial sum is not finite at |z| = {r}")
+    return s, bound, N + 1
 
 
 def mat_det(entries):

@@ -1,6 +1,7 @@
 """CLI boundary: the JSON writer's bytes, refused input and typed exits."""
 
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import warnings
 
 import pytest
 
-from hadalg import weights
+from hadalg import cli, weights
 from hadalg.cli import _emit, run
 
 
@@ -322,3 +323,28 @@ class TestOutsideTheOldContract:
         assert elem(tmp_path, "norm", doc) == (3, None)
         assert capsys.readouterr().err == (
             "error: unknown weight name 'custom:cube'\n")
+
+
+class TestDecodeCollector:
+    """_load_doc decodes with the cyclic collector paused, and leaves it as
+    the caller had it."""
+
+    @pytest.fixture
+    def during(self, monkeypatch):
+        seen = []
+        real = cli.json.loads
+        monkeypatch.setattr(cli.json, "loads",
+                            lambda text: seen.append(gc.isenabled()) or real(text))
+        yield seen
+        gc.enable()
+
+    @pytest.mark.parametrize("text, code", [('{"weight": "factorial", '
+                                             '"normalized": {"cycle": [[1, 0]]}}', 0),
+                                            ("{not json", 3)])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state(self, text, code, enabled, during, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        (gc.enable if enabled else gc.disable)()
+        assert run(["elem", "norm", "--json", str(path)]) == code
+        assert (during, gc.isenabled()) == ([False], enabled)

@@ -134,6 +134,43 @@ def test_run_builds_no_parser(monkeypatch, tmp_path):
     assert run(full_argv(tmp_path, "elem", "norm")) == 0
 
 
+@pytest.mark.parametrize("group, op", list(FULL), ids=[" ".join(k) for k in FULL])
+def test_leaf_parser_gives_the_trees_namespace(group, op, tmp_path):
+    argv = full_argv(tmp_path, group, op)
+    assert cli._LEAVES[group, op].parse_args(argv[2:]) == cli._PARSER.parse_args(argv)
+    assert cli._parse(argv) == cli._PARSER.parse_args(argv)
+
+
+def test_a_known_operation_skips_the_tree(monkeypatch, tmp_path):
+    def refuse(argv):
+        raise AssertionError("run walked the parser tree")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    assert run(full_argv(tmp_path, "elem", "eval")) == 0
+
+
+ODD_ARGV = [[], ["elem"], ["elem", "nope"], ["nope", "eval"],
+            ["elem", "--json", "x", "eval"], ["elem", "eval", "x"],
+            ["elem", "eval", "--", "--z=1"], ["elem", "eval", "--z"],
+            ["--help"], ["elem", "--help"], ["elem", "eval", "--help"],
+            ["elem", "eval", "--bogus", "-h"]]
+
+
+@pytest.mark.parametrize("argv", ODD_ARGV, ids=" ".join)
+def test_dispatch_keeps_exit_and_output(argv, monkeypatch, capsys):
+    def outcome():
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # help
+            code = ("SystemExit", exc.code)
+        return code, capsys.readouterr()
+
+    got = outcome()
+    monkeypatch.setattr(cli, "_LEAVES", {})  # every argv through the tree
+    assert got == outcome()
+    assert got[0] == (("SystemExit", 0) if "--help" in argv or "-h" in argv else 3)
+
+
 class TestBudgets:
     @pytest.mark.parametrize("op", ["krull-family", "trajectory"])
     @pytest.mark.parametrize("argv, named", [
