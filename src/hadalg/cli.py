@@ -349,31 +349,34 @@ def _parse(argv):
 
 def _emit(payload: dict, args) -> None:
     text = serialize.dumps(payload)
-    if args.out:
+    if not args.out:
+        print(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {args.out}: {exc}") from exc
 
 
 def run(argv=None) -> int:
     try:
         args = _parse(argv)
-        payload, summary = args.func(args)
-    except MathConditionError as exc:
-        # only args.func raises these, so args is bound
-        _emit({"error": str(exc), "witness": exc.witness()}, args)
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        try:
+            payload, summary = args.func(args)
+            code = EXIT_OK
+        except MathConditionError as exc:
+            payload = {"error": str(exc), "witness": exc.witness()}
+            summary, code = f"FAIL: {exc}", EXIT_MATH
+        _emit(payload, args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(payload, args)
     print(summary, file=sys.stderr)
-    return EXIT_OK
+    return code
 
 
 def main() -> None:

@@ -60,20 +60,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _primitive_cycle(cycle: np.ndarray) -> np.ndarray:
-    """Shortest d dividing len(cycle) with cycle == cycle[:d] repeated.
-
-    The divisors of n that are periods are exactly the multiples of the
-    shortest one (Fine and Wilf), so dividing n by each prime factor while
-    the quotient stays a period reaches it.
-    """
-    d = len(cycle)
-    for q in _prime_factors(d):
-        while d % q == 0 and (cycle[d // q:] == cycle[:-(d // q)]).all():
-            d //= q
-    return cycle[:d]
-
-
 class Canonical(NamedTuple):
     """Canonical values (prefix then cycle, one read-only array) and the
     prefix length: what an EPSeq or a MatElement stores, without the object."""
@@ -82,24 +68,58 @@ class Canonical(NamedTuple):
     period_start: int
 
 
-def _canonical(prefix: np.ndarray, cycle: np.ndarray) -> Canonical:
-    """prefix + cycle as one read-only array and the prefix length,
-    canonical along the first axis.  The values at one position (a scalar,
-    or a matrix over the trailing axes) are equal when all their entries
-    are."""
+def _canonical(prefix: np.ndarray, cycle: np.ndarray) -> tuple[list, list]:
+    """Canonical form of each column (axis 1) of prefix (L, K, ...) then
+    cycle (c, K, ...), its values (scalars, or matrices over the trailing
+    axes) compared with exact ``==``: the lists of each column's primitive
+    period d and of the number t of its trailing prefix values equal to
+    the cycle values they shadow.  The representatives kept are the
+    first L - t prefix values, then the first d cycle values rotated right
+    by t (as _gather reads them).  Each shift c / q^e, q a prime of c, is
+    tested once for all columns, up to the first that no column has: the
+    divisors of c that are periods are the multiples of the primitive one
+    (Fine and Wilf).
+    """
     if not len(cycle):
         raise ValueError("cycle must be nonempty")
-    cycle = _primitive_cycle(cycle)
-    # absorb trailing prefix entries equal to the cycle value they shadow;
-    # each absorption rotates the cycle right by one to keep later values
-    if len(prefix) and (prefix[-1] == cycle[-1]).all():
-        hit = prefix[::-1] == _repeat(cycle[::-1], len(prefix))
-        hit = hit.reshape(len(prefix), -1).all(axis=1)
-        t = len(prefix) if hit.all() else int(hit.argmin())
-        prefix, cycle = prefix[:len(prefix) - t], np.roll(cycle, t, axis=0)
-    rep = np.concatenate((prefix, cycle))
+    c, K = cycle.shape[:2]
+    entries = tuple(range(2, cycle.ndim))  # the axes of one value
+    d = [c] * K
+    for q in _prime_factors(c):
+        s = c
+        while s % q == 0:
+            s //= q
+            has = np.logical_and.reduce(cycle[s:] == cycle[:c - s],
+                                        axis=(0, *entries)).tolist()
+            if not any(has):
+                break
+            d = [dj // q if h else dj for dj, h in zip(d, has)]
+    # shadowed values compare alike in the raw cycle and the primitive one
+    L, t = len(prefix), [0] * K
+    if L and (prefix[-1] == cycle[-1]).any():
+        hit = np.logical_and.reduce(prefix[::-1] == _repeat(cycle[::-1], L), axis=entries)
+        t = np.where(hit.all(axis=0), L, hit.argmin(axis=0)).tolist()
+    return d, t
+
+
+def _canonical_form(prefix: np.ndarray, cycle: np.ndarray) -> Canonical:
+    """prefix + cycle as one read-only array and the prefix length,
+    canonical along the first axis: the one-column case of _canonical, the
+    column holding the whole value (a scalar or a matrix) at each position."""
+    (d,), (t,) = _canonical(prefix[:, None], cycle[:, None])
+    L = len(prefix) - t
+    cycle = np.roll(cycle[:d], t, axis=0) if t else cycle[:d]
+    rep = np.concatenate((prefix[:L], cycle))
     rep.flags.writeable = False
-    return Canonical(rep, len(prefix))
+    return Canonical(rep, L)
+
+
+def _gather(flat: np.ndarray, start, L, t, d, count: int) -> np.ndarray:
+    """Values at positions k < count of sequences j whose raw prefix (L[j]
+    values, then the raw cycle) begins at flat[start[j]], read through their
+    canonical form (_canonical's d[j], t[j]): shape (count, len(start))."""
+    k = np.arange(count)[:, None]
+    return flat[np.where(k < L - t, start + k, start + L + (k - L) % d)]
 
 
 class EPSeq:
@@ -123,8 +143,8 @@ class EPSeq:
 
     def __post_init__(self):
         d = vars(self)
-        d["array"], d["period_start"] = _canonical(_as_values(d.pop("prefix")),
-                                                   _as_values(d.pop("cycle")))
+        d["array"], d["period_start"] = _canonical_form(_as_values(d.pop("prefix")),
+                                                        _as_values(d.pop("cycle")))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"EPSeq is immutable; cannot set {name!r}")
@@ -185,8 +205,12 @@ def joint_shape(*seqs) -> tuple[int, int]:
     """Common (prefix length, cycle length) refining every argument (an
     EPSeq, a MatElement or a Canonical), refused above MAX_WINDOW
     positions."""
-    pl = max((s.period_start for s in seqs), default=0)
-    cl = lcm(*(len(s.array) - s.period_start for s in seqs))
+    return _window(max((s.period_start for s in seqs), default=0),
+                   lcm(*(len(s.array) - s.period_start for s in seqs)))
+
+
+def _window(pl: int, cl: int) -> tuple[int, int]:
+    """(pl, cl), refused above MAX_WINDOW positions."""
     if pl + cl > MAX_WINDOW:
         raise WindowTooLarge(f"joint window of {pl + cl} positions exceeds "
                              f"the budget of {MAX_WINDOW}")

@@ -25,7 +25,7 @@ import numpy as np
 # functions that call it, so operations that never do skip the import
 from . import algebra
 from .algebra import Element
-from .coeffseq import (EPSeq, _abs, _canonical, _mul, _silent, _take,
+from .coeffseq import (EPSeq, _abs, _canonical_form, _mul, _silent, _take,
                        joint_shape)
 from .errors import (DimensionMismatch, Inconsistent, InvalidArgument, NotInGL,
                      NotSL, NumericalError, OffBranch, WeightMismatch)
@@ -54,10 +54,7 @@ class MatElement:
         """entries: rows of Elements of this weight, or of canonical
         sequences (EPSeqs or Canonicals) read as normalized coefficients."""
         rows = tuple(tuple(r) for r in entries)
-        if not rows or not rows[0]:
-            raise DimensionMismatch("matrix must be nonempty")
-        if len(set(map(len, rows))) > 1:
-            raise DimensionMismatch("ragged rows")
+        m, n = _shape(rows)
         els = [e for r in rows for e in r if isinstance(e, Element)]
         for e in els:
             if e.weight != weight:
@@ -65,10 +62,10 @@ class MatElement:
         cells = [e.u if isinstance(e, Element) else e for r in rows for e in r]
         pl, cl = joint_shape(*cells)
         stack = np.stack([_take(s, pl + cl) for s in cells], axis=1)
-        self._store(weight, pl, stack.reshape(-1, len(rows), len(rows[0])))
+        self._store(weight, pl, stack.reshape(-1, m, n))
 
     def _store(self, weight: Weight, pl: int, stack: np.ndarray) -> "MatElement":
-        array, L = _canonical(stack[:pl], stack[pl:])
+        array, L = _canonical_form(stack[:pl], stack[pl:])
         vars(self).update(weight=weight, array=array, period_start=L)
         return self
 
@@ -114,6 +111,15 @@ class MatElement:
         """(L, c, stack of U(k) for k < L + c); the stack is read-only."""
         pl, cl = self.shape_window()
         return pl, cl, self.array
+
+
+def _shape(rows: Sequence) -> tuple[int, int]:
+    """(m, n) of a matrix given as rows, refused if empty or ragged."""
+    if not rows or not rows[0]:
+        raise DimensionMismatch("matrix must be nonempty")
+    if len(set(map(len, rows))) > 1:
+        raise DimensionMismatch("ragged rows")
+    return len(rows), len(rows[0])
 
 
 def from_ustack(w: Weight, pl: int, stack: np.ndarray) -> MatElement:

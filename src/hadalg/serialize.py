@@ -18,9 +18,10 @@ import numpy as np
 
 from . import weights as weights_mod
 from .algebra import Element, from_raw_coeffs
-from .coeffseq import Canonical, EPSeq, _canonical
+from .coeffseq import (Canonical, EPSeq, _canonical, _canonical_form, _gather,
+                       _window)
 from .errors import SchemaError
-from .matalg import MatElement
+from .matalg import MatElement, _shape, from_ustack
 
 
 def _c_from_json(obj: Any) -> complex:
@@ -32,31 +33,40 @@ def _c_from_json(obj: Any) -> complex:
     raise SchemaError(f"expected a number or [re, im] pair, got {obj!r}")
 
 
+def _pairs_array(lists) -> np.ndarray | None:
+    """The JSON value lists, one after another, as one complex128 array made
+    by one numpy call; None unless each holds only [re, im] pairs of numbers
+    and every value is finite."""
+    try:
+        pairs = list(itertools.chain.from_iterable(lists))
+        flat = np.array(list(itertools.chain.from_iterable(pairs)))
+        if not (flat.ndim == 1 and flat.dtype.kind in "biuf"
+                and set(map(len, pairs)) == {2}):
+            return None
+    except (TypeError, ValueError):
+        return None
+    values = flat.astype(np.float64).view(np.complex128)
+    return values if np.isfinite(values).all() else None
+
+
 def _values_from_json(cells: Any, field: str) -> np.ndarray:
     """A JSON list of [re, im] pairs (or bare reals) as a complex128 array.
 
-    Lists of pairs of numbers convert in one numpy call; any other list goes
-    through _c_from_json cell by cell.  Non-finite values are refused.
+    Lists of pairs of finite numbers convert in one numpy call; any other
+    list goes through _c_from_json cell by cell.  Non-finite values are
+    refused.
     """
     if not isinstance(cells, (list, tuple, np.ndarray)):
         raise SchemaError(f"{field} must be a list of [re, im] pairs")
-    try:
-        flat = np.array(list(itertools.chain.from_iterable(cells)))
-        regular = (flat.ndim == 1 and flat.dtype.kind in "biuf"
-                   and set(map(len, cells)) == {2})
-    except (TypeError, ValueError):
-        regular = False
-    try:
-        if regular:
-            values = flat.astype(np.float64).view(np.complex128)
-        else:
+    values = _pairs_array([cells])
+    if values is None:
+        try:
             values = np.array([_c_from_json(v) for v in cells], dtype=np.complex128)
-    except OverflowError as exc:
-        raise SchemaError(f"{field}: {exc}") from exc
-    finite = np.isfinite(values)
-    if not finite.all():
-        n = int(finite.argmin())
-        raise SchemaError(f"{field}[{n}] is not finite")
+        except OverflowError as exc:
+            raise SchemaError(f"{field}: {exc}") from exc
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise SchemaError(f"{field}[{int(finite.argmin())}] is not finite")
     return values
 
 
@@ -75,12 +85,16 @@ def epseq_to_json(s: EPSeq | Canonical) -> dict:
 
 def epseq_from_json(obj: Any, field: str = "normalized", canonical=EPSeq):
     """canonical(prefix, cycle) of a sequence document: an EPSeq, or with
-    ``_canonical`` its Canonical form alone."""
+    ``_canonical_form`` its Canonical form alone."""
     if not isinstance(obj, dict) or "cycle" not in obj:
         raise SchemaError("sequence document needs a 'cycle' field")
+    prefix, cycle = obj.get("prefix", []), obj["cycle"]
+    both = _pairs_array([prefix, cycle]) if type(prefix) is type(cycle) is list else None
     try:
-        return canonical(_values_from_json(obj.get("prefix", []), f"{field}.prefix"),
-                         _values_from_json(obj["cycle"], f"{field}.cycle"))
+        if both is not None:
+            return canonical(both[:len(prefix)], both[len(prefix):])
+        return canonical(_values_from_json(prefix, f"{field}.prefix"),
+                         _values_from_json(cycle, f"{field}.cycle"))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -104,11 +118,38 @@ def element_from_json(obj: Any, field: str = "") -> Element:
 
 
 def matrix_to_json(A: MatElement) -> dict:
-    """Each entry's column of the stack, canonicalised on its own."""
-    L = A.period_start
-    return {"weight": A.weight.name, "rows": A.m, "cols": A.n,
-            "entries": [[epseq_to_json(_canonical(A.array[:L, i, j], A.array[L:, i, j]))
-                         for j in range(A.n)] for i in range(A.m)]}
+    """Each entry's column of the stack, canonicalised on its own: all the
+    columns by one _canonical call, their representatives by one gather."""
+    P, m, n = A.array.shape
+    L, cols = A.period_start, A.array.reshape(P, m * n)
+    d, t = map(np.array, _canonical(cols[:L], cols[L:]))
+    ends = (L - t + d).tolist()
+    reps = np.ascontiguousarray(
+        _gather(cols.T.ravel(), np.arange(0, m * n * P, P), L, t, d, max(ends)).T)
+    cells = [epseq_to_json(Canonical(r[:e], pl))
+             for r, e, pl in zip(reps, ends, (L - t).tolist())]
+    return {"weight": A.weight.name, "rows": m, "cols": n,
+            "entries": [cells[i * n:(i + 1) * n] for i in range(m)]}
+
+
+def _raw_cells(entries: list) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's prefix then cycle values, row by row, in one complex128
+    array, and each cell's (prefix, cycle) lengths.  A document _pairs_array
+    refuses, or with an empty cycle, is read cell by cell by epseq_from_json,
+    so the first bad field raises (a good cell reads the same canonicalised)."""
+    cells = [cell for row in entries for cell in row]
+    lists = [v for cell in cells if type(cell) is dict
+             for v in (cell.get("prefix", []), cell.get("cycle"))]
+    regular = len(lists) == 2 * len(cells) and all(
+        isinstance(v, (list, tuple, np.ndarray)) for v in lists)
+    flat = _pairs_array(lists) if regular else None
+    if flat is not None and all(map(len, lists[1::2])):
+        return flat, np.array(list(map(len, lists))).reshape(-1, 2)
+    forms = [epseq_from_json(cell, f"entries[{i}][{j}]", _canonical_form)
+             for i, row in enumerate(entries) for j, cell in enumerate(row)]
+    return (np.concatenate([np.zeros(0, np.complex128), *(f.array for f in forms)]),
+            np.array([(f.period_start, len(f.array) - f.period_start)
+                      for f in forms]).reshape(-1, 2))
 
 
 def matrix_from_json(obj: Any) -> MatElement:
@@ -122,10 +163,20 @@ def matrix_from_json(obj: Any) -> MatElement:
         if not isinstance(row, list):
             raise SchemaError(f"entries[{i}] must be a list of sequence documents")
     # every cell is checked before the shape is
-    cells = [[epseq_from_json(cell, f"entries[{i}][{j}]", _canonical)
-              for j, cell in enumerate(row)]
-             for i, row in enumerate(entries)]
-    A = MatElement(w, cells)
+    flat, lens = _raw_cells(entries)
+    m, n = _shape(entries)
+    # the cells of one raw shape are canonicalised together
+    L, c = lens.T
+    start = np.cumsum(L + c) - (L + c)
+    d, t = np.empty_like(L), np.empty_like(L)
+    groups: dict = {}
+    for j, shape in enumerate(lens.tolist()):
+        groups.setdefault(tuple(shape), []).append(j)
+    for (pl, cl), cols in groups.items():
+        raw = flat[start[cols] + np.arange(pl + cl)[:, None]]
+        d[cols], t[cols] = _canonical(raw[:pl], raw[pl:])
+    pl, cl = _window(int((L - t).max()), math.lcm(*d.tolist()))
+    A = from_ustack(w, pl, _gather(flat, start, L, t, d, pl + cl).reshape(-1, m, n))
     if "rows" in obj and obj["rows"] != A.m:
         raise SchemaError(f"declared rows={obj['rows']} but found {A.m}")
     if "cols" in obj and obj["cols"] != A.n:
@@ -153,7 +204,8 @@ def dumps(doc: Any) -> str:
     step per item.  This walks the document once, writing all but its
     arrays; the values of all the arrays are then deduplicated together by
     their bits (so -0.0 stays apart from 0.0), each distinct value is
-    formatted once, and each array is filled into one template of its rows.
+    formatted once, and each array is one join of its value texts
+    interleaved with the two separators of its rows.
     """
     parts: list[str] = []
     arrays: list[tuple[int, np.ndarray, str]] = []
@@ -169,10 +221,12 @@ def dumps(doc: Any) -> str:
         start = 0
         for slot, a, nl in arrays:
             inner = nl + "  "
-            row = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
-            body = ("," + inner).join([row] * len(a))
-            parts[slot] = ("[" + inner + body + nl + "]") % tuple(
-                cells[start:start + a.size])
+            # [v0, within a row, v1, between rows] per row; the last one closes
+            pieces = [None, "," + inner + "  ", None,
+                      inner + "]," + inner + "[" + inner + "  "] * len(a)
+            pieces[::2] = cells[start:start + a.size]
+            pieces[-1] = inner + "]" + nl + "]"
+            parts[slot] = "[" + inner + "[" + inner + "  " + "".join(pieces)
             start += a.size
     return "".join(parts)
 

@@ -528,3 +528,87 @@ def p1_p2_check(f, g, k):
     ms = ideals.index_order(algebra.add(f, g).u, k).m
     mp = ideals.index_order(algebra.star(f, g).u, k).m
     return ms >= min(mf, mg) and mp >= max(mf, mg)
+
+
+# ---------------------------------------------------------------------------
+# The canonical form one sequence at a time, and the matrix reader and writer
+# that canonicalised each cell on its own: the column-wise form in
+# ``hadalg.coeffseq._canonical`` must keep their representatives bit for bit.
+
+
+def _prime_factors(n):
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def primitive_cycle(cycle):
+    """Shortest d dividing len(cycle) with cycle == cycle[:d] repeated."""
+    d = len(cycle)
+    for q in _prime_factors(d):
+        while d % q == 0 and (cycle[d // q:] == cycle[:-(d // q)]).all():
+            d //= q
+    return cycle[:d]
+
+
+def canonical_array(prefix, cycle):
+    """(values, prefix length) of prefix + cycle, canonical along the first
+    axis; a position's values are equal when all their entries are."""
+    if not len(cycle):
+        raise ValueError("cycle must be nonempty")
+    cycle = primitive_cycle(cycle)
+    if len(prefix) and (prefix[-1] == cycle[-1]).all():
+        shadowed = np.resize(cycle[::-1], prefix.shape)
+        hit = (prefix[::-1] == shadowed).reshape(len(prefix), -1).all(axis=1)
+        t = len(prefix) if hit.all() else int(hit.argmin())
+        prefix, cycle = prefix[:len(prefix) - t], np.roll(cycle, t, axis=0)
+    return np.concatenate((prefix, cycle)), len(prefix)
+
+
+def _json_values(cells):
+    return np.array([complex(*v) if isinstance(v, list) else complex(v) for v in cells],
+                    dtype=np.complex128)
+
+
+def matrix_from_json(obj):
+    """(stack, prefix length) of a valid matrix document: each cell
+    canonicalised on its own, the cells taken onto their joint window, and
+    the stack canonicalised along its positions."""
+    rows = [[canonical_array(_json_values(cell.get("prefix", [])),
+                             _json_values(cell["cycle"])) for cell in row]
+            for row in obj["entries"]]
+    cells = [c for row in rows for c in row]
+    pl = max(L for _, L in cells)
+    cl = math.lcm(*(len(a) - L for a, L in cells))
+
+    def take(a, L):
+        return np.array([a[k if k < L else L + (k - L) % (len(a) - L)]
+                         for k in range(pl + cl)])
+
+    stack = np.stack([take(a, L) for a, L in cells], axis=1)
+    stack = stack.reshape(pl + cl, len(rows), len(rows[0]))
+    return canonical_array(stack[:pl], stack[pl:])
+
+
+def matrix_to_json(weight, stack, pl):
+    """The matrix document of a canonical stack, with lists for arrays:
+    each entry's column canonicalised on its own."""
+    def pairs(values):
+        return [[v.real, v.imag] for v in values.tolist()]
+
+    entries = []
+    for i in range(stack.shape[1]):
+        row = []
+        for j in range(stack.shape[2]):
+            rep, L = canonical_array(stack[:pl, i, j], stack[pl:, i, j])
+            row.append({"prefix": pairs(rep[:L]), "cycle": pairs(rep[L:])})
+        entries.append(row)
+    return {"weight": weight, "rows": stack.shape[1], "cols": stack.shape[2],
+            "entries": entries}

@@ -9,6 +9,7 @@ import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from hadalg import cli, weights
@@ -53,6 +54,32 @@ class TestWriter:
         out = tmp_path / "o.json"
         _emit(payload, argparse.Namespace(out=str(out)))
         assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    # (k, 2) float64 arrays take dumps' own fill, not _write's list path
+    ARRAY_PAYLOADS = [
+        {"one": np.array([[1.5, -2.0]])},
+        {"top": np.array([[0.1, 0.2], [0.3, 0.4]]),
+         "a": {"b": np.array([[1e300, -1e-300]]),
+               "c": [{"d": np.array([[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]])}]}},
+        {"x": np.array([[0.5, 0.25], [0.5, 0.5]]), "y": np.array([[0.25, 0.5]]),
+         "z": [np.array([[0.5, 0.5]]), 0.5]},
+        {"zeros": np.array([[0.0, -0.0], [-0.0, 0.0]]), "w": np.array([[-0.0, 1.0]])},
+        {"odd": np.array([[math.nan, math.inf], [-math.inf, 0.0], [math.nan, 1.0]])},
+        {"empty": np.zeros((0, 2)), "full": np.array([[1.0, 2.0]]),
+         "nested": [np.zeros((0, 2))]},
+    ]
+
+    @pytest.mark.parametrize("payload", ARRAY_PAYLOADS)
+    def test_arrays_match_json_dumps_of_lists(self, payload, tmp_path):
+        def lists(o):
+            if isinstance(o, np.ndarray):
+                return o.tolist()
+            if isinstance(o, dict):
+                return {k: lists(v) for k, v in o.items()}
+            return [lists(v) for v in o] if isinstance(o, list) else o
+        out = tmp_path / "o.json"
+        _emit(payload, argparse.Namespace(out=str(out)))
+        assert out.read_text() == json.dumps(lists(payload), indent=2) + "\n"
 
     def test_stdout(self, capsys):
         payload = self.PAYLOADS[4]
@@ -298,6 +325,18 @@ class TestOutsideTheOldContract:
         assert run(["elem", "norm", "--json", "-"]) == 3
         assert capsys.readouterr().err.startswith(
             "error: cannot read standard input: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("op, cycle", [("norm", [[1, 0]]), ("invert", [[0, 0]])],
+                             ids=["exit-0", "exit-2"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out(self, tmp_path, capsys, op, cycle, target):
+        # the answer (or the exit-2 witness) is computed first; its write fails
+        out = tmp_path / "no" / "x.json" if target == "missing-dir" else tmp_path
+        doc = write(tmp_path, element([], cycle))
+        assert run(["elem", op, "--json", doc, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: [Errno ")
+        assert err.count("\n") == 1
 
     def test_superexp_base_not_a_number_in_a_document(self, tmp_path, capsys):
         doc = {"weight": "superexp:b=.,q=2", "normalized": {"cycle": [[1, 0]]}}

@@ -1,5 +1,5 @@
-"""`mat det`, `mat log`, `mat solve` and `mat sl-factor` keep their output
-bytes.
+"""`mat det`, `mat log`, `mat solve`, `mat sl-factor`, `mat mul` and `mat exp`
+keep their output bytes.
 
 Each document is built here from its own numpy seed: n = 2..7 (det-edge
 from n = 1), windows of up to 129 positions, entries whose windows differ
@@ -8,7 +8,10 @@ real-valued and det-edge documents) takes the expansion over the entries,
 and one solve per size is inconsistent at one position, so its exit 2
 witness is pinned too.  Every sl-factor document has one position whose
 pivots are all 0, so each of its columns boosts, and every position of a
-log-jordan document takes the logm fallback.
+log-jordan document takes the logm fallback.  The mixed and zeros
+documents (n = 1..7) give each cell its own raw window, with cycles that
+are not primitive, signed zeros, absorbable prefixes and one cell of bare
+reals.
 """
 
 import hashlib
@@ -126,6 +129,44 @@ def sl_doc(n):
     return stack_doc(stack, pl=n - 1)
 
 
+def mixed_doc(seed, m, n, zeros=False):
+    """Entry (i, j) has a raw prefix of 0..3 values and a raw cycle that
+    repeats a base cycle of 1..3 values 1..3 times, every zero part with a
+    random sign: the cycle is not primitive under ==, and its bits differ
+    from its primitive one.  The last 0..L prefix values shadow the cycle
+    values they stand before (absorbable), and entry (0, 0) is written as
+    bare reals.  A part is 0 with probability 1/3, else Gaussian; with
+    zeros, 0 with probability 2/3, else +-1."""
+    rng = np.random.default_rng(seed)
+
+    def value():
+        re, im = ((0.0 if rng.random() < (2 / 3 if zeros else 1 / 3)
+                   else float(rng.choice([-1.0, 1.0]) if zeros else rng.standard_normal()))
+                  for _ in range(2))
+        return complex(re, im)
+
+    def signed(v):
+        re, im = (x if x else float(rng.choice([0.0, -0.0])) for x in (v.real, v.imag))
+        return complex(re, im)
+
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(n):
+            base = [value() for _ in range(rng.integers(1, 4))]
+            cycle = [signed(v) for v in base * int(rng.integers(1, 4))]
+            L = int(rng.integers(0, 4))
+            prefix = [value() for _ in range(L)]
+            for k in range(int(rng.integers(0, L + 1))):
+                prefix[L - 1 - k] = signed(cycle[(-1 - k) % len(cycle)])
+            cell = cells(np.array(prefix + cycle, dtype=complex), L)
+            if i == j == 0:
+                cell = {key: [re for re, _ in pairs] for key, pairs in cell.items()}
+            row.append(cell)
+        rows.append(row)
+    return {"weight": "factorial", "entries": rows}
+
+
 DOCS = {
     "det": lambda n: det_doc(n, real=False),
     "det-real": lambda n: det_doc(n, real=True),
@@ -135,6 +176,13 @@ DOCS = {
     "solve-inconsistent": lambda n: solve_doc(n, consistent=False),
     "sl-factor": sl_doc,
     "log-jordan": lambda n: stack_doc(conjugated_jordans(n)),
+    "mul-mixed": lambda n: {"A": mixed_doc(1300 + n, n, n), "B": mixed_doc(1400 + n, n, n)},
+    "mul-zeros": lambda n: {"A": mixed_doc(1500 + n, n, n, zeros=True),
+                            "B": mixed_doc(1600 + n, n, n, zeros=True)},
+    "exp-mixed": lambda n: mixed_doc(1700 + n, n, n),
+    "exp-zeros": lambda n: mixed_doc(1800 + n, n, n, zeros=True),
+    "solve-mixed": lambda n: {"A": mixed_doc(1900 + n, n, n),
+                              "b": mixed_doc(2000 + n, n, 1)},
 }
 
 # (exit code, sha256 of the --out file)
@@ -184,6 +232,31 @@ DIGESTS = {
     ("sl-factor", 7): (0, "f7982bec1490f6723cc499f78a22d66ab9f2f1a194a467d3bc7ace403721c2e5"),
     ("log-jordan", 5): (0, "7b62ca4e4f4116e6f124dc111306a73d40a4ae62da93be8c8cd06b896079986d"),
     ("log-jordan", 6): (0, "426522e0df16c707565fee4931e4dabb6a8d37937b9ca898a076588524126993"),
+    ("mul-mixed", 1): (0, "57bbc53e81c9e31ab70e50d6e08925510b807c63c9e9fedbe8bae9372184bdc8"),
+    ("mul-mixed", 2): (0, "de53d00c913bfe33513b1b6b117b9dc84684d7cc3be9a9b6c7f7f06dbc0f1952"),
+    ("mul-mixed", 3): (0, "f5da30b17d9580f1f3c03ff12eb5b506609729d07b200b8f10c0628676c79047"),
+    ("mul-mixed", 5): (0, "d98703a624d9b2380ed23b9201caf8f50f02431c4ef7a729616e720936133ff5"),
+    ("mul-mixed", 7): (0, "bdf0b245cd804a2193754e528a97b3224b7f031d236dacee4cc8b8e4dbf02c66"),
+    ("mul-zeros", 1): (0, "c530f3a2ed3d267d7fb3c65dd10cf1e5b51bf3773e796d8919cf78ee59fa1b69"),
+    ("mul-zeros", 2): (0, "c6d1cfdd2d46517dbdd923169834d581dfca8f1804444c9312ee7e01c0e35c3d"),
+    ("mul-zeros", 3): (0, "4c20b4d46c53403b07eb2b49399470c93bb37fb52728dcd25acd444dadde9526"),
+    ("mul-zeros", 5): (0, "f5a3cc32d5afe8bb5e343bf8e343baf1e4cd636fc6c461758d1b02021d97de18"),
+    ("mul-zeros", 7): (0, "5d50c6ed2f9637269264242540b2482fbb8c17528e3260c6ea12ac3bd9cf1e34"),
+    ("exp-mixed", 1): (0, "db8f92107709e146283e5f447ab5ddd7cb840d15db5ea3ed80ad72dee92b2b4b"),
+    ("exp-mixed", 2): (0, "06afda535438a8b72635c2073826accc389cd6bdc17ebd256abc34d9729b1336"),
+    ("exp-mixed", 3): (0, "187e6547af377dda810729133ef857b76f3d5ad4245b2ab5e71fd642f283021b"),
+    ("exp-mixed", 5): (0, "78b96a8bcfca1259f6d82b3b2a79dadc654249db61220f18bafc9c890770b258"),
+    ("exp-mixed", 7): (0, "299cd8246e0325845260985ba2906fe484fac230f26f84b2de3c0a8fe609a9d5"),
+    ("exp-zeros", 1): (0, "075b12d43a9878de50f55815baec4fe1f2909c987149144acb7322c57dd7e42c"),
+    ("exp-zeros", 2): (0, "b32f32bd45e7e38356a464d6b9f39b072150ef9ade14c571cfe5f3d61818e173"),
+    ("exp-zeros", 3): (0, "7424b4b3b4e6c549d57de1e0eed6a111d839b204bedc55a56472a3379405b3a0"),
+    ("exp-zeros", 5): (0, "dbbff3b74bac96f309a8ce95f3e27c5430e8fc72cc4939dea2b598052679b27c"),
+    ("exp-zeros", 7): (0, "6205daba7dec07654ccfdadc99909ec8e60f5a8b42c94ee03b23ba68ba860f6e"),
+    ("solve-mixed", 1): (0, "525cf3d82af5934c8dce13855e90c3ad3370cda566586a8ee15c17287703887a"),
+    ("solve-mixed", 2): (2, "e95fdcff34a746ce62477fb4e120bd33a8cf536bb5136fdd8521ea51be40271f"),
+    ("solve-mixed", 3): (0, "8739f9db4158cf03b8474a96343a4eb25996c1a349ead1a90138b400d294e711"),
+    ("solve-mixed", 5): (0, "cca31f3baedf2ef5d8b6a3b0509e04203bd17b05fcf6c5cad54b2bd7b48456e4"),
+    ("solve-mixed", 7): (0, "ddf871d15ed88a7cdbb0e931c25e5ecc81b54dc389711d2334f005b5a3c773c0"),
 }
 
 

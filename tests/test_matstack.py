@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from hadalg import algebra as alg
 from hadalg import matalg as ma
-from hadalg.coeffseq import MAX_WINDOW, EPSeq, _canonical, joint_shape
+from hadalg.coeffseq import MAX_WINDOW, EPSeq, _canonical_form, joint_shape
 from hadalg.errors import (DimensionMismatch, NumericalError, WeightMismatch,
                            WindowTooLarge)
 from hadalg.weights import FACTORIAL
@@ -119,7 +119,8 @@ def test_constructor_checks_in_order():
     rng = random.Random(3)
     for draw in KINDS:
         rows = [[pair(rng, draw)[0] for _ in range(3)] for _ in range(2)]
-        cells = [[_canonical(e.u.array[:e.u.period_start], e.u.array[e.u.period_start:])
+        cells = [[_canonical_form(e.u.array[:e.u.period_start],
+                                  e.u.array[e.u.period_start:])
                   for e in r] for r in rows]
         assert bits(ma.MatElement(W, cells).array.tolist()) == \
             bits(ma.MatElement(W, rows).array.tolist())
