@@ -315,11 +315,19 @@ from hadalg.cli import run
 tmp = Path(tempfile.mkdtemp())
 one = {"weight": "factorial", "normalized": {"cycle": [[2, 0]]}}
 mat = {"weight": "factorial", "entries": [[one["normalized"]]]}
-turn = {"weight": "factorial",  # a quarter turn: its first pivot is 0
-        "entries": [[{"cycle": [[0, 0]]}, {"cycle": [[-1, 0]]}],
-                    [{"cycle": [[1, 0]]}, {"cycle": [[0, 0]]}]]}
+
+
+def constant(rows):
+    return {"weight": "factorial",
+            "entries": [[{"cycle": [[v, 0]]} for v in row] for row in rows]}
+
+
+turn = constant([[0, -1], [1, 0]])  # a quarter turn: its first pivot is 0
+generic = constant([[2, 1], [1, 3]])
+jordan = constant([[1, 1], [0, 1]])  # no basis of eigenvectors: logm
 for name, doc in [("e", one), ("m", mat), ("s", {"A": mat, "b": mat}),
-                  ("p", {"A": mat, "B": mat}), ("r", turn)]:
+                  ("p", {"A": mat, "B": mat}), ("r", turn), ("g", generic),
+                  ("j", jordan)]:
     (tmp / name).write_text(json.dumps(doc))
 out = ["--out", str(tmp / "out")]
 for argv in (["weight", "list"], ["elem", "invert", "--json", str(tmp / "e")],
@@ -328,10 +336,14 @@ for argv in (["weight", "list"], ["elem", "invert", "--json", str(tmp / "e")],
              ["mat", "det", "--json", str(tmp / "m")],
              ["mat", "solve", "--json", str(tmp / "s")],
              ["mat", "norm-bounds", "--json", str(tmp / "m")],
-             ["mat", "sl-factor", "--json", str(tmp / "r")]):
+             ["mat", "sl-factor", "--json", str(tmp / "r")],
+             ["mat", "exp", "--json", str(tmp / "m")],
+             ["mat", "exp", "--json", str(tmp / "g")],
+             ["mat", "log", "--json", str(tmp / "m")],
+             ["mat", "log", "--json", str(tmp / "g")]):
     assert run(argv + out) == 0, argv
     assert "scipy" not in sys.modules, argv
-assert run(["mat", "exp", "--json", str(tmp / "m")] + out) == 0
+assert run(["mat", "log", "--json", str(tmp / "j")] + out) == 0
 assert "scipy.linalg" in sys.modules
 """
 

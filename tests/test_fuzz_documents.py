@@ -203,11 +203,12 @@ def wide_exponent_matrix(seed, n=7):
     ("elem", "norm", to_text({"weight": "factorial",
                               "normalized": {"cycle": ["@digits:5000@"]}}), 3, None),
     ("mat", "log", json.dumps(constant_matrix([[2, 2], [2, 2]])), 2, None),
-    # a Jordan-like position sends _eig_logs to scipy's logm, which warns
+    # a Jordan-like position sends _eig_logs to scipy's logm, which warns;
+    # in these two the exponential of logm's answer overflows while squaring
     ("mat", "log", json.dumps(constant_matrix([[1e-300, 1e-300], [1, 1e-300]])), 4,
-     "numerical failure: logarithm round-trip error 4.576e+155 at position 0\n"),
+     "numerical failure: logarithm round-trip error nan at position 0\n"),
     ("mat", "log", json.dumps(wide_exponent_matrix(1)), 4,
-     "numerical failure: logarithm round-trip error 9.113e+301 at position 0\n"),
+     "numerical failure: logarithm round-trip error nan at position 0\n"),
     ("mat", "log", json.dumps(wide_exponent_matrix(5)), 4, None),
 ], ids=["gcd-no-elements", "corona-no-elements", "ideal-member-no-generators",
         "corona-elements-null", "int-of-5000-digits", "log-singular-2x2",

@@ -243,15 +243,15 @@ DIGESTS = {
     ("mul-zeros", 5): (0, "f5a3cc32d5afe8bb5e343bf8e343baf1e4cd636fc6c461758d1b02021d97de18"),
     ("mul-zeros", 7): (0, "5d50c6ed2f9637269264242540b2482fbb8c17528e3260c6ea12ac3bd9cf1e34"),
     ("exp-mixed", 1): (0, "db8f92107709e146283e5f447ab5ddd7cb840d15db5ea3ed80ad72dee92b2b4b"),
-    ("exp-mixed", 2): (0, "06afda535438a8b72635c2073826accc389cd6bdc17ebd256abc34d9729b1336"),
-    ("exp-mixed", 3): (0, "187e6547af377dda810729133ef857b76f3d5ad4245b2ab5e71fd642f283021b"),
-    ("exp-mixed", 5): (0, "78b96a8bcfca1259f6d82b3b2a79dadc654249db61220f18bafc9c890770b258"),
-    ("exp-mixed", 7): (0, "299cd8246e0325845260985ba2906fe484fac230f26f84b2de3c0a8fe609a9d5"),
+    ("exp-mixed", 2): (0, "a626995116d1eb9ff0956540d1990d3c4bea1650a3221366adddb3c16cafd263"),
+    ("exp-mixed", 3): (0, "b0872c6c5f0296d388375c9f18559ff1779b049ffe788545e7eb23e1d7ae8847"),
+    ("exp-mixed", 5): (0, "180383fd16534c742fe9611454ffddc91b41e89421215520db4b548f3b7e2d91"),
+    ("exp-mixed", 7): (0, "87019eb7bec6017a5909a7dbe4bcab2f767d5bdc1281cc7e6e93c709548277a5"),
     ("exp-zeros", 1): (0, "075b12d43a9878de50f55815baec4fe1f2909c987149144acb7322c57dd7e42c"),
-    ("exp-zeros", 2): (0, "b32f32bd45e7e38356a464d6b9f39b072150ef9ade14c571cfe5f3d61818e173"),
-    ("exp-zeros", 3): (0, "7424b4b3b4e6c549d57de1e0eed6a111d839b204bedc55a56472a3379405b3a0"),
-    ("exp-zeros", 5): (0, "dbbff3b74bac96f309a8ce95f3e27c5430e8fc72cc4939dea2b598052679b27c"),
-    ("exp-zeros", 7): (0, "6205daba7dec07654ccfdadc99909ec8e60f5a8b42c94ee03b23ba68ba860f6e"),
+    ("exp-zeros", 2): (0, "3e70eb69cac2bb60e6bbc5e8ef9c3f80e5dc95b1115f633b6a1245097611be8f"),
+    ("exp-zeros", 3): (0, "e596da2d2fdaaad5e7b03e272dae9beb29ef39a41bbdb4bdd0a4ad2053e85f41"),
+    ("exp-zeros", 5): (0, "7af91e174ca9f1f78191a132cca2c2e2263aca4718d740918ee89e9b3ea8b43f"),
+    ("exp-zeros", 7): (0, "aa174556096ce84fcd98680ae99042a84ed86555398ec29da3d432202dfe48ad"),
     ("solve-mixed", 1): (0, "525cf3d82af5934c8dce13855e90c3ad3370cda566586a8ee15c17287703887a"),
     ("solve-mixed", 2): (2, "e95fdcff34a746ce62477fb4e120bd33a8cf536bb5136fdd8521ea51be40271f"),
     ("solve-mixed", 3): (0, "8739f9db4158cf03b8474a96343a4eb25996c1a349ead1a90138b400d294e711"),
