@@ -22,8 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coeffseq import (MAX_WINDOW, EPSeq, _abs, _div, _mul, _silent, inf_abs,
-                       joint_shape, sup_abs)
+from .coeffseq import (MAX_WINDOW, EPSeq, _abs, _complex, _div, _mul, _silent,
+                       inf_abs, joint_shape, sup_abs)
 from .errors import (BoundUnavailable, CoronaFails, InvalidArgument,
                      NotDivisible, NotInIdeal, NotInvertible, NumericalError,
                      PointwiseDomainError, PreconditionFailed, WeightMismatch,
@@ -90,15 +90,31 @@ def _map(fn: Callable[[complex], complex], u: EPSeq) -> EPSeq:
     return EPSeq.from_values(out, u.period_start)
 
 
-def _sq_moduli(us: Sequence[np.ndarray], zero: np.ndarray) -> np.ndarray:
-    """sum_k (conj(u_k) * u_k).real, in Python's order.  It may vanish only
-    where every u_k does (``zero``), not by underflow elsewhere."""
-    denom = sum(_mul(u.conj(), u).real for u in us)
-    under = (denom == 0.0) & ~zero
-    if under.any():
-        raise NumericalError("squared moduli underflow to 0 at index "
-                             f"{int(under.argmax())}")
-    return denom
+def _scaled_moduli(us: Sequence[np.ndarray]) -> tuple[np.ndarray, list, np.ndarray]:
+    """e, the v_k = u_k * 2^-e, and sum_k (conj(v_k) * v_k).real in Python's
+    order, where e is the binary exponent of max_k max(|Re u_k|, |Im u_k|)
+    at each position.  Every part of the v_k is below 1 and the largest is
+    at least 1/2, so the sum neither overflows nor underflows to 0 where some
+    u_k is nonzero.  Scaling by a power of two is exact: a witness formed
+    from the v_k and scaled back by 2^-e keeps the bits of the unscaled
+    formula wherever that one stayed in the normal range."""
+    e = np.frexp(np.max([np.maximum(np.abs(u.real), np.abs(u.imag)) for u in us],
+                        axis=0))[1]
+    vs = [_ldexp(u, -e) for u in us]
+    return e, vs, sum(_mul(v.conj(), v).real for v in vs)
+
+
+def _ldexp(u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return _complex(np.ldexp(u.real, e), np.ldexp(u.imag, e))
+
+
+def _refuse_non_finite(what: str, *arrays: np.ndarray) -> None:
+    """Raise unless every value of the arrays is finite: a value outside the
+    double range (or lost on the way to one) has no answer to give."""
+    bad = [int(np.isfinite(a).argmin()) for a in arrays if not np.isfinite(a).all()]
+    if bad:
+        raise NumericalError(f"{what} is not finite at index {min(bad)}",
+                             index=min(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +362,10 @@ def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]
         raise NotInIdeal(int(bad.argmax()))
     nz = ~zero
     C = float(np.max(_abs(uf[nz]) / s[nz], initial=0.0))
-    denom = _sq_moduli(ugs, zero)
-    coeffs = [_element(w, np.where(zero, 0, _div(_mul(uf, v.conj()), denom)), pl)
-              for v in ugs]
-    return C, coeffs
+    e, vs, denom = _scaled_moduli(ugs)
+    hs = [np.where(zero, 0, _ldexp(_div(_mul(uf, v.conj()), denom), -e)) for v in vs]
+    _refuse_non_finite("a Bezout witness", *hs)
+    return C, [_element(w, h, pl) for h in hs]
 
 
 @_silent
@@ -369,9 +385,10 @@ def corona_solve(fs: Sequence[Element]) -> tuple[float, list[Element]]:
     zero = s == 0.0
     if zero.any():
         raise CoronaFails(int(zero.argmax()))
-    denom = _sq_moduli(us, zero)
-    gs = [_element(w, _div(v.conj(), denom), pl) for v in us]
-    return float(s.min()), gs
+    e, vs, denom = _scaled_moduli(us)
+    gs = [_ldexp(_div(v.conj(), denom), -e) for v in vs]
+    _refuse_non_finite("a Bezout witness", *gs)
+    return float(s.min()), [_element(w, g, pl) for g in gs]
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +432,7 @@ def bass_reduce(f1: Element, f2: Element, g1: Element, g2: Element,
     _, h1_inv = inv_h1
     h = star(star(h1_inv, u_el), g2)
     witness = add(f1, star(h, f2))
-    bad = [int(np.isfinite(u.array).argmin()) for u in (h.u, witness.u)
-           if not np.isfinite(u.array).all()]
-    if bad:
-        raise NumericalError(f"h or the witness is not finite at index {min(bad)}",
-                             index=min(bad))
+    _refuse_non_finite("h or the witness", h.u.array, witness.u.array)
     delta = inf_abs(witness.u)
     if delta <= 0.0:
         raise PreconditionFailed(

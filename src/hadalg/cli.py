@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import errno
 import gc
 import json
 import math
+import os
 import sys
 
 from . import algebra, ideals, matalg, serialize, weights
@@ -348,15 +350,21 @@ def _parse(argv):
 
 
 def _emit(payload: dict, args) -> None:
-    text = serialize.dumps(payload)
-    if not args.out:
-        print(text)
-        return
+    """Write the document, opening --out before the first byte is formatted;
+    any failure to write it, stdout's too, exits 3."""
     try:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        if args.out:
+            with open(args.out, "w") as fh:
+                serialize.dump(payload, fh)
+                fh.write("\n")
+            return
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        serialize.dump(payload, sys.stdout)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
     except OSError as exc:
-        raise SchemaError(f"cannot write {args.out}: {exc}") from exc
+        raise SchemaError(f"cannot write {args.out or 'standard output'}: {exc}") from exc
 
 
 def run(argv=None) -> int:
@@ -380,7 +388,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        # what a closed stdout refused stays buffered: drop it, so that
+        # shutdown does not report the failure a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

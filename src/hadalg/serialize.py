@@ -2,13 +2,16 @@
 
 Complex numbers travel as [re, im] pairs (bare reals are accepted on input).
 A written document holds each sequence's values as the read-only (k, 2)
-float64 view of its complex array; ``dumps`` turns it into text.  Floats are
-emitted with Python's shortest-roundtrip repr, so every document
-reconstructs bit-identically in double precision.
+float64 view of its complex array; ``dump`` streams its text to a file in
+chunks of rows, holding only the distinct value texts of the whole document
+and one inverse index into them, not the text itself.  Floats are emitted
+with Python's shortest-roundtrip repr, so every document reconstructs
+bit-identically in double precision.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -195,17 +198,22 @@ def factors_to_json(factors) -> list[dict]:
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# rows of an array joined into one write: a few hundred kB of text
+_CHUNK_ROWS = 4096
 
-def dumps(doc: Any) -> str:
-    """The text of json.dumps(doc, indent=2), where doc may also hold (k, 2)
-    float64 arrays, written as lists of [re, im] pairs.
+
+def dump(doc: Any, fh) -> None:
+    """Write the text of json.dumps(doc, indent=2) to the text file fh, where
+    doc may also hold (k, 2) float64 arrays, written as lists of [re, im]
+    pairs.
 
     json's pure-Python encoder (used whenever indent is set) pays a generator
-    step per item.  This walks the document once, writing all but its
+    step per item.  This walks the document once, formatting all but its
     arrays; the values of all the arrays are then deduplicated together by
-    their bits (so -0.0 stays apart from 0.0), each distinct value is
-    formatted once, and each array is one join of its value texts
-    interleaved with the two separators of its rows.
+    their bits (so -0.0 stays apart from 0.0) and each distinct value is
+    formatted once.  The text between the arrays is written as it stands,
+    and each array _CHUNK_ROWS rows at a time: one join of their value texts
+    interleaved with the two separators of a row.
     """
     parts: list[str] = []
     arrays: list[tuple[int, np.ndarray, str]] = []
@@ -213,22 +221,35 @@ def dumps(doc: Any) -> str:
     if arrays:
         bits = np.concatenate([a.ravel() for _, a, _ in arrays]).view(np.int64)
         distinct, inverse = np.unique(bits, return_inverse=True)
+        del bits  # the inverse index is all that the writing below keeps
         values = distinct.view(np.float64)
         texts = list(map(float.__repr__, values.tolist()))
         for k in np.flatnonzero(~np.isfinite(values)).tolist():
             texts[k] = _NONFINITE[texts[k]]
-        cells = np.array(texts, dtype=object)[inverse].tolist()
-        start = 0
-        for slot, a, nl in arrays:
-            inner = nl + "  "
-            # [v0, within a row, v1, between rows] per row; the last one closes
-            pieces = [None, "," + inner + "  ", None,
-                      inner + "]," + inner + "[" + inner + "  "] * len(a)
-            pieces[::2] = cells[start:start + a.size]
-            pieces[-1] = inner + "]" + nl + "]"
-            parts[slot] = "[" + inner + "[" + inner + "  " + "".join(pieces)
-            start += a.size
-    return "".join(parts)
+        texts = np.array(texts, dtype=object)
+    done = start = 0
+    for slot, a, nl in arrays:
+        inner = nl + "  "
+        fh.write("".join(parts[done:slot]) + "[" + inner + "[" + inner + "  ")
+        done = slot + 1
+        # [v0, within a row, v1, between rows] per row; the last one closes
+        row = [None, "," + inner + "  ", None, inner + "]," + inner + "[" + inner + "  "]
+        for first in range(0, len(a), _CHUNK_ROWS):
+            rows = min(_CHUNK_ROWS, len(a) - first)
+            pieces = row * rows
+            pieces[::2] = texts[inverse[start:start + 2 * rows]].tolist()
+            start += 2 * rows
+            if first + rows == len(a):
+                pieces[-1] = inner + "]" + nl + "]"
+            fh.write("".join(pieces))
+    fh.write("".join(parts[done:]))
+
+
+def dumps(doc: Any) -> str:
+    """The text that dump writes."""
+    buf = io.StringIO()
+    dump(doc, buf)
+    return buf.getvalue()
 
 
 def _json_str(s: str) -> str:

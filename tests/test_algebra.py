@@ -6,7 +6,7 @@ import pytest
 from hadalg import algebra as alg
 from hadalg.coeffseq import EPSeq, GenSeq, inf_abs
 from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal, NotInvertible,
-                           PreconditionFailed, WeightMismatch)
+                           NumericalError, PreconditionFailed, WeightMismatch)
 from hadalg.weights import FACTORIAL, superexp
 
 from conftest import exact_divisor, gauss_int, rand_element
@@ -193,6 +193,57 @@ class TestCorona:
         with pytest.raises(CoronaFails) as ei:
             alg.corona_solve([f1, f2])
         assert ei.value.index == 0
+
+
+def scaled_point(rng, k):
+    """A complex number whose larger part has binary exponent about k."""
+    return complex(math.ldexp(rng.uniform(-1, 1), k), math.ldexp(rng.uniform(-1, 1), k))
+
+
+class TestScaledBezout:
+    """corona_solve and in_ideal form their witnesses from u * 2^-e, e the
+    binary exponent of the largest part at each position."""
+
+    EXPONENTS = range(-1000, 1001, 25)
+
+    def test_corona_identity_across_the_exponent_range(self, rng):
+        for _ in range(5):
+            fs = [el([], [scaled_point(rng, k + rng.randint(-20, 0))
+                          for k in self.EXPONENTS]) for _ in range(3)]
+            _, gs = alg.corona_solve(fs)
+            for n in range(len(self.EXPONENTS)):
+                acc = sum(g.u.value(n) * f.u.value(n) for g, f in zip(gs, fs))
+                assert abs(acc - 1) < 1e-14, n
+
+    def test_ideal_identity_across_the_exponent_range(self, rng):
+        for _ in range(5):
+            f = el([], [scaled_point(rng, k) for k in self.EXPONENTS])
+            gens = [el([], [scaled_point(rng, k + rng.randint(-20, 0))
+                            for k in self.EXPONENTS]) for _ in range(2)]
+            _, hs = alg.in_ideal(f, gens)
+            for n in range(len(self.EXPONENTS)):
+                acc = sum(h.u.value(n) * g.u.value(n) for h, g in zip(hs, gens))
+                assert abs(acc - f.u.value(n)) < 1e-14 * abs(f.u.value(n)), n
+
+    def test_normal_range_keeps_the_unscaled_bits(self, rng):
+        # g_i = conj(u_i) / sum_j |u_j|^2 in Python's complex arithmetic
+        for _ in range(20):
+            fs = [rand_element(rng, lambda r: scaled_point(r, r.randint(-60, 60)))
+                  for _ in range(3)]
+            _, gs = alg.corona_solve(fs)
+            for n in range(12):
+                us = [f.u.value(n) for f in fs]
+                denom = sum((u * u.conjugate()).real for u in us)
+                assert [repr(g.u.value(n)) for g in gs] == [
+                    repr(u.conjugate() / denom) for u in us]
+
+    def test_witness_past_the_double_range_is_numerical(self):
+        # 1/1e-310 is not a double: no witness, where the unscaled formula
+        # refused with the squared modulus underflowing to 0
+        with pytest.raises(NumericalError, match="not finite at index 1"):
+            alg.corona_solve([el([1.0], [1e-310])])
+        with pytest.raises(NumericalError, match="not finite at index 0"):
+            alg.in_ideal(el([], [1e300]), [el([], [1e-300])])
 
 
 class TestStableRank:

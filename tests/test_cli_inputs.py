@@ -1,18 +1,23 @@
 """CLI boundary: the JSON writer's bytes, refused input and typed exits."""
 
 import argparse
+import cmath
 import gc
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hadalg import cli, weights
+from hadalg import cli, serialize, weights
 from hadalg.cli import _emit, run
 
 
@@ -24,6 +29,15 @@ def write(tmp_path, doc, name="in.json"):
 
 def element(prefix, cycle):
     return {"weight": "factorial", "normalized": {"prefix": prefix, "cycle": cycle}}
+
+
+def lists(o):
+    """o with every array replaced by its nested lists."""
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, dict):
+        return {k: lists(v) for k, v in o.items()}
+    return [lists(v) for v in o] if isinstance(o, list) else o
 
 
 def elem(tmp_path, op, doc, *extra):
@@ -71,12 +85,6 @@ class TestWriter:
 
     @pytest.mark.parametrize("payload", ARRAY_PAYLOADS)
     def test_arrays_match_json_dumps_of_lists(self, payload, tmp_path):
-        def lists(o):
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            if isinstance(o, dict):
-                return {k: lists(v) for k, v in o.items()}
-            return [lists(v) for v in o] if isinstance(o, list) else o
         out = tmp_path / "o.json"
         _emit(payload, argparse.Namespace(out=str(out)))
         assert out.read_text() == json.dumps(lists(payload), indent=2) + "\n"
@@ -85,6 +93,81 @@ class TestWriter:
         payload = self.PAYLOADS[4]
         _emit(payload, argparse.Namespace(out=None))
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+class TestChunkedWriter:
+    """Arrays are written serialize._CHUNK_ROWS rows at a time; the bytes
+    are those of one json.dumps, whatever the chunk edges cut."""
+
+    CHUNK = serialize._CHUNK_ROWS
+    EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+
+    @staticmethod
+    def rows(k, seed=0):
+        a = np.random.default_rng(seed).standard_normal((k, 2))
+        a.flags.writeable = False
+        return a
+
+    def edged(self, k):
+        """k rows with NaN, +-Infinity and +-0.0 on both sides of each chunk
+        edge, and in the first and last rows."""
+        a = self.rows(k).copy()
+        for edge in range(0, k + 1, self.CHUNK):
+            for r in (edge - 2, edge - 1, edge, edge + 1):
+                if 0 <= r < k:
+                    a[r] = self.EDGE[r % 5], self.EDGE[(r + 2) % 5]
+        a[0], a[-1] = (-0.0, math.nan), (math.inf, -0.0)
+        return a
+
+    def check(self, payload, tmp_path, capsysbinary):
+        want = (json.dumps(lists(payload), indent=2) + "\n").encode()
+        out = tmp_path / "o.json"
+        _emit(payload, argparse.Namespace(out=str(out)))
+        assert out.read_bytes() == want
+        _emit(payload, argparse.Namespace(out=None))
+        assert capsysbinary.readouterr().out == want
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None],
+                             ids=["chunk-1", "chunk", "chunk+1", "2chunk+1"])
+    def test_array_at_a_chunk_edge(self, extra, tmp_path, capsysbinary):
+        k = 2 * self.CHUNK + 1 if extra is None else self.CHUNK + extra
+        self.check({"cycle": self.rows(k)}, tmp_path, capsysbinary)
+
+    @pytest.mark.parametrize("k", [1, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_non_finite_and_signed_zeros_at_chunk_edges(self, k, tmp_path,
+                                                        capsysbinary):
+        self.check({"cycle": self.edged(k)}, tmp_path, capsysbinary)
+
+    def test_multi_chunk_arrays_nested_in_one_document(self, tmp_path, capsysbinary):
+        C = self.CHUNK
+        doc = {"weight": "factorial",
+               "entries": [[{"prefix": self.rows(C + 1, 1), "cycle": self.edged(2 * C + 1)},
+                            {"prefix": self.rows(0), "cycle": self.rows(3, 2)}],
+                           [{"prefix": self.edged(C), "cycle": self.rows(C - 1, 3)},
+                            {"prefix": self.rows(1, 4), "cycle": self.edged(3 * C)}]],
+               "tail": [self.rows(2 * C, 5), {"x": 0.5, "y": [self.edged(C + 1)]}]}
+        self.check(doc, tmp_path, capsysbinary)
+
+    def test_peak_memory_per_array_value(self, tmp_path):
+        # the text of a document is written in chunks, never held whole: a
+        # 200,000-row array peaks at about 49 B a value (np.unique's own
+        # arrays), where formatting all of it before writing took about 105 B
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(16)[rng.integers(0, 16, (200_000, 2))]
+        args = argparse.Namespace(out=str(tmp_path / "o.json"))
+        _emit({"cycle": a}, args)  # warm: imports, the first file open
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _emit({"cycle": a}, args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 64 * a.size, peak / a.size
 
 
 class TestNonFiniteInput:
@@ -187,13 +270,36 @@ class TestTypedExits:
         assert elem(tmp_path, "bass-reduce", doc, "--eps=0")[0] == 3
 
     def test_overflow_is_silent_as_in_python(self, tmp_path):
-        big, tiny = element([], [[1e200, 1e200]]), element([], [[1e-200, 0]])
+        # |u|^2 of 1e200(1 + i) overflows; the Bezout witnesses are formed
+        # from u * 2^-e, so they still satisfy their identities
+        f, u = complex(1e200, 1e200), element([], [[1e200, 1e200]])
+        tiny = element([], [[1e-200, 0]])
+
+        def cycle(doc):
+            return [complex(*v) for v in doc["normalized"]["cycle"]]
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert elem(tmp_path, "corona", {"elements": [big]})[0] == 0
-            assert elem(tmp_path, "ideal-member",
-                        {"f": big, "generators": [big, tiny]})[0] == 0
-            assert elem(tmp_path, "divide", {"f": big, "g": tiny})[0] == 0
+            code, out = elem(tmp_path, "corona", {"elements": [u]})
+            [g] = cycle(out["solution"][0])
+            assert code == 0 and abs(g * f - 1) < 1e-15
+            code, out = elem(tmp_path, "ideal-member", {"f": u, "generators": [u, tiny]})
+            [h1], [h2] = map(cycle, out["coefficients"])
+            assert code == 0 and cmath.isfinite(h1) and cmath.isfinite(h2)
+            assert abs(h1 * f + h2 * 1e-200 - f) < 1e-15 * abs(f)
+            # the quotient overflows as Python's complex division does
+            code, out = elem(tmp_path, "divide", {"f": u, "g": tiny})
+            assert code == 0 and cycle(out["quotient"]) == [f / 1e-200]
+
+    def test_corona_of_a_tiny_constant(self, tmp_path):
+        # |u|^2 = 1e-400 underflows to 0, yet 1/u = 1e200 is a double
+        code, out = elem(tmp_path, "corona", {"elements": [element([], [[1e-200, 0]])]})
+        assert (code, out["solution"][0]["normalized"]["cycle"]) == (0, [[1e200, -0.0]])
+
+    def test_corona_witness_past_the_double_range(self, tmp_path, capsys):
+        assert elem(tmp_path, "corona", {"elements": [element([], [[1e-310, 0]])]}) == (4, None)
+        assert capsys.readouterr().err == (
+            "numerical failure: a Bezout witness is not finite at index 0\n")
 
     def test_quotient_lost_to_smith_overflow_is_numerical(self, tmp_path, capsys):
         # 1/u = 2.9e-309(1 - i) is representable, but Smith's denominator
@@ -337,6 +443,34 @@ class TestOutsideTheOldContract:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: [Errno ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cycle_len", [1, 3 * serialize._CHUNK_ROWS],
+                             ids=["small", "multi-chunk"])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("stdout", ["closed-pipe", "no-descriptor"])
+    def test_unwritable_stdout(self, tmp_path, stdout, buffered, cycle_len):
+        # as an unwritable --out: exit 3 and one line, with no traceback and
+        # no "Exception ignored" at shutdown
+        doc = write(tmp_path, element([], [[k + 0.5, 0] for k in range(cycle_len)]))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = f"import sys; sys.path.insert(0, {src!r}); from hadalg.cli import main; main()"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        r, w = os.pipe()
+        os.close(r)  # no reader: each write to the pipe fails with EPIPE
+        try:
+            kw = ({"stdout": w} if stdout == "closed-pipe"
+                  else {"preexec_fn": lambda: os.close(1)})
+            proc = subprocess.run([sys.executable, "-c", code, "elem", "invert",
+                                   "--json", doc], stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=120, **kw)
+        finally:
+            os.close(w)
+        reason = ("[Errno 32] Broken pipe" if stdout == "closed-pipe"
+                  else "[Errno 9] Bad file descriptor")
+        assert (proc.returncode, proc.stderr) == (
+            3, f"error: cannot write standard output: {reason}\n")
 
     def test_superexp_base_not_a_number_in_a_document(self, tmp_path, capsys):
         doc = {"weight": "superexp:b=.,q=2", "normalized": {"cycle": [[1, 0]]}}
