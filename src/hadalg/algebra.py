@@ -98,10 +98,15 @@ def _scaled_moduli(us: Sequence[np.ndarray]) -> tuple[np.ndarray, list, np.ndarr
     u_k is nonzero.  Scaling by a power of two is exact: a witness formed
     from the v_k and scaled back by 2^-e keeps the bits of the unscaled
     formula wherever that one stayed in the normal range."""
-    e = np.frexp(np.max([np.maximum(np.abs(u.real), np.abs(u.imag)) for u in us],
-                        axis=0))[1]
+    e = _exponent(us)
     vs = [_ldexp(u, -e) for u in us]
     return e, vs, sum(_mul(v.conj(), v).real for v in vs)
+
+
+def _exponent(us: Sequence[np.ndarray]) -> np.ndarray:
+    """The binary exponent of max_k max(|Re u_k|, |Im u_k|) at each position."""
+    return np.frexp(np.max([np.maximum(np.abs(u.real), np.abs(u.imag)) for u in us],
+                           axis=0))[1]
 
 
 def _ldexp(u: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -355,15 +360,21 @@ def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]
         raise InvalidArgument("need at least one generator")
     w = _same_weight(f, *gens)
     pl, (uf, *ugs) = _window(f, *gens)
-    s = sum(_abs(v) for v in ugs)
+    # u_f is scaled by its own power of two and the u_gk by the one of their
+    # largest part (the v_k), so neither C nor u_f * conj(v_k) leaves the
+    # double range whatever the size of the values; the scaling is undone
+    # after dividing
+    e, vs, denom = _scaled_moduli(ugs)
+    ef = _exponent([uf])
+    uf, shift = _ldexp(uf, -ef), ef - e
+    s = sum(_abs(v) for v in vs)
     zero = s == 0.0
     bad = zero & (uf != 0)
     if bad.any():
         raise NotInIdeal(int(bad.argmax()))
     nz = ~zero
-    C = float(np.max(_abs(uf[nz]) / s[nz], initial=0.0))
-    e, vs, denom = _scaled_moduli(ugs)
-    hs = [np.where(zero, 0, _ldexp(_div(_mul(uf, v.conj()), denom), -e)) for v in vs]
+    C = float(np.max(np.ldexp(_abs(uf[nz]) / s[nz], shift[nz]), initial=0.0))
+    hs = [np.where(zero, 0, _ldexp(_div(_mul(uf, v.conj()), denom), shift)) for v in vs]
     _refuse_non_finite("a Bezout witness", *hs)
     return C, [_element(w, h, pl) for h in hs]
 

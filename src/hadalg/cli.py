@@ -40,19 +40,12 @@ def _load_doc(args) -> object:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {name}: {exc}") from exc
-    # a decoded document is a tree: collecting cycles while decoding frees
-    # nothing, yet full passes over every list decoded so far add up
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int past 4300 digits
         raise SchemaError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"invalid JSON: {name} is nested too deeply") from None
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _field(doc, key):
@@ -85,25 +78,48 @@ def _elements(doc, key) -> list:
     return [serialize.element_from_json(d, f"{key}[{k}].") for k, d in enumerate(docs)]
 
 
+def _named(doc, key):
+    return serialize.element_from_json(_field(doc, key), key + ".")
+
+
+def _matrix(doc, key):
+    return serialize.matrix_from_json(_field(doc, key))
+
+
+# each operation's inputs, read in the order their errors are reported; an
+# operation not listed reads the document as one element (one matrix).  The
+# handlers read them before computing, so the decoded document is freed first
+_ELEM_INPUTS = {
+    "divide": lambda doc: (_named(doc, "f"), _named(doc, "g")),
+    "gcd": lambda doc: (_elements(doc, "elements"),),
+    "ideal-member": lambda doc: (_named(doc, "f"), _elements(doc, "generators")),
+    "corona": lambda doc: (_elements(doc, "elements"),),
+    "bass-reduce": lambda doc: tuple(_named(doc, k) for k in ("f1", "f2", "g1", "g2")),
+}
+_MAT_INPUTS = {
+    "mul": lambda doc: (_matrix(doc, "A"), _matrix(doc, "B")),
+    "solve": lambda doc: (_matrix(doc, "A"), _matrix(doc, "b")),
+}
+
+
 # ---------------------------------------------------------------------------
 # elem subcommands
 
 
 def _cmd_elem(args):
-    doc = _load_doc(args)
     op = args.op
+    read = _ELEM_INPUTS.get(op, lambda doc: (serialize.element_from_json(doc),))
+    ins = read(_load_doc(args))
+    f = ins[0]
     if op == "norm":
-        f = serialize.element_from_json(doc)
         return {"norm": algebra.norm(f)}, f"||f|| = {algebra.norm(f)}"
     if op == "eval":
-        f = serialize.element_from_json(doc)
         z = _parse_z(args.z)
         res = algebra.eval_at(f, z, tol=args.tol)
         return ({"value": complex_json(res.value), "error_bound": res.error_bound,
                  "terms": res.terms},
                 f"f({z}) = {res.value} (+- {res.error_bound:.3e})")
     if op == "invert":
-        f = serialize.element_from_json(doc)
         inv = algebra.invertible(f)
         if inv is None:
             raise algebra.not_invertible_witness(f)
@@ -111,42 +127,32 @@ def _cmd_elem(args):
         return ({"delta": delta, "inverse": serialize.element_to_json(g)},
                 f"invertible, delta = {delta}")
     if op == "divide":
-        f = serialize.element_from_json(_field(doc, "f"), "f.")
-        g = serialize.element_from_json(_field(doc, "g"), "g.")
-        C, h = algebra.divide(f, g)
+        C, h = algebra.divide(*ins)
         return ({"C": C, "quotient": serialize.element_to_json(h)},
                 f"divisible, least C = {C}")
     if op == "gcd":
-        fs = _elements(doc, "elements")
-        d = algebra.gcd(fs)
+        d = algebra.gcd(*ins)
         return {"gcd": serialize.element_to_json(d)}, "gcd computed"
     if op == "ideal-member":
-        f = serialize.element_from_json(_field(doc, "f"), "f.")
-        gens = _elements(doc, "generators")
-        C, hs = algebra.in_ideal(f, gens)
+        C, hs = algebra.in_ideal(*ins)
         return ({"C": C, "coefficients": [serialize.element_to_json(h) for h in hs]},
                 f"member, least C = {C}")
     if op == "corona":
-        fs = _elements(doc, "elements")
-        delta, gs = algebra.corona_solve(fs)
+        delta, gs = algebra.corona_solve(*ins)
         return ({"delta": delta,
                  "solution": [serialize.element_to_json(g) for g in gs]},
                 f"corona condition holds, delta = {delta}")
     if op == "exp":
-        f = serialize.element_from_json(doc)
         return ({"exp": serialize.element_to_json(algebra.exp_el(f))},
                 "exponential computed")
     if op == "log":
-        g = serialize.element_from_json(doc)
-        f = algebra.log_el(g)
-        return ({"log": serialize.element_to_json(f), "norm": algebra.norm(f)},
-                f"logarithm computed, ||log g|| = {algebra.norm(f)}")
+        lg = algebra.log_el(f)
+        return ({"log": serialize.element_to_json(lg), "norm": algebra.norm(lg)},
+                f"logarithm computed, ||log g|| = {algebra.norm(lg)}")
     if op == "idempotent":
-        f = serialize.element_from_json(doc)
         flag = algebra.is_idempotent(f)
         return {"idempotent": flag}, f"idempotent: {flag}"
     if op == "approx-invert":
-        f = serialize.element_from_json(doc)
         eps = _FLAGS["tol"]["default"] if args.eps is None else args.eps
         g = algebra.approx_invertible(f, eps)
         dist = algebra.norm(algebra.sub(g, f))
@@ -154,10 +160,8 @@ def _cmd_elem(args):
                  "distance": dist},
                 f"invertible approximant at distance {dist} <= {2 * eps}")
     # bass-reduce
-    quad = [serialize.element_from_json(_field(doc, k), k + ".")
-            for k in ("f1", "f2", "g1", "g2")]
     eps = 0.25 if args.eps is None else args.eps
-    h, witness = algebra.bass_reduce(*quad, eps=eps)
+    h, witness = algebra.bass_reduce(*ins, eps=eps)
     return ({"h": serialize.element_to_json(h),
              "witness": serialize.element_to_json(witness),
              "delta": inf_abs(witness.u)},
@@ -169,39 +173,33 @@ def _cmd_elem(args):
 
 
 def _cmd_mat(args):
-    doc = _load_doc(args)
     op = args.op
+    read = _MAT_INPUTS.get(op, lambda doc: (serialize.matrix_from_json(doc),))
+    ins = read(_load_doc(args))
+    A = ins[0]
     if op == "mul":
-        A = serialize.matrix_from_json(_field(doc, "A"))
-        B = serialize.matrix_from_json(_field(doc, "B"))
-        return ({"product": serialize.matrix_to_json(matalg.mat_mul(A, B))},
+        return ({"product": serialize.matrix_to_json(matalg.mat_mul(*ins))},
                 "product computed")
     if op == "det":
-        A = serialize.matrix_from_json(doc)
         return ({"det": serialize.element_to_json(matalg.mat_det(A))},
                 "determinant computed")
     if op == "solve":
-        A = serialize.matrix_from_json(_field(doc, "A"))
-        b = serialize.matrix_from_json(_field(doc, "b"))
-        delta, x = matalg.mat_solve(A, b, rtol=args.tol)
+        delta, x = matalg.mat_solve(*ins, rtol=args.tol)
         return ({"delta": "inf" if math.isinf(delta) else delta,
                  "x": serialize.matrix_to_json(x)},
                 f"solved, delta = {delta}")
     if op == "exp":
-        B = serialize.matrix_from_json(doc)
-        return ({"exp": serialize.matrix_to_json(matalg.mat_exp(B))},
+        return ({"exp": serialize.matrix_to_json(matalg.mat_exp(A))},
                 "matrix exponential computed")
     if op == "log":
-        B = matalg.mat_log(serialize.matrix_from_json(doc))
-        return ({"log": serialize.matrix_to_json(B)}, "matrix logarithm computed")
+        return ({"log": serialize.matrix_to_json(matalg.mat_log(A))},
+                "matrix logarithm computed")
     if op == "sl-factor":
-        A = serialize.matrix_from_json(doc)
         factors, err = matalg.sl_factor(A, tol=args.tol)
         return ({"factors": serialize.factors_to_json(factors),
                  "verification": {"max_error": err, "tol": args.tol}},
                 f"{len(factors)} elementary factors, max_error = {err:.3e}")
     # norm-bounds
-    A = serialize.matrix_from_json(doc)
     S, upper = matalg.mat_norm_bounds(A)
     return ({"spectral_sup": S, "entry_bound": upper},
             f"sup ||U(k)|| = {S} <= {upper}")
@@ -368,6 +366,19 @@ def _emit(payload: dict, args) -> None:
 
 
 def run(argv=None) -> int:
+    # a request makes no reference cycles worth collecting (its decoded
+    # document is a tree), so the cyclic collector's passes over everything
+    # allocated free nothing: pause it, and leave it as the caller had it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     try:
         args = _parse(argv)
         try:

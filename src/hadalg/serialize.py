@@ -2,11 +2,10 @@
 
 Complex numbers travel as [re, im] pairs (bare reals are accepted on input).
 A written document holds each sequence's values as the read-only (k, 2)
-float64 view of its complex array; ``dump`` streams its text to a file in
-chunks of rows, holding only the distinct value texts of the whole document
-and one inverse index into them, not the text itself.  Floats are emitted
-with Python's shortest-roundtrip repr, so every document reconstructs
-bit-identically in double precision.
+float64 view of its complex array; ``dump`` streams its text to a file a
+block of rows at a time, holding one block's values and texts, never the
+whole document's.  Floats are emitted with Python's shortest-roundtrip repr,
+so every document reconstructs bit-identically in double precision.
 """
 
 from __future__ import annotations
@@ -198,8 +197,22 @@ def factors_to_json(factors) -> list[dict]:
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# rows of an array joined into one write: a few hundred kB of text
+# rows joined into one write, and at most the rows of one block: a few
+# hundred kB of text
 _CHUNK_ROWS = 4096
+
+_repr = np.frompyfunc(float.__repr__, 1, 1)
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """The JSON text of each float64 value, each distinct one (by its bits,
+    so -0.0 stays apart from 0.0) formatted once."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = distinct.view(np.float64)
+    texts = _repr(distinct)
+    nonfinite = ~np.isfinite(distinct)
+    texts[nonfinite] = [_NONFINITE[t] for t in texts[nonfinite]]
+    return texts[inverse].tolist()
 
 
 def dump(doc: Any, fh) -> None:
@@ -209,39 +222,44 @@ def dump(doc: Any, fh) -> None:
 
     json's pure-Python encoder (used whenever indent is set) pays a generator
     step per item.  This walks the document once, formatting all but its
-    arrays; the values of all the arrays are then deduplicated together by
-    their bits (so -0.0 stays apart from 0.0) and each distinct value is
-    formatted once.  The text between the arrays is written as it stands,
-    and each array _CHUNK_ROWS rows at a time: one join of their value texts
-    interleaved with the two separators of a row.
+    arrays, and writes the text between the arrays as it stands.  Each array
+    is cut into chunks of at most _CHUNK_ROWS rows, and consecutive chunks,
+    of one array or several, into blocks of at most _CHUNK_ROWS rows: the
+    values of a block are formatted together, each distinct one once, and
+    each chunk is written as one join of its value texts interleaved with the
+    two separators of a row.  So the writer holds one block, never the
+    document's values or its text.
     """
     parts: list[str] = []
     arrays: list[tuple[int, np.ndarray, str]] = []
     _write(doc, "\n", parts, arrays)
-    if arrays:
-        bits = np.concatenate([a.ravel() for _, a, _ in arrays]).view(np.int64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        del bits  # the inverse index is all that the writing below keeps
-        values = distinct.view(np.float64)
-        texts = list(map(float.__repr__, values.tolist()))
-        for k in np.flatnonzero(~np.isfinite(values)).tolist():
-            texts[k] = _NONFINITE[texts[k]]
-        texts = np.array(texts, dtype=object)
-    done = start = 0
-    for slot, a, nl in arrays:
-        inner = nl + "  "
-        fh.write("".join(parts[done:slot]) + "[" + inner + "[" + inner + "  ")
-        done = slot + 1
-        # [v0, within a row, v1, between rows] per row; the last one closes
-        row = [None, "," + inner + "  ", None, inner + "]," + inner + "[" + inner + "  "]
-        for first in range(0, len(a), _CHUNK_ROWS):
-            rows = min(_CHUNK_ROWS, len(a) - first)
-            pieces = row * rows
-            pieces[::2] = texts[inverse[start:start + 2 * rows]].tolist()
-            start += 2 * rows
-            if first + rows == len(a):
+    # (slot, the chunk's rows, nl, whether it is its array's first, last)
+    chunks = [(slot, a[first:first + _CHUNK_ROWS], nl, first == 0,
+               first + _CHUNK_ROWS >= len(a))
+              for slot, a, nl in arrays for first in range(0, len(a), _CHUNK_ROWS)]
+    done = lo = 0
+    while lo < len(chunks):
+        hi, rows = lo, 0
+        while hi < len(chunks) and rows + len(chunks[hi][1]) <= _CHUNK_ROWS:
+            rows += len(chunks[hi][1])
+            hi += 1
+        block = chunks[lo:hi]
+        texts = _texts(np.concatenate([c[1].ravel() for c in block]))
+        at = 0
+        for slot, a, nl, opens, closes in block:
+            inner = nl + "  "
+            if opens:
+                fh.write("".join(parts[done:slot]) + "[" + inner + "[" + inner + "  ")
+                done = slot + 1
+            # [v0, within a row, v1, between rows] per row; the last one closes
+            pieces = [None, "," + inner + "  ", None,
+                      inner + "]," + inner + "[" + inner + "  "] * len(a)
+            pieces[::2] = texts[at:at + a.size]
+            at += a.size
+            if closes:
                 pieces[-1] = inner + "]" + nl + "]"
             fh.write("".join(pieces))
+        lo = hi
     fh.write("".join(parts[done:]))
 
 

@@ -237,6 +237,31 @@ class TestScaledBezout:
                 assert [repr(g.u.value(n)) for g in gs] == [
                     repr(u.conjugate() / denom) for u in us]
 
+    def test_ideal_normal_range_keeps_the_unscaled_bits(self, rng):
+        # C = max |u_f| / sum_k |u_gk| and h_k = u_f * conj(u_gk) / sum_j
+        # |u_gj|^2 in Python's complex arithmetic
+        for _ in range(20):
+            f, *gens = [rand_element(rng, lambda r: scaled_point(r, r.randint(-60, 60)))
+                        for _ in range(3)]
+            C, hs = alg.in_ideal(f, gens)
+            window = range(40)  # past every joint window: prefix <= 3, cycle <= 12
+            uf = [f.u.value(n) for n in window]
+            ugs = [[g.u.value(n) for n in window] for g in gens]
+            assert C == max(abs(u) / sum(abs(g[n]) for g in ugs) for n, u in enumerate(uf))
+            for n in window:
+                denom = sum((g[n] * g[n].conjugate()).real for g in ugs)
+                assert [repr(h.u.value(n)) for h in hs] == [
+                    repr(uf[n] * g[n].conjugate() / denom) for g in ugs]
+
+    @pytest.mark.parametrize("top", [1e308, 1.7e308])
+    def test_ideal_member_near_the_top_of_the_range(self, top):
+        # C and u_f * conj(v_k) are formed from u_f scaled by its own power
+        # of two, so a member near the largest double keeps C = 1 and h = 1,
+        # though |u_f| itself overflows at 1.7e308(1 + i)
+        f = el([], [complex(top, top)])
+        C, (h,) = alg.in_ideal(f, [f])
+        assert (C, h.u.array.tolist()) == (1, [1])
+
     def test_witness_past_the_double_range_is_numerical(self):
         # 1/1e-310 is not a double: no witness, where the unscaled formula
         # refused with the squared modulus underflowing to 0

@@ -96,8 +96,9 @@ class TestWriter:
 
 
 class TestChunkedWriter:
-    """Arrays are written serialize._CHUNK_ROWS rows at a time; the bytes
-    are those of one json.dumps, whatever the chunk edges cut."""
+    """Arrays are written serialize._CHUNK_ROWS rows at a time, and their
+    values formatted a block of at most that many rows at a time; the bytes
+    are those of one json.dumps, whatever the chunk and block edges cut."""
 
     CHUNK = serialize._CHUNK_ROWS
     EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0]
@@ -148,14 +149,57 @@ class TestChunkedWriter:
                "tail": [self.rows(2 * C, 5), {"x": 0.5, "y": [self.edged(C + 1)]}]}
         self.check(doc, tmp_path, capsysbinary)
 
-    def test_peak_memory_per_array_value(self, tmp_path):
-        # the text of a document is written in chunks, never held whole: a
-        # 200,000-row array peaks at about 49 B a value (np.unique's own
-        # arrays), where formatting all of it before writing took about 105 B
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal(16)[rng.integers(0, 16, (200_000, 2))]
-        args = argparse.Namespace(out=str(tmp_path / "o.json"))
-        _emit({"cycle": a}, args)  # warm: imports, the first file open
+    def matrix(self, n):
+        """An n x n matrix document of tiny cells: 0-2 prefix rows and 1-3
+        cycle rows, values shared between cells, non-finite and signed
+        zeros among them."""
+        pool = np.array([0.5, -0.0, 0.0, math.nan, math.inf, -math.inf, 0.1, 2.0])
+        rng = np.random.default_rng(n)
+        cell = lambda k: pool[rng.integers(0, len(pool), (k, 2))]
+        return {"weight": "factorial", "rows": n, "cols": n,
+                "entries": [[{"prefix": cell(k % 3), "cycle": cell(1 + k % 3)}
+                             for k in range(i * n, (i + 1) * n)] for i in range(n)]}
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The number of values each block formats, block by block."""
+        sizes = []
+        real = serialize._texts
+        monkeypatch.setattr(serialize, "_texts",
+                            lambda values: sizes.append(values.size) or real(values))
+        return sizes
+
+    def test_tiny_arrays_share_one_block(self, blocks, tmp_path, capsysbinary):
+        doc = self.matrix(7)
+        self.check(doc, tmp_path, capsysbinary)
+        rows = sum(len(c[k]) for r in doc["entries"] for c in r for k in c)
+        assert blocks == [2 * rows] * 2  # one block each for --out and stdout
+
+    def test_blocks_hold_at_most_a_chunk_of_rows(self, blocks, tmp_path, capsysbinary):
+        C = self.CHUNK
+        # chunks of C - 1 | 2 | C | C | 3, C - 5 | C | 1, 2, 7 rows, in blocks
+        doc = {"a": self.edged(C - 1), "b": [self.edged(2), self.edged(2 * C + 3)],
+               "c": {"d": self.edged(C - 5), "e": self.edged(C + 1)},
+               "f": [self.edged(2), self.edged(7)]}
+        self.check(doc, tmp_path, capsysbinary)
+        rows = [C - 1, 2, C, C, C - 2, C, 10]
+        assert blocks == [2 * r for r in rows] * 2
+
+    def test_one_array_over_several_blocks(self, blocks, tmp_path, capsysbinary):
+        # 16 distinct values, each formatted again in every block
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(16)[rng.integers(0, 16, (3 * self.CHUNK + 5, 2))]
+        a.ravel()[rng.integers(0, a.size, 40)] = np.resize(self.EDGE, 40)
+        self.check({"cycle": a}, tmp_path, capsysbinary)
+        assert blocks == [2 * self.CHUNK] * 3 + [10] + [2 * self.CHUNK] * 3 + [10]
+
+    def test_peak_memory_is_one_block(self):
+        # the writer holds one block of at most _CHUNK_ROWS rows, whatever
+        # the size of the document: a 1,000,000-row array of distinct values
+        # peaks at about 2 MB, where holding all its values took 236 MB
+        a = np.random.default_rng(7).standard_normal((1_000_000, 2))
+        args = argparse.Namespace(out=os.devnull)
+        _emit({"cycle": a[:10]}, args)  # warm: imports, the first file open
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -167,7 +211,7 @@ class TestChunkedWriter:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak < 64 * a.size, peak / a.size
+        assert peak < 8 << 20, peak
 
 
 class TestNonFiniteInput:
@@ -499,8 +543,8 @@ class TestOutsideTheOldContract:
 
 
 class TestDecodeCollector:
-    """_load_doc decodes with the cyclic collector paused, and leaves it as
-    the caller had it."""
+    """run pauses the cyclic collector for the whole request, decoding and
+    writing included, and leaves it as the caller had it on every exit."""
 
     @pytest.fixture
     def during(self, monkeypatch):
@@ -510,6 +554,14 @@ class TestDecodeCollector:
                             lambda text: seen.append(gc.isenabled()) or real(text))
         yield seen
         gc.enable()
+
+    @pytest.fixture
+    def writing(self, monkeypatch):
+        seen = []
+        real = cli.serialize.dump
+        monkeypatch.setattr(cli.serialize, "dump",
+                            lambda doc, fh: seen.append(gc.isenabled()) or real(doc, fh))
+        return seen
 
     @pytest.mark.parametrize("text, code", [('{"weight": "factorial", '
                                              '"normalized": {"cycle": [[1, 0]]}}', 0),
@@ -521,3 +573,32 @@ class TestDecodeCollector:
         (gc.enable if enabled else gc.disable)()
         assert run(["elem", "norm", "--json", str(path)]) == code
         assert (during, gc.isenabled()) == ([False], enabled)
+
+    @pytest.mark.parametrize("op, doc, code", [
+        ("norm", element([], [[1, 0]]), 0),
+        ("invert", element([[1, 0]], [[0, 0]]), 2),
+        ("corona", {"elements": [element([[1, 0]], [[1e-310, 0]])]}, 4)])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_on_every_exit(self, op, doc, code, enabled, during,
+                                           writing, tmp_path, capsys):
+        path = write(tmp_path, doc)
+        (gc.enable if enabled else gc.disable)()
+        assert run(["elem", op, "--json", path]) == code
+        written = [False] if code in (0, 2) else []
+        assert (during, writing, gc.isenabled()) == ([False], written, enabled)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_after_an_uncaught_exception(self, enabled, during,
+                                                         monkeypatch, tmp_path):
+        seen = []
+
+        def fail(f):
+            seen.append(gc.isenabled())
+            raise RuntimeError("not a typed failure")
+
+        monkeypatch.setattr(cli.algebra, "norm", fail)
+        path = write(tmp_path, element([], [[1, 0]]))
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="not a typed failure"):
+            run(["elem", "norm", "--json", path])
+        assert (during, seen, gc.isenabled()) == ([False], [False], enabled)

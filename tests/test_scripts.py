@@ -54,6 +54,15 @@ def test_sl_factorization_demo_reconstructs():
     assert max(errors) <= 1e-9
 
 
+# sha256 of the whole replay of each workload's --tiny seed-1 manifest: any
+# change to an output byte, an exit code or a message changes it
+REPLAY_SHA256 = {
+    "scalar-window": "a0a98d13234781ff1d1b0d6eac361cb114142ff67d40a76293037b9189cca39b",
+    "matrix-positions": "97e15d70cb13a26cd8f7f2b90fd14d7a46897345e320dcf6502c9eb1ce837e67",
+    "series-horizon": "1f4f2084af288430e5c2af6c788a7e2c1259398456a60168532ce5ecad9ca627",
+}
+
+
 @pytest.mark.parametrize("workload", ["scalar-window", "matrix-positions",
                                       "series-horizon"])
 def test_replay_outputs_prints_one_line_per_request(workload, tmp_path):
@@ -61,7 +70,9 @@ def test_replay_outputs_prints_one_line_per_request(workload, tmp_path):
                     workload, "--seed", "1", "--dir", str(tmp_path), "--tiny"],
                    check=True, timeout=120)
     requests = json.loads((tmp_path / "manifest.json").read_text())["requests"]
-    lines = run_script("replay_outputs.py", str(tmp_path)).splitlines()
+    out = run_script("replay_outputs.py", str(tmp_path))
+    assert hashlib.sha256(out.encode()).hexdigest() == REPLAY_SHA256[workload]
+    lines = out.splitlines()
     assert [line.split(" ", 1)[0] for line in lines] == [str(r["id"]) for r in requests]
     for line in lines:
         _, code, digest, err = line.split(" ", 3)
