@@ -26,8 +26,7 @@ from .coeffseq import (MAX_WINDOW, EPSeq, _abs, _complex, _div, _mul, _silent,
                        inf_abs, joint_shape, sup_abs)
 from .errors import (BoundUnavailable, CoronaFails, InvalidArgument,
                      NotDivisible, NotInIdeal, NotInvertible, NumericalError,
-                     PointwiseDomainError, PreconditionFailed, WeightMismatch,
-                     WindowTooLarge)
+                     PointwiseDomainError, WeightMismatch, WindowTooLarge)
 from .weights import Weight
 
 MAX_EVAL_TERMS = 100_000  # the largest truncation index eval_at tries
@@ -113,13 +112,12 @@ def _ldexp(u: np.ndarray, e: np.ndarray) -> np.ndarray:
     return _complex(np.ldexp(u.real, e), np.ldexp(u.imag, e))
 
 
-def _refuse_non_finite(what: str, *arrays: np.ndarray) -> None:
-    """Raise unless every value of the arrays is finite: a value outside the
-    double range (or lost on the way to one) has no answer to give."""
-    bad = [int(np.isfinite(a).argmin()) for a in arrays if not np.isfinite(a).all()]
-    if bad:
-        raise NumericalError(f"{what} is not finite at index {min(bad)}",
-                             index=min(bad))
+def _refuse(what: str, bad: np.ndarray) -> None:
+    """Raise NumericalError naming the first index where ``bad`` holds: there
+    a value left the double range, or missed its bound, and has no answer."""
+    if bad.any():
+        n = int(bad.argmax())
+        raise NumericalError(f"{what} at index {n}", index=n)
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +283,16 @@ def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
 # divisibility, gcd, ideals, corona
 
 
-def _quotient(a, b, zero=False) -> np.ndarray:
-    """_div(a, b), 0 where ``zero`` marks b = 0 = a.  Refused at the first
-    index where it is 0 though a is not: Smith's method overflows its
-    denominator near the top of the double range (1 / 1.7e308(1+i) gives 0,
-    not 2.9e-309(1-i)), and a 0 would pass for an exact quotient."""
-    q = np.where(zero, 0, _div(a, b))
+def _quotient(a, b, zero=False, shift=0) -> np.ndarray:
+    """_div(a, b) * 2^shift, 0 where ``zero`` marks b = 0 = a.  Refused at
+    the first index where it is 0 though a is not (Smith's denominator
+    overflows in 1 / 1.7e308(1+i), a shift can underflow): a 0 would pass
+    for an exact quotient."""
+    q = np.where(zero, 0, _ldexp(_div(a, b), shift))
     lost = (q == 0) & (a != 0)
     if lost.any():
         n = int(lost.argmax())
-        raise NumericalError(f"quotient at index {n} underflows to 0: "
-                             f"dividing by {complex(b[n])}", index=n)
+        raise NumericalError(f"quotient at index {n} underflows to 0", index=n)
     return q
 
 
@@ -330,9 +327,13 @@ def divide(f: Element, g: Element) -> tuple[float, Element]:
     bad = zero & (uf != 0)
     if bad.any():
         raise NotDivisible(int(bad.argmax()))
+    # u_f and u_g are each scaled by their own power of two, so neither C nor
+    # Smith's quotient overflows on the way; the shift is undone after dividing
+    ef, eg = _exponent([uf]), _exponent([ug])
+    uf, ug, shift = _ldexp(uf, -ef), _ldexp(ug, -eg), ef - eg
     nz = ~zero
-    C = float(np.max(_abs(uf[nz]) / _abs(ug[nz]), initial=0.0))
-    return C, _element(f.weight, _quotient(uf, ug, zero), pl)
+    C = float(np.max(np.ldexp(_abs(uf[nz]) / _abs(ug[nz]), shift[nz]), initial=0.0))
+    return C, _element(f.weight, _quotient(uf, ug, zero, shift), pl)
 
 
 def gcd(fs: Sequence[Element]) -> Element:
@@ -375,7 +376,7 @@ def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]
     nz = ~zero
     C = float(np.max(np.ldexp(_abs(uf[nz]) / s[nz], shift[nz]), initial=0.0))
     hs = [np.where(zero, 0, _ldexp(_div(_mul(uf, v.conj()), denom), shift)) for v in vs]
-    _refuse_non_finite("a Bezout witness", *hs)
+    _refuse("a Bezout witness is not finite", ~np.isfinite(hs).all(axis=0))
     return C, [_element(w, h, pl) for h in hs]
 
 
@@ -398,7 +399,7 @@ def corona_solve(fs: Sequence[Element]) -> tuple[float, list[Element]]:
         raise CoronaFails(int(zero.argmax()))
     e, vs, denom = _scaled_moduli(us)
     gs = [_ldexp(_div(v.conj(), denom), -e) for v in vs]
-    _refuse_non_finite("a Bezout witness", *gs)
+    _refuse("a Bezout witness is not finite", ~np.isfinite(gs).all(axis=0))
     return float(s.min()), [_element(w, g, pl) for g in gs]
 
 
@@ -418,38 +419,41 @@ def approx_invertible(f: Element, eps: float) -> Element:
                     f.u.period_start)
 
 
-def bass_reduce(f1: Element, f2: Element, g1: Element, g2: Element,
-                eps: float = 0.25) -> tuple[Element, Element]:
-    """Reduce the unimodular pair (f1, f2): find h with f1 + h*f2 invertible.
+@_silent
+def stable_rank_step(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The paper's stable-rank-1 step at each position k, for a pivot a[k]
+    and the entries b[k] below it: t[k] with a[k] + t[k] . b[k] =
+    e^{i arg a[k]} (|a[k]| + rho) where |a[k]| < rho = ||b[k]||, and t[k] = 0
+    elsewhere, so |t[k]| <= 1.  rho and t are formed from b[k] * 2^-e, e the
+    binary exponent of b[k]'s largest part, so neither over- nor underflows;
+    in the normal range that keeps the bits of the unscaled formula."""
+    e = _exponent(b.T)
+    b = _ldexp(b, -e[:, None])
+    rho = np.linalg.norm(b, axis=1)
+    low = np.abs(a) < np.ldexp(rho, e)
+    phase = np.exp(1j * np.angle(a))
+    return np.where(low, phase / np.where(low, rho, 1.0), 0)[:, None] * b.conj()
 
-    Requires the Bezout identity g1*f1 + g2*f2 = unit to hold exactly.
-    The chain: u = 1 + |u_f1| (invertible), F1 = f1 * u^-1 (norm <= 1),
-    G1 = g1 * u, H1 = thresholding of G1 at eps, h = H1^-1 * u * g2.
-    Then f1 + h*f2 = H1^-1 * u * (unit + (H1 - G1) * F1) is invertible since
-    ||(H1 - G1) * F1|| <= 2 eps < 1.
+
+@_silent
+def bass_reduce(f1: Element, f2: Element) -> tuple[Element, Element]:
+    """Reduce the unimodular pair (f1, f2): h with f1 + h*f2 invertible.
+
+    The pair is unimodular iff delta = inf (|u1| + |u2|) > 0; else CoronaFails
+    names the first index where both vanish.  h is stable_rank_step(u1, u2),
+    so ||h|| <= 1 and |f1 + h*f2| >= (|u1| + |u2|) / 2 >= delta / 2 at every
+    position, which is checked (less 4 ulps) before answering.
     """
-    if not 0 < eps < 0.5:
-        raise InvalidArgument("eps must lie in (0, 1/2)")
-    w = _same_weight(f1, f2, g1, g2)
-    bezout = add(star(g1, f1), star(g2, f2))
-    if bezout.u != EPSeq.constant(1.0):
-        raise PreconditionFailed("g1*f1 + g2*f2 is not exactly the unit")
-    u_el = _element(w, 1.0 + _abs(f1.u.array), f1.u.period_start)
-    g1u = star(g1, u_el)
-    h1 = approx_invertible(g1u, eps)
-    inv_h1 = invertible(h1)
-    if inv_h1 is None:  # cannot happen: thresholding guarantees inf >= eps
-        raise PreconditionFailed("thresholded element unexpectedly singular")
-    _, h1_inv = inv_h1
-    h = star(star(h1_inv, u_el), g2)
-    witness = add(f1, star(h, f2))
-    _refuse_non_finite("h or the witness", h.u.array, witness.u.array)
-    delta = inf_abs(witness.u)
-    if delta <= 0.0:
-        raise PreconditionFailed(
-            "construction produced a non-invertible witness; "
-            "the input identity was not a valid Bezout identity")
-    return h, witness
+    w = _same_weight(f1, f2)
+    pl, (u1, u2) = _window(f1, f2)
+    s = _abs(u1) + _abs(u2)
+    if (s == 0.0).any():
+        raise CoronaFails(int((s == 0.0).argmax()))
+    h = stable_rank_step(u1, u2[:, None])[:, 0]
+    wit = u1 + _mul(h, u2)
+    _refuse("h or the witness is not finite", ~np.isfinite([h, wit]).all(axis=0))
+    _refuse("|f1 + h*f2| is below delta/2", 2 * _abs(wit) < s * (1 - 2.0 ** -50))
+    return _element(w, h, pl), _element(w, wit, pl)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ _ELEM_INPUTS = {
     "gcd": lambda doc: (_elements(doc, "elements"),),
     "ideal-member": lambda doc: (_named(doc, "f"), _elements(doc, "generators")),
     "corona": lambda doc: (_elements(doc, "elements"),),
-    "bass-reduce": lambda doc: tuple(_named(doc, k) for k in ("f1", "f2", "g1", "g2")),
+    "bass-reduce": lambda doc: (_named(doc, "f1"), _named(doc, "f2")),
 }
 _MAT_INPUTS = {
     "mul": lambda doc: (_matrix(doc, "A"), _matrix(doc, "B")),
@@ -160,8 +160,7 @@ def _cmd_elem(args):
                  "distance": dist},
                 f"invertible approximant at distance {dist} <= {2 * eps}")
     # bass-reduce
-    eps = 0.25 if args.eps is None else args.eps
-    h, witness = algebra.bass_reduce(*ins, eps=eps)
+    h, witness = algebra.bass_reduce(*ins)
     return ({"h": serialize.element_to_json(h),
              "witness": serialize.element_to_json(witness),
              "delta": inf_abs(witness.u)},
@@ -296,7 +295,7 @@ OPERATIONS = {
         "divide": ("json",), "gcd": ("json",), "ideal-member": ("json",),
         "corona": ("json",), "exp": ("json",), "log": ("json",),
         "idempotent": ("json",), "approx-invert": ("json", "eps"),
-        "bass-reduce": ("json", "eps")}),
+        "bass-reduce": ("json",)}),
     "mat": (_cmd_mat, {
         "mul": ("json",), "det": ("json",), "solve": ("json", "tol"),
         "exp": ("json",), "log": ("json",), "sl-factor": ("json", "tol"),

@@ -88,10 +88,6 @@ class NotSL(MathConditionError):
                          f"{position}: {det}", position=position, det=det)
 
 
-class PreconditionFailed(MathConditionError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # numerical failures (CLI exit code 4)
 

@@ -504,13 +504,13 @@ def _gauss_factors(stack: np.ndarray) -> tuple[list, np.ndarray]:
     so that input = product(I + values e_ij) * diagonal.
 
     The forward sweep takes the columns left to right.  Column j's pivot is
-    first raised by the stable-rank-1 step: where |M_jj| < rho =
-    ||M_{j+1:, j}||, row j gains t_i * row i for each i > j,
-    t_i = e^{i arg M_jj} conj(M_ij) / rho, so the pivot becomes
-    e^{i arg M_jj} (|M_jj| + rho) and every multiplier is at most 1 in
-    modulus; then the rows below are cleared.  The backward sweep clears
-    the rows above each pivot, right to left.  Raises NumericalError naming
-    the first position where a pivot is 0 or not finite."""
+    first raised by the stable-rank-1 step (algebra.stable_rank_step):
+    where |M_jj| < rho = ||M_{j+1:, j}||, row j gains t_i * row i for each
+    i > j, so the pivot becomes e^{i arg M_jj} (|M_jj| + rho) and every
+    multiplier is at most 1 in modulus; then the rows below are cleared.
+    The backward sweep clears the rows above each pivot, right to left.
+    Raises NumericalError naming the first position where a pivot is 0 or
+    not finite."""
     M = stack.copy()
     n = M.shape[1]
     ops = []
@@ -529,12 +529,8 @@ def _gauss_factors(stack: np.ndarray) -> tuple[list, np.ndarray]:
                 ops.append((i, j, alpha))
 
     for j in range(n - 1):
-        below = M[:, j + 1:, j]
-        rho = np.linalg.norm(below, axis=1)
-        low = np.abs(M[:, j, j]) < rho
-        phase = np.exp(1j * np.angle(M[:, j, j]))
         # t[k, r - j - 1] = t_r at position k, 0 where the pivot is not low
-        t = np.where(low, phase / np.where(low, rho, 1.0), 0)[:, None] * below.conj()
+        t = algebra.stable_rank_step(M[:, j, j], M[:, j + 1:, j])
         for r in range(j + 1, n):
             tr = t[:, r - j - 1]
             if tr.any():

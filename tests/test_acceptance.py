@@ -15,7 +15,7 @@ import scipy.linalg
 from hadalg import algebra as alg
 from hadalg import ideals
 from hadalg import matalg as ma
-from hadalg.coeffseq import EPSeq, inf_abs
+from hadalg.coeffseq import EPSeq, inf_abs, joint_shape
 from hadalg.errors import Inconsistent
 from hadalg.weights import FACTORIAL
 
@@ -144,18 +144,22 @@ def test_criterion_03_invertible_approximation():
 
 
 def test_criterion_04_unimodular_pair_reduction():
-    with _Reporter(4, "constructed Bezout pairs reduce to an invertible "
-                      "element"):
+    with _Reporter(4, "unimodular pairs reduce to an invertible element, "
+                      "inf |f1 + h f2| >= delta/2 with ||h|| <= 1"):
         rng = random.Random(104)
         for _ in range(50):
             f1 = rand_element(rng, gauss_int)
             g1 = rand_element(rng, gauss_int)
-            f2 = alg.sub(alg.unit(W), alg.star(g1, f1))
-            g2 = alg.unit(W)
-            h, witness = alg.bass_reduce(f1, f2, g1, g2)
-            inv = alg.invertible(witness)
-            assert inv is not None and inv[0] > 0.0
+            f2 = alg.sub(alg.unit(W), alg.star(g1, f1))  # g1 f1 + f2 = 1
+            h, witness = alg.bass_reduce(f1, f2)
             assert alg.equal(witness, alg.add(f1, alg.star(h, f2)))
+            pl, cl = joint_shape(f1.u, f2.u)
+            s = [abs(f1.u.value(n)) + abs(f2.u.value(n)) for n in range(pl + cl)]
+            for n in range(pl + cl):
+                assert abs(h.u.value(n)) <= 1 + 2.0 ** -50
+                assert 2 * abs(witness.u.value(n)) >= s[n] * (1 - 2.0 ** -50)
+            inv = alg.invertible(witness)
+            assert inv is not None and 2 * inv[0] >= min(s) * (1 - 2.0 ** -50)
 
 
 def test_criterion_05_idempotent_classification():

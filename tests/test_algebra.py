@@ -1,12 +1,14 @@
 import cmath
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from hadalg import algebra as alg
-from hadalg.coeffseq import EPSeq, GenSeq, inf_abs
+from hadalg.coeffseq import EPSeq, GenSeq, inf_abs, joint_shape
 from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal, NotInvertible,
-                           NumericalError, PreconditionFailed, WeightMismatch)
+                           NumericalError, WeightMismatch)
 from hadalg.weights import FACTORIAL, superexp
 
 from conftest import exact_divisor, gauss_int, rand_element
@@ -119,6 +121,25 @@ class TestDivisibility:
         assert alg.equal(alg.star(z, q), z)
         with pytest.raises(NotDivisible):
             alg.divide(alg.unit(W), z)
+
+    @pytest.mark.parametrize("top", [1e308, 1.7e308])
+    def test_divide_near_the_top_of_the_range(self, top):
+        # u_f and u_g are each scaled by their own power of two, so f / f
+        # answers C = 1 and h = 1 where |u_f| or Smith's denominator overflows
+        f = el([], [complex(top, top)])
+        C, h = alg.divide(f, f)
+        assert (C, h.u.array.tolist()) == (1, [1])
+
+    def test_divide_normal_range_keeps_the_unscaled_bits(self, rng):
+        # C = max |u_f| / |u_g| and h = u_f / u_g in Python's complex arithmetic
+        for _ in range(20):
+            f, g = [rand_element(rng, lambda r: scaled_point(r, r.randint(-60, 60)))
+                    for _ in range(2)]
+            C, h = alg.divide(f, g)
+            window = range(40)  # past every joint window: prefix <= 3, cycle <= 12
+            assert C == max(abs(f.u.value(n)) / abs(g.u.value(n)) for n in window)
+            assert [repr(h.u.value(n)) for n in window] == [
+                repr(f.u.value(n) / g.u.value(n)) for n in window]
 
 
 class TestGcd:
@@ -282,19 +303,87 @@ class TestStableRank:
 
     def test_bass_reduce_witness_invertible(self, rng):
         for _ in range(20):
-            f1 = rand_element(rng)
-            g1 = rand_element(rng)
-            # force g1*f1 + 1*f2 = unit exactly
-            f2 = alg.sub(alg.unit(W), alg.star(g1, f1))
-            g2 = alg.unit(W)
-            h, witness = alg.bass_reduce(f1, f2, g1, g2)
-            assert alg.invertible(witness) is not None
-            assert alg.equal(witness, alg.add(f1, alg.star(h, f2)))
+            f1, f2 = rand_element(rng), rand_element(rng)
+            f1 = alg.add(f1, el([], [complex(rng.randint(1, 4))]))  # no common zero
+            check_bass_reduce(f1, f2)
 
-    def test_bass_reduce_checks_identity(self):
-        u = alg.unit(W)
-        with pytest.raises(PreconditionFailed):
-            alg.bass_reduce(u, u, u, u)  # g1 f1 + g2 f2 = 2 epsilon != epsilon
+
+def check_bass_reduce(f1, f2):
+    """bass_reduce's answer on the unimodular pair (f1, f2): the witness is
+    f1 + h*f2, and at every position of the joint window |h| <= 1 and
+    |f1 + h*f2| >= (|u1| + |u2|) / 2, so inf |f1 + h*f2| >= delta / 2, each
+    within 4 ulps."""
+    h, witness = alg.bass_reduce(f1, f2)
+    assert alg.equal(witness, alg.add(f1, alg.star(h, f2)))
+    pl, cl = joint_shape(f1.u, f2.u)
+    for n in range(pl + cl):
+        u1, u2, w = f1.u.value(n), f2.u.value(n), witness.u.value(n)
+        assert abs(h.u.value(n)) <= 1 + 2.0 ** -50, n
+        assert 2 * abs(w) >= (abs(u1) + abs(u2)) * (1 - 2.0 ** -50), n
+
+
+def dyadic(rng):
+    if rng.random() < 0.2:
+        return 0j
+    k = rng.randint(-60, 60)
+    return complex(math.ldexp(rng.randint(-1023, 1023), k),
+                   math.ldexp(rng.randint(-1023, 1023), k))
+
+
+# the fuzz's draws: Gaussian integers, dyadic values at binary exponents
+# +-60 (20% zeros), values whose squares over- or underflow, and generic floats
+BASS_DRAWS = {
+    "gauss": gauss_int,
+    "dyadic": dyadic,
+    "huge": lambda r: 1e200 * gauss_int(r),
+    "tiny": lambda r: 1e-200 * gauss_int(r),
+    "mixed": lambda r: r.choice([0j, 1e-200, complex(1e200, 1e200)]),
+    "generic": lambda r: complex(r.gauss(0, 1), r.gauss(0, 1)),
+}
+
+
+class TestBassReduceFuzz:
+    """f1 + h*f2 from the stable-rank-1 step alone, no Bezout pair; a pair
+    with a common zero is refused with the first index where both vanish."""
+
+    @pytest.mark.parametrize("d1, d2", itertools.product(BASS_DRAWS, repeat=2))
+    def test_witness_bound(self, d1, d2, rng):
+        for _ in range(15):
+            f1 = rand_element(rng, BASS_DRAWS[d1])
+            f2 = rand_element(rng, BASS_DRAWS[d2])
+            pl, cl = joint_shape(f1.u, f2.u)
+            common = [n for n in range(pl + cl) if f1.u.value(n) == f2.u.value(n) == 0]
+            if common:
+                with pytest.raises(CoronaFails) as ei:
+                    alg.bass_reduce(f1, f2)
+                assert ei.value.index == common[0]
+            else:
+                check_bass_reduce(f1, f2)
+
+    def test_pairs_with_inexact_corona_solutions(self, rng):
+        # the Bezout pair (g1, g2) that corona_solve returns holds only to
+        # rounding; the step needs no g
+        inexact = 0
+        for _ in range(40):
+            draw = BASS_DRAWS["generic"]
+            f1, f2 = rand_element(rng, draw), rand_element(rng, draw)
+            _, (g1, g2) = alg.corona_solve([f1, f2])
+            inexact += alg.add(alg.star(g1, f1), alg.star(g2, f2)).u != EPSeq.constant(1.0)
+            check_bass_reduce(f1, f2)
+        assert inexact >= 30
+
+    def test_step_keeps_the_unscaled_bits(self, rng):
+        # in the normal range the scaled rho and t are those of the unscaled
+        # formula bit for bit
+        for m in (1, 2, 5):
+            a = np.array([scaled_point(rng, rng.randint(-60, 60)) for _ in range(200)])
+            b = np.array([[scaled_point(rng, rng.randint(-60, 60)) for _ in range(m)]
+                          for _ in range(200)])
+            rho = np.linalg.norm(b, axis=1)
+            low = np.abs(a) < rho
+            phase = np.exp(1j * np.angle(a))
+            t = np.where(low, phase / np.where(low, rho, 1.0), 0)[:, None] * b.conj()
+            assert alg.stable_rank_step(a, b).tobytes() == t.tobytes()
 
 
 class TestIdempotents:

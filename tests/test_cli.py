@@ -118,6 +118,25 @@ class TestMat:
         assert len(payload["factors"]) == 5
         assert payload["verification"]["max_error"] == 0.0
 
+    @pytest.mark.parametrize("b, c, err", [(-1e200, 1e-200, 0.0),
+                                           (-1e-200, 1e200, 1e-200)])
+    def test_boost_past_the_squared_range(self, b, c, err, tmp_path):
+        # [[0, b], [c, 0]] has det 1 and a zero first pivot; c^2 under- or
+        # overflows, so the boost raises it only with rho taken of c * 2^-e
+        A = np.array([[0, b], [c, 0]], dtype=complex)
+        doc = {"weight": "factorial",
+               "entries": [[{"cycle": [[x.real, x.imag]]} for x in row] for row in A]}
+        code, payload = invoke(["mat", "sl-factor",
+                                "--json", write(tmp_path, "m.json", doc)],
+                               tmp_path)
+        assert code == 0 and payload["verification"]["max_error"] == err
+        prod = np.eye(2, dtype=complex)
+        for f in payload["factors"]:  # the ordered product of I + alpha e_ij
+            [alpha] = f["alpha"]["normalized"]["cycle"]
+            assert f["i"] != f["j"] and f["alpha"]["normalized"]["prefix"] == []
+            prod[:, f["j"]] += complex(*alpha) * prod[:, f["i"]]
+        assert np.abs(prod - A).max() == err
+
     def test_zero_column_exit_4(self, tmp_path, capsys):
         # a --tol of 2 lets det 0 through; the first column of position 1
         # is 0, so its pivot stays 0

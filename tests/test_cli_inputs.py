@@ -307,11 +307,31 @@ class TestTypedExits:
         assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bass_reduce_eps_zero_refused(self, tmp_path):
+    def test_bass_reduce_has_no_eps(self, tmp_path, capsys):
         one, zero = element([], [[1, 0]]), element([], [[0, 0]])
-        doc = {"f1": one, "f2": zero, "g1": one, "g2": zero}
+        doc = {"f1": one, "f2": zero}
         assert elem(tmp_path, "bass-reduce", doc)[0] == 0
-        assert elem(tmp_path, "bass-reduce", doc, "--eps=0")[0] == 3
+        capsys.readouterr()
+        assert elem(tmp_path, "bass-reduce", doc, "--eps=0.25")[0] == 3
+        assert "unrecognized arguments: --eps=0.25" in capsys.readouterr().err
+
+    def test_bass_reduce_ignores_bezout_fields(self, tmp_path):
+        # g1 and g2 are read by nothing: a document that carries them
+        # answers as one without
+        one, zero = element([], [[1, 0]]), element([], [[0, 0]])
+        doc = {"f1": zero, "f2": one}
+        code, out = elem(tmp_path, "bass-reduce", doc)
+        assert (code, out) == elem(tmp_path, "bass-reduce", {**doc, "g1": one, "g2": one})
+        assert (code, out["h"]["normalized"]["cycle"]) == (0, [[1.0, -0.0]])
+
+    def test_bass_reduce_common_zero_is_math(self, tmp_path, capsys):
+        # delta = inf(|u1| + |u2|) = 0: no h exists, and the witness is the
+        # first index where both vanish
+        doc = {"f1": element([[1, 0]], [[0, 0]]), "f2": element([], [[0, 0], [1, 0]])}
+        code, out = elem(tmp_path, "bass-reduce", doc)
+        assert (code, out["witness"]) == (2, {"index": 2})
+        assert capsys.readouterr().err == (
+            "FAIL: corona condition fails: generator moduli sum to 0 at index 2\n")
 
     def test_overflow_is_silent_as_in_python(self, tmp_path):
         # |u|^2 of 1e200(1 + i) overflows; the Bezout witnesses are formed
@@ -351,19 +371,24 @@ class TestTypedExits:
         u = element([[2, 0]], [[1.7e308, 1.7e308]])
         assert elem(tmp_path, "invert", u) == (4, None)
         assert "quotient at index 1 underflows to 0" in capsys.readouterr().err
+        # divide scales u_f and u_g each by its own power of two first, so
+        # it answers there; a quotient past the bottom of the range is lost
         one = element([], [[1, 0]])
-        assert elem(tmp_path, "divide", {"f": one, "g": u}) == (4, None)
-        assert "quotient at index 1 underflows to 0" in capsys.readouterr().err
+        code, out = elem(tmp_path, "divide", {"f": one, "g": u})
+        [q] = [complex(*v) for v in out["quotient"]["normalized"]["cycle"]]
+        assert code == 0 and abs(q * complex(1.7e308, 1.7e308) - 1) < 1e-14
+        doc = {"f": element([], [[1e-300, 0]]), "g": element([], [[1e300, 0]])}
+        assert elem(tmp_path, "divide", doc)[0] == 4
+        assert "quotient at index 0 underflows to 0" in capsys.readouterr().err
         # a zero dividend still divides to 0
         zero = element([], [[0, 0]])
         code, out = elem(tmp_path, "divide", {"f": zero, "g": u})
         assert (code, out["quotient"]["normalized"]["cycle"]) == (0, [[0.0, 0.0]])
 
     def test_bass_reduce_non_finite_witness_is_numerical(self, tmp_path, capsys):
-        # u = 1 + |f1| overflows to inf, so h = [Infinity, NaN] and the
-        # witness and its delta are NaN: no answer, not an uncertified one
-        one, zero = element([], [[1, 0]]), element([], [[0, 0]])
-        doc = {"f1": element([], [[1e308, 1e308]]), "f2": one, "g1": zero, "g2": one}
+        # |u1| < |u2|, so h = 1 and f1 + h*f2 = 2.5e308 leaves the double
+        # range: no answer, not an uncertified one
+        doc = {"f1": element([], [[1e308, 0]]), "f2": element([], [[1.5e308, 0]])}
         assert elem(tmp_path, "bass-reduce", doc) == (4, None)
         assert "not finite at index 0" in capsys.readouterr().err
 

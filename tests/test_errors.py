@@ -22,7 +22,6 @@ CASES = [
     (E.NotInGL(4), {"position": 4}, {"position": 4}),
     (E.NotSL(1, complex(np.complex128(2 + 1e-3j))),
      {"position": 1, "det": [2.0, 0.001]}, {"position": 1, "det": 2 + 1e-3j}),
-    (E.PreconditionFailed("g1*f1 + g2*f2 is not exactly the unit"), {}, {}),
 ]
 
 

@@ -107,7 +107,7 @@ def document(group, op):
     if op in ("gcd", "corona"):
         return st.fixed_dictionaries({"elements": elements})
     if op == "bass-reduce":
-        return st.fixed_dictionaries({k: element for k in ("f1", "f2", "g1", "g2")})
+        return st.fixed_dictionaries({"f1": element, "f2": element})
     return element
 
 
