@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coeffseq import (MAX_WINDOW, EPSeq, _abs, _complex, _div, _mul, _silent,
-                       inf_abs, joint_shape, sup_abs)
+                       joint_shape, sup_abs)
 from .errors import (BoundUnavailable, CoronaFails, InvalidArgument,
                      NotDivisible, NotInIdeal, NotInvertible, NumericalError,
                      PointwiseDomainError, WeightMismatch, WindowTooLarge)
@@ -89,23 +89,16 @@ def _map(fn: Callable[[complex], complex], u: EPSeq) -> EPSeq:
     return EPSeq.from_values(out, u.period_start)
 
 
-def _scaled_moduli(us: Sequence[np.ndarray]) -> tuple[np.ndarray, list, np.ndarray]:
-    """e, the v_k = u_k * 2^-e, and sum_k (conj(v_k) * v_k).real in Python's
-    order, where e is the binary exponent of max_k max(|Re u_k|, |Im u_k|)
-    at each position.  Every part of the v_k is below 1 and the largest is
-    at least 1/2, so the sum neither overflows nor underflows to 0 where some
-    u_k is nonzero.  Scaling by a power of two is exact: a witness formed
-    from the v_k and scaled back by 2^-e keeps the bits of the unscaled
-    formula wherever that one stayed in the normal range."""
-    e = _exponent(us)
-    vs = [_ldexp(u, -e) for u in us]
-    return e, vs, sum(_mul(v.conj(), v).real for v in vs)
-
-
-def _exponent(us: Sequence[np.ndarray]) -> np.ndarray:
-    """The binary exponent of max_k max(|Re u_k|, |Im u_k|) at each position."""
-    return np.frexp(np.max([np.maximum(np.abs(u.real), np.abs(u.imag)) for u in us],
-                           axis=0))[1]
+def _scaled(us) -> tuple[np.ndarray, np.ndarray]:
+    """e and the v_k = u_k * 2^-e (the u_k along the first axis of us), e the
+    binary exponent of max_k max(|Re u_k|, |Im u_k|) at each position.  The
+    largest part of the v_k is in [1/2, 1), so no product or sum of squared
+    moduli of them over- or underflows to 0.  Scaling by 2^-e is exact: a
+    witness formed from the v_k and scaled back keeps the bits of the
+    unscaled formula wherever that one stayed in the normal range."""
+    us = np.asarray(us)
+    e = np.frexp(np.maximum(np.abs(us.real), np.abs(us.imag)).max(axis=0))[1]
+    return e, _ldexp(us, -e)
 
 
 def _ldexp(u: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -283,11 +276,10 @@ def eval_at(f: Element, z: complex, tol: float = 1e-12) -> EvalResult:
 # divisibility, gcd, ideals, corona
 
 
-def _quotient(a, b, zero=False, shift=0) -> np.ndarray:
+def _quotient(a, b, shift, zero=False) -> np.ndarray:
     """_div(a, b) * 2^shift, 0 where ``zero`` marks b = 0 = a.  Refused at
-    the first index where it is 0 though a is not (Smith's denominator
-    overflows in 1 / 1.7e308(1+i), a shift can underflow): a 0 would pass
-    for an exact quotient."""
+    the first index where it is 0 though a is not (the shift underflows it):
+    a 0 would pass for an exact quotient."""
     q = np.where(zero, 0, _ldexp(_div(a, b), shift))
     lost = (q == 0) & (a != 0)
     if lost.any():
@@ -296,21 +288,24 @@ def _quotient(a, b, zero=False, shift=0) -> np.ndarray:
     return q
 
 
-def invertible(f: Element) -> Optional[tuple[float, Element]]:
-    """(delta, inverse) when inf |u| = delta > 0, else None.
+def _delta(f: Element) -> float:
+    """inf |u| > 0, else NotInvertible at the first index of least |u|."""
+    a = _abs(f.u.array)
+    n = int(a.argmin())
+    if a[n] == 0.0:
+        raise NotInvertible(n, complex(f.u.array[n]))
+    return float(a[n])
 
-    The inverse has u_inv(n) = 1/u(n), so star(f, inverse) is the unit.
+
+@_silent
+def invertible(f: Element) -> tuple[float, Element]:
+    """(delta, inverse) where inf |u| = delta > 0, else NotInvertible.
+
+    The inverse u_inv(n) = 1/u(n), so star(f, inverse) is the unit, is
+    formed as divide forms it: 2^-e / (u * 2^-e), e the exponent of u.
     """
-    delta = inf_abs(f.u)
-    if delta == 0.0:
-        return None
-    return delta, _element(f.weight, _quotient(1.0, f.u.array), f.u.period_start)
-
-
-def not_invertible_witness(f: Element) -> NotInvertible:
-    """Why f is not invertible: the first index n of least |u(n)|."""
-    n = int(_abs(f.u.array).argmin())
-    return NotInvertible(n, complex(f.u.array[n]))
+    e, (v,) = _scaled([f.u.array])
+    return _delta(f), _element(f.weight, _quotient(1.0, v, -e), f.u.period_start)
 
 
 @_silent
@@ -329,11 +324,11 @@ def divide(f: Element, g: Element) -> tuple[float, Element]:
         raise NotDivisible(int(bad.argmax()))
     # u_f and u_g are each scaled by their own power of two, so neither C nor
     # Smith's quotient overflows on the way; the shift is undone after dividing
-    ef, eg = _exponent([uf]), _exponent([ug])
-    uf, ug, shift = _ldexp(uf, -ef), _ldexp(ug, -eg), ef - eg
+    (ef, (uf,)), (eg, (ug,)) = _scaled([uf]), _scaled([ug])
+    shift = ef - eg
     nz = ~zero
     C = float(np.max(np.ldexp(_abs(uf[nz]) / _abs(ug[nz]), shift[nz]), initial=0.0))
-    return C, _element(f.weight, _quotient(uf, ug, zero, shift), pl)
+    return C, _element(f.weight, _quotient(uf, ug, shift, zero), pl)
 
 
 def gcd(fs: Sequence[Element]) -> Element:
@@ -361,13 +356,10 @@ def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]
         raise InvalidArgument("need at least one generator")
     w = _same_weight(f, *gens)
     pl, (uf, *ugs) = _window(f, *gens)
-    # u_f is scaled by its own power of two and the u_gk by the one of their
-    # largest part (the v_k), so neither C nor u_f * conj(v_k) leaves the
-    # double range whatever the size of the values; the scaling is undone
-    # after dividing
-    e, vs, denom = _scaled_moduli(ugs)
-    ef = _exponent([uf])
-    uf, shift = _ldexp(uf, -ef), ef - e
+    # the u_gk scaled together (the v_k) and u_f on its own, so neither C nor
+    # u_f * conj(v_k) leaves the double range; undone after dividing
+    (e, vs), (ef, (uf,)) = _scaled(ugs), _scaled([uf])
+    shift = ef - e
     s = sum(_abs(v) for v in vs)
     zero = s == 0.0
     bad = zero & (uf != 0)
@@ -375,6 +367,7 @@ def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]
         raise NotInIdeal(int(bad.argmax()))
     nz = ~zero
     C = float(np.max(np.ldexp(_abs(uf[nz]) / s[nz], shift[nz]), initial=0.0))
+    denom = sum(_mul(v.conj(), v).real for v in vs)
     hs = [np.where(zero, 0, _ldexp(_div(_mul(uf, v.conj()), denom), shift)) for v in vs]
     _refuse("a Bezout witness is not finite", ~np.isfinite(hs).all(axis=0))
     return C, [_element(w, h, pl) for h in hs]
@@ -397,7 +390,8 @@ def corona_solve(fs: Sequence[Element]) -> tuple[float, list[Element]]:
     zero = s == 0.0
     if zero.any():
         raise CoronaFails(int(zero.argmax()))
-    e, vs, denom = _scaled_moduli(us)
+    e, vs = _scaled(us)
+    denom = sum(_mul(v.conj(), v).real for v in vs)
     gs = [_ldexp(_div(v.conj(), denom), -e) for v in vs]
     _refuse("a Bezout witness is not finite", ~np.isfinite(gs).all(axis=0))
     return float(s.min()), [_element(w, g, pl) for g in gs]
@@ -424,15 +418,19 @@ def stable_rank_step(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The paper's stable-rank-1 step at each position k, for a pivot a[k]
     and the entries b[k] below it: t[k] with a[k] + t[k] . b[k] =
     e^{i arg a[k]} (|a[k]| + rho) where |a[k]| < rho = ||b[k]||, and t[k] = 0
-    elsewhere, so |t[k]| <= 1.  rho and t are formed from b[k] * 2^-e, e the
-    binary exponent of b[k]'s largest part, so neither over- nor underflows;
-    in the normal range that keeps the bits of the unscaled formula."""
-    e = _exponent(b.T)
-    b = _ldexp(b, -e[:, None])
-    rho = np.linalg.norm(b, axis=1)
-    low = np.abs(a) < np.ldexp(rho, e)
+    elsewhere, so |t[k]| <= 1.  Where |a[k]| + rho leaves the double range,
+    t[k] shrinks by 1 - |a[k]|/rho, lifting |a[k]| to rho >= (|a[k]| + rho)/2
+    alone.  rho and t are formed from _scaled(b[k]), so neither over- nor
+    underflows; where |a[k]| + rho is finite that keeps the bits of the
+    unscaled formula."""
+    e, v = _scaled(b.T)
+    v = np.ascontiguousarray(v.T)  # the layout the norm's bits depend on
+    rho, mod = np.linalg.norm(v, axis=1), np.abs(a)
+    low = mod < np.ldexp(rho, e)
+    rho = np.where(np.isinf(mod + np.ldexp(rho, e)),
+                   rho / (1 - np.ldexp(mod, -e) / rho), rho)
     phase = np.exp(1j * np.angle(a))
-    return np.where(low, phase / np.where(low, rho, 1.0), 0)[:, None] * b.conj()
+    return np.where(low, phase / np.where(low, rho, 1.0), 0)[:, None] * v.conj()
 
 
 @_silent
@@ -442,17 +440,19 @@ def bass_reduce(f1: Element, f2: Element) -> tuple[Element, Element]:
     The pair is unimodular iff delta = inf (|u1| + |u2|) > 0; else CoronaFails
     names the first index where both vanish.  h is stable_rank_step(u1, u2),
     so ||h|| <= 1 and |f1 + h*f2| >= (|u1| + |u2|) / 2 >= delta / 2 at every
-    position, which is checked (less 4 ulps) before answering.
+    position, which is checked (less 4 ulps, from the halves of |u1| and
+    |u2|, which do not overflow) before answering.
     """
     w = _same_weight(f1, f2)
     pl, (u1, u2) = _window(f1, f2)
-    s = _abs(u1) + _abs(u2)
-    if (s == 0.0).any():
-        raise CoronaFails(int((s == 0.0).argmax()))
+    a1, a2 = _abs(u1), _abs(u2)
+    if (a1 + a2 == 0.0).any():
+        raise CoronaFails(int((a1 + a2 == 0.0).argmax()))
     h = stable_rank_step(u1, u2[:, None])[:, 0]
     wit = u1 + _mul(h, u2)
     _refuse("h or the witness is not finite", ~np.isfinite([h, wit]).all(axis=0))
-    _refuse("|f1 + h*f2| is below delta/2", 2 * _abs(wit) < s * (1 - 2.0 ** -50))
+    _refuse("|f1 + h*f2| is below delta/2",
+            _abs(wit) < (a1 / 2 + a2 / 2) * (1 - 2.0 ** -50))
     return _element(w, h, pl), _element(w, wit, pl)
 
 
@@ -477,6 +477,5 @@ def log_el(g: Element) -> Element:
     with imaginary part in (-pi, pi].  exp_el(log_el(g)) recovers g and
     ||f|| <= sqrt(max(|log delta|, |log ||g|| |)^2 + pi^2).
     """
-    if inf_abs(g.u) == 0.0:
-        raise not_invertible_witness(g)
+    _delta(g)
     return Element(g.weight, _map(cmath.log, g.u))

@@ -120,10 +120,7 @@ def _cmd_elem(args):
                  "terms": res.terms},
                 f"f({z}) = {res.value} (+- {res.error_bound:.3e})")
     if op == "invert":
-        inv = algebra.invertible(f)
-        if inv is None:
-            raise algebra.not_invertible_witness(f)
-        delta, g = inv
+        delta, g = algebra.invertible(f)
         return ({"delta": delta, "inverse": serialize.element_to_json(g)},
                 f"invertible, delta = {delta}")
     if op == "divide":
@@ -153,12 +150,11 @@ def _cmd_elem(args):
         flag = algebra.is_idempotent(f)
         return {"idempotent": flag}, f"idempotent: {flag}"
     if op == "approx-invert":
-        eps = _FLAGS["tol"]["default"] if args.eps is None else args.eps
-        g = algebra.approx_invertible(f, eps)
+        g = algebra.approx_invertible(f, args.eps)
         dist = algebra.norm(algebra.sub(g, f))
-        return ({"eps": eps, "result": serialize.element_to_json(g),
+        return ({"eps": args.eps, "result": serialize.element_to_json(g),
                  "distance": dist},
-                f"invertible approximant at distance {dist} <= {2 * eps}")
+                f"invertible approximant at distance {dist} <= {2 * args.eps}")
     # bass-reduce
     h, witness = algebra.bass_reduce(*ins)
     return ({"h": serialize.element_to_json(h),
@@ -278,7 +274,7 @@ _FLAGS = {
     "json": {"help": "input document path ('-' for stdin)"},
     "z": {"default": "0", "help": "evaluation point, e.g. '1+2j'"},
     "tol": {"type": _finite_float, "default": 1e-10},
-    "eps": {"type": _finite_float},
+    "eps": {"type": _finite_float, "default": 1e-10},
     "weight": {"default": "factorial"},
     "horizon": {"type": int, "default": 1 << 14},
     "k": {"type": int, "default": 0},

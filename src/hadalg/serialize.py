@@ -14,14 +14,13 @@ import io
 import itertools
 import json
 import math
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
 from . import weights as weights_mod
 from .algebra import Element, from_raw_coeffs
-from .coeffseq import (Canonical, EPSeq, _canonical, _canonical_form, _gather,
-                       _window)
+from .coeffseq import Canonical, EPSeq, _canonical, _gather, _window
 from .errors import SchemaError
 from .matalg import MatElement, _shape, from_ustack
 
@@ -52,24 +51,44 @@ def _pairs_array(lists) -> np.ndarray | None:
 
 
 def _values_from_json(cells: Any, field: str) -> np.ndarray:
-    """A JSON list of [re, im] pairs (or bare reals) as a complex128 array.
-
-    Lists of pairs of finite numbers convert in one numpy call; any other
-    list goes through _c_from_json cell by cell.  Non-finite values are
-    refused.
+    """A JSON list of [re, im] pairs (or bare reals) as a complex128 array,
+    read cell by cell through _c_from_json.  Non-finite values are refused.
     """
     if not isinstance(cells, (list, tuple, np.ndarray)):
         raise SchemaError(f"{field} must be a list of [re, im] pairs")
-    values = _pairs_array([cells])
-    if values is None:
-        try:
-            values = np.array([_c_from_json(v) for v in cells], dtype=np.complex128)
-        except OverflowError as exc:
-            raise SchemaError(f"{field}: {exc}") from exc
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise SchemaError(f"{field}[{int(finite.argmin())}] is not finite")
+    try:
+        values = np.array([_c_from_json(v) for v in cells], dtype=np.complex128)
+    except OverflowError as exc:
+        raise SchemaError(f"{field}: {exc}") from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise SchemaError(f"{field}[{int(finite.argmin())}] is not finite")
     return values
+
+
+def _sequences(docs: list, fields: Iterable[str]) -> tuple[np.ndarray, list]:
+    """Every sequence document's prefix then cycle values, one document after
+    another, in one complex128 array, and their prefix and cycle lengths in
+    that order.  [re, im] pairs of finite numbers with nonempty cycles
+    convert in one numpy call; else each field is read in document order
+    (``fields`` names the documents, read only then), so the first bad
+    field raises its own message."""
+    lists = [v for doc in docs if type(doc) is dict and "cycle" in doc
+             for v in (doc.get("prefix", []), doc["cycle"])]
+    regular = len(lists) == 2 * len(docs) and all(
+        isinstance(v, (list, tuple, np.ndarray)) for v in lists)
+    flat = _pairs_array(lists) if regular and all(map(len, lists[1::2])) else None
+    if flat is None:
+        lists = []
+        for doc, field in zip(docs, fields):
+            if not isinstance(doc, dict) or "cycle" not in doc:
+                raise SchemaError("sequence document needs a 'cycle' field")
+            lists += [_values_from_json(doc.get("prefix", []), f"{field}.prefix"),
+                      _values_from_json(doc["cycle"], f"{field}.cycle")]
+            if not len(lists[-1]):
+                raise SchemaError("cycle must be nonempty")
+        flat = np.concatenate([np.zeros(0, np.complex128), *lists])
+    return flat, list(map(len, lists))
 
 
 def _values_to_json(values: np.ndarray) -> np.ndarray:
@@ -85,20 +104,9 @@ def epseq_to_json(s: EPSeq | Canonical) -> dict:
             "cycle": _values_to_json(s.array[L:])}
 
 
-def epseq_from_json(obj: Any, field: str = "normalized", canonical=EPSeq):
-    """canonical(prefix, cycle) of a sequence document: an EPSeq, or with
-    ``_canonical_form`` its Canonical form alone."""
-    if not isinstance(obj, dict) or "cycle" not in obj:
-        raise SchemaError("sequence document needs a 'cycle' field")
-    prefix, cycle = obj.get("prefix", []), obj["cycle"]
-    both = _pairs_array([prefix, cycle]) if type(prefix) is type(cycle) is list else None
-    try:
-        if both is not None:
-            return canonical(both[:len(prefix)], both[len(prefix):])
-        return canonical(_values_from_json(prefix, f"{field}.prefix"),
-                         _values_from_json(cycle, f"{field}.cycle"))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+def epseq_from_json(obj: Any, field: str = "normalized") -> EPSeq:
+    flat, (pl, _) = _sequences([obj], [field])
+    return EPSeq(flat[:pl], flat[pl:])
 
 
 def element_to_json(e: Element) -> dict:
@@ -134,26 +142,6 @@ def matrix_to_json(A: MatElement) -> dict:
             "entries": [cells[i * n:(i + 1) * n] for i in range(m)]}
 
 
-def _raw_cells(entries: list) -> tuple[np.ndarray, np.ndarray]:
-    """Every cell's prefix then cycle values, row by row, in one complex128
-    array, and each cell's (prefix, cycle) lengths.  A document _pairs_array
-    refuses, or with an empty cycle, is read cell by cell by epseq_from_json,
-    so the first bad field raises (a good cell reads the same canonicalised)."""
-    cells = [cell for row in entries for cell in row]
-    lists = [v for cell in cells if type(cell) is dict
-             for v in (cell.get("prefix", []), cell.get("cycle"))]
-    regular = len(lists) == 2 * len(cells) and all(
-        isinstance(v, (list, tuple, np.ndarray)) for v in lists)
-    flat = _pairs_array(lists) if regular else None
-    if flat is not None and all(map(len, lists[1::2])):
-        return flat, np.array(list(map(len, lists))).reshape(-1, 2)
-    forms = [epseq_from_json(cell, f"entries[{i}][{j}]", _canonical_form)
-             for i, row in enumerate(entries) for j, cell in enumerate(row)]
-    return (np.concatenate([np.zeros(0, np.complex128), *(f.array for f in forms)]),
-            np.array([(f.period_start, len(f.array) - f.period_start)
-                      for f in forms]).reshape(-1, 2))
-
-
 def matrix_from_json(obj: Any) -> MatElement:
     if not isinstance(obj, dict) or "entries" not in obj or "weight" not in obj:
         raise SchemaError("matrix document needs 'weight' and 'entries'")
@@ -165,15 +153,17 @@ def matrix_from_json(obj: Any) -> MatElement:
         if not isinstance(row, list):
             raise SchemaError(f"entries[{i}] must be a list of sequence documents")
     # every cell is checked before the shape is
-    flat, lens = _raw_cells(entries)
+    flat, lens = _sequences([cell for row in entries for cell in row],
+                            (f"entries[{i}][{j}]" for i, row in enumerate(entries)
+                             for j in range(len(row))))
     m, n = _shape(entries)
     # the cells of one raw shape are canonicalised together
-    L, c = lens.T
+    L, c = np.array(lens).reshape(-1, 2).T
     start = np.cumsum(L + c) - (L + c)
     d, t = np.empty_like(L), np.empty_like(L)
     groups: dict = {}
-    for j, shape in enumerate(lens.tolist()):
-        groups.setdefault(tuple(shape), []).append(j)
+    for j, shape in enumerate(zip(lens[::2], lens[1::2])):
+        groups.setdefault(shape, []).append(j)
     for (pl, cl), cols in groups.items():
         raw = flat[start[cols] + np.arange(pl + cl)[:, None]]
         d[cols], t[cols] = _canonical(raw[:pl], raw[pl:])

@@ -99,10 +99,10 @@ def norm(a):
 
 
 def invertible(a):
-    delta = min(abs(v) for v in a[0] + a[1])
-    if delta == 0.0:
-        return None
-    return delta, map_(a, lambda v: 1.0 / v)
+    n, v = min(enumerate(a[0] + a[1]), key=lambda kv: abs(kv[1]))
+    if v == 0:
+        raise NotInvertible(n, v)
+    return abs(v), map_(a, lambda v: 1.0 / v)
 
 
 def divide(f, g):
@@ -173,10 +173,52 @@ def exp_el(a):
 
 
 def log_el(a):
-    if invertible(a) is None:
-        bad = min(enumerate(a[0] + a[1]), key=lambda kv: abs(kv[1]))
-        raise NotInvertible(bad[0], bad[1])
+    invertible(a)  # NotInvertible where inf |u| = 0
     return map_(a, cmath.log)
+
+
+# ---------------------------------------------------------------------------
+# The identities behind the pointwise quotients, checked exactly: invert
+# (f f^-1 = 1), divide (h g = f), ideal-member (sum h_k g_k = f) and corona
+# (sum g_i f_i = 1) are each sum_k h_k g_k = f at every position.
+
+EPS = Fraction(1, 2 ** 53)     # the unit roundoff
+ETA = Fraction(1, 2 ** 1074)   # the least subnormal
+
+
+def _parts(z):
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _size(re, im):
+    """|re| + |im|, exact, and within a factor sqrt 2 of the modulus."""
+    return abs(re) + abs(im)
+
+
+def identity_error(hs, gs, f):
+    """|sum_k h_k g_k - f| in units of sum_k (EPS |h_k| + ETA) |g_k|, all
+    exact from the doubles: how many roundings per term the computed
+    answers h_k of the identity cost (0 where it holds exactly)."""
+    re = im = unit = Fraction(0)
+    for h, g in zip(hs, gs):
+        (hr, hi), (gr, gi) = _parts(h), _parts(g)
+        re += hr * gr - hi * gi
+        im += hr * gi + hi * gr
+        unit += (EPS * _size(hr, hi) + ETA) * _size(gr, gi)
+    fr, fi = _parts(f)
+    residual = _size(re - fr, im - fi)
+    return residual / unit if residual else 0
+
+
+def least_squares(f, gs):
+    """The exact h_k = f conj(g_k) / sum_j |g_j|^2 as (re, im) Fractions:
+    the answer that invert (f = 1, one g), divide (one g), ideal-member and
+    corona (f = 1) each round."""
+    fr, fi = _parts(f)
+    parts = [_parts(g) for g in gs]
+    d = sum(r * r + i * i for r, i in parts)
+    return [((fr * r + fi * i) / d, (fi * r - fr * i) / d) for r, i in parts]
 
 
 def eval_at(w, a, z, tol):

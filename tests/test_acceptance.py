@@ -139,7 +139,7 @@ def test_criterion_03_invertible_approximation():
             g = alg.approx_invertible(f, eps)
             delta = inf_abs(g.u)
             assert delta >= eps
-            assert alg.invertible(g) is not None
+            assert alg.invertible(g)[0] == delta
             assert alg.norm(alg.sub(g, f)) <= 2.0 * eps
 
 
@@ -158,8 +158,8 @@ def test_criterion_04_unimodular_pair_reduction():
             for n in range(pl + cl):
                 assert abs(h.u.value(n)) <= 1 + 2.0 ** -50
                 assert 2 * abs(witness.u.value(n)) >= s[n] * (1 - 2.0 ** -50)
-            inv = alg.invertible(witness)
-            assert inv is not None and 2 * inv[0] >= min(s) * (1 - 2.0 ** -50)
+            delta, _ = alg.invertible(witness)
+            assert 2 * delta >= min(s) * (1 - 2.0 ** -50)
 
 
 def test_criterion_05_idempotent_classification():

@@ -11,6 +11,7 @@ from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal, NotInvertible,
                            NumericalError, WeightMismatch)
 from hadalg.weights import FACTORIAL, superexp
 
+import loop_reference as ref
 from conftest import exact_divisor, gauss_int, rand_element
 
 W = FACTORIAL
@@ -81,7 +82,9 @@ class TestInvertibility:
         assert alg.equal(inv, alg.unit(W))
 
     def test_vanishing_coefficient_blocks(self):
-        assert alg.invertible(alg.monomial(W, 1)) is None
+        with pytest.raises(NotInvertible) as ei:
+            alg.invertible(alg.monomial(W, 1))
+        assert (ei.value.index, ei.value.value) == (0, 0)
 
     def test_inverse_is_two_sided(self, rng):
         for _ in range(20):
@@ -292,6 +295,90 @@ class TestScaledBezout:
             alg.in_ideal(el([], [1e300]), [el([], [1e-300])])
 
 
+def wide_point(rng):
+    """A nonzero complex number with a part m 2^k, 1/2 <= |m| < 1, k in
+    -1,000..1,000 or, one time in five, 1,024, the top binary order (where
+    unscaled, Smith's denominator and |u| overflow); its other part is 0,
+    of the same order, up to 60 binary orders smaller, or of any order."""
+    def part(k):
+        return math.ldexp(rng.choice((-1, 1)) * rng.uniform(0.5, 1), k)
+
+    k = 1024 if rng.random() < 0.2 else rng.randint(-1000, 1000)
+    other = rng.choice((0.0, part(k), part(k - rng.randint(1, 60)),
+                        part(rng.randint(-1000, 1000))))
+    return complex(part(k), other) if rng.random() < 0.5 else complex(other, part(k))
+
+
+class TestIdentityFuzz:
+    """invert, divide, ideal-member and corona over wide_point values: every
+    finite answer satisfies its identity sum_k h_k g_k = f within ULPS
+    roundings per term (loop_reference.identity_error), and a refusal or a
+    value that is not finite comes only where the exact answer
+    (loop_reference.least_squares) has a part above 2^1020 or every part
+    below 2^-1070, past the double range."""
+
+    ULPS = 8
+    TRIALS = 150
+    WINDOW = range(8)  # past every joint window: prefix <= 2, cycle <= 3
+
+    @staticmethod
+    def elements(rng, count):
+        pl, cl = rng.randint(0, 2), rng.randint(1, 3)
+        return [el([wide_point(rng) for _ in range(pl)],
+                   [wide_point(rng) for _ in range(cl)]) for _ in range(count)]
+
+    def verify(self, solve, f, gens):
+        """Whether solve() answered; f(n) is the identity's right side."""
+        def largest(n):
+            exact = ref.least_squares(f(n), [g.u.value(n) for g in gens])
+            return max(max(abs(re), abs(im)) for re, im in exact)
+
+        try:
+            hs = solve()
+        except NumericalError as exc:
+            assert not 2 ** -1070 <= largest(exc.index) <= 2 ** 1020, exc
+            return False
+        for n in self.WINDOW:
+            h = [x.u.value(n) for x in hs]
+            if all(map(cmath.isfinite, h)):
+                assert ref.identity_error(
+                    h, [g.u.value(n) for g in gens], f(n)) <= self.ULPS, n
+            else:
+                assert largest(n) > 2 ** 1020, n
+        return True
+
+    def fuzz(self, draw):
+        answered = sum(self.verify(*draw()) for _ in range(self.TRIALS))
+        assert answered >= self.TRIALS // 2
+
+    def test_invert(self, rng):
+        f = el([], [complex(1.7e308, 1.7e308)])  # 1/f = 2.94e-309(1 - i)
+        assert self.verify(lambda: [alg.invertible(f)[1]], lambda n: 1, [f])
+
+        def draw():
+            [f] = self.elements(rng, 1)
+            return lambda: [alg.invertible(f)[1]], lambda n: 1, [f]
+        self.fuzz(draw)
+
+    def test_divide(self, rng):
+        def draw():
+            f, g = self.elements(rng, 2)
+            return lambda: [alg.divide(f, g)[1]], f.u.value, [g]
+        self.fuzz(draw)
+
+    def test_ideal_member(self, rng):
+        def draw():
+            f, *gens = self.elements(rng, rng.randint(2, 4))
+            return lambda: alg.in_ideal(f, gens)[1], f.u.value, gens
+        self.fuzz(draw)
+
+    def test_corona(self, rng):
+        def draw():
+            fs = self.elements(rng, rng.randint(1, 3))
+            return lambda: alg.corona_solve(fs)[1], lambda n: 1, fs
+        self.fuzz(draw)
+
+
 class TestStableRank:
     def test_threshold_construction(self, rng):
         for _ in range(30):
@@ -407,9 +494,8 @@ class TestExpLog:
     def test_exp_always_invertible(self, rng):
         for _ in range(10):
             f = rand_element(rng)
-            inv = alg.invertible(alg.exp_el(f))
-            assert inv is not None
-            assert inv[0] >= math.exp(-alg.norm(f)) - 1e-12
+            delta, _ = alg.invertible(alg.exp_el(f))
+            assert delta >= math.exp(-alg.norm(f)) - 1e-12
 
     def test_log_round_trip(self, rng):
         for _ in range(20):

@@ -365,18 +365,19 @@ class TestTypedExits:
         assert capsys.readouterr().err == (
             "numerical failure: a Bezout witness is not finite at index 0\n")
 
-    def test_quotient_lost_to_smith_overflow_is_numerical(self, tmp_path, capsys):
-        # 1/u = 2.9e-309(1 - i) is representable, but Smith's denominator
-        # overflows and the quotient comes out 0: no answer, not a wrong one
+    def test_quotient_near_the_ends_of_the_range(self, tmp_path, capsys):
+        # 1/u = 2.94e-309(1 - i) is representable; unscaled, Smith's
+        # denominator would overflow and the quotient come out 0.  invert
+        # and divide scale u by its own power of two first, so both answer
         u = element([[2, 0]], [[1.7e308, 1.7e308]])
-        assert elem(tmp_path, "invert", u) == (4, None)
-        assert "quotient at index 1 underflows to 0" in capsys.readouterr().err
-        # divide scales u_f and u_g each by its own power of two first, so
-        # it answers there; a quotient past the bottom of the range is lost
+        code, out = elem(tmp_path, "invert", u)
+        assert (code, out["inverse"]["normalized"]["cycle"]) == (
+            0, [[2.941176470588236e-309, -2.941176470588236e-309]])
         one = element([], [[1, 0]])
         code, out = elem(tmp_path, "divide", {"f": one, "g": u})
         [q] = [complex(*v) for v in out["quotient"]["normalized"]["cycle"]]
         assert code == 0 and abs(q * complex(1.7e308, 1.7e308) - 1) < 1e-14
+        # a quotient past the bottom of the range is lost
         doc = {"f": element([], [[1e-300, 0]]), "g": element([], [[1e300, 0]])}
         assert elem(tmp_path, "divide", doc)[0] == 4
         assert "quotient at index 0 underflows to 0" in capsys.readouterr().err
@@ -386,11 +387,23 @@ class TestTypedExits:
         assert (code, out["quotient"]["normalized"]["cycle"]) == (0, [[0.0, 0.0]])
 
     def test_bass_reduce_non_finite_witness_is_numerical(self, tmp_path, capsys):
-        # |u1| < |u2|, so h = 1 and f1 + h*f2 = 2.5e308 leaves the double
-        # range: no answer, not an uncertified one
-        doc = {"f1": element([], [[1e308, 0]]), "f2": element([], [[1.5e308, 0]])}
+        # |u2| = 2.4e308 is past the double range, and so is every witness
+        # of at least (|u1| + |u2|)/2: no answer, not an uncertified one
+        doc = {"f1": element([], [[1e308, 0]]),
+               "f2": element([], [[1.7e308, 1.7e308]])}
         assert elem(tmp_path, "bass-reduce", doc) == (4, None)
         assert "not finite at index 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("u1, u2", [(1e308, 1.5e308), (1.6e308, 1.7e308)])
+    def test_bass_reduce_near_the_top_of_the_range(self, u1, u2, tmp_path):
+        # |u1| + |u2| overflows, so the step lifts |u1| to |u2| alone:
+        # h = 1 - u1/u2 and the witness is u2 >= (|u1| + |u2|)/2
+        doc = {"f1": element([], [[u1, 0]]), "f2": element([], [[u2, 0]])}
+        code, out = elem(tmp_path, "bass-reduce", doc)
+        [[h, _]] = out["h"]["normalized"]["cycle"]
+        [[wit, _]] = out["witness"]["normalized"]["cycle"]
+        assert code == 0 and 0 < h <= 1 and wit == u1 + h * u2
+        assert wit == u2 and wit >= (u1 / 2 + u2 / 2) * (1 - 2.0 ** -50)
 
     def test_trajectory_past_the_double_range(self, tmp_path):
         # |u| overflows: inf, as elem norm answers, not a traceback
