@@ -236,6 +236,7 @@ def mat_norm_bounds(A: MatElement) -> tuple[float, float]:
 # Ax = b
 
 
+@_silent
 def mat_solve(A: MatElement, b: MatElement,
               rtol: float = 1e-10) -> tuple[float, MatElement]:
     """Solve A * x = b over the algebra, positionwise by minimal-norm
@@ -264,16 +265,21 @@ def mat_solve(A: MatElement, b: MatElement,
         at = np.flatnonzero(rank == r)
         xs[at] = np.swapaxes(vh[at].conj(), 1, 2)[:, :, :r] @ (
             coeff[at, :r] / s[at, :r, None])
-    resid = bs - As @ xs
+    # the test ||r|| > rtol max(1, ||b|| + smax ||x||) at each position, on
+    # 2^-e r, 2^-e b (e the binary exponent of their largest part) and 2^-f x,
+    # so no norm overflows; the scaling is exact wherever the unscaled norms
+    # neither over- nor underflow
+    e, rb = algebra._scaled(np.concatenate([bs - As @ xs, bs], axis=1)[..., 0].T)
+    f, v = algebra._scaled(xs[..., 0].T)
     supx = 0.0
     for k in range(len(As)):
-        rnorm = float(np.linalg.norm(resid[k, :, 0]))
-        xnorm = float(np.linalg.norm(xs[k, :, 0]))
-        scale = max(1.0, float(np.linalg.norm(bs[k, :, 0])) + smax[k] * xnorm)
+        rnorm, bnorm, xnorm = (float(np.linalg.norm(u))
+                               for u in (rb[:A.m, k], rb[A.m:, k], v[:, k]))
+        scale = max(np.ldexp(1.0, -e[k]),
+                    bnorm + np.ldexp(smax[k] * xnorm, f[k] - e[k]))
         if rnorm > rtol * scale:
-            y = resid[k, :, 0] / rnorm
-            raise Inconsistent(k, list(y))
-        supx = max(supx, xnorm)
+            raise Inconsistent(k, list(rb[:A.m, k] / rnorm))
+        supx = max(supx, float(np.ldexp(xnorm, f[k])))
     delta = math.inf if supx == 0.0 else 1.0 / supx
     return delta, from_ustack(A.weight, pl, xs)
 

@@ -4,8 +4,12 @@ Complex numbers travel as [re, im] pairs (bare reals are accepted on input).
 A written document holds each sequence's values as the read-only (k, 2)
 float64 view of its complex array; ``dump`` streams its text to a file a
 block of rows at a time, holding one block's values and texts, never the
-whole document's.  Floats are emitted with Python's shortest-roundtrip repr,
-so every document reconstructs bit-identically in double precision.
+whole document's.  Its bytes are those of json.dumps(indent=2) of the
+document with lists in place of its arrays.  Each float's text is the
+shortest that round-trips: orjson's Ryu writes it inside the band where
+float.__repr__ uses fixed notation (1e-4 <= |x| < 1e16, and +-0), and
+float.__repr__ outside it.  So every document reconstructs bit-identically
+in double precision.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 from typing import Any, Iterable
 
 import numpy as np
+import orjson
 
 from . import weights as weights_mod
 from .algebra import Element, from_raw_coeffs
@@ -196,12 +201,20 @@ _repr = np.frompyfunc(float.__repr__, 1, 1)
 
 def _texts(values: np.ndarray) -> list[str]:
     """The JSON text of each float64 value, each distinct one (by its bits,
-    so -0.0 stays apart from 0.0) formatted once."""
+    so -0.0 stays apart from 0.0) formatted once.
+
+    One orjson call formats them all.  Its Ryu writes the shortest digits
+    that round-trip, as float.__repr__ does, and in the same fixed notation
+    wherever repr uses it: 1e-4 <= |x| < 1e16, and +-0.  The other values
+    take repr's text (orjson writes 1e16 for 1e+16, 0.00001 for 1e-05 and
+    null for NaN), json's for the non-finite ones."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
     distinct = distinct.view(np.float64)
-    texts = _repr(distinct)
-    nonfinite = ~np.isfinite(distinct)
-    texts[nonfinite] = [_NONFINITE[t] for t in texts[nonfinite]]
+    texts = np.array(orjson.dumps(distinct, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+                     .decode().split(","), dtype=object)
+    size = np.abs(distinct)
+    outside = (distinct != 0) & ~((size >= 1e-4) & (size < 1e16))
+    texts[outside] = [_NONFINITE.get(t, t) for t in _repr(distinct[outside])]
     return texts[inverse].tolist()
 
 

@@ -262,6 +262,25 @@ class TestIrregularCells:
 
 
 class TestTypedExits:
+    @pytest.mark.parametrize("scale", [1e200, 1e100])
+    def test_solve_inconsistent_past_the_double_range(self, scale, tmp_path, capsys):
+        # A = diag(s, 0), b = (s, s): ||b|| overflows at s = 1e200, yet the
+        # verdict and its witness are those at 1e100, with no numpy warning
+        def cell(v):
+            return {"prefix": [], "cycle": [[v, 0.0]]}
+        doc = {"A": {"weight": "factorial", "entries": [[cell(scale), cell(0.0)],
+                                                        [cell(0.0), cell(0.0)]]},
+               "b": {"weight": "factorial", "entries": [[cell(scale)], [cell(scale)]]}}
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["mat", "solve", "--json", write(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert json.loads(out.read_text())["witness"] == {
+            "position": 0, "y": [[0.0, 0.0], [1.0, 0.0]]}
+        assert capsys.readouterr().err == (
+            "FAIL: system inconsistent at coefficient position 0\n")
+
     def test_exp_overflow_is_numerical(self, tmp_path, capsys):
         code, _ = elem(tmp_path, "exp", element([[0, 0]], [[1, 0], [710, 0]]))
         assert code == 4

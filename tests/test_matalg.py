@@ -131,6 +131,23 @@ class TestSolve:
         assert np.linalg.norm(U.conj().T @ y) < 1e-12
         assert abs(y.conj() @ b) > 0.1
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_delta_past_the_range_of_the_squares(self, scale):
+        # x = (1/scale^2, 1/scale^2): its squared norm over- or underflows
+        # (delta was 0.0 or inf), its norm does not
+        A = mat_from_stack([np.diag([scale, scale])])
+        b = mat_from_stack([[[1 / scale], [1 / scale]]])
+        delta, _ = ma.mat_solve(A, b)
+        assert math.isclose(delta, scale ** 2 / math.sqrt(2), rel_tol=1e-15)
+
+    def test_delta_keeps_the_unscaled_bits(self, nrng):
+        for k in range(20):
+            A = rand_mat(nrng, 3, 3, cycles=2, scale=10.0 ** (10 * k - 100))
+            b = ma.mat_mul(A, rand_mat(nrng, 3, 1, cycles=2))
+            delta, x = ma.mat_solve(A, b)
+            assert delta == 1.0 / max(float(np.linalg.norm(x.U(j)[:, 0]))
+                                      for j in range(2))
+
 
 class TestExpLog:
     def test_exp_positionwise(self, nrng):

@@ -190,3 +190,48 @@ class TestDumps:
         rows = ser.epseq_to_json(Canonical(values.view(np.complex128), 1))
         self.check({"x": rows, "witness": {"value": [math.nan, -0.0]},
                     "pairs": [[math.inf, 0.5], [0.5, math.inf]]})
+
+
+class TestFormatter:
+    """_texts writes each value as float.__repr__ does (json's text for the
+    non-finite ones), whether orjson or repr formats it."""
+
+    EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-4,
+             float(np.nextafter(1e-4, 0)), 1e16, float(np.nextafter(1e16, 0)),
+             2.0 ** 53 - 2, 2.0 ** 53 + 2, 1.7976931348623157e308,
+             math.nan, math.inf, -math.inf]
+
+    @staticmethod
+    def check(values):
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        want = [ser._NONFINITE.get(repr(x), repr(x)) for x in values.tolist()]
+        assert ser._texts(values) == want
+
+    def test_every_binade(self):
+        # 40 draws in each binade from the subnormals' to the largest, of
+        # either sign
+        nrng = np.random.default_rng(1)
+        e = np.repeat(np.arange(-1074, 1024), 40)
+        self.check(np.ldexp(nrng.uniform(1, 2, e.size), e)
+                   * nrng.choice([-1.0, 1.0], e.size))
+
+    def test_integers_and_short_decimals(self):
+        nrng = np.random.default_rng(2)
+        e = nrng.integers(0, 64, 20_000)
+        integers = np.floor(np.ldexp(nrng.uniform(1, 2, e.size), e))
+        decimals = np.round(nrng.uniform(-1, 1, 20_000)
+                            * 10.0 ** nrng.integers(-3, 18, 20_000), 3)
+        self.check(np.concatenate([integers, -integers, decimals]))
+
+    def test_band_edges(self):
+        self.check(self.EDGES + [-x for x in self.EDGES])
+
+    def test_mixed_notations_across_a_chunk_edge(self):
+        # a block of two chunks, the last 3 rows of "a" and the 5 of "b",
+        # drawn from in-band and exponent-notation values alike
+        C = ser._CHUNK_ROWS
+        pool = np.array(self.EDGES + SPECIAL + [0.5, -3.25, 1e-5, 123456.789])
+        nrng = np.random.default_rng(3)
+        doc = {"a": pool[nrng.integers(0, pool.size, (C + 3, 2))],
+               "b": [pool[nrng.integers(0, pool.size, (5, 2))]]}
+        assert ser.dumps(doc) == json.dumps(as_lists(doc), indent=2)
