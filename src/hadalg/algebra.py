@@ -370,6 +370,11 @@ def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]
     denom = sum(_mul(v.conj(), v).real for v in vs)
     hs = [np.where(zero, 0, _ldexp(_div(_mul(uf, v.conj()), denom), shift)) for v in vs]
     _refuse("a Bezout witness is not finite", ~np.isfinite(hs).all(axis=0))
+    # every h_k underflowed to 0 though f is not 0: "member, C = 0" with a
+    # zero witness would pass for an answer (as _quotient refuses for divide)
+    if uf.any() and not np.any(hs):
+        n = int(uf.nonzero()[0][0])
+        raise NumericalError(f"Bezout witness at index {n} underflows to 0", index=n)
     return C, [_element(w, h, pl) for h in hs]
 
 

@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 a mathematical criterion failed (witness in the JSON
 output), 3 parse or schema error, 4 numerical failure.  Results go to --out
 (default stdout); a one-line human summary goes to stderr.  Floats are
 serialized with shortest-roundtrip repr, so documents reconstruct exactly.
+Input documents are decoded by orjson when ``_plain`` shows that it builds
+the tree ``json.loads`` builds; every other text, and every decode error,
+goes through ``json.loads``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 import os
 import sys
 
+import orjson
+
 from . import algebra, ideals, matalg, serialize, weights
 from .coeffseq import inf_abs
 from .errors import (InvalidArgument, MathConditionError, NumericalError,
@@ -26,6 +31,42 @@ EXIT_OK = 0
 EXIT_MATH = 2
 EXIT_SCHEMA = 3
 EXIT_NUMERIC = 4
+
+# deepest nesting that _plain passes to orjson; json.loads recurses once per
+# level and reports a deep document as nested too deeply, orjson does not
+_DEPTH = 32
+_RUN = b"0" * 19
+# digits read as "0", "." as itself and every other byte as " "
+_DIGITS = bytes(ord("0") if c in b"0123456789" else c if c == ord(".") else ord(" ")
+                for c in range(256))
+_SQUARE = bytes.maketrans(b"{}", b"[]")
+_NOT_NEST = bytes(c for c in range(256) if c not in b'[]{}"')
+
+
+def _plain(text: str) -> bool:
+    """True only if orjson.loads(text) raises or builds the tree json.loads
+    builds.  orjson reads ints outside [-2^63, 2^64) as floats and reads
+    nesting that json refuses as too deep; escapes and non-ASCII text are
+    left to json.  So False for: non-ASCII text; a backslash; a run of 19 or
+    more digits not after a "." (an integer part or exponent of 19 or more
+    digits, or a fraction of 38 or more); more than _DEPTH opening brackets
+    where a string holds a bracket or the nesting is deeper than _DEPTH.
+    """
+    if not text.isascii() or "\\" in text:
+        return False
+    raw = text.encode()
+    digits = raw.translate(_DIGITS)
+    # each run of n >= 19 digits holds n // 19 _RUNs, the first at its start
+    if _RUN in digits and digits.count(_RUN) != digits.count(b"." + _RUN):
+        return False
+    # the brackets and quotes, less the "" of each string with no bracket; a
+    # string with one leaves a quote, which no pass below drops
+    nest = raw.translate(_SQUARE, _NOT_NEST).replace(b'""', b"")
+    if nest.count(b"[") <= _DEPTH:
+        return True
+    for _ in range(_DEPTH):  # each pass drops the innermost level
+        nest = nest.replace(b"[]", b"")
+    return not nest
 
 
 def _load_doc(args) -> object:
@@ -40,6 +81,11 @@ def _load_doc(args) -> object:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {name}: {exc}") from exc
+    if _plain(text):
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass  # json.loads below reads it, or words its error
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int past 4300 digits

@@ -8,17 +8,22 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadalg import cli, serialize, weights
 from hadalg.cli import _emit, run
+from hadalg.errors import SchemaError
 
 
 def write(tmp_path, doc, name="in.json"):
@@ -405,6 +410,14 @@ class TestTypedExits:
         code, out = elem(tmp_path, "divide", {"f": zero, "g": u})
         assert (code, out["quotient"]["normalized"]["cycle"]) == (0, [[0.0, 0.0]])
 
+    def test_ideal_member_witness_lost_below_the_range(self, tmp_path, capsys):
+        # h = 1e-600 is no double: the witness 0 would certify f = 0, so
+        # ideal-member refuses the pair that divide refuses
+        doc = {"f": element([], [[1e-300, 0]]), "generators": [element([], [[1e300, 0]])]}
+        assert elem(tmp_path, "ideal-member", doc) == (4, None)
+        assert capsys.readouterr().err == (
+            "numerical failure: Bezout witness at index 0 underflows to 0\n")
+
     def test_bass_reduce_non_finite_witness_is_numerical(self, tmp_path, capsys):
         # |u2| = 2.4e308 is past the double range, and so is every witness
         # of at least (|u1| + |u2|)/2: no answer, not an uncertified one
@@ -605,10 +618,13 @@ class TestDecodeCollector:
 
     @pytest.fixture
     def during(self, monkeypatch):
+        """The collector's state at each decode call, by orjson or by json (a
+        text that orjson refuses is decoded by both)."""
         seen = []
-        real = cli.json.loads
-        monkeypatch.setattr(cli.json, "loads",
-                            lambda text: seen.append(gc.isenabled()) or real(text))
+        for module in (cli.orjson, cli.json):
+            real = module.loads
+            monkeypatch.setattr(module, "loads", lambda text, real=real:
+                                seen.append(gc.isenabled()) or real(text))
         yield seen
         gc.enable()
 
@@ -629,7 +645,7 @@ class TestDecodeCollector:
         path.write_text(text)
         (gc.enable if enabled else gc.disable)()
         assert run(["elem", "norm", "--json", str(path)]) == code
-        assert (during, gc.isenabled()) == ([False], enabled)
+        assert (set(during), gc.isenabled()) == ({False}, enabled)
 
     @pytest.mark.parametrize("op, doc, code", [
         ("norm", element([], [[1, 0]]), 0),
@@ -642,7 +658,7 @@ class TestDecodeCollector:
         (gc.enable if enabled else gc.disable)()
         assert run(["elem", op, "--json", path]) == code
         written = [False] if code in (0, 2) else []
-        assert (during, writing, gc.isenabled()) == ([False], written, enabled)
+        assert (set(during), writing, gc.isenabled()) == ({False}, written, enabled)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_after_an_uncaught_exception(self, enabled, during,
@@ -658,4 +674,135 @@ class TestDecodeCollector:
         (gc.enable if enabled else gc.disable)()
         with pytest.raises(RuntimeError, match="not a typed failure"):
             run(["elem", "norm", "--json", path])
-        assert (during, seen, gc.isenabled()) == ([False], [False], enabled)
+        assert (set(during), seen, gc.isenabled()) == ({False}, [False], enabled)
+
+
+# -- the reader: orjson where it builds json's tree, json.loads elsewhere -----
+
+def digits(n):
+    return st.text("0123456789", min_size=n, max_size=n)
+
+
+plain_number = st.one_of(st.integers(-10 ** 18 + 1, 10 ** 18 - 1).map(str),
+                         st.floats(allow_nan=False, allow_infinity=False).map(repr))
+odd_number = st.one_of(
+    st.sampled_from([2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 64 - 1,
+                     2 ** 64, 2 ** 64 + 1, -2 ** 64 - 1]).map(str),
+    st.integers(18, 29).flatmap(lambda n: st.integers(10 ** n, 10 ** (n + 1) - 1)
+                                ).map(str),                      # 19-30 digits
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400",
+                     "-0", "-0.0", "1E+2", "01", "1.", "- 1"]),
+    st.integers(10 ** 399, 10 ** 400 - 1).map(str),
+    st.builds("{}.{}".format, st.sampled_from(["0", "-1", "9" * 400]), digits(400)),
+    st.builds("{}.{}".format, st.sampled_from(["0", "-1", "12"]),
+              st.integers(15, 45).flatmap(digits)),             # fractions near the guard's runs
+    st.builds("1{}e{}".format, st.sampled_from(["", ".5"]),
+              st.integers(1, 25).flatmap(digits)))
+string = st.builds(
+    lambda text, how: how(text),
+    st.text('ab[]{}"\\\u00e9\t\r/ ', max_size=5),
+    st.sampled_from([json.dumps, lambda t: json.dumps(t, ensure_ascii=False),
+                     lambda t: f'"{t}"']))
+nested = st.one_of(st.integers(30, 40).map(lambda d: "[" * d + "1" + "]" * d),
+                   st.just("[" * 2000 + "]" * 2000))
+
+
+@st.composite
+def mutated_texts(draw):
+    """An element document with one mutation: an odd number literal in a
+    cell, an unread key with an odd, nested or string value (or an odd key),
+    CRLF separators, a BOM, or trailing garbage; or none."""
+    cells = draw(st.lists(st.lists(plain_number, min_size=2, max_size=2),
+                          min_size=1, max_size=4))
+    key, value = '"unread"', "1"
+    kind = draw(st.sampled_from(["none", "cell", "value", "key", "crlf", "wrap"]))
+    if kind == "cell":
+        cells[draw(st.integers(0, len(cells) - 1))][draw(st.integers(0, 1))] = draw(
+            odd_number)
+    elif kind == "value":
+        value = draw(st.one_of(odd_number, string, nested))
+    elif kind == "key":
+        key = draw(string)
+    cycle = ", ".join(f"[{a}, {b}]" for a, b in cells)
+    text = (f'{{"weight": "factorial", {key}: {value}, '
+            f'"normalized": {{"prefix": [], "cycle": [{cycle}]}}}}')
+    if kind == "crlf":
+        text = text.replace(", ", ",\r\n")
+    if kind == "wrap":
+        text = (draw(st.sampled_from(["", "\ufeff", " \r\n"])) + text
+                + draw(st.sampled_from(["", "\r\n", " x", "]", "}", ", 1"])))
+    return text
+
+
+def same(a, b) -> bool:
+    """a and b are equal with the same types, float bits and key order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+class TestReader:
+    """_load_doc gives json.loads's tree (same types, same float bits) or its
+    SchemaError text on every text, whichever decoder _plain chooses."""
+
+    @staticmethod
+    def read(text):
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            try:
+                return cli._load_doc(argparse.Namespace(json="-"))
+            except SchemaError as exc:
+                return SchemaError, str(exc)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(mutated_texts())
+    def test_same_tree_as_json(self, text):
+        with mock.patch.object(cli, "_plain", lambda text: False):
+            want = self.read(text)
+        assert same(self.read(text), want)
+
+    @pytest.mark.parametrize("text, plain", [
+        ('{"a": [1.5, -2e-05, 123456789012345678, true, null], "b": "x"}', True),
+        ("[1234567890123456789]", False),            # 19 integer digits
+        ("[-1234567890123456789.5]", False),
+        ("[1e1234567890123456789]", False),          # 19 exponent digits
+        ("[0.0001234567890123456789]", True),        # a fraction
+        ("[0." + "1" * 38 + "]", False),
+        ('["[", {"}": 1}]', True),                   # brackets in strings
+        ('["[", ' + "[1], " * 32 + "1]", False),     # and many outside
+        ('["]", ' + "[1], " * 32 + "1]", False),
+        ('["[]", ' + "[1], " * 32 + "1]", False),
+        ('["", ' + "[1], " * 32 + "1]", True),
+        ('["a\\\\b"]', False),
+        ('{"\u00e9": 1}', False),
+        ("[" * 32 + "]" * 32, True),
+        ("[" * 33 + "]" * 33, False),
+        ("[" + ", ".join(["[[1, 2]]"] * 40) + "]", True),
+        ('[{"a": ' * 16 + "1" + "}]" * 16, True),
+        ('[{"a": ' * 17 + "1" + "}]" * 17, False),
+    ])
+    def test_plain(self, text, plain):
+        assert cli._plain(text) is plain
+
+    def test_wide_int_keeps_its_type(self, tmp_path, capsys):
+        # orjson reads an int outside [-2^63, 2^64) as a float: the value is
+        # the same here (a tie, rounded to even), the message is not
+        wide = 2175973101849294536704
+        assert elem(tmp_path, "norm", element([], [[wide, 0]])) == (
+            0, {"norm": 2.1759731018492947e+21})
+        assert elem(tmp_path, "norm", element([], [[wide, 0, 0]]))[0] == 3
+        assert capsys.readouterr().err.endswith(
+            f"error: expected a number or [re, im] pair, got [{wide}, 0, 0]\n")
+
+    def test_deep_unread_key_is_nested_too_deeply(self, tmp_path, capsys):
+        p = tmp_path / "in.json"
+        p.write_text('{"unread": ' + "[" * 2000 + "]" * 2000
+                     + ', "weight": "factorial", "normalized": {"cycle": [[1, 0]]}}')
+        assert run(["elem", "norm", "--json", str(p)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: invalid JSON: {p} is nested too deeply\n")

@@ -34,8 +34,9 @@ def test_install_patches_and_uninstall_restores(monkeypatch, tmp_path):
     try:
         assert changed(before)
         assert isinstance(hadalg.cli.json, spans._JsonProxy)
+        # the unread 20-digit int sends the text past orjson to json.loads
         doc = tmp_path / "f.json"
-        doc.write_text(json.dumps({"weight": "factorial",
+        doc.write_text(json.dumps({"weight": "factorial", "unread": 10 ** 19,
                                    "normalized": {"cycle": [[2, 0]]}}))
         assert run(["elem", "norm", "--json", str(doc),
                     "--out", str(tmp_path / "out.json")]) == 0
