@@ -1,8 +1,9 @@
 """Command-line surface over JSON documents.
 
 Exit codes: 0 success, 2 a mathematical criterion failed (witness in the JSON
-output), 3 parse or schema error, 4 numerical failure.  Results go to --out
-(default stdout); a one-line human summary goes to stderr.  Floats are
+output), 3 parse or schema error, 4 numerical failure, which includes an
+answer holding NaN or +-Infinity (serialize.check_finite).  Results go to
+--out (default stdout); a one-line human summary goes to stderr.  Floats are
 serialized with shortest-roundtrip repr, so documents reconstruct exactly.
 Input documents are decoded by orjson when ``_plain`` shows that it builds
 the tree ``json.loads`` builds; every other text, and every decode error,
@@ -226,7 +227,8 @@ def _cmd_mat(args):
                 "determinant computed")
     if op == "solve":
         delta, x = matalg.mat_solve(*ins, rtol=args.tol)
-        return ({"delta": "inf" if math.isinf(delta) else delta,
+        # "inf" is the delta of x = 0 alone; an overflowed 1/sup|x| is refused
+        return ({"delta": delta if x.array.any() else "inf",
                  "x": serialize.matrix_to_json(x)},
                 f"solved, delta = {delta}")
     if op == "exp":
@@ -424,6 +426,7 @@ def _run(argv) -> int:
         args = _parse(argv)
         try:
             payload, summary = args.func(args)
+            serialize.check_finite(payload)  # before --out is opened
             code = EXIT_OK
         except MathConditionError as exc:
             payload = {"error": str(exc), "witness": exc.witness()}

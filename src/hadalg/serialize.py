@@ -26,8 +26,8 @@ import orjson
 from . import weights as weights_mod
 from .algebra import Element, from_raw_coeffs
 from .coeffseq import Canonical, EPSeq, _canonical, _gather, _window
-from .errors import SchemaError
-from .matalg import MatElement, _shape, from_ustack
+from .errors import DimensionMismatch, NumericalError, SchemaError
+from .matalg import MatElement, from_ustack
 
 
 def _c_from_json(obj: Any) -> complex:
@@ -161,7 +161,11 @@ def matrix_from_json(obj: Any) -> MatElement:
     flat, lens = _sequences([cell for row in entries for cell in row],
                             (f"entries[{i}][{j}]" for i, row in enumerate(entries)
                              for j in range(len(row))))
-    m, n = _shape(entries)
+    if not entries[0]:
+        raise DimensionMismatch("matrix must be nonempty")
+    if len(set(map(len, entries))) > 1:
+        raise DimensionMismatch("ragged rows")
+    m, n = len(entries), len(entries[0])
     # the cells of one raw shape are canonicalised together
     L, c = np.array(lens).reshape(-1, 2).T
     start = np.cumsum(L + c) - (L + c)
@@ -184,6 +188,32 @@ def matrix_from_json(obj: Any) -> MatElement:
 def factors_to_json(factors) -> list[dict]:
     return [{"i": f.i, "j": f.j, "alpha": element_to_json(f.alpha)}
             for f in factors]
+
+
+def check_finite(doc: dict) -> None:
+    """Raise NumericalError at the document's first NaN or +-Infinity (an
+    answer is finite numbers), naming its JSON path and, in an array of
+    [re, im] rows, its row: "gcd.normalized.cycle is not finite at index 0"."""
+    bad = _nonfinite(doc)
+    if bad is not None:
+        raise NumericalError(f"{bad[0].lstrip('.')} is not finite{bad[1]}")
+
+
+def _nonfinite(o) -> tuple[str, str] | None:
+    """(the JSON path below the dict, list or tuple o of its first NaN or
+    +-Infinity, " at index n" if that is in row n of an array) or None."""
+    for k, v in (o.items() if type(o) is dict else enumerate(o)):
+        t, bad = type(v), None
+        if t is dict or t is list or t is tuple:
+            bad = _nonfinite(v)
+        elif t is np.ndarray:
+            if v.size and not np.isfinite(v).all():
+                bad = "", f" at index {int(np.isfinite(v).all(axis=1).argmin())}"
+        elif isinstance(v, float) and not math.isfinite(v):
+            bad = "", ""
+        if bad is not None:
+            return (f"[{k}]" if type(k) is int else f".{k}") + bad[0], bad[1]
+    return None
 
 
 # ---------------------------------------------------------------------------

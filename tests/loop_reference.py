@@ -18,11 +18,12 @@ from fractions import Fraction
 import numpy as np
 
 from hadalg import algebra, ideals
-from hadalg.coeffseq import EPSeq, GenSeq
-from hadalg.errors import (BoundUnavailable, CoronaFails, HorizonExceeded,
-                           InvalidArgument, NotDivisible, NotInIdeal,
-                           NotInvertible, NumericalError, PointwiseDomainError)
-from hadalg.matalg import ElementaryFactor
+from hadalg.coeffseq import EPSeq, GenSeq, _take, joint_shape
+from hadalg.errors import (BoundUnavailable, CoronaFails, DimensionMismatch,
+                           HorizonExceeded, InvalidArgument, NotDivisible,
+                           NotInIdeal, NotInvertible, NumericalError,
+                           PointwiseDomainError, WeightMismatch)
+from hadalg.matalg import ElementaryFactor, from_ustack
 
 
 def canonical(prefix, cycle):
@@ -258,6 +259,26 @@ def eval_at(w, a, z, tol):
     if not cmath.isfinite(s):
         raise NumericalError(f"partial sum is not finite at |z| = {r}")
     return s, bound, N + 1
+
+
+def matrix(w, rows):
+    """The MatElement of rows of Elements of weight w, or of canonical
+    sequences (EPSeqs or coeffseq.Canonicals) read as normalized
+    coefficients: the shape is checked, then the weights, and each cell's
+    take on the joint window is stacked into from_ustack."""
+    rows = tuple(tuple(r) for r in rows)
+    if not rows or not rows[0]:
+        raise DimensionMismatch("matrix must be nonempty")
+    if len(set(map(len, rows))) > 1:
+        raise DimensionMismatch("ragged rows")
+    m, n = len(rows), len(rows[0])
+    for e in (e for r in rows for e in r if isinstance(e, algebra.Element)):
+        if e.weight != w:
+            raise WeightMismatch(f"{e.weight.name} entry in {w.name} matrix")
+    cells = [e.u if isinstance(e, algebra.Element) else e for r in rows for e in r]
+    pl, cl = joint_shape(*cells)
+    stack = np.stack([_take(s, pl + cl) for s in cells], axis=1)
+    return from_ustack(w, pl, stack.reshape(-1, m, n))
 
 
 def mat_det(entries):

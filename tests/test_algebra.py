@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from hadalg import algebra as alg
+from hadalg import serialize as ser
+from hadalg.cli import run
 from hadalg.coeffseq import EPSeq, GenSeq, inf_abs, joint_shape
 from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal, NotInvertible,
                            NumericalError, WeightMismatch)
@@ -286,13 +288,27 @@ class TestScaledBezout:
         C, (h,) = alg.in_ideal(f, [f])
         assert (C, h.u.array.tolist()) == (1, [1])
 
-    def test_witness_past_the_double_range_is_numerical(self):
-        # 1/1e-310 is not a double: no witness, where the unscaled formula
-        # refused with the squared modulus underflowing to 0
-        with pytest.raises(NumericalError, match="not finite at index 1"):
-            alg.corona_solve([el([1.0], [1e-310])])
-        with pytest.raises(NumericalError, match="not finite at index 0"):
-            alg.in_ideal(el([], [1e300]), [el([], [1e-300])])
+    def test_witness_past_the_double_range_is_numerical(self, tmp_path, capsys):
+        # 1/1e-310 and 1e300/1e-300 are not doubles: no answer is written
+        # (exit 4, no --out file), where the unscaled formula refused with
+        # the squared modulus underflowing to 0
+        def refused(op, doc):
+            (tmp_path / "in.json").write_text(ser.dumps(doc))
+            out = tmp_path / "out.json"
+            code = run(["elem", op, "--json", str(tmp_path / "in.json"),
+                        "--out", str(out)])
+            assert not out.exists()
+            return code, capsys.readouterr().err
+
+        def doc(prefix, cycle):
+            return ser.element_to_json(el(prefix, cycle))
+
+        assert refused("corona", {"elements": [doc([1.0], [1e-310])]}) == (
+            4, "numerical failure: solution[0].normalized.cycle is not finite "
+               "at index 0\n")
+        assert refused("ideal-member", {"f": doc([], [1e300]),
+                                        "generators": [doc([], [1e-300])]}) == (
+            4, "numerical failure: C is not finite\n")
 
 
 def wide_point(rng):

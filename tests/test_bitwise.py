@@ -194,7 +194,7 @@ def test_mat_det_memo_matches_cofactor(n):
         for _ in range(3):
             rows = tuple(tuple(pair(rng, draw)[0] for _ in range(n))
                          for _ in range(n))
-            A = ma.MatElement(W, rows)
+            A = ref.matrix(W, rows)
             assert bits(ma.mat_det(A)) == bits(ref.mat_det(rows))
 
 
@@ -232,7 +232,7 @@ def test_mat_det_stacked_matches_memo(n, monkeypatch):
         for _ in range(4):
             rows = tuple(tuple(pair(rng, draw)[0] for _ in range(n))
                          for _ in range(n))
-            A = ma.MatElement(W, rows)
+            A = ref.matrix(W, rows)
             want = ref.memo_cofactor_det(A.entries, alg.star, alg.add,
                                          lambda t: alg.scalar_mul(-1.0, t))
             assert bits(ma.mat_det(A)) == bits(want)
@@ -314,6 +314,6 @@ def test_matrix_entries_are_its_rows():
             n = rng.randint(1, 4)
             rows = tuple(tuple(pair(rng, draw)[0] for _ in range(n))
                          for _ in range(n))
-            A = ma.MatElement(W, rows)
+            A = ref.matrix(W, rows)
             assert bits(A.entries) == bits(rows)
             assert bits(ma.mat_det(A)) == bits(ref.mat_det(rows))

@@ -375,9 +375,10 @@ class TestTypedExits:
             [h1], [h2] = map(cycle, out["coefficients"])
             assert code == 0 and cmath.isfinite(h1) and cmath.isfinite(h2)
             assert abs(h1 * f + h2 * 1e-200 - f) < 1e-15 * abs(f)
-            # the quotient overflows as Python's complex division does
-            code, out = elem(tmp_path, "divide", {"f": u, "g": tiny})
-            assert code == 0 and cycle(out["quotient"]) == [f / 1e-200]
+            # the quotient f / 1e-200 overflows, as Python's complex division
+            # does: no answer holds it, and no --out file is written
+            (tmp_path / "out.json").unlink()
+            assert elem(tmp_path, "divide", {"f": u, "g": tiny}) == (4, None)
 
     def test_corona_of_a_tiny_constant(self, tmp_path):
         # |u|^2 = 1e-400 underflows to 0, yet 1/u = 1e200 is a double
@@ -387,7 +388,7 @@ class TestTypedExits:
     def test_corona_witness_past_the_double_range(self, tmp_path, capsys):
         assert elem(tmp_path, "corona", {"elements": [element([], [[1e-310, 0]])]}) == (4, None)
         assert capsys.readouterr().err == (
-            "numerical failure: a Bezout witness is not finite at index 0\n")
+            "numerical failure: solution[0].normalized.cycle is not finite at index 0\n")
 
     def test_quotient_near_the_ends_of_the_range(self, tmp_path, capsys):
         # 1/u = 2.94e-309(1 - i) is representable; unscaled, Smith's
@@ -437,14 +438,17 @@ class TestTypedExits:
         assert code == 0 and 0 < h <= 1 and wit == u1 + h * u2
         assert wit == u2 and wit >= (u1 / 2 + u2 / 2) * (1 - 2.0 ** -50)
 
-    def test_trajectory_past_the_double_range(self, tmp_path):
-        # |u| overflows: inf, as elem norm answers, not a traceback
+    def test_trajectory_past_the_double_range(self, tmp_path, capsys):
+        # |u| overflows: refused, as elem norm refuses it, not a traceback
+        # and not an Infinity
         u = element([], [[1.7e308, 1.7e308]])
         out = tmp_path / "out.json"
         assert run(["ideal", "trajectory", "--json", write(tmp_path, u), "--ks", "0,1",
-                    "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["values"] == [math.inf, math.inf]
-        assert elem(tmp_path, "norm", u) == (0, {"norm": math.inf})
+                    "--out", str(out)]) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == "numerical failure: values[0] is not finite\n"
+        assert elem(tmp_path, "norm", u) == (4, None)
+        assert capsys.readouterr().err == "numerical failure: norm is not finite\n"
 
     @pytest.mark.parametrize("z, cause", [("800", "not finite"),
                                           ("2000", "tail bound overflows")])

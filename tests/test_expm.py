@@ -145,7 +145,9 @@ def test_mat_exp_that_overflows_exits_4_naming_the_position(stack, position,
         warnings.simplefilter("always")
         assert run(argv) == 4
     assert [str(w.message) for w in caught] == []
+    # the answer is refused where it is written, at the first entry's cycle
+    # (these documents have no prefix) and the first position not finite
     err = capsys.readouterr().err
-    assert err == ("numerical failure: exp overflows the double range "
-                   f"at position {position}\n")
+    assert err == ("numerical failure: exp.entries[0][0].cycle is not finite "
+                   f"at index {position}\n")
     assert not (tmp_path / "out.json").exists()

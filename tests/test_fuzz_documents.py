@@ -1,5 +1,6 @@
 """Fuzzed input documents: every operation that reads --json ends in a
-documented exit (0, 2, 3 or 4), never in an exception.
+documented exit (0, 2, 3 or 4), never in an exception, and exit 0 writes no
+NaN or Infinity.
 
 A drawn document is a well-formed element or matrix document (or the
 operation's wrapper around several), and in about half the draws one node of
@@ -48,10 +49,11 @@ def to_text(doc) -> str:
 
 # -- well-formed documents ----------------------------------------------------
 
-# one draw a cell: [re, im] pairs and bare reals, signed zeros and a tiny value
+# one draw a cell: [re, im] pairs and bare reals, signed zeros, a tiny value
+# and a large one, whose products leave the double range
 cell = st.sampled_from([[1, 0], [0, 0], [-1, 0], [2, 0], [0.5, -1], [0, 1],
-                        [-0.0, 0.0], [1e-300, 0], [0.1, 0.7], [-3.25, 2], 1, 0,
-                        -2, 0.5, -0.0, 3.5])
+                        [-0.0, 0.0], [1e-300, 0], [0.1, 0.7], [-3.25, 2],
+                        [1e200, -1e200], 1, 0, -2, 0.5, -0.0, 3.5])
 
 
 def sequence(max_cycle):
@@ -171,7 +173,16 @@ def run_doc(tmp_path, group, op, text):
 def test_fuzz_documents_end_in_a_documented_exit(data, tmp_path):
     group, op = data.draw(st.sampled_from(sorted(OPERATIONS)), label="operation")
     doc = data.draw(DOCUMENTS[group, op], label="document")
-    assert run_doc(tmp_path, group, op, to_text(doc)) in (0, 2, 3, 4)
+    out = tmp_path / "out.json"
+    out.unlink(missing_ok=True)  # tmp_path is shared by every example
+    code = run_doc(tmp_path, group, op, to_text(doc))
+    assert code in (0, 2, 3, 4)
+    if code == 0:  # an answer is finite numbers: no NaN or Infinity
+        json.loads(out.read_text(), parse_constant=reject)
+
+
+def reject(constant):
+    raise AssertionError(f"exit 0 wrote {constant}")
 
 
 ONE = {"weight": "factorial", "normalized": {"cycle": [[1, 0]]}}

@@ -185,7 +185,7 @@ DOCS = {
                               "b": mixed_doc(2000 + n, n, 1)},
 }
 
-# (exit code, sha256 of the --out file)
+# (exit code, sha256 of the --out file, None where none is written)
 DIGESTS = {
     ("det", 2): (0, "85276e696fa5e0e80869015e8bcc826ac926d261a536aaeaceb8ea82c90be460"),
     ("det", 3): (0, "df7be22d3a263b1bd63277acd8cd5377de7561769d62a7cd0b46f7298f84c57b"),
@@ -203,7 +203,9 @@ DIGESTS = {
     ("det-edge", 2): (0, "b934addad08d3df6bdc98e7fd2538702e7f69ee78cb05d78aa2dab998eb6983d"),
     ("det-edge", 3): (0, "08733105f3919f76a675a9caea21f53c47060b9238e2ebf7d48da3f3bebf53eb"),
     ("det-edge", 4): (0, "63e041c8c34d442ac571bc3a5c1150ded4acd99845d9b0ffc6aeda23ee2ae9fd"),
-    ("det-edge", 5): (0, "d36a28088193a9e3d6b9b11e395c3d6daccfdc67e76029a1b2d3a18702726026"),
+    # its determinant is NaN at a position (products past the double range
+    # cancel): refused, with no --out file
+    ("det-edge", 5): (4, None),
     ("det-edge", 6): (0, "ee18d8852821bf3c1c075ee5b2df8fad40f66bccbc30e1da003c9011db407052"),
     ("det-edge", 7): (0, "a93578fb451e9e03e9ea696461a3ca564ffdb7b00086ecc0a261af79722fdd8e"),
     ("log", 2): (0, "e2b58e96480c197df0516ab5873821ff472c46f8acdcc4b5eef1a1084fdb8fc5"),
@@ -267,4 +269,7 @@ def test_output_bytes(kind, n, tmp_path):
     doc.write_text(json.dumps(DOCS[kind](n)))
     op = "sl-factor" if kind == "sl-factor" else kind.split("-")[0]
     assert run(["mat", op, "--json", str(doc), "--out", str(out)]) == code
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if digest is None:
+        assert not out.exists()
+    else:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

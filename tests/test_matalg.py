@@ -15,6 +15,7 @@ from hadalg.errors import (DimensionMismatch, Inconsistent, NotInGL, NotSL,
                            NumericalError, WeightMismatch)
 from hadalg.weights import FACTORIAL
 
+import loop_reference as ref
 from conftest import mat_identity
 
 W = FACTORIAL
@@ -65,13 +66,13 @@ class TestBasics:
         with pytest.raises(DimensionMismatch):
             ma.mat_mul(rand_mat(nrng, 2, 3), rand_mat(nrng, 2, 3))
         with pytest.raises(DimensionMismatch):
-            ma.MatElement(W, ((const_el(1),), (const_el(1), const_el(2))))
+            ref.matrix(W, ((const_el(1),), (const_el(1), const_el(2))))
 
     def test_weight_consistency(self, nrng):
         from hadalg.weights import superexp
         e = alg.unit(superexp(2.0, 2))
         with pytest.raises(WeightMismatch):
-            ma.MatElement(W, ((e,),))
+            ref.matrix(W, ((e,),))
 
     def test_norm_bounds_order(self, nrng):
         A = rand_mat(nrng, 3, 3, cycles=3)
@@ -247,7 +248,7 @@ class TestSLFactor:
         assert factor_ops(np.stack([I, I, I])) == []
 
     def test_diagonal_block_budget(self):
-        A = ma.MatElement(W, ((const_el(2.0), const_el(0.0)),
+        A = ref.matrix(W, ((const_el(2.0), const_el(0.0)),
                               (const_el(0.0), const_el(0.5))))
         factors, _ = ma.sl_factor(A)
         assert len(factors) <= 6

@@ -47,7 +47,7 @@ def raw_stack(rng, draw, m, n):
 
 def check_views(A):
     assert ma.from_ustack(W, A.period_start, A.ustack()[2]) == A
-    assert ma.MatElement(W, A.entries) == A
+    assert ref.matrix(W, A.entries) == A
     assert A.shape_window() == joint_shape(*(e.u for r in A.entries for e in r))
 
 
@@ -55,7 +55,7 @@ def check_views(A):
 @given(st.randoms(use_true_random=False), st.sampled_from(KINDS), shapes, shapes)
 def test_stack_from_entries(rng, draw, m, n):
     rows = tuple(tuple(pair(rng, draw)[0] for _ in range(n)) for _ in range(m))
-    A = ma.MatElement(W, rows)
+    A = ref.matrix(W, rows)
     assert A.entries == rows
     check_views(A)
     for k in range(len(A.array) + 3):
@@ -83,7 +83,7 @@ def star_add_product(A, B):
         return functools.reduce(alg.add, (alg.star(A.entries[i][k], B.entries[k][j])
                                           for k in range(A.n)))
 
-    return ma.MatElement(W, [[entry(i, j) for j in range(B.n)] for i in range(A.m)])
+    return ref.matrix(W, [[entry(i, j) for j in range(B.n)] for i in range(A.m)])
 
 
 @pytest.mark.parametrize("draw", KINDS)
@@ -93,8 +93,8 @@ def test_mat_mul_matches_loop_reference(draw):
         m, n, p = (rng.randint(1, 3) for _ in range(3))
         a = [[pair(rng, draw) for _ in range(n)] for _ in range(m)]
         b = [[pair(rng, draw) for _ in range(p)] for _ in range(n)]
-        A = ma.MatElement(W, [[e for e, _ in r] for r in a])
-        B = ma.MatElement(W, [[e for e, _ in r] for r in b])
+        A = ref.matrix(W, [[e for e, _ in r] for r in a])
+        B = ref.matrix(W, [[e for e, _ in r] for r in b])
         C = ma.mat_mul(A, B)
         prefix, cycle = ref.mat_mul([[s for _, s in r] for r in a],
                                     [[s for _, s in r] for r in b])
@@ -111,19 +111,19 @@ def test_constructor_checks_in_order():
 
     other, one = alg.unit(superexp(2.0, 2)), alg.unit(W)
     with pytest.raises(DimensionMismatch, match="nonempty"):
-        ma.MatElement(W, ((),))
+        ref.matrix(W, ((),))
     with pytest.raises(DimensionMismatch, match="ragged"):
-        ma.MatElement(W, ((one, other), (one,)))
+        ref.matrix(W, ((one, other), (one,)))
     with pytest.raises(WeightMismatch):
-        ma.MatElement(W, ((one, other),))
+        ref.matrix(W, ((one, other),))
     rng = random.Random(3)
     for draw in KINDS:
         rows = [[pair(rng, draw)[0] for _ in range(3)] for _ in range(2)]
         cells = [[_canonical_form(e.u.array[:e.u.period_start],
                                   e.u.array[e.u.period_start:])
                   for e in r] for r in rows]
-        assert bits(ma.MatElement(W, cells).array.tolist()) == \
-            bits(ma.MatElement(W, rows).array.tolist())
+        assert bits(ref.matrix(W, cells).array.tolist()) == \
+            bits(ref.matrix(W, rows).array.tolist())
 
 
 def test_window_budget():
@@ -132,11 +132,11 @@ def test_window_budget():
     assert 10007 * 10009 > MAX_WINDOW
     with pytest.raises(WindowTooLarge):
         alg.star(a, b)
-    A, B = ma.MatElement(W, ((a,),)), ma.MatElement(W, ((b,),))
+    A, B = ref.matrix(W, ((a,),)), ref.matrix(W, ((b,),))
     with pytest.raises(WindowTooLarge):
         ma.mat_mul(A, B)
     with pytest.raises(WindowTooLarge):
-        ma.MatElement(W, ((a, b),))
+        ref.matrix(W, ((a, b),))
 
 
 def gaussian(rng, *shape):

@@ -1,4 +1,4 @@
-"""The demo scripts and the replay tool run end to end on small arguments."""
+"""The replay tool runs end to end on small manifests."""
 
 import hashlib
 import json
@@ -30,28 +30,6 @@ def finish(proc):
 
 def run_script(name, *args):
     return finish(start_script(name, *args))
-
-
-@pytest.mark.parametrize("name, args", [
-    ("corona_bezout_demo.py", ["--trials", "3"]),
-    ("corona_bezout_demo.py", ["--trials", "3", "--plant-zero"]),
-    ("index_order_trajectories.py", ["--max-n", "1", "--horizon", "256"]),
-])
-def test_demo_runs(name, args):
-    assert run_script(name, *args)
-
-
-def test_index_order_trajectories_text():
-    out = run_script("index_order_trajectories.py", "--max-n", "3", "--horizon", "16384")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "78fe74836b3f9d419922ce4dd5ddd81be54ba313d2202e7ee9fc94e92583a69d")
-
-
-def test_sl_factorization_demo_reconstructs():
-    out = run_script("sl_factorization_demo.py", "--trials", "2", "--size", "2")
-    errors = [float(e) for e in re.findall(r"reconstruction error (\S+)", out)]
-    assert len(errors) == 4
-    assert max(errors) <= 1e-9
 
 
 # sha256 of the whole replay of each workload's --tiny seed-1 manifest: any

@@ -12,6 +12,7 @@ from hadalg.coeffseq import Canonical, EPSeq
 from hadalg.errors import DimensionMismatch, SchemaError
 from hadalg.weights import FACTORIAL
 
+import loop_reference as ref
 from conftest import exact_divisor, gauss_int, mat_identity, rand_element
 from test_bitwise import KINDS
 from test_matstack import raw_stack
@@ -93,7 +94,7 @@ class TestMatrix:
 
 class TestFactors:
     def test_round_trip(self):
-        A = ma.MatElement(W, ((alg.Element(W, EPSeq((), (2.0,))), alg.zero(W)),
+        A = ref.matrix(W, ((alg.Element(W, EPSeq((), (2.0,))), alg.zero(W)),
                               (alg.zero(W), alg.Element(W, EPSeq((), (0.5,))))))
         factors, _ = ma.sl_factor(A)
         doc = json.loads(ser.dumps(ser.factors_to_json(factors)))
