@@ -435,18 +435,19 @@ def bass_reduce(f1: Element, f2: Element) -> tuple[Element, Element]:
     The pair is unimodular iff delta = inf (|u1| + |u2|) > 0; else CoronaFails
     names the first index where both vanish.  h is stable_rank_step(u1, u2),
     so ||h|| <= 1 and |f1 + h*f2| >= (|u1| + |u2|) / 2 >= delta / 2 at every
-    position, which is checked (less 4 ulps, from the halves of |u1| and
-    |u2|, which do not overflow) before answering; a witness past the
-    double range passes it, and is refused where the answer is written.
+    position, which is checked (less 4 ulps) on the u_i and the witness
+    scaled by 2^-e (_scaled), where the halves do not round; a witness past
+    the double range passes it, and is refused where the answer is written.
     """
     w = _same_weight(f1, f2)
     pl, (u1, u2) = _window(f1, f2)
-    a1, a2 = _abs(u1), _abs(u2)
-    if (a1 + a2 == 0.0).any():
-        raise CoronaFails(int((a1 + a2 == 0.0).argmax()))
+    e, (v1, v2) = _scaled([u1, u2])
+    a = _abs(v1) + _abs(v2)
+    if (a == 0.0).any():
+        raise CoronaFails(int((a == 0.0).argmax()))
     h = stable_rank_step(u1, u2[:, None])[:, 0]
     wit = u1 + _mul(h, u2)
-    low = _abs(wit) < (a1 / 2 + a2 / 2) * (1 - 2.0 ** -50)
+    low = _abs(_ldexp(wit, -e)) < a / 2 * (1 - 2.0 ** -50)
     if low.any():
         n = int(low.argmax())
         raise NumericalError(f"|f1 + h*f2| is below delta/2 at index {n}", index=n)

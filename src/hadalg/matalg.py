@@ -388,25 +388,27 @@ def _eig_logs(stack: np.ndarray, lam: np.ndarray, V: np.ndarray,
     return out
 
 
-def _exactly_singular(U: np.ndarray) -> bool:
-    """Whether det U = 0 exactly, for U as its doubles read.  Every double
-    is an integer over a power of two, so one power of two scales U to a
-    matrix of Gaussian integers, expanded with Python ints."""
-    ratios = [x.as_integer_ratio()
-              for x in np.stack([U.real, U.imag]).ravel().tolist()]
-    scale = max(q for _, q in ratios)
-    ints = np.array([p * (scale // q) for p, q in ratios], dtype=object)
-    det = _expand(ints.reshape(2, *U.shape),
-                  lambda a, b: np.stack([a[0] * b[0] - a[1] * b[1],
-                                         a[0] * b[1] + a[1] * b[0]]),
-                  operator.add, operator.neg)
-    return not any(det)
+def _exact_rank(U: np.ndarray) -> int:
+    """The rank of U as its doubles read, by Bareiss's fraction-free
+    elimination (1968) on the real form [[Re U, -Im U], [Im U, Re U]] of twice
+    U's rank: doubles are integers over powers of two, so each row scales to
+    Python ints (less their gcd), and every division is exact."""
+    p, q = np.frompyfunc(float.as_integer_ratio, 1, 2)(
+        np.block([[U.real, -U.imag], [U.imag, U.real]]))
+    M = p * (q.max(axis=1, keepdims=True) // q)
+    M //= np.array([math.gcd(*row) or 1 for row in M])[:, None]
+    prev = 1
+    for j in range(2 * len(U)):
+        nz = np.flatnonzero(M[:, j])
+        if len(nz):  # the pivot row leaves M; the rows left are cleared in column j
+            piv, M = M[nz[0]], np.delete(M, nz[0], axis=0)
+            M, prev = (M * piv[j] - M[:, j, None] * piv) // prev, piv[j]
+    return len(U) - len(M) // 2
 
 
-# a position whose smallest singular value is at most this many n eps
-# sigma_max is decided singular or not by _exactly_singular; the exactly
-# singular matrices with entries in {-1, 0, 1, 2} and integer rank-deficient
-# products up to 7x7 stay under 0.7 of it
+# a position whose smallest singular value is at most this many n eps sigma_max
+# is singular iff _exact_rank is below n; up to 7x7 the exactly singular ones
+# with entries in {-1, 0, 1, 2}, and integer rank-deficient products, stay under 0.7
 _SINGULAR_FLAG = 4.0
 # largest entry deviation of exp(log U(k)) from U(k) that mat_log accepts,
 # relative to max(1, max |U(k)|): doubles round in proportion to the entries
@@ -422,6 +424,7 @@ def _branch_margin(logs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.minimum(im, _TWO_PI - im).min(axis=1)
 
 
+@_silent
 def mat_log(A: MatElement) -> MatElement:
     """Logarithm of an invertible matrix over the algebra.
 
@@ -437,22 +440,19 @@ def mat_log(A: MatElement) -> MatElement:
     latter raises OffBranch at the first position whose margin to the strip
     edges is not positive.
 
-    A position is refused as singular when an eigenvalue is exactly 0, or
-    when its smallest singular value is within rounding of 0 and its exact
-    determinant is 0.
+    A position is refused as singular (NotInGL) only where its smallest
+    singular value is within rounding of 0 and its exact rank is below n; an
+    eigenvalue that eig flushes to 0 is left to the round trip.
     """
     if A.m != A.n:
         raise DimensionMismatch("logarithm needs a square matrix")
     pl, cl, stack = A.ustack()
-    lam, V = np.linalg.eig(stack)
-    singular = np.abs(lam).min(axis=1) == 0.0
     sv = np.linalg.svd(stack, compute_uv=False)
     eps = np.finfo(np.float64).eps
-    flagged = sv[:, -1] <= _SINGULAR_FLAG * A.n * eps * sv[:, 0]
-    for k in np.flatnonzero(flagged & ~singular):
-        singular[k] = _exactly_singular(stack[k])
-    if singular.any():
-        raise NotInGL(int(singular.argmax()))
+    for k in np.flatnonzero(sv[:, -1] <= _SINGULAR_FLAG * A.n * eps * sv[:, 0]):
+        if _exact_rank(stack[k]) < A.n:
+            raise NotInGL(int(k))
+    lam, V = np.linalg.eig(stack)
     thetas = _branch_angles(lam)
     out = _eig_logs(stack, lam, V, thetas)
     err = np.max(np.abs(_expm(out) - stack), axis=(1, 2))
@@ -570,8 +570,8 @@ def sl_factor(A: MatElement, tol: float = 1e-9
         raise DimensionMismatch("factorization needs a square matrix")
     pl, cl, stack = A.ustack()
     dets = np.linalg.det(stack)
-    bad = np.argmax(np.abs(dets - 1.0))
-    if abs(dets[bad] - 1.0) > tol:
+    bad = np.argmax(np.abs(dets - 1.0))  # the first nan, if any
+    if not abs(dets[bad] - 1.0) <= tol:
         raise NotSL(int(bad), complex(dets[bad]))
 
     ops, diag = _gauss_factors(stack)

@@ -362,6 +362,28 @@ def exact_det(U):
     return Fraction(sign * re, D ** n), Fraction(sign * im, D ** n)
 
 
+def exact_rank(U):
+    """The rank of a complex128 matrix as its doubles read, by Gaussian
+    elimination over pairs (re, im) of Fractions: each row below a pivot
+    loses its multiple by the exact complex quotient of the two entries."""
+    M = [[(Fraction(z.real), Fraction(z.imag)) for z in row]
+         for row in np.asarray(U).tolist()]
+    rank = 0
+    for j in range(len(M[0])):
+        pivot = next((i for i in range(rank, len(M)) if M[i][j] != (0, 0)), None)
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        (a, b), norm = M[rank][j], M[rank][j][0] ** 2 + M[rank][j][1] ** 2
+        for i in range(rank + 1, len(M)):
+            c, d = M[i][j]
+            q = ((c * a + d * b) / norm, (d * a - c * b) / norm)  # M[i][j] / M[rank][j]
+            M[i] = [(x - q[0] * y + q[1] * w, v - q[0] * w - q[1] * y)
+                    for (x, v), (y, w) in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
 def mat_mul(a, b):
     """Product of matrices given as rows of (prefix, cycle) pairs, position
     by position: each entry is Python's complex sum of products from the

@@ -242,10 +242,10 @@ def test_mat_det_stacked_matches_memo(n, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_exactly_singular_matches_exact_det(n):
-    """mat_log's exact singularity test agrees with Bareiss's elimination
-    over the Gaussian integers on full-rank matrices and on ones with a
-    zero, repeated or scaled row, with entries scaled by 2^+-40, 2^+-1000
-    and into the subnormal range."""
+    """mat_log's exact singularity test, _exact_rank(U) < n, agrees with
+    Bareiss's elimination over the Gaussian integers on full-rank matrices
+    and on ones with a zero, repeated or scaled row, with entries scaled by
+    2^+-40, 2^+-1000 and into the subnormal range."""
     rng = random.Random(1200 + n)
     verdicts = set()
     for scale in (1.0, 2.0 ** 40, 2.0 ** -40, 2.0 ** 1000, 2.0 ** -1000,
@@ -262,9 +262,45 @@ def test_exactly_singular_matches_exact_det(n):
                     U[i] = complex(rng.choice((-3, 1, 2)), rng.choice((0, 1))) * U[j]
                 U = U * scale
                 singular = ref.exact_det(U) == (0, 0)
-                assert ma._exactly_singular(U) == singular, (scale, draw, rank)
+                assert (ma._exact_rank(U) < n) == singular, (scale, draw, rank)
                 verdicts.add(singular)
     assert verdicts == {False, True}
+
+
+# binary exponents (row, column) of the rank fuzz's scalings: an entry of
+# X Y is an integer below 2^8, so every scaled entry is a double exactly
+RANK_SCALES = {
+    "unit": ((0, 0), (0, 0)),
+    "wide": ((-500, 500), (-500, 500)),
+    "high": ((900, 1000), (0, 14)),
+    "subnormal": ((-1074, -1050), (0, 28)),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_exact_rank_matches_fraction_elimination(n):
+    """_exact_rank agrees with elimination over Fractions at every rank
+    0..n: X Y for Gaussian-integer X (n x r) and Y (r x n), whose product
+    is exact, times 2^a_i on row i and 2^b_j on column j, with exponents up
+    to +-1000 and into the subnormal range; and generic doubles at the same
+    scales with one row repeated."""
+    rng = random.Random(1300 + n)
+    ranks = set()
+    for scale, (rows, cols) in RANK_SCALES.items():
+        a = np.array([rng.randint(*rows) for _ in range(n)])[:, None]
+        b = np.array([rng.randint(*cols) for _ in range(n)])[None, :]
+        for r in range(n + 1):
+            X = np.array([[gauss_int(rng, span=2) for _ in range(r)] for _ in range(n)])
+            Y = np.array([[gauss_int(rng, span=2) for _ in range(n)] for _ in range(r)])
+            # |G| < 2^13, so 2^-12 G stays finite at the high scaling
+            G = np.array([[generic(rng) for _ in range(n)] for _ in range(n)]) / 2.0 ** 12
+            G[rng.randrange(n)] = G[rng.randrange(n)]
+            for U in (X.reshape(n, r) @ Y.reshape(r, n), G):
+                U = alg._ldexp(U.astype(complex), a + b)
+                want = ref.exact_rank(U)
+                assert ma._exact_rank(U) == want, (scale, r)
+                ranks.add(want)
+    assert ranks == set(range(n + 1))
 
 
 SPECTRA = [

@@ -151,17 +151,23 @@ class TestMat:
             "numerical failure: pivot 0.000e+00 at position 1: "
             "numerically singular\n")
 
-    def test_not_sl_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("d1, d2, det", [
+        ([2, 0], [1, 0], [2.0, 0.0]),
+        # LAPACK's det of these is nan + nan i, which is not 1 either
+        ([1.7e308, 1.7e308], [1.7e308, 1.7e308], [math.nan, math.nan]),
+        ([1, 0], [1.7e308, 1.7e308], [math.nan, math.nan]),
+    ], ids=["det-2", "nan-det", "nan-det-one"])
+    def test_not_sl_exit_2(self, d1, d2, det, tmp_path):
         doc = {"weight": "factorial",
-               "entries": [[{"prefix": [], "cycle": [[2, 0]]},
+               "entries": [[{"prefix": [], "cycle": [d1]},
                             {"prefix": [], "cycle": [[0, 0]]}],
                            [{"prefix": [], "cycle": [[0, 0]]},
-                            {"prefix": [], "cycle": [[1, 0]]}]]}
+                            {"prefix": [], "cycle": [d2]}]]}
         code, payload = invoke(["mat", "sl-factor",
                                 "--json", write(tmp_path, "m.json", doc)],
                                tmp_path)
-        assert code == 2
-        assert payload["witness"]["det"] == [2.0, 0.0]
+        assert code == 2 and payload["witness"]["position"] == 0
+        np.testing.assert_equal(payload["witness"]["det"], det)
 
     def test_solve_inconsistent_exit_2(self, tmp_path):
         doc = {"A": {"weight": "factorial",

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -427,16 +428,20 @@ class TestTypedExits:
         assert elem(tmp_path, "bass-reduce", doc) == (4, None)
         assert "not finite at index 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("u1, u2", [(1e308, 1.5e308), (1.6e308, 1.7e308)])
-    def test_bass_reduce_near_the_top_of_the_range(self, u1, u2, tmp_path):
-        # |u1| + |u2| overflows, so the step lifts |u1| to |u2| alone:
-        # h = 1 - u1/u2 and the witness is u2 >= (|u1| + |u2|)/2
+    @pytest.mark.parametrize("u1, u2, want", [(1e308, 1.5e308, 1.5e308),
+                                               (1.6e308, 1.7e308, 1.7e308),
+                                               (1e-310, 1e-310, 1e-310)])
+    def test_bass_reduce_near_the_ends_of_the_range(self, u1, u2, want, tmp_path):
+        # near the top |u1| + |u2| overflows, so the step lifts |u1| to |u2|
+        # alone: h = 1 - u1/u2 and the witness is u2 >= (|u1| + |u2|)/2; at
+        # the bottom h = 0 and the witness u1 is (|u1| + |u2|)/2 exactly,
+        # though u1/2 + u2/2 rounds up there
         doc = {"f1": element([], [[u1, 0]]), "f2": element([], [[u2, 0]])}
         code, out = elem(tmp_path, "bass-reduce", doc)
         [[h, _]] = out["h"]["normalized"]["cycle"]
         [[wit, _]] = out["witness"]["normalized"]["cycle"]
-        assert code == 0 and 0 < h <= 1 and wit == u1 + h * u2
-        assert wit == u2 and wit >= (u1 / 2 + u2 / 2) * (1 - 2.0 ** -50)
+        assert code == 0 and 0 <= h <= 1 and wit == u1 + h * u2 == want
+        assert Fraction(wit) >= (Fraction(u1) + Fraction(u2)) / 2 * (1 - Fraction(2) ** -50)
 
     def test_trajectory_past_the_double_range(self, tmp_path, capsys):
         # |u| overflows: refused, as elem norm refuses it, not a traceback

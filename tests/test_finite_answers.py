@@ -27,10 +27,12 @@ def element(c):
     return {"weight": "factorial", "normalized": {"prefix": [], "cycle": [pair(c)]}}
 
 
-def diag(c, n=2):
+def diag(*cs, n=2):
+    """diag(cs), or n copies of one constant on the diagonal."""
+    cs = cs * n if len(cs) == 1 else cs
     return {"weight": "factorial",
-            "entries": [[{"cycle": [pair(c if i == j else 0)]} for j in range(n)]
-                        for i in range(n)]}
+            "entries": [[{"cycle": [pair(c if i == j else 0)]} for j in range(len(cs))]
+                        for i, c in enumerate(cs)]}
 
 
 def column(c):
@@ -59,7 +61,10 @@ FLAGS = {("elem", "eval"): ["--z", "0.5"], ("ideal", "trajectory"): ["--ks", "0,
 GRID = ([(op, (name,), make(c)) for op, make in UNARY.items()
          for name, c in CONSTANTS.items()]
         + [(op, names, make(*(CONSTANTS[n] for n in names))) for op, make in BINARY.items()
-           for names in itertools.product(CONSTANTS, repeat=2)])
+           for names in itertools.product(CONSTANTS, repeat=2)]
+        # invertible diagonals on which eig returns an eigenvalue 0
+        + [(("mat", "log"), tuple(map(str, d)), diag(*d))
+           for d in [(1e300, 1e-300), (1e-310, 1e200), (1e200, 1e-310)]])
 
 
 def reject(constant):
@@ -85,6 +90,8 @@ def answer(tmp_path, capsys, op, doc):
 def test_no_exit_0_writes_a_value_that_is_not_finite(op, names, doc, tmp_path, capsys):
     code, err, text = answer(tmp_path, capsys, op, doc)
     assert code in (0, 2, 4) and len(err) == 1, (code, err)
+    # every diagonal of the grid is invertible, so none is refused as singular
+    assert (op, code) != (("mat", "log"), 2), err
     if code == 0:
         json.loads(text, parse_constant=reject)
     elif code == 4:
@@ -94,7 +101,7 @@ def test_no_exit_0_writes_a_value_that_is_not_finite(op, names, doc, tmp_path, c
 # answers that exit 0 with NaN or Infinity without the rule, and the path
 # each is now refused at
 @pytest.mark.parametrize("op, doc, path", [
-    (("mat", "mul"), {"A": diag(1e200, 1), "B": diag(1e200, 1)},
+    (("mat", "mul"), {"A": diag(1e200, n=1), "B": diag(1e200, n=1)},
      "product.entries[0][0].cycle is not finite at index 0"),
     (("mat", "det"), diag(1e200), "det.normalized.cycle is not finite at index 0"),
     (("elem", "gcd"), {"elements": [element(1.7e308 + 1.7e308j), element(1)]},
