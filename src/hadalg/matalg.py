@@ -407,8 +407,8 @@ def _exact_rank(U: np.ndarray) -> int:
 
 
 # a position whose smallest singular value is at most this many n eps sigma_max
-# is singular iff _exact_rank is below n; up to 7x7 the exactly singular ones
-# with entries in {-1, 0, 1, 2}, and integer rank-deficient products, stay under 0.7
+# is singular iff _exact_rank is below n; up to 7x7 the exactly singular ones with
+# entries in {-1, 0, 1, 2}, and the rank fuzz's (to 2^+-1000), stay under 0.7
 _SINGULAR_FLAG = 4.0
 # largest entry deviation of exp(log U(k)) from U(k) that mat_log accepts,
 # relative to max(1, max |U(k)|): doubles round in proportion to the entries
@@ -570,7 +570,10 @@ def sl_factor(A: MatElement, tol: float = 1e-9
         raise DimensionMismatch("factorization needs a square matrix")
     pl, cl, stack = A.ustack()
     dets = np.linalg.det(stack)
-    bad = np.argmax(np.abs(dets - 1.0))  # the first nan, if any
+    nan = np.isnan(dets)  # a pivot's modulus overflowed; retake on rows times 2^-e
+    e, rows = algebra._scaled(stack[nan].T)
+    dets[nan] = algebra._ldexp(np.linalg.det(rows.T), e.sum(axis=0))
+    bad = np.argmax(np.abs(dets - 1.0))
     if not abs(dets[bad] - 1.0) <= tol:
         raise NotSL(int(bad), complex(dets[bad]))
 

@@ -12,7 +12,7 @@ from hadalg import algebra as alg
 from hadalg import matalg as ma
 from hadalg.coeffseq import EPSeq, _abs, _div, _mul, joint_shape
 from hadalg.errors import (CoronaFails, NotDivisible, NotInIdeal,
-                           NotInvertible, NumericalError)
+                           NotInGL, NotInvertible, NumericalError)
 from hadalg.weights import FACTORIAL
 
 import loop_reference as ref
@@ -283,7 +283,8 @@ def test_exact_rank_matches_fraction_elimination(n):
     0..n: X Y for Gaussian-integer X (n x r) and Y (r x n), whose product
     is exact, times 2^a_i on row i and 2^b_j on column j, with exponents up
     to +-1000 and into the subnormal range; and generic doubles at the same
-    scales with one row repeated."""
+    scales with one row repeated.  mat_log refuses every rank-deficient
+    draw as NotInGL, so the SVD flag misses none of them."""
     rng = random.Random(1300 + n)
     ranks = set()
     for scale, (rows, cols) in RANK_SCALES.items():
@@ -300,6 +301,9 @@ def test_exact_rank_matches_fraction_elimination(n):
                 want = ref.exact_rank(U)
                 assert ma._exact_rank(U) == want, (scale, r)
                 ranks.add(want)
+                if want < n:  # the SVD flags every such position for the exact check
+                    with pytest.raises(NotInGL):
+                        ma.mat_log(ma.from_ustack(W, 0, U[None]))
     assert ranks == set(range(n + 1))
 
 

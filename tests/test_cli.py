@@ -153,10 +153,10 @@ class TestMat:
 
     @pytest.mark.parametrize("d1, d2, det", [
         ([2, 0], [1, 0], [2.0, 0.0]),
-        # LAPACK's det of these is nan + nan i, which is not 1 either
-        ([1.7e308, 1.7e308], [1.7e308, 1.7e308], [math.nan, math.nan]),
-        ([1, 0], [1.7e308, 1.7e308], [math.nan, math.nan]),
-    ], ids=["det-2", "nan-det", "nan-det-one"])
+        # LAPACK's det of these is nan + nan i: a pivot's modulus overflows
+        ([1.7e308, 1.7e308], [1.7e308, 1.7e308], [0.0, math.inf]),
+        ([1, 0], [1.7e308, 1.7e308], [1.7e308, 1.7e308]),
+    ], ids=["det-2", "overflowing-det", "overflowing-det-one"])
     def test_not_sl_exit_2(self, d1, d2, det, tmp_path):
         doc = {"weight": "factorial",
                "entries": [[{"prefix": [], "cycle": [d1]},
@@ -168,6 +168,18 @@ class TestMat:
                                tmp_path)
         assert code == 2 and payload["witness"]["position"] == 0
         np.testing.assert_equal(payload["witness"]["det"], det)
+
+    def test_overflowing_pivot_with_det_1_is_not_refused_as_not_sl(self, tmp_path, capsys):
+        # diag(z, 1/z) has det 1 as its doubles read, but LAPACK's is nan:
+        # |z| overflows; the factorization then has no answer, not a wrong one
+        doc = {"weight": "factorial",
+               "entries": [[{"cycle": [[1.3e308, 1.3e308]]}, {"cycle": [[0, 0]]}],
+                           [{"cycle": [[0, 0]]},
+                            {"cycle": [[0.5 / 1.3e308, -0.5 / 1.3e308]]}]]}
+        code = run(["mat", "sl-factor", "--json", write(tmp_path, "m.json", doc)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: pivot inf at position 0: numerically singular\n")
 
     def test_solve_inconsistent_exit_2(self, tmp_path):
         doc = {"A": {"weight": "factorial",

@@ -27,9 +27,7 @@ def element(c):
     return {"weight": "factorial", "normalized": {"prefix": [], "cycle": [pair(c)]}}
 
 
-def diag(*cs, n=2):
-    """diag(cs), or n copies of one constant on the diagonal."""
-    cs = cs * n if len(cs) == 1 else cs
+def diag(cs):
     return {"weight": "factorial",
             "entries": [[{"cycle": [pair(c if i == j else 0)]} for j in range(len(cs))]
                         for i, c in enumerate(cs)]}
@@ -44,8 +42,8 @@ UNARY = {
     ("elem", "log"): element, ("elem", "idempotent"): element,
     ("elem", "approx-invert"): element, ("elem", "eval"): element,
     ("ideal", "trajectory"): element,
-    ("mat", "det"): diag, ("mat", "exp"): diag, ("mat", "log"): diag,
-    ("mat", "sl-factor"): diag, ("mat", "norm-bounds"): diag,
+    **{("mat", op): lambda c: diag([c] * 2)
+       for op in ("det", "exp", "log", "sl-factor", "norm-bounds")},
 }
 BINARY = {
     ("elem", "divide"): lambda a, b: {"f": element(a), "g": element(b)},
@@ -53,8 +51,8 @@ BINARY = {
     ("elem", "ideal-member"): lambda a, b: {"f": element(a), "generators": [element(b)]},
     ("elem", "corona"): lambda a, b: {"elements": [element(a), element(b)]},
     ("elem", "bass-reduce"): lambda a, b: {"f1": element(a), "f2": element(b)},
-    ("mat", "mul"): lambda a, b: {"A": diag(a), "B": diag(b)},
-    ("mat", "solve"): lambda a, b: {"A": diag(a), "b": column(b)},
+    ("mat", "mul"): lambda a, b: {"A": diag([a] * 2), "B": diag([b] * 2)},
+    ("mat", "solve"): lambda a, b: {"A": diag([a] * 2), "b": column(b)},
 }
 FLAGS = {("elem", "eval"): ["--z", "0.5"], ("ideal", "trajectory"): ["--ks", "0,1"]}
 
@@ -63,7 +61,7 @@ GRID = ([(op, (name,), make(c)) for op, make in UNARY.items()
         + [(op, names, make(*(CONSTANTS[n] for n in names))) for op, make in BINARY.items()
            for names in itertools.product(CONSTANTS, repeat=2)]
         # invertible diagonals on which eig returns an eigenvalue 0
-        + [(("mat", "log"), tuple(map(str, d)), diag(*d))
+        + [(("mat", "log"), tuple(map(str, d)), diag(d))
            for d in [(1e300, 1e-300), (1e-310, 1e200), (1e200, 1e-310)]])
 
 
@@ -101,17 +99,17 @@ def test_no_exit_0_writes_a_value_that_is_not_finite(op, names, doc, tmp_path, c
 # answers that exit 0 with NaN or Infinity without the rule, and the path
 # each is now refused at
 @pytest.mark.parametrize("op, doc, path", [
-    (("mat", "mul"), {"A": diag(1e200, n=1), "B": diag(1e200, n=1)},
+    (("mat", "mul"), {"A": diag([1e200]), "B": diag([1e200])},
      "product.entries[0][0].cycle is not finite at index 0"),
-    (("mat", "det"), diag(1e200), "det.normalized.cycle is not finite at index 0"),
+    (("mat", "det"), diag([1e200] * 2), "det.normalized.cycle is not finite at index 0"),
     (("elem", "gcd"), {"elements": [element(1.7e308 + 1.7e308j), element(1)]},
      "gcd.normalized.cycle is not finite at index 0"),
     (("elem", "norm"), element(1.7e308 + 1.7e308j), "norm is not finite"),
     (("ideal", "trajectory"), element(1.7e308 + 1.7e308j), "values[0] is not finite"),
-    (("mat", "norm-bounds"), diag(1.7e308 + 1.7e308j), "spectral_sup is not finite"),
+    (("mat", "norm-bounds"), diag([1.7e308 + 1.7e308j] * 2), "spectral_sup is not finite"),
     (("elem", "invert"), element(1e-310), "inverse.normalized.cycle is not finite at index 0"),
     (("elem", "divide"), {"f": element(1e300), "g": element(1e-300)}, "C is not finite"),
-    (("mat", "solve"), {"A": diag(1e-310), "b": column(1)}, "delta is not finite"),
+    (("mat", "solve"), {"A": diag([1e-310] * 2), "b": column(1)}, "delta is not finite"),
     (("elem", "ideal-member"), {"f": element(1.7e308 + 1.7e308j),
                                 "generators": [element(1)]}, "C is not finite"),
     (("elem", "corona"), {"elements": [element(1e-310)]},
@@ -137,8 +135,8 @@ def test_solve_writes_inf_only_for_x_zero(tmp_path, capsys):
     the double range: refused, not written as the delta of x = 0."""
     for b, want in [(0.0, "inf"), (1e-308, pytest.approx(1 / (2 ** 0.5 * 1e-308)))]:
         code, err, text = answer(tmp_path, capsys, ("mat", "solve"),
-                                 {"A": diag(1), "b": column(b)})
+                                 {"A": diag([1, 1]), "b": column(b)})
         assert (code, json.loads(text)["delta"]) == (0, want)
     (tmp_path / "out.json").unlink()
-    assert answer(tmp_path, capsys, ("mat", "solve"), {"A": diag(1), "b": column(1e-310)}) \
+    assert answer(tmp_path, capsys, ("mat", "solve"), {"A": diag([1, 1]), "b": column(1e-310)}) \
         == (4, ["numerical failure: delta is not finite"], None)
