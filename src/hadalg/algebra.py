@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coeffseq import (MAX_WINDOW, EPSeq, _abs, _complex, _div, _mul, _silent,
+from .coeffseq import (MAX_WINDOW, EPSeq, _abs, _complex, _div, _mul,
                        joint_shape, sup_abs)
 from .errors import (BoundUnavailable, CoronaFails, InvalidArgument,
                      NotDivisible, NotInIdeal, NotInvertible, NumericalError,
@@ -134,14 +134,12 @@ def from_raw_coeffs(w: Weight, raw_prefix: Sequence[complex]) -> Element:
     return Element(w, EPSeq.from_values(vals + [0.0], len(vals)))
 
 
-@_silent
 def add(f: Element, g: Element) -> Element:
     _same_weight(f, g)
     pl, (a, b) = _window(f, g)
     return _element(f.weight, a + b, pl)
 
 
-@_silent
 def sub(f: Element, g: Element) -> Element:
     _same_weight(f, g)
     pl, (a, b) = _window(f, g)
@@ -289,7 +287,6 @@ def _delta(f: Element) -> float:
     return float(a[n])
 
 
-@_silent
 def invertible(f: Element) -> tuple[float, Element]:
     """(delta, inverse) where inf |u| = delta > 0, else NotInvertible.
 
@@ -300,7 +297,6 @@ def invertible(f: Element) -> tuple[float, Element]:
     return _delta(f), _element(f.weight, _quotient(1.0, v, -e), f.u.period_start)
 
 
-@_silent
 def divide(f: Element, g: Element) -> tuple[float, Element]:
     """Decide whether g divides f; return the least constant C and quotient h.
 
@@ -336,7 +332,6 @@ def gcd(fs: Sequence[Element]) -> Element:
     return _element(w, np.max([_abs(u) for u in us], axis=0), pl)
 
 
-@_silent
 def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]:
     """Membership of f in the ideal generated by gens, with Bezout witnesses.
 
@@ -369,7 +364,6 @@ def in_ideal(f: Element, gens: Sequence[Element]) -> tuple[float, list[Element]]
     return C, [_element(w, h, pl) for h in hs]
 
 
-@_silent
 def corona_solve(fs: Sequence[Element]) -> tuple[float, list[Element]]:
     """Bezout identity sum g_i * f_i = unit under the corona condition.
 
@@ -408,7 +402,6 @@ def approx_invertible(f: Element, eps: float) -> Element:
                     f.u.period_start)
 
 
-@_silent
 def stable_rank_step(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The paper's stable-rank-1 step at each position k, for a pivot a[k]
     and the entries b[k] below it: t[k] with a[k] + t[k] . b[k] =
@@ -428,7 +421,6 @@ def stable_rank_step(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(low, phase / np.where(low, rho, 1.0), 0)[:, None] * v.conj()
 
 
-@_silent
 def bass_reduce(f1: Element, f2: Element) -> tuple[Element, Element]:
     """Reduce the unimodular pair (f1, f2): h with f1 + h*f2 invertible.
 

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 
+import numpy as np
 import orjson
 
 from . import algebra, ideals, matalg, serialize, weights
@@ -414,8 +415,11 @@ def run(argv=None) -> int:
     # allocated free nothing: pause it, and leave it as the caller had it
     enabled = gc.isenabled()
     gc.disable()
+    # CPython's float and complex formulas overflow to inf silently, and a
+    # request reports by exit code and one stderr line: numpy's warnings off
     try:
-        return _run(argv)
+        with np.errstate(all="ignore"):
+            return _run(argv)
     finally:
         if enabled:
             gc.enable()

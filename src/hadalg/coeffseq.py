@@ -235,32 +235,23 @@ def inf_abs(a: EPSeq) -> float:
 # over several sequences go left to right from 0, as Python's sum() does.
 
 
-def _silent(fn):
-    """Run fn without numpy's floating-point warnings: Python's float and
-    complex arithmetic overflows to inf (or nan) silently."""
-    return np.errstate(all="ignore")(fn)
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out = np.empty(re.shape, dtype=np.complex128)
     out.real, out.imag = re, im
     return out
 
 
-@_silent
 def _abs(z) -> np.ndarray:
     """abs(z): hypot of the parts (_Py_c_abs)."""
     return np.hypot(z.real, z.imag)
 
 
-@_silent
 def _mul(a, b) -> np.ndarray:
     """a * b (_Py_c_prod)."""
     return _complex(a.real * b.real - a.imag * b.imag,
                     a.real * b.imag + a.imag * b.real)
 
 
-@_silent
 def _div(a, b) -> np.ndarray:
     """a / b (_Py_c_quot: Smith's method with true divisions).  Entries
     where b == 0 are garbage; Python raises there, so callers mask them."""

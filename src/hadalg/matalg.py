@@ -24,8 +24,7 @@ import numpy as np
 # scipy.linalg (about 28 MB and 0.35 s to import) is loaded only by _eig_logs' logm
 from . import algebra
 from .algebra import Element
-from .coeffseq import (EPSeq, _abs, _canonical_form, _mul, _silent, _take,
-                       joint_shape)
+from .coeffseq import EPSeq, _abs, _canonical_form, _mul, _take, joint_shape
 from .errors import (DimensionMismatch, Inconsistent, InvalidArgument, NotInGL,
                      NotSL, NumericalError, OffBranch, WeightMismatch)
 from .weights import Weight
@@ -121,7 +120,6 @@ class ElementaryFactor:
 # basic operations
 
 
-@_silent
 def mat_mul(A: MatElement, B: MatElement) -> MatElement:
     """Positionwise product.  Each entry is summed left to right from the
     k = 0 term with CPython's complex product, as star/add over the entries
@@ -176,7 +174,6 @@ def _expand(rows: np.ndarray, mul, add, neg) -> np.ndarray:
     return det[..., 0]
 
 
-@_silent
 def mat_det(A: MatElement) -> Element:
     """Determinant over the algebra (cofactor expansion with star/add).
 
@@ -212,7 +209,6 @@ def mat_norm_bounds(A: MatElement) -> tuple[float, float]:
 # Ax = b
 
 
-@_silent
 def mat_solve(A: MatElement, b: MatElement,
               rtol: float = 1e-10) -> tuple[float, MatElement]:
     """Solve A * x = b over the algebra, positionwise by minimal-norm
@@ -241,19 +237,20 @@ def mat_solve(A: MatElement, b: MatElement,
         at = np.flatnonzero(rank == r)
         xs[at] = np.swapaxes(vh[at].conj(), 1, 2)[:, :, :r] @ (
             coeff[at, :r] / s[at, :r, None])
-    # the test ||r|| > rtol max(1, ||b|| + smax ||x||) at each position, on
-    # 2^-e r, 2^-e b (e the binary exponent of their largest part) and 2^-f x,
-    # so no norm overflows; the scaling is exact wherever the unscaled norms
-    # neither over- nor underflow
+    # the test ||r|| > rtol (||b|| + smax ||x||) at each position, on 2^-e r,
+    # 2^-e b (e the binary exponent of their largest part) and 2^-f x, so no
+    # norm overflows; the scaling is exact wherever the unscaled norms neither
+    # over- nor underflow
     e, rb = algebra._scaled(np.concatenate([bs - As @ xs, bs], axis=1)[..., 0].T)
     f, v = algebra._scaled(xs[..., 0].T)
     supx = 0.0
     for k in range(len(As)):
         rnorm, bnorm, xnorm = (float(np.linalg.norm(u))
                                for u in (rb[:A.m, k], rb[A.m:, k], v[:, k]))
-        scale = max(np.ldexp(1.0, -e[k]),
-                    bnorm + np.ldexp(smax[k] * xnorm, f[k] - e[k]))
-        if rnorm > rtol * scale:
+        if not math.isfinite(xnorm):
+            raise NumericalError(f"solution is not finite at position {k}",
+                                 position=k)
+        if rnorm > rtol * (bnorm + np.ldexp(smax[k] * xnorm, f[k] - e[k])):
             raise Inconsistent(k, list(rb[:A.m, k] / rnorm))
         supx = max(supx, float(np.ldexp(xnorm, f[k])))
     delta = math.inf if supx == 0.0 else 1.0 / supx
@@ -269,7 +266,6 @@ _PADE13 = tuple(float(math.comb(13, j) * math.perm(26 - j, 13 - j)) for j in ran
 _THETA13 = 5.371920351148152
 
 
-@_silent
 def _expm(stack: np.ndarray) -> np.ndarray:
     """mat_exp at each matrix A of a (P, n, n) stack, nan where a part is not
     finite.  A is scaled by 2^-s, s = max(0, ceil(log2(||A||_1 / theta13))),
@@ -424,7 +420,6 @@ def _branch_margin(logs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.minimum(im, _TWO_PI - im).min(axis=1)
 
 
-@_silent
 def mat_log(A: MatElement) -> MatElement:
     """Logarithm of an invertible matrix over the algebra.
 
@@ -551,7 +546,6 @@ def _apply_factors(factors: Sequence[ElementaryFactor], P: int, n: int
     return prod
 
 
-@_silent
 def sl_factor(A: MatElement, tol: float = 1e-9
               ) -> tuple[list[ElementaryFactor], float]:
     """Factor a determinant-one matrix into elementary matrices.
@@ -569,10 +563,9 @@ def sl_factor(A: MatElement, tol: float = 1e-9
     if A.m != A.n:
         raise DimensionMismatch("factorization needs a square matrix")
     pl, cl, stack = A.ustack()
-    dets = np.linalg.det(stack)
-    nan = np.isnan(dets)  # a pivot's modulus overflowed; retake on rows times 2^-e
-    e, rows = algebra._scaled(stack[nan].T)
-    dets[nan] = algebra._ldexp(np.linalg.det(rows.T), e.sum(axis=0))
+    # on the rows times 2^-e, scaled back: a row's scale can over- or underflow LU
+    e, rows = algebra._scaled(stack.T)
+    dets = algebra._ldexp(np.linalg.det(rows.T), e.sum(axis=0))
     bad = np.argmax(np.abs(dets - 1.0))
     if not abs(dets[bad] - 1.0) <= tol:
         raise NotSL(int(bad), complex(dets[bad]))

@@ -23,6 +23,12 @@ def write(tmp_path, name, doc):
     return str(p)
 
 
+def matrix(rows):
+    return {"weight": "factorial",
+            "entries": [[{"cycle": [[complex(v).real, complex(v).imag]]} for v in row]
+                        for row in rows]}
+
+
 def invoke(args, tmp_path, capsys=None):
     out = tmp_path / "out.json"
     code = run(args + ["--out", str(out)])
@@ -169,30 +175,37 @@ class TestMat:
         assert code == 2 and payload["witness"]["position"] == 0
         np.testing.assert_equal(payload["witness"]["det"], det)
 
-    def test_overflowing_pivot_with_det_1_is_not_refused_as_not_sl(self, tmp_path, capsys):
-        # diag(z, 1/z) has det 1 as its doubles read, but LAPACK's is nan:
-        # |z| overflows; the factorization then has no answer, not a wrong one
-        doc = {"weight": "factorial",
-               "entries": [[{"cycle": [[1.3e308, 1.3e308]]}, {"cycle": [[0, 0]]}],
-                           [{"cycle": [[0, 0]]},
-                            {"cycle": [[0.5 / 1.3e308, -0.5 / 1.3e308]]}]]}
-        code = run(["mat", "sl-factor", "--json", write(tmp_path, "m.json", doc)])
+    @pytest.mark.parametrize("rows, pivot", [
+        # diag(z, 1/z): LAPACK's det of the unscaled rows is nan, |z| overflows
+        ([[1.3e308 + 1.3e308j, 0], [0, complex(0.5 / 1.3e308, -0.5 / 1.3e308)]], "inf"),
+        # LAPACK's det of the unscaled rows is -1: the multiplier 1e-600 underflows
+        ([[1e-300, 1e-300], [1e300, 2e300]], "0.000e+00"),
+    ], ids=["overflowing-pivot", "underflowing-multiplier"])
+    def test_det_1_is_not_refused_as_not_sl(self, rows, pivot, tmp_path, capsys):
+        # each has det 1 as its doubles read; the factorization then has no
+        # answer, not a wrong one
+        code = run(["mat", "sl-factor", "--json", write(tmp_path, "m.json", matrix(rows))])
         assert code == 4
         assert capsys.readouterr().err == (
-            "numerical failure: pivot inf at position 0: numerically singular\n")
+            f"numerical failure: pivot {pivot} at position 0: numerically singular\n")
 
-    def test_solve_inconsistent_exit_2(self, tmp_path):
-        doc = {"A": {"weight": "factorial",
-                     "entries": [[{"prefix": [], "cycle": [[1, 0]]}],
-                                 [{"prefix": [], "cycle": [[1, 0]]}]]},
-               "b": {"weight": "factorial",
-                     "entries": [[{"prefix": [], "cycle": [[1, 0]]}],
-                                 [{"prefix": [], "cycle": [[2, 0]]}]]}}
+    @pytest.mark.parametrize("A, b", [
+        ([[1], [1]], [1, 2]),
+        # the residual is judged against ||b|| + sigma_max ||x|| alone, so a
+        # small b is not let through by an absolute floor
+        ([[0]], [1e-11]),
+        ([[1e-200, 0], [0, 0]], [1e-200, 1e-200]),
+    ], ids=["overdetermined", "zero-A", "tiny-diagonal"])
+    def test_solve_inconsistent_exit_2(self, A, b, tmp_path):
+        doc = {"A": matrix(A), "b": matrix([[v] for v in b])}
         code, payload = invoke(["mat", "solve",
                                 "--json", write(tmp_path, "s.json", doc)],
                                tmp_path)
-        assert code == 2
-        assert "y" in payload["witness"]
+        assert code == 2 and payload["witness"]["position"] == 0
+        # y is a left-null vector of A(0) that b(0) is not orthogonal to
+        y = np.array([complex(*p) for p in payload["witness"]["y"]]).conj()
+        assert np.abs(y @ np.array(A)).max() <= 1e-12 * np.abs(A).max()
+        assert y @ np.array(b) != 0
 
     def test_log_singular_exit_2(self, tmp_path):
         doc = {"weight": "factorial",
@@ -417,3 +430,38 @@ class TestExitCodes:
         doc = {"weight": "factorial", "raw_prefix": [1.0] * 200}
         assert run(["elem", "norm",
                     "--json", write(tmp_path, "o.json", doc)]) == 4
+
+
+BIG = complex(1.7e308, 1.7e308)
+# one request per exit code, each of which sets off a numpy floating-point
+# error: |u|^2 overflows, a scaled determinant overflows, log 0
+BOUNDARY = {
+    0: (["elem", "corona"], {"elements": [{"weight": "factorial", "normalized": {
+        "prefix": [], "cycle": [[1e200, 1e200]]}}]}, "out.json"),
+    2: (["mat", "sl-factor"], matrix(np.diag([BIG, BIG])), "out.json"),
+    3: (["mat", "sl-factor"], matrix(np.diag([BIG, BIG])), "missing/out.json"),
+    4: (["mat", "log"], matrix(np.diag([1e300, 1e-300])), "out.json"),
+}
+
+
+@pytest.mark.parametrize("code", BOUNDARY)
+def test_numpy_settings_do_not_reach_a_request(code, tmp_path, capsys):
+    """run answers alike under numpy's default floating-point settings and
+    under np.seterr(all="raise"), and leaves the caller's settings as set."""
+    op, doc, out = BOUNDARY[code]
+    out = tmp_path / out
+
+    def request():
+        got = run([*op, "--json", write(tmp_path, "in.json", doc), "--out", str(out)])
+        text = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return got, capsys.readouterr().err, text
+
+    default = request()
+    assert default[0] == code
+    before = np.seterr(all="raise")
+    try:
+        assert request() == default
+        assert np.geterr() == dict.fromkeys(before, "raise")
+    finally:
+        np.seterr(**before)

@@ -109,7 +109,10 @@ def test_no_exit_0_writes_a_value_that_is_not_finite(op, names, doc, tmp_path, c
     (("mat", "norm-bounds"), diag([1.7e308 + 1.7e308j] * 2), "spectral_sup is not finite"),
     (("elem", "invert"), element(1e-310), "inverse.normalized.cycle is not finite at index 0"),
     (("elem", "divide"), {"f": element(1e300), "g": element(1e-300)}, "C is not finite"),
-    (("mat", "solve"), {"A": diag([1e-310] * 2), "b": column(1)}, "delta is not finite"),
+    (("mat", "solve"), {"A": diag([1, 1]), "b": column(1e-310)}, "delta is not finite"),
+    # here x = A^-1 b is NaN, and mat_solve refuses it where it arises
+    (("mat", "solve"), {"A": diag([1e-310] * 2), "b": column(1)},
+     "solution is not finite at position 0"),
     (("elem", "ideal-member"), {"f": element(1.7e308 + 1.7e308j),
                                 "generators": [element(1)]}, "C is not finite"),
     (("elem", "corona"), {"elements": [element(1e-310)]},
@@ -122,7 +125,7 @@ def test_no_exit_0_writes_a_value_that_is_not_finite(op, names, doc, tmp_path, c
     (("elem", "bass-reduce"), {"f1": element(1e308), "f2": element(1.7e308 + 1.7e308j)},
      "witness.normalized.cycle is not finite at index 0"),
 ], ids=["mul", "det", "gcd", "norm", "trajectory", "norm-bounds", "invert", "divide",
-        "solve", "ideal-member", "corona", "corona-delta", "invert-delta",
+        "solve", "solve-x", "ideal-member", "corona", "corona-delta", "invert-delta",
         "bass-reduce-delta", "bass-reduce-witness"])
 def test_refused_at_the_path_of_the_first_value_not_finite(op, doc, path, tmp_path,
                                                           capsys):
@@ -140,3 +143,13 @@ def test_solve_writes_inf_only_for_x_zero(tmp_path, capsys):
     (tmp_path / "out.json").unlink()
     assert answer(tmp_path, capsys, ("mat", "solve"), {"A": diag([1, 1]), "b": column(1e-310)}) \
         == (4, ["numerical failure: delta is not finite"], None)
+
+
+def test_solve_refuses_an_earlier_inconsistent_position_first(tmp_path, capsys):
+    # A(0) = diag(1, 0) is inconsistent with b = (1, 1); A(1) = diag(1e-310, 0)
+    # gives x(1) = (inf, 0), refused only if no earlier position is
+    A = {"weight": "factorial",
+         "entries": [[{"cycle": [[1, 0], [1e-310, 0]]}, {"cycle": [[0, 0]]}],
+                     [{"cycle": [[0, 0]]}, {"cycle": [[0, 0]]}]]}
+    code, err, text = answer(tmp_path, capsys, ("mat", "solve"), {"A": A, "b": column(1)})
+    assert (code, json.loads(text)["witness"]["position"]) == (2, 0)
