@@ -160,7 +160,8 @@ def _cmd_elem(args):
     ins = read(_load_doc(args))
     f = ins[0]
     if op == "norm":
-        return {"norm": algebra.norm(f)}, f"||f|| = {algebra.norm(f)}"
+        norm = algebra.norm(f)
+        return {"norm": norm}, f"||f|| = {norm}"
     if op == "eval":
         z = _parse_z(args.z)
         res = algebra.eval_at(f, z, tol=args.tol)
@@ -192,8 +193,9 @@ def _cmd_elem(args):
                 "exponential computed")
     if op == "log":
         lg = algebra.log_el(f)
-        return ({"log": serialize.element_to_json(lg), "norm": algebra.norm(lg)},
-                f"logarithm computed, ||log g|| = {algebra.norm(lg)}")
+        norm = algebra.norm(lg)
+        return ({"log": serialize.element_to_json(lg), "norm": norm},
+                f"logarithm computed, ||log g|| = {norm}")
     if op == "idempotent":
         flag = algebra.is_idempotent(f)
         return {"idempotent": flag}, f"idempotent: {flag}"
@@ -224,8 +226,9 @@ def _cmd_mat(args):
         return ({"product": serialize.matrix_to_json(matalg.mat_mul(*ins))},
                 "product computed")
     if op == "det":
-        return ({"det": serialize.element_to_json(matalg.mat_det(A))},
-                "determinant computed")
+        det = matalg.mat_det(A)
+        matalg.check_det(A, det)
+        return {"det": serialize.element_to_json(det)}, "determinant computed"
     if op == "solve":
         delta, x = matalg.mat_solve(*ins, rtol=args.tol)
         # "inf" is the delta of x = 0 alone; an overflowed 1/sup|x| is refused

@@ -118,7 +118,9 @@ class OffBranch(NumericalError):
 
 
 class WindowTooLarge(NumericalError):
-    """A joint window would span more positions than coeffseq.MAX_WINDOW."""
+    """A request over a size budget: a joint window of more positions than
+    coeffseq.MAX_WINDOW, or a determinant of more rows than
+    matalg.MAX_DET_N."""
 
 
 # ---------------------------------------------------------------------------

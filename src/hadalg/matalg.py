@@ -26,7 +26,8 @@ from . import algebra
 from .algebra import Element
 from .coeffseq import EPSeq, _abs, _canonical_form, _mul, _take, joint_shape
 from .errors import (DimensionMismatch, Inconsistent, InvalidArgument, NotInGL,
-                     NotSL, NumericalError, OffBranch, WeightMismatch)
+                     NotSL, NumericalError, OffBranch, WeightMismatch,
+                     WindowTooLarge)
 from .weights import Weight
 
 _TWO_PI = 2.0 * math.pi
@@ -136,6 +137,12 @@ def mat_mul(A: MatElement, B: MatElement) -> MatElement:
     return from_ustack(A.weight, pl, acc)
 
 
+# the largest n whose determinant mat det expands: _minor_plan(n) holds all
+# 2^n column subsets, and the time grows about 4.5-fold per two rows (n = 12
+# takes 0.68 s on one position, n = 16 14 s)
+MAX_DET_N = 12
+
+
 @cache
 def _minor_plan(n: int) -> tuple:
     """The cofactor expansion of an n x n matrix along its top row, one
@@ -183,9 +190,14 @@ def mat_det(A: MatElement) -> Element:
     part, and such a sign reaches only output parts that are themselves
     zero.  So the stacked value is the answer when every real and imaginary
     part of it is finite and nonzero; otherwise star/add run over A.entries.
+
+    n above MAX_DET_N is refused (WindowTooLarge) before any expansion.
     """
     if A.m != A.n:
         raise DimensionMismatch("determinant needs a square matrix")
+    if A.n > MAX_DET_N:
+        raise WindowTooLarge(f"determinant of a {A.n}x{A.n} matrix exceeds "
+                             f"the budget of {MAX_DET_N} rows")
     det = _expand(A.array, _mul, operator.add,
                   lambda t: _mul(complex(-1.0), t))
     if np.isfinite(det).all() and det.real.all() and det.imag.all():
@@ -195,6 +207,16 @@ def mat_det(A: MatElement) -> Element:
     return _expand(rows, np.frompyfunc(algebra.star, 2, 1),
                    np.frompyfunc(algebra.add, 2, 1),
                    np.frompyfunc(lambda t: algebra.scalar_mul(-1.0, t), 1, 1))[()]
+
+
+def check_det(A: MatElement, det: Element) -> None:
+    """Raise NumericalError at the first position k of A's window where det
+    = mat_det(A) is 0 in both parts while U(k) has full exact rank
+    (_exact_rank): there the determinant underflowed or cancelled to 0."""
+    for k in np.flatnonzero(_take(det.u, len(A.array)) == 0):
+        if _exact_rank(A.array[k]) == A.n:
+            raise NumericalError(f"determinant rounds to 0 at position {k}, "
+                                 "where the matrix has full rank", position=int(k))
 
 
 def mat_norm_bounds(A: MatElement) -> tuple[float, float]:

@@ -14,10 +14,12 @@ in double precision.
 
 from __future__ import annotations
 
+import array
 import io
 import itertools
 import json
 import math
+import warnings
 from typing import Any, Iterable
 
 import numpy as np
@@ -40,19 +42,26 @@ def _c_from_json(obj: Any) -> complex:
 
 
 def _pairs_array(lists) -> np.ndarray | None:
-    """The JSON value lists, one after another, as one complex128 array made
-    by one numpy call; None unless each holds only [re, im] pairs of numbers
-    and every value is finite."""
+    """The JSON value lists, one after another, as one complex128 array; None
+    unless they hold at least one [re, im] pair, only such pairs of real
+    numbers, and only finite values.  The real and the imaginary parts are
+    unpacked into two array.array buffers: unpacking refuses a pair of
+    another length (ValueError) or a cell that is no sequence (TypeError),
+    and array.array refuses a part that is not a real number (TypeError) or
+    an int past the double range (OverflowError).  A numpy complex part,
+    which array.array would read as its real part with a ComplexWarning, is
+    refused by that warning."""
     try:
         pairs = list(itertools.chain.from_iterable(lists))
-        flat = np.array(list(itertools.chain.from_iterable(pairs)))
-        if not (flat.ndim == 1 and flat.dtype.kind in "biuf"
-                and set(map(len, pairs)) == {2}):
-            return None
-    except (TypeError, ValueError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            real = array.array("d", [a for a, _ in pairs])
+            imag = array.array("d", [b for _, b in pairs])
+    except (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning):
         return None
-    values = flat.astype(np.float64).view(np.complex128)
-    return values if np.isfinite(values).all() else None
+    values = np.empty(len(pairs), np.complex128)
+    values.real, values.imag = real, imag
+    return values if pairs and np.isfinite(values).all() else None
 
 
 def _values_from_json(cells: Any, field: str) -> np.ndarray:
@@ -75,8 +84,8 @@ def _sequences(docs: list, fields: Iterable[str]) -> tuple[np.ndarray, list]:
     """Every sequence document's prefix then cycle values, one document after
     another, in one complex128 array, and their prefix and cycle lengths in
     that order.  [re, im] pairs of finite numbers with nonempty cycles
-    convert in one numpy call; else each field is read in document order
-    (``fields`` names the documents, read only then), so the first bad
+    convert together (_pairs_array); else each field is read in document
+    order (``fields`` names the documents, read only then), so the first bad
     field raises its own message."""
     lists = [v for doc in docs if type(doc) is dict and "cycle" in doc
              for v in (doc.get("prefix", []), doc["cycle"])]

@@ -11,6 +11,7 @@ raise the package's errors with the same indices.
 import bisect
 import cmath
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -697,3 +698,21 @@ def matrix_to_json(weight, stack, pl):
         entries.append(row)
     return {"weight": weight, "rows": stack.shape[1], "cols": stack.shape[2],
             "entries": entries}
+
+
+def pairs_array(lists):
+    """The reader's pair conversion by numpy's type discovery: the value
+    lists, one after another, flattened into one list of floats for
+    np.array; None unless each holds only [re, im] pairs of numbers (bools,
+    ints that numpy reads as int64 or uint64, floats) and every value is
+    finite."""
+    try:
+        pairs = list(itertools.chain.from_iterable(lists))
+        flat = np.array(list(itertools.chain.from_iterable(pairs)))
+        if not (flat.ndim == 1 and flat.dtype.kind in "biuf"
+                and set(map(len, pairs)) == {2}):
+            return None
+    except (TypeError, ValueError):
+        return None
+    values = flat.astype(np.float64).view(np.complex128)
+    return values if np.isfinite(values).all() else None

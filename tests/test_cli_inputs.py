@@ -11,6 +11,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadalg import cli, serialize, weights
+from hadalg import cli, matalg, serialize, weights
 from hadalg.cli import _emit, run
 from hadalg.errors import SchemaError
 
@@ -266,6 +267,18 @@ class TestIrregularCells:
     def test_int_too_large_for_a_double_refused(self, tmp_path):
         assert elem(tmp_path, "norm", element([], [[10 ** 400, 0]]))[0] == 3
 
+    def test_three_values_beside_one_refused(self, tmp_path, capsys):
+        # as many values as two pairs
+        assert elem(tmp_path, "norm", element([], [[1, 2, 3], [4]]))[0] == 3
+        assert capsys.readouterr().err == (
+            "error: expected a number or [re, im] pair, got [1, 2, 3]\n")
+
+    def test_two_character_string_refused(self, tmp_path, capsys):
+        # it unpacks into two values, as a pair does
+        assert elem(tmp_path, "norm", element([], ["ab"]))[0] == 3
+        assert capsys.readouterr().err == (
+            "error: expected a number or [re, im] pair, got 'ab'\n")
+
 
 class TestTypedExits:
     @pytest.mark.parametrize("scale", [1e200, 1e100])
@@ -491,6 +504,45 @@ class TestTypedExits:
 
     def test_seed_flag_removed(self, tmp_path):
         assert elem(tmp_path, "norm", element([], [[1, 0]]), "--seed=1")[0] == 3
+
+
+class TestDetBudget:
+    @staticmethod
+    def det(tmp_path, *cycles):
+        """mat det of the diagonal matrix whose k-th entry has cycle cycles[k]."""
+        n = len(cycles)
+        doc = {"weight": "factorial",
+               "entries": [[{"cycle": [[v, 0.0] for v in cycles[i]] if i == j
+                             else [[0.0, 0.0]]} for j in range(n)] for i in range(n)]}
+        out = tmp_path / "out.json"
+        code = run(["mat", "det", "--json", write(tmp_path, doc), "--out", str(out)])
+        return code, (out.read_text() if out.exists() else None)
+
+    def test_det_underflowed_to_zero_refused(self, tmp_path, capsys):
+        # position 0 is diag(0, 1), exactly singular; at position 1,
+        # det diag(1e-200, 1e-200) = 1e-400 underflows to 0 at full rank
+        assert self.det(tmp_path, [0.0, 1e-200], [1.0, 1e-200]) == (4, None)
+        assert capsys.readouterr().err == (
+            "numerical failure: determinant rounds to 0 at position 1, "
+            "where the matrix has full rank\n")
+
+    def test_det_of_an_exactly_singular_matrix_is_zero(self, tmp_path, capsys):
+        want = {"det": {"weight": "factorial",
+                        "normalized": {"prefix": [], "cycle": [[0.0, 0.0]]}}}
+        assert self.det(tmp_path, [0.0], [1.0]) == (0, json.dumps(want, indent=2) + "\n")
+        assert capsys.readouterr().err == "determinant computed\n"
+
+    def test_thirteen_rows_refused_before_expanding(self, tmp_path, capsys, monkeypatch):
+        def expand(n):
+            raise AssertionError(f"_minor_plan({n}) built")
+
+        monkeypatch.setattr(matalg, "_minor_plan", expand)
+        start = time.perf_counter()
+        assert self.det(tmp_path, *[[1.0]] * 13) == (4, None)
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "numerical failure: determinant of a 13x13 matrix exceeds the budget "
+            "of 12 rows\n")
 
 
 class TestIdealArguments:

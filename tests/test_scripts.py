@@ -1,6 +1,7 @@
 """The replay tool runs end to end on small manifests."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -69,3 +70,40 @@ def test_replays_of_one_manifest_run_at_once(tmp_path):
     alone = run_script("replay_outputs.py", str(tmp_path))
     procs = [start_script("replay_outputs.py", str(tmp_path)) for _ in range(2)]
     assert [finish(p) for p in procs] == [alone, alone]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary():
+    """Per metric: both sides' runs in order, their median and quartiles
+    (inclusive method), and the pairs the change won, in the direction
+    that BENCHMARK.json calls better; a tie is no win."""
+    bench_pairs = load_script("bench_pairs")
+
+    def runs(p90s, ops):
+        return [{"metrics": {"latency_p90_ms": {"value": a}, "ops_per_s": {"value": b}}}
+                for a, b in zip(p90s, ops)]
+
+    base = runs([28.0, 26.0, 27.0, 30.0, 25.0], [100.0, 104.0, 101.0, 99.0, 103.0])
+    change = runs([23.0, 26.0, 22.0, 24.0, 21.0], [110.0, 104.0, 100.0, 112.0, 108.0])
+    got = bench_pairs.summarize(base, change, {"latency_p90_ms": "lower",
+                                               "ops_per_s": "higher"})
+    assert got == {
+        "latency_p90_ms": {
+            "better": "lower", "base": [28.0, 26.0, 27.0, 30.0, 25.0],
+            "change": [23.0, 26.0, 22.0, 24.0, 21.0],
+            "base_spread": {"median": 27.0, "q1": 26.0, "q3": 28.0},
+            "change_spread": {"median": 23.0, "q1": 22.0, "q3": 24.0},
+            "change_wins": 4},
+        "ops_per_s": {
+            "better": "higher", "base": [100.0, 104.0, 101.0, 99.0, 103.0],
+            "change": [110.0, 104.0, 100.0, 112.0, 108.0],
+            "base_spread": {"median": 101.0, "q1": 100.0, "q3": 103.0},
+            "change_spread": {"median": 108.0, "q1": 104.0, "q3": 110.0},
+            "change_wins": 3},
+    }

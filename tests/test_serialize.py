@@ -1,6 +1,9 @@
 import json
 import math
 import random
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +39,97 @@ class TestEPSeq:
             ser.epseq_from_json({"prefix": []})
         with pytest.raises(SchemaError):
             ser.epseq_from_json({"prefix": [], "cycle": []})
+
+
+NAN, INF, NEG_INF = json.loads("[NaN, Infinity, -Infinity]")
+# values a part of a pair can hold, as json.loads gives them
+PARTS = {"true": True, "false": False, "2^63": 2 ** 63, "2^64": 2 ** 64,
+         "2^1024": 2 ** 1024, "0.0": 0.0, "-0.0": -0.0, "1e308": 1e308, "NaN": NAN,
+         "Infinity": INF, "-Infinity": NEG_INF, "str": "x", "None": None,
+         "dict": {"re": 1, "im": 2}, "list": [1, 2]}
+# cells that are not one pair
+CELLS = {"length-0": [], "length-1": [1.0], "length-3": [1.0, 2.0, 3.0],
+         "2-char-str": "ab", "2-key-dict": {"re": 1, "im": 2},
+         "nested": [[1, 2], [3, 4]], "bare-real": 1.5}
+
+
+def bits(values):
+    return None if values is None else values.view(np.int64).tolist()
+
+
+class TestPairsArray:
+    """The pair conversion returns the bits, or None, of the conversion by
+    numpy's type discovery (loop_reference.pairs_array), and no warning
+    escapes it.  Ints in [2^64, 2^1024) differ: numpy holds them as
+    objects, so the reference returns None and the per-field reader reads
+    them; the conversion reads the same values.  So do real numbers that
+    JSON does not give (test_other_real_numbers_read_as_floats)."""
+
+    def convert(self, lists):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = ser._pairs_array(lists)
+        assert [str(w.message) for w in caught] == []
+        return got
+
+    def check(self, lists):
+        assert bits(self.convert(lists)) == bits(ref.pairs_array(lists))
+
+    @pytest.mark.parametrize("where", ["re", "im", "both"])
+    @pytest.mark.parametrize("part", PARTS.values(), ids=PARTS.keys())
+    def test_part(self, part, where):
+        pair = {"re": [part, 0.5], "im": [0.5, part], "both": [part, part]}[where]
+        lists = [[[1.5, -2.0]], [pair]]
+        if part == 2 ** 64:
+            assert ref.pairs_array(lists) is None
+            want = np.concatenate([ser._values_from_json(v, "x") for v in lists])
+            assert bits(self.convert(lists)) == bits(want)
+        else:
+            self.check(lists)
+
+    @pytest.mark.parametrize("cell", CELLS.values(), ids=CELLS.keys())
+    def test_cell(self, cell):
+        self.check([[[1.5, -2.0], cell]])
+        assert self.convert([[[1.5, -2.0], cell]]) is None
+
+    @pytest.mark.parametrize("lists", [
+        [[[1, 2, 3], [4]]],  # as many values as two pairs
+        [[1.5, 2.5]],  # bare reals
+        [[]],
+        [],
+    ], ids=["length-3-beside-length-1", "bare-reals", "empty-list", "no-list"])
+    def test_refused(self, lists):
+        self.check(lists)
+        assert self.convert(lists) is None
+
+    def test_numpy_float64_rows(self):
+        lists = [np.array([[1.5, -0.0], [2.0, 3.0]]), [[0.5, 1]]]
+        self.check(lists)
+        assert self.convert(lists).tolist() == [1.5 - 0j, 2 + 3j, 0.5 + 1j]
+
+    @pytest.mark.parametrize("lists", [
+        [np.array([[1 + 1j, 0]])],
+        [[np.array([1 + 1j, 0])]],
+        [[[np.complex128(1 + 1j), 0.0]]],
+    ], ids=["array", "rows", "scalar"])
+    def test_numpy_complex_falls_back(self, lists):
+        # array.array would read each as its real part, with a ComplexWarning
+        self.check(lists)
+        assert self.convert(lists) is None
+
+    @pytest.mark.parametrize("part", [Fraction(1, 3), Decimal("0.1")], ids=repr)
+    def test_other_real_numbers_read_as_floats(self, part):
+        # JSON gives neither; numpy holds them as objects, so the reference
+        # returns None, and the per-field reader refuses them
+        lists = [[[part, 0.5]]]
+        assert ref.pairs_array(lists) is None
+        assert self.convert(lists).tolist() == [complex(float(part), 0.5)]
+
+    def test_numpy_complex_document_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match="expected a number or"):
+                ser.epseq_from_json({"cycle": np.array([[1 + 1j, 0]])})
 
 
 class TestElement:
