@@ -2,7 +2,7 @@
 """Benchmark two checkouts against each other in alternating pairs.
 
     python3 scripts/bench_pairs.py --base PARENT --change CHANGE --seed 1 \\
-        --seconds 30 --pairs 10 --out BENCH_31.json
+        --seconds 30 --pairs 10 --out BENCH_<n>.json
 
 PARENT and CHANGE are the roots of two checkouts.  For each workload, each
 pair runs ``perfbench/run.py --workload W --seed S --seconds T`` once in
