@@ -2,17 +2,17 @@
 """Benchmark two checkouts against each other in alternating pairs.
 
     python3 scripts/bench_pairs.py --base PARENT --change CHANGE --seed 1 \\
-        --seconds 30 --pairs 10 --out BENCH_<n>.json
+        --pairs 10 --out BENCH_<n>.json
 
-PARENT and CHANGE are the roots of two checkouts.  For each workload, each
-pair runs ``perfbench/run.py --workload W --seed S --seconds T`` once in
-either checkout, the base first in pairs 1, 3, ... and the change first in
-pairs 2, 4, ..., so a drift of the machine's speed falls on both sides
-alike.  The file written holds the seed, the seconds and the pair count,
-and per workload: each run's ``failed``/``attempted``, and per end-to-end
-metric (the ``end_to_end`` list of BENCHMARK.json) every run of each side,
-each side's median and quartiles, and the number of pairs the change won.
-Stdlib only.
+PARENT and CHANGE are the roots of two checkouts.  BENCHMARK.json sets the
+rest: for each of its workloads W, each pair runs its ``command`` with
+``--workload W --seed S --seconds T``, T its ``run_seconds``, once in either
+checkout, the base first in pairs 1, 3, ... and the change first in pairs
+2, 4, ..., so a drift of the machine's speed falls on both sides alike.  The
+file written holds the seed, the seconds and the pair count, and per
+workload: each run's ``failed``/``attempted``, and per end-to-end metric
+(its ``end_to_end`` list) every run of each side, each side's median and
+quartiles, and the number of pairs the change won.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -21,18 +21,17 @@ import argparse
 import json
 import statistics
 import subprocess
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("scalar-window", "matrix-positions", "series-horizon")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON object that perfbench/run.py prints last, for one run."""
+def run_once(checkout: Path, command: list[str], workload: str, seed: int,
+             seconds: float) -> dict:
+    """The JSON object that the benchmark's command prints last, for one run."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
         cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         check=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -60,27 +59,29 @@ def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> d
 
 
 def main() -> None:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="repeatable; all three by default")
+    ap.add_argument("--workload", action="append", choices=workloads,
+                    help="repeatable; every workload of BENCHMARK.json by default")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    result = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    result = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs,
               "workloads": {}}
-    for workload in args.workload or WORKLOADS:
+    for workload in args.workload or workloads:
         runs: dict[str, list] = {"base": [], "change": []}
         for i in range(args.pairs):
             for side in ("change", "base") if i % 2 else ("base", "change"):
-                run = run_once(getattr(args, side), workload, args.seed, args.seconds)
+                run = run_once(getattr(args, side), bench["command"], workload,
+                               args.seed, seconds)
                 runs[side].append(run)
                 values = (f"{k}={v['value']:.4g}" for k, v in run["metrics"].items())
                 print(f"{workload} pair {i + 1} {side}: {' '.join(values)}", flush=True)

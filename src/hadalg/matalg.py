@@ -141,6 +141,9 @@ def mat_mul(A: MatElement, B: MatElement) -> MatElement:
 # 2^n column subsets, and the time grows about 4.5-fold per two rows (n = 12
 # takes 0.68 s on one position, n = 16 14 s)
 MAX_DET_N = 12
+# check_det examines the window's zero-det positions this many matrix
+# entries at a time, so _exact_ranks' Python ints number at most 4 times it
+_DET_CHUNK = 2 ** 14
 
 
 @cache
@@ -211,12 +214,29 @@ def mat_det(A: MatElement) -> Element:
 
 def check_det(A: MatElement, det: Element) -> None:
     """Raise NumericalError at the first position k of A's window where det
-    = mat_det(A) is 0 in both parts while U(k) has full exact rank
-    (_exact_rank): there the determinant underflowed or cancelled to 0."""
-    for k in np.flatnonzero(_take(det.u, len(A.array)) == 0):
-        if _exact_rank(A.array[k]) == A.n:
+    = mat_det(A) is 0 in both parts while U(k) has full rank: there the
+    determinant underflowed or cancelled to 0.  A position with a zero row
+    or column is singular; at the others, full rank is the SVD's verdict
+    where it is clear (the rule of mat_log), and before the first such
+    position, _exact_ranks' at the ones it flags.  The window is read
+    _DET_CHUNK matrix entries at a time."""
+    zero_det = np.flatnonzero(_take(det.u, len(A.array)) == 0)
+    eps = np.finfo(np.float64).eps
+    step = max(1, _DET_CHUNK // A.n ** 2)
+    for s in range(0, len(zero_det), step):
+        at = zero_det[s:s + step]
+        zeros = A.array[at] == 0
+        at = at[~(zeros.all(axis=-1) | zeros.all(axis=-2)).any(axis=-1)]
+        stack = A.array[at]
+        sv = np.linalg.svd(stack, compute_uv=False)
+        full = sv[:, -1] > _SINGULAR_FLAG * A.n * eps * sv[:, 0]
+        flagged = np.flatnonzero(~full[:full.argmax() if full.any() else len(at)])
+        if len(flagged):
+            full[flagged] = _exact_ranks(stack[flagged]) == A.n
+        if full.any():
+            k = int(at[full.argmax()])
             raise NumericalError(f"determinant rounds to 0 at position {k}, "
-                                 "where the matrix has full rank", position=int(k))
+                                 "where the matrix has full rank", position=k)
 
 
 def mat_norm_bounds(A: MatElement) -> tuple[float, float]:
@@ -406,22 +426,40 @@ def _eig_logs(stack: np.ndarray, lam: np.ndarray, V: np.ndarray,
     return out
 
 
+def _exact_ranks(stack: np.ndarray) -> np.ndarray:
+    """The rank of each matrix U on stack's last two axes as its doubles
+    read, by Bareiss's fraction-free elimination (1968) on the real form
+    [[Re U, -Im U], [Im U, Re U]] of twice U's rank, every matrix of the
+    stack at once.  A double is an odd integer times a power of two, so each
+    row scales to Python ints (less its common power of two) and every
+    division is exact.  A pivot row takes the first nonzero entry of its
+    column and is cleared by its own update, so the rows left keep their
+    places; a column with no pivot leaves its matrix as it stands."""
+    R = np.block([[stack.real, -stack.imag], [stack.imag, stack.real]])
+    mant, e = np.frexp(R)
+    m = (mant * 2.0 ** 53).astype(np.int64)
+    tz = np.maximum(np.frexp((m & -m).astype(np.float64))[1] - 1, 0)
+    m >>= tz
+    e += tz
+    e0 = np.where(m == 0, 1 << 20, e).min(axis=-1, keepdims=True)
+    M = m.astype(object) << np.where(m == 0, 0, e - e0).astype(object)
+    prev = np.ones(len(M), dtype=object)
+    pivots = np.zeros(len(M), dtype=np.intp)
+    for j in range(M.shape[-1]):
+        nz = M[:, :, j] != 0
+        at = np.flatnonzero(nz.any(axis=1))
+        sub = M[at, :, j:]
+        piv = sub[np.arange(len(at)), nz[at].argmax(axis=1)]
+        M[at, :, j:] = (sub * piv[:, None, :1] - sub[:, :, :1] * piv[:, None, :]
+                        ) // prev[at, None, None]
+        prev[at] = piv[:, 0]
+        pivots[at] += 1
+    return pivots // 2
+
+
 def _exact_rank(U: np.ndarray) -> int:
-    """The rank of U as its doubles read, by Bareiss's fraction-free
-    elimination (1968) on the real form [[Re U, -Im U], [Im U, Re U]] of twice
-    U's rank: doubles are integers over powers of two, so each row scales to
-    Python ints (less their gcd), and every division is exact."""
-    p, q = np.frompyfunc(float.as_integer_ratio, 1, 2)(
-        np.block([[U.real, -U.imag], [U.imag, U.real]]))
-    M = p * (q.max(axis=1, keepdims=True) // q)
-    M //= np.array([math.gcd(*row) or 1 for row in M])[:, None]
-    prev = 1
-    for j in range(2 * len(U)):
-        nz = np.flatnonzero(M[:, j])
-        if len(nz):  # the pivot row leaves M; the rows left are cleared in column j
-            piv, M = M[nz[0]], np.delete(M, nz[0], axis=0)
-            M, prev = (M * piv[j] - M[:, j, None] * piv) // prev, piv[j]
-    return len(U) - len(M) // 2
+    """The rank of the one matrix U as its doubles read (_exact_ranks)."""
+    return int(_exact_ranks(U[None])[0])
 
 
 # a position whose smallest singular value is at most this many n eps sigma_max

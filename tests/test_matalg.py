@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -339,3 +340,90 @@ class TestSLFactor:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             "5fe47873c1789688eb5237dbf91a2d69be7c26f3124bdf6ac49ed60bcf886970"
 
+
+def diag_stack(*diagonals):
+    """The stack whose position k is diag(diagonals[0][k], diagonals[1][k], ...)."""
+    return np.array([np.diag(d) for d in zip(*diagonals)], dtype=complex)
+
+
+class TestCheckDet:
+    """matalg.check_det: a det of 0 in both parts at a full-rank position is
+    refused, an exactly singular one passes."""
+
+    @staticmethod
+    def check(stack):
+        A = mat_from_stack(stack)
+        ma.check_det(A, ma.mat_det(A))
+
+    def test_clear_full_rank_refused_without_elimination(self, monkeypatch):
+        # diag(1e-200, 1e-200) has singular values 1e-200 and 1e-200
+        def eliminate(stack):
+            raise AssertionError("_exact_ranks called")
+
+        monkeypatch.setattr(ma, "_exact_ranks", eliminate)
+        with pytest.raises(NumericalError) as ei:
+            self.check(diag_stack([1.0, 1e-200], [1.0, 1e-200]))
+        assert ei.value.position == 1
+
+    def test_flagged_full_rank_found_by_elimination(self):
+        # diag(1e-200, 2^-60 1e-200) is flagged by the SVD (condition 2^60)
+        # and has exact rank 2; position 1 would be refused by the SVD alone
+        tiny = 2.0 ** -60 * 1e-200
+        with pytest.raises(NumericalError) as ei:
+            self.check(diag_stack([0.0, 1e-200, 1e-200], [1.0, tiny, 1e-200]))
+        assert ei.value.position == 1
+
+    @pytest.mark.parametrize("stack", [
+        diag_stack([0.0], [1e-200]),
+        np.array([[[1e-200, 1e-200], [0.0, 0.0]]]),
+        np.array([[[1e-200, 2e-200], [3e-200, 6e-200]]]),
+    ], ids=["zero-row-diagonal", "zero-row", "proportional-rows"])
+    def test_exactly_singular_passes(self, stack):
+        self.check(stack)
+
+    def test_singular_window_checked_in_chunks(self, monkeypatch):
+        # [[f, f], [g, g]] with f, g cycles of 2^15 distinct values: det is
+        # f g - f g = 0 exactly at every position, and each position has
+        # rank 1, so every one of them is eliminated
+        f = np.arange(1, 2 ** 15 + 1) * (1.0 + 0.5j) / 3.0
+        g = np.sqrt(np.arange(1, 2 ** 15 + 1)) * (0.25 - 1j)
+        stack = np.stack([np.stack([f, f], -1), np.stack([g, g], -1)], 1)
+        A = mat_from_stack(stack)
+        det = ma.mat_det(A)
+        assert not ma._take(det.u, 2 ** 15).any()
+        calls = []
+
+        def one_at_a_time(U):
+            raise AssertionError("_exact_rank called")
+
+        def counted(stack):
+            calls.append(len(stack))
+            return exact_ranks(stack)
+
+        exact_ranks = ma._exact_ranks
+        monkeypatch.setattr(ma, "_exact_rank", one_at_a_time)
+        monkeypatch.setattr(ma, "_exact_ranks", counted)
+        start = time.perf_counter()
+        ma.check_det(A, det)
+        assert time.perf_counter() - start < 2.0
+        assert calls == [ma._DET_CHUNK // 4] * (2 ** 17 // ma._DET_CHUNK)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_stacked_ranks_match_fraction_elimination(self, n):
+        """_exact_ranks on a stack of rank-r products X Y (Gaussian-integer
+        X, Y), rows scaled by 2^a with a up to +-1000 and into the subnormal
+        range, agrees with elimination over Fractions matrix by matrix."""
+        rng = random.Random(1400 + n)
+        stack, want = [], []
+        for rows in ((0, 0), (-500, 500), (900, 1000), (-1074, -1040)):
+            for r in range(n + 1):
+                X = np.array([[complex(rng.randint(-2, 2), rng.randint(-2, 2))
+                               for _ in range(r)] for _ in range(n)]).reshape(n, r)
+                Y = np.array([[complex(rng.randint(-2, 2), rng.randint(-2, 2))
+                               for _ in range(n)] for _ in range(r)]).reshape(r, n)
+                a = np.array([rng.randint(*rows) for _ in range(n)])[:, None]
+                U = alg._ldexp(X @ Y, a)
+                stack.append(U)
+                want.append(ref.exact_rank(U))
+        assert ma._exact_ranks(np.array(stack)).tolist() == want
+        assert set(want) == set(range(n + 1))
