@@ -141,9 +141,9 @@ def mat_mul(A: MatElement, B: MatElement) -> MatElement:
 # 2^n column subsets, and the time grows about 4.5-fold per two rows (n = 12
 # takes 0.68 s on one position, n = 16 14 s)
 MAX_DET_N = 12
-# check_det examines the window's zero-det positions this many matrix
-# entries at a time, so _exact_ranks' Python ints number at most 4 times it
-_DET_CHUNK = 2 ** 14
+# check_det and mat_log hand _exact_ranks this many matrix entries at a
+# time, so its Python ints number at most 4 times it
+_RANK_CHUNK = 2 ** 14
 
 
 @cache
@@ -219,10 +219,10 @@ def check_det(A: MatElement, det: Element) -> None:
     or column is singular; at the others, full rank is the SVD's verdict
     where it is clear (the rule of mat_log), and before the first such
     position, _exact_ranks' at the ones it flags.  The window is read
-    _DET_CHUNK matrix entries at a time."""
+    _RANK_CHUNK matrix entries at a time."""
     zero_det = np.flatnonzero(_take(det.u, len(A.array)) == 0)
     eps = np.finfo(np.float64).eps
-    step = max(1, _DET_CHUNK // A.n ** 2)
+    step = max(1, _RANK_CHUNK // A.n ** 2)
     for s in range(0, len(zero_det), step):
         at = zero_det[s:s + step]
         zeros = A.array[at] == 0
@@ -458,12 +458,13 @@ def _exact_ranks(stack: np.ndarray) -> np.ndarray:
 
 
 def _exact_rank(U: np.ndarray) -> int:
-    """The rank of the one matrix U as its doubles read (_exact_ranks)."""
+    """The rank of the one matrix U as its doubles read (_exact_ranks), the
+    form that tests check against elimination over the Gaussian integers."""
     return int(_exact_ranks(U[None])[0])
 
 
 # a position whose smallest singular value is at most this many n eps sigma_max
-# is singular iff _exact_rank is below n; up to 7x7 the exactly singular ones with
+# is singular iff _exact_ranks is below n; up to 7x7 the exactly singular ones with
 # entries in {-1, 0, 1, 2}, and the rank fuzz's (to 2^+-1000), stay under 0.7
 _SINGULAR_FLAG = 4.0
 # largest entry deviation of exp(log U(k)) from U(k) that mat_log accepts,
@@ -504,9 +505,13 @@ def mat_log(A: MatElement) -> MatElement:
     pl, cl, stack = A.ustack()
     sv = np.linalg.svd(stack, compute_uv=False)
     eps = np.finfo(np.float64).eps
-    for k in np.flatnonzero(sv[:, -1] <= _SINGULAR_FLAG * A.n * eps * sv[:, 0]):
-        if _exact_rank(stack[k]) < A.n:
-            raise NotInGL(int(k))
+    flagged = np.flatnonzero(sv[:, -1] <= _SINGULAR_FLAG * A.n * eps * sv[:, 0])
+    step = max(1, _RANK_CHUNK // A.n ** 2)
+    for s in range(0, len(flagged), step):
+        at = flagged[s:s + step]
+        singular = at[_exact_ranks(stack[at]) < A.n]
+        if len(singular):
+            raise NotInGL(int(singular[0]))
     lam, V = np.linalg.eig(stack)
     thetas = _branch_angles(lam)
     out = _eig_logs(stack, lam, V, thetas)

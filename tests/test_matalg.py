@@ -406,8 +406,11 @@ class TestCheckDet:
         start = time.perf_counter()
         ma.check_det(A, det)
         assert time.perf_counter() - start < 2.0
-        assert calls == [ma._DET_CHUNK // 4] * (2 ** 17 // ma._DET_CHUNK)
+        assert calls == [ma._RANK_CHUNK // 4] * (2 ** 17 // ma._RANK_CHUNK)
 
+
+
+class TestExactRanks:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
     def test_stacked_ranks_match_fraction_elimination(self, n):
         """_exact_ranks on a stack of rank-r products X Y (Gaussian-integer
@@ -427,3 +430,22 @@ class TestCheckDet:
                 want.append(ref.exact_rank(U))
         assert ma._exact_ranks(np.array(stack)).tolist() == want
         assert set(want) == set(range(n + 1))
+
+    def test_mat_log_finds_a_singular_position_past_the_first_chunk(self, monkeypatch):
+        # diag(c, 2^-60 c) is flagged by the SVD and invertible at every
+        # position of the first chunk; position 5000 is diag(c, 0)
+        c = 1.0 + np.arange(6000) / 6000
+        stack = diag_stack(c, 2.0 ** -60 * c)
+        stack[5000, 1, 1] = 0.0
+        calls = []
+
+        def counted(stack):
+            calls.append(len(stack))
+            return exact_ranks(stack)
+
+        exact_ranks = ma._exact_ranks
+        monkeypatch.setattr(ma, "_exact_ranks", counted)
+        with pytest.raises(NotInGL) as ei:
+            ma.mat_log(mat_from_stack(stack))
+        assert "at position 5000" in str(ei.value)
+        assert calls == [ma._RANK_CHUNK // 4, 6000 - ma._RANK_CHUNK // 4]
