@@ -226,9 +226,8 @@ def _cmd_mat(args):
         return ({"product": serialize.matrix_to_json(matalg.mat_mul(*ins))},
                 "product computed")
     if op == "det":
-        det = matalg.mat_det(A)
-        matalg.check_det(A, det)
-        return {"det": serialize.element_to_json(det)}, "determinant computed"
+        return ({"det": serialize.element_to_json(matalg.mat_det(A))},
+                "determinant computed")
     if op == "solve":
         delta, x = matalg.mat_solve(*ins, rtol=args.tol)
         # "inf" is the delta of x = 0 alone; an overflowed 1/sup|x| is refused
@@ -243,7 +242,8 @@ def _cmd_mat(args):
                 "matrix logarithm computed")
     if op == "sl-factor":
         factors, err = matalg.sl_factor(A, tol=args.tol)
-        return ({"factors": serialize.factors_to_json(factors),
+        return ({"factors": serialize.factors_to_json(A.weight, A.period_start,
+                                                      factors),
                  "verification": {"max_error": err, "tol": args.tol}},
                 f"{len(factors)} elementary factors, max_error = {err:.3e}")
     # norm-bounds

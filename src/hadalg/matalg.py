@@ -17,14 +17,13 @@ import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
 # scipy.linalg (about 28 MB and 0.35 s to import) is loaded only by _eig_logs' logm
 from . import algebra
 from .algebra import Element
-from .coeffseq import EPSeq, _abs, _canonical_form, _mul, _take, joint_shape
+from .coeffseq import _abs, _canonical_form, _mul, _take, joint_shape
 from .errors import (DimensionMismatch, Inconsistent, InvalidArgument, NotInGL,
                      NotSL, NumericalError, OffBranch, WeightMismatch,
                      WindowTooLarge)
@@ -104,19 +103,6 @@ def from_ustack(w: Weight, pl: int, stack: np.ndarray) -> MatElement:
     return A
 
 
-@dataclass(frozen=True)
-class ElementaryFactor:
-    """I + alpha * e_ij with i != j (zero-based indices)."""
-
-    i: int
-    j: int
-    alpha: Element
-
-    def __post_init__(self):
-        if self.i == self.j:
-            raise DimensionMismatch("elementary factor needs i != j")
-
-
 # ---------------------------------------------------------------------------
 # basic operations
 
@@ -141,7 +127,7 @@ def mat_mul(A: MatElement, B: MatElement) -> MatElement:
 # 2^n column subsets, and the time grows about 4.5-fold per two rows (n = 12
 # takes 0.68 s on one position, n = 16 14 s)
 MAX_DET_N = 12
-# check_det and mat_log hand _exact_ranks this many matrix entries at a
+# mat_det and mat_log hand _exact_ranks this many matrix entries at a
 # time, so its Python ints number at most 4 times it
 _RANK_CHUNK = 2 ** 14
 
@@ -194,6 +180,14 @@ def mat_det(A: MatElement) -> Element:
     zero.  So the stacked value is the answer when every real and imaginary
     part of it is finite and nonzero; otherwise star/add run over A.entries.
 
+    That path alone can answer 0, and it raises NumericalError at the first
+    position k of A's window where the det is 0 in both parts while U(k) has
+    full rank: there the determinant underflowed or cancelled to 0.  A
+    position with a zero row or column is singular; at the others, full
+    rank is the SVD's verdict where it is clear (the rule of mat_log), and
+    before the first such position, _exact_ranks' at the ones it flags.
+    The window is read _RANK_CHUNK matrix entries at a time.
+
     n above MAX_DET_N is refused (WindowTooLarge) before any expansion.
     """
     if A.m != A.n:
@@ -207,19 +201,9 @@ def mat_det(A: MatElement) -> Element:
         return algebra._element(A.weight, det, A.period_start)
     rows = np.empty((A.n, A.n), dtype=object)
     rows[...] = A.entries
-    return _expand(rows, np.frompyfunc(algebra.star, 2, 1),
-                   np.frompyfunc(algebra.add, 2, 1),
-                   np.frompyfunc(lambda t: algebra.scalar_mul(-1.0, t), 1, 1))[()]
-
-
-def check_det(A: MatElement, det: Element) -> None:
-    """Raise NumericalError at the first position k of A's window where det
-    = mat_det(A) is 0 in both parts while U(k) has full rank: there the
-    determinant underflowed or cancelled to 0.  A position with a zero row
-    or column is singular; at the others, full rank is the SVD's verdict
-    where it is clear (the rule of mat_log), and before the first such
-    position, _exact_ranks' at the ones it flags.  The window is read
-    _RANK_CHUNK matrix entries at a time."""
+    det = _expand(rows, np.frompyfunc(algebra.star, 2, 1),
+                  np.frompyfunc(algebra.add, 2, 1),
+                  np.frompyfunc(lambda t: algebra.scalar_mul(-1.0, t), 1, 1))[()]
     zero_det = np.flatnonzero(_take(det.u, len(A.array)) == 0)
     eps = np.finfo(np.float64).eps
     step = max(1, _RANK_CHUNK // A.n ** 2)
@@ -237,6 +221,7 @@ def check_det(A: MatElement, det: Element) -> None:
             k = int(at[full.argmax()])
             raise NumericalError(f"determinant rounds to 0 at position {k}, "
                                  "where the matrix has full rank", position=k)
+    return det
 
 
 def mat_norm_bounds(A: MatElement) -> tuple[float, float]:
@@ -601,18 +586,17 @@ def _whitehead_factors(diag: np.ndarray) -> list:
     return ops
 
 
-def _apply_factors(factors: Sequence[ElementaryFactor], P: int, n: int
-                   ) -> np.ndarray:
+def _apply_factors(factors: list, P: int, n: int) -> np.ndarray:
+    """The ordered product of the factors I + values e_ij, (i, j, values)
+    triples with values at P positions."""
     prod = np.broadcast_to(np.eye(n, dtype=complex), (P, n, n)).copy()
-    for f in factors:
-        vals = f.alpha.u.take(P)
+    for i, j, vals in factors:
         # right-multiply by I + alpha e_ij: column j gains alpha * column i
-        prod[:, :, f.j] += vals[:, None] * prod[:, :, f.i]
+        prod[:, :, j] += vals[:, None] * prod[:, :, i]
     return prod
 
 
-def sl_factor(A: MatElement, tol: float = 1e-9
-              ) -> tuple[list[ElementaryFactor], float]:
+def sl_factor(A: MatElement, tol: float = 1e-9) -> tuple[list[tuple], float]:
     """Factor a determinant-one matrix into elementary matrices.
 
     Gauss-Jordan elimination with each pivot raised by the paper's
@@ -620,14 +604,15 @@ def sl_factor(A: MatElement, tol: float = 1e-9
     diagonal that remains: at most n(n-1)/2 + n(n-1) + 5(n-1) factors
     however far A is from the identity.  The ordered product of the emitted
     factors reproduces A within tol per position (verified).  Returns the
-    factors and that verified error, the largest entry deviation of their
-    product from A over A's window.
+    factors, (i, j, values) triples for I + alpha e_ij with alpha's values
+    on A's window (prefix length A.period_start), and that verified error,
+    the largest entry deviation of their product from A over the window.
     """
     if tol <= 0:
         raise InvalidArgument("tol must be positive")
     if A.m != A.n:
         raise DimensionMismatch("factorization needs a square matrix")
-    pl, cl, stack = A.ustack()
+    _, _, stack = A.ustack()
     # on the rows times 2^-e, scaled back: a row's scale can over- or underflow LU
     e, rows = algebra._scaled(stack.T)
     dets = algebra._ldexp(np.linalg.det(rows.T), e.sum(axis=0))
@@ -636,8 +621,7 @@ def sl_factor(A: MatElement, tol: float = 1e-9
         raise NotSL(int(bad), complex(dets[bad]))
 
     ops, diag = _gauss_factors(stack)
-    factors = [ElementaryFactor(i, j, Element(A.weight, EPSeq.from_values(vals, pl)))
-               for i, j, vals in ops + _whitehead_factors(diag)]
+    factors = ops + _whitehead_factors(diag)
     err = float(np.max(np.abs(_apply_factors(factors, len(stack), A.n) - stack)))
     if not err <= tol:  # nan included
         raise NumericalError(

@@ -141,17 +141,23 @@ def element_from_json(obj: Any, field: str = "") -> Element:
     raise SchemaError("element document needs 'normalized' or 'raw_prefix'")
 
 
-def matrix_to_json(A: MatElement) -> dict:
-    """Each entry's column of the stack, canonicalised on its own: all the
-    columns by one _canonical call, their representatives by one gather."""
-    P, m, n = A.array.shape
-    L, cols = A.period_start, A.array.reshape(P, m * n)
+def _columns_to_json(cols: np.ndarray, L: int) -> list[dict]:
+    """The sequence document of each column of the (P, K) values cols, on a
+    window of prefix length L, canonicalised on its own: all the columns by
+    one _canonical call, their representatives by one gather."""
+    P, K = cols.shape
     d, t = map(np.array, _canonical(cols[:L], cols[L:]))
     ends = (L - t + d).tolist()
     reps = np.ascontiguousarray(
-        _gather(cols.T.ravel(), np.arange(0, m * n * P, P), L, t, d, max(ends)).T)
-    cells = [epseq_to_json(Canonical(r[:e], pl))
-             for r, e, pl in zip(reps, ends, (L - t).tolist())]
+        _gather(cols.T.ravel(), np.arange(0, K * P, P), L, t, d, max(ends)).T)
+    return [epseq_to_json(Canonical(r[:e], pl))
+            for r, e, pl in zip(reps, ends, (L - t).tolist())]
+
+
+def matrix_to_json(A: MatElement) -> dict:
+    """Each entry's column of the stack as its own sequence document."""
+    P, m, n = A.array.shape
+    cells = _columns_to_json(A.array.reshape(P, m * n), A.period_start)
     return {"weight": A.weight.name, "rows": m, "cols": n,
             "entries": [cells[i * n:(i + 1) * n] for i in range(m)]}
 
@@ -194,9 +200,15 @@ def matrix_from_json(obj: Any) -> MatElement:
     return A
 
 
-def factors_to_json(factors) -> list[dict]:
-    return [{"i": f.i, "j": f.j, "alpha": element_to_json(f.alpha)}
-            for f in factors]
+def factors_to_json(weight: weights_mod.Weight, L: int, factors: list) -> list[dict]:
+    """The document of each (i, j, values) factor of matalg.sl_factor, its
+    alpha the element of that weight whose values lie on a window of prefix
+    length L."""
+    if not factors:
+        return []
+    cells = _columns_to_json(np.stack([vals for _, _, vals in factors], axis=1), L)
+    return [{"i": i, "j": j, "alpha": {"weight": weight.name, "normalized": cell}}
+            for (i, j, _), cell in zip(factors, cells)]
 
 
 def check_finite(doc: dict) -> None:

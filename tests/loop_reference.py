@@ -24,7 +24,7 @@ from hadalg.errors import (BoundUnavailable, CoronaFails, DimensionMismatch,
                            HorizonExceeded, InvalidArgument, NotDivisible,
                            NotInIdeal, NotInvertible, NumericalError,
                            PointwiseDomainError, WeightMismatch)
-from hadalg.matalg import ElementaryFactor, from_ustack
+from hadalg.matalg import from_ustack
 
 
 def canonical(prefix, cycle):
@@ -476,14 +476,14 @@ def contour_log(U, theta, r, R, nodes):
 
 
 def _elementary(i, j, vals, pl, w):
-    return ElementaryFactor(i, j, algebra.Element(w, EPSeq.from_values(vals, pl)))
+    return i, j, algebra.Element(w, EPSeq.from_values(vals, pl))
 
 
 def gauss_factors(stack, pl, w):
     """Gauss-Jordan elimination over one flat list of (row, column) pairs,
     forward then backward, with the column's pivot raised by the
     stable-rank-1 step before its first pair and checked before every pair;
-    each factor becomes an ElementaryFactor as soon as it is found."""
+    each factor becomes an (i, j, Element) triple as soon as it is found."""
     M = stack.copy()
     P, n, _ = M.shape
     factors = []
@@ -543,8 +543,8 @@ def sl_factor(stack, pl, w, tol):
     factors += whitehead_factors(M, pl, w)
     P, n, _ = stack.shape
     prod = np.broadcast_to(np.eye(n, dtype=complex), (P, n, n)).copy()
-    for f in factors:
-        prod[:, :, f.j] += f.alpha.u.take(P)[:, None] * prod[:, :, f.i]
+    for i, j, alpha in factors:
+        prod[:, :, j] += alpha.u.take(P)[:, None] * prod[:, :, i]
     err = float(np.max(np.abs(prod - stack)))
     if not err <= tol:
         raise NumericalError(

@@ -287,7 +287,7 @@ def test_criterion_09_sl_factorization():
                     stack.append(Uk / np.linalg.det(Uk) ** (1.0 / n))
                 A = ma.from_ustack(W, 0, np.array(stack))
                 factors, _ = ma.sl_factor(A)
-                assert all(f.i != f.j for f in factors)
+                assert all(i != j for i, j, _ in factors)
                 pl, cl, st = A.ustack()
                 prod = ma._apply_factors(factors, len(st), n)
                 assert float(np.max(np.abs(prod - st))) <= 1e-9

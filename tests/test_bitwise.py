@@ -217,7 +217,9 @@ def test_mat_det_stacked_matches_memo(n, monkeypatch):
     the memoised star/add expansion over the entries bit for bit.  The draws
     take both of mat_det's paths: the stacked expansion, and the expansion
     over the entries where a part of the stacked value is zero or not
-    finite (overflow, underflow, real values, signed zeros)."""
+    finite (overflow, underflow, real values, signed zeros).  Where the
+    reference is 0 in both parts at a position of full exact rank, as on
+    underflowing draws, mat_det refuses at the first such position."""
     expand, fallbacks = ma._expand, []
 
     def counted(rows, *ops):
@@ -227,7 +229,7 @@ def test_mat_det_stacked_matches_memo(n, monkeypatch):
 
     monkeypatch.setattr(ma, "_expand", counted)
     rng = random.Random(600 + n)
-    draws = 0
+    draws = refused = 0
     for draw in KINDS + [real_gauss_int, overflowing, underflowing]:
         for _ in range(4):
             rows = tuple(tuple(pair(rng, draw)[0] for _ in range(n))
@@ -235,9 +237,18 @@ def test_mat_det_stacked_matches_memo(n, monkeypatch):
             A = ref.matrix(W, rows)
             want = ref.memo_cofactor_det(A.entries, alg.star, alg.add,
                                          lambda t: alg.scalar_mul(-1.0, t))
-            assert bits(ma.mat_det(A)) == bits(want)
+            lost = next((k for k, v in enumerate(want.u.take(len(A.array)))
+                         if v == 0 and ref.exact_rank(A.array[k]) == n), None)
+            if lost is not None:
+                with pytest.raises(NumericalError) as ei:
+                    ma.mat_det(A)
+                assert ei.value.position == lost
+                refused += 1
+            else:
+                assert bits(ma.mat_det(A)) == bits(want)
             draws += 1
     assert 0 < len(fallbacks) < draws
+    assert 0 < refused < draws
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -186,16 +186,17 @@ SL_DRAWS = {
 }
 
 
-def factoring(factor):
+def factoring(factor, alpha):
     """What a factorization answers, bit for bit: each factor's i, j and
-    alpha (window and value bits) and the verified error, or the
-    NumericalError's message and position."""
+    alpha (window and value bits, of the EPSeq that alpha makes of the
+    factor's third field) and the verified error, or the NumericalError's
+    message and position."""
     try:
         factors, err = factor()
     except NumericalError as exc:
         return str(exc), getattr(exc, "position", None)
-    return ([(f.i, f.j, f.alpha.u.period_start, f.alpha.u.array.tobytes())
-             for f in factors], np.float64(err).tobytes())
+    return ([(i, j, alpha(a).period_start, alpha(a).array.tobytes())
+             for i, j, a in factors], np.float64(err).tobytes())
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -208,5 +209,7 @@ def test_sl_factor_matches_order_list_reference(kind, n):
         pl, cl = int(rng.integers(0, 3)), int(rng.integers(1, 5))
         A = ma.from_ustack(W, pl, SL_DRAWS[kind](rng, pl + cl, n))
         pl, _, stack = A.ustack()
-        assert factoring(lambda: ma.sl_factor(A, tol=math.inf)) == \
-            factoring(lambda: ref.sl_factor(stack, pl, W, math.inf))
+        assert factoring(lambda: ma.sl_factor(A, tol=math.inf),
+                         lambda vals: EPSeq.from_values(vals, pl)) == \
+            factoring(lambda: ref.sl_factor(stack, pl, W, math.inf),
+                      lambda alpha: alpha.u)

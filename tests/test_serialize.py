@@ -191,10 +191,28 @@ class TestFactors:
         A = ref.matrix(W, ((alg.Element(W, EPSeq((), (2.0,))), alg.zero(W)),
                               (alg.zero(W), alg.Element(W, EPSeq((), (0.5,))))))
         factors, _ = ma.sl_factor(A)
-        doc = json.loads(ser.dumps(ser.factors_to_json(factors)))
-        assert [(d["i"], d["j"]) for d in doc] == [(f.i, f.j) for f in factors]
-        for d, f in zip(doc, factors):
-            assert alg.equal(ser.element_from_json(d["alpha"]), f.alpha)
+        doc = json.loads(ser.dumps(ser.factors_to_json(W, A.period_start, factors)))
+        assert [(d["i"], d["j"]) for d in doc] == [(i, j) for i, j, _ in factors]
+        for d, (_, _, vals) in zip(doc, factors):
+            assert alg.equal(ser.element_from_json(d["alpha"]), alg.Element(
+                W, EPSeq.from_values(vals, A.period_start)))
+
+    def test_alphas_written_as_their_elements(self):
+        """Each factor's alpha is written from its values exactly as from
+        the Element of EPSeq.from_values, signed zeros included."""
+        rng = random.Random(10)
+        for draw in KINDS:
+            for _ in range(40):
+                pl, stack = raw_stack(rng, draw, 1, rng.randint(1, 6))
+                factors = [(k % 2, 1 - k % 2, stack[:, 0, k])
+                           for k in range(stack.shape[2])]
+                want = [{"i": i, "j": j, "alpha": ser.element_to_json(
+                    alg.Element(W, EPSeq.from_values(vals, pl)))}
+                    for i, j, vals in factors]
+                assert ser.dumps(ser.factors_to_json(W, pl, factors)) == ser.dumps(want)
+
+    def test_no_factors(self):
+        assert ser.factors_to_json(W, 0, []) == []
 
 
 # values whose shortest reprs are easy to confuse, or to merge by value
@@ -262,10 +280,11 @@ class TestDumps:
 
     def test_factors(self, rng):
         for _ in range(20):
-            factors = [ma.ElementaryFactor(k % 2, 1 - k % 2,
-                                           alg.Element(W, rand_values(rng)))
+            pl = rng.randint(0, 3)
+            P = pl + rng.randint(1, 40)
+            factors = [(k % 2, 1 - k % 2, np.array([special(rng) for _ in range(P)]))
                        for k in range(rng.randint(1, 5))]
-            self.check({"factors": ser.factors_to_json(factors),
+            self.check({"factors": ser.factors_to_json(W, pl, factors),
                         "verification": {"max_error": 0.0, "tol": 1e-10}})
 
     def test_signed_zeros_kept_apart(self):
