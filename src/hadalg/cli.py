@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 2 a mathematical criterion failed (witness in the JSON
 output), 3 parse or schema error, 4 numerical failure, which includes an
-answer holding NaN or +-Infinity (serialize.check_finite).  Results go to
---out (default stdout); a one-line human summary goes to stderr.  Floats are
-serialized with shortest-roundtrip repr, so documents reconstruct exactly.
-Input documents are decoded by orjson when ``_plain`` shows that it builds
-the tree ``json.loads`` builds; every other text, and every decode error,
-goes through ``json.loads``.
+answer holding NaN or +-Infinity (serialize.check_finite) and running out of
+memory.  Results go to --out (default stdout); a one-line human summary goes
+to stderr.  Floats are serialized with shortest-roundtrip repr, so documents
+reconstruct exactly.  Input documents are decoded by orjson when ``_plain``
+shows that it builds the tree ``json.loads`` builds; every other text, and
+every decode error, goes through ``json.loads``.
 """
 
 from __future__ import annotations
@@ -396,12 +396,18 @@ def _parse(argv):
 
 def _emit(payload: dict, args) -> None:
     """Write the document, opening --out before the first byte is formatted;
-    any failure to write it, stdout's too, exits 3."""
+    any failure to write it, stdout's too, exits 3.  A MemoryError while
+    writing removes the --out file, so no partial document is left."""
     try:
         if args.out:
-            with open(args.out, "w") as fh:
-                serialize.dump(payload, fh)
-                fh.write("\n")
+            try:
+                with open(args.out, "w") as fh:
+                    serialize.dump(payload, fh)
+                    fh.write("\n")
+            except MemoryError:
+                if os.path.exists(args.out):
+                    os.remove(args.out)
+                raise
             return
         if sys.stdout is None:  # started with file descriptor 1 closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -444,6 +450,9 @@ def _run(argv) -> int:
         return EXIT_SCHEMA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        print("numerical failure: out of memory", file=sys.stderr)
         return EXIT_NUMERIC
     print(summary, file=sys.stderr)
     return code

@@ -47,6 +47,16 @@ def _take(s, count: int) -> np.ndarray:
     return np.concatenate((s.array[:L], _repeat(s.array[s.period_start:], count - L)))
 
 
+def _position(s, k: int) -> int:
+    """The index into s.array (s an EPSeq, a MatElement or a Canonical) that
+    holds position k: k itself below the prefix length L, else
+    L + (k - L) mod c."""
+    if k < 0:
+        raise IndexError(k)
+    L = s.period_start
+    return k if k < L else L + (k - L) % (len(s.array) - L)
+
+
 def _prime_factors(n: int) -> list[int]:
     out, q = [], 2
     while q * q <= n:
@@ -173,11 +183,7 @@ class EPSeq:
     # -- indexing ----------------------------------------------------------
 
     def value(self, n: int) -> complex:
-        if n < 0:
-            raise IndexError(n)
-        if n < self.period_start:
-            return self.prefix[n]
-        return self.cycle[(n - self.period_start) % len(self.cycle)]
+        return self.array[_position(self, n)].item()
 
     take = _take
 
@@ -197,22 +203,25 @@ class EPSeq:
         return EPSeq(values[:period_start], values[period_start:])
 
 
-# cycle lengths combine by lcm: two coprime cycles near 10^4 need ~10^8
+# cycle lengths combine by lcm: two coprime cycles near 10^4 need ~10^8; a
+# matrix window counts positions times its m n entries
 MAX_WINDOW = 1 << 20
 
 
-def joint_shape(*seqs) -> tuple[int, int]:
+def joint_shape(*seqs, cells: int = 1) -> tuple[int, int]:
     """Common (prefix length, cycle length) refining every argument (an
     EPSeq, a MatElement or a Canonical), refused above MAX_WINDOW
-    positions."""
+    positions times cells (_window)."""
     return _window(max((s.period_start for s in seqs), default=0),
-                   lcm(*(len(s.array) - s.period_start for s in seqs)))
+                   lcm(*(len(s.array) - s.period_start for s in seqs)), cells)
 
 
-def _window(pl: int, cl: int) -> tuple[int, int]:
-    """(pl, cl), refused above MAX_WINDOW positions."""
-    if pl + cl > MAX_WINDOW:
-        raise WindowTooLarge(f"joint window of {pl + cl} positions exceeds "
+def _window(pl: int, cl: int, cells: int = 1) -> tuple[int, int]:
+    """(pl, cl), refused above MAX_WINDOW values: its positions times cells,
+    the values at each (a matrix's entries)."""
+    if (pl + cl) * cells > MAX_WINDOW:
+        of = f" of {cells} entries" if cells > 1 else ""
+        raise WindowTooLarge(f"joint window of {pl + cl} positions{of} exceeds "
                              f"the budget of {MAX_WINDOW}")
     return pl, cl
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import Element
-from .coeffseq import MAX_WINDOW, EPSeq, _abs
+from .coeffseq import MAX_WINDOW, EPSeq, _abs, _position
 from .errors import InvalidArgument
 from .weights import Weight
 
@@ -48,13 +48,6 @@ class IndexOrderReport:
         return {"k": self.k,
                 "m": "inf" if math.isinf(self.m) else int(self.m),
                 "flag": "exact"}
-
-
-def _position(u: EPSeq, k: int) -> int:
-    """The window position holding u(k): k inside the prefix, else the
-    cycle residue of k."""
-    L = u.period_start
-    return k if k < L else L + (k - L) % (len(u.array) - L)
 
 
 def index_order(u: EPSeq, k: int) -> IndexOrderReport:

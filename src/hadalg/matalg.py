@@ -23,7 +23,7 @@ import numpy as np
 # scipy.linalg (about 28 MB and 0.35 s to import) is loaded only by _eig_logs' logm
 from . import algebra
 from .algebra import Element
-from .coeffseq import _abs, _canonical_form, _mul, _take, joint_shape
+from .coeffseq import _abs, _canonical_form, _mul, _position, _take, joint_shape
 from .errors import (DimensionMismatch, Inconsistent, InvalidArgument, NotInGL,
                      NotSL, NumericalError, OffBranch, WeightMismatch,
                      WindowTooLarge)
@@ -82,10 +82,7 @@ class MatElement:
 
     def U(self, k: int) -> np.ndarray:
         """Normalized coefficient matrix at position k."""
-        if k < 0:
-            raise IndexError(k)
-        L, c = self.shape_window()
-        return self.array[k if k < L else L + (k - L) % c].copy()
+        return self.array[_position(self, k)].copy()
 
     def ustack(self) -> tuple[int, int, np.ndarray]:
         """(L, c, stack of U(k) for k < L + c); the stack is read-only."""
@@ -115,7 +112,7 @@ def mat_mul(A: MatElement, B: MatElement) -> MatElement:
         raise DimensionMismatch(f"{A.m}x{A.n} times {B.m}x{B.n}")
     if A.weight != B.weight:
         raise WeightMismatch(f"{A.weight.name} vs {B.weight.name}")
-    pl, cl = joint_shape(A, B)
+    pl, cl = joint_shape(A, B, cells=max(A.m * A.n, B.m * B.n, A.m * B.n))
     a, b = A.take(pl + cl), B.take(pl + cl)
     acc = _mul(a[:, :, 0, None], b[:, None, 0, :])
     for k in range(1, A.n):
@@ -127,8 +124,8 @@ def mat_mul(A: MatElement, B: MatElement) -> MatElement:
 # 2^n column subsets, and the time grows about 4.5-fold per two rows (n = 12
 # takes 0.68 s on one position, n = 16 14 s)
 MAX_DET_N = 12
-# mat_det and mat_log hand _exact_ranks this many matrix entries at a
-# time, so its Python ints number at most 4 times it
+# _first_rank reads this many matrix entries at a time, so _exact_ranks'
+# Python ints number at most 4 times it
 _RANK_CHUNK = 2 ** 14
 
 
@@ -181,12 +178,9 @@ def mat_det(A: MatElement) -> Element:
     part of it is finite and nonzero; otherwise star/add run over A.entries.
 
     That path alone can answer 0, and it raises NumericalError at the first
-    position k of A's window where the det is 0 in both parts while U(k) has
-    full rank: there the determinant underflowed or cancelled to 0.  A
-    position with a zero row or column is singular; at the others, full
-    rank is the SVD's verdict where it is clear (the rule of mat_log), and
-    before the first such position, _exact_ranks' at the ones it flags.
-    The window is read _RANK_CHUNK matrix entries at a time.
+    position of A's window where the det is 0 in both parts while U(k) has
+    full rank (_first_rank): there the determinant underflowed or cancelled
+    to 0.
 
     n above MAX_DET_N is refused (WindowTooLarge) before any expansion.
     """
@@ -205,22 +199,11 @@ def mat_det(A: MatElement) -> Element:
                   np.frompyfunc(algebra.add, 2, 1),
                   np.frompyfunc(lambda t: algebra.scalar_mul(-1.0, t), 1, 1))[()]
     zero_det = np.flatnonzero(_take(det.u, len(A.array)) == 0)
-    eps = np.finfo(np.float64).eps
-    step = max(1, _RANK_CHUNK // A.n ** 2)
-    for s in range(0, len(zero_det), step):
-        at = zero_det[s:s + step]
-        zeros = A.array[at] == 0
-        at = at[~(zeros.all(axis=-1) | zeros.all(axis=-2)).any(axis=-1)]
-        stack = A.array[at]
-        sv = np.linalg.svd(stack, compute_uv=False)
-        full = sv[:, -1] > _SINGULAR_FLAG * A.n * eps * sv[:, 0]
-        flagged = np.flatnonzero(~full[:full.argmax() if full.any() else len(at)])
-        if len(flagged):
-            full[flagged] = _exact_ranks(stack[flagged]) == A.n
-        if full.any():
-            k = int(at[full.argmax()])
-            raise NumericalError(f"determinant rounds to 0 at position {k}, "
-                                 "where the matrix has full rank", position=k)
+    k = _first_rank(A.array[zero_det], True)
+    if k is not None:
+        k = int(zero_det[k])
+        raise NumericalError(f"determinant rounds to 0 at position {k}, "
+                             "where the matrix has full rank", position=k)
     return det
 
 
@@ -252,7 +235,8 @@ def mat_solve(A: MatElement, b: MatElement,
         raise DimensionMismatch(f"b must be {A.m}x1, got {b.m}x{b.n}")
     if A.weight != b.weight:
         raise WeightMismatch(f"{A.weight.name} vs {b.weight.name}")
-    pl, cl = joint_shape(A, b)
+    # the SVD's factors hold m^2 and n^2 entries a position
+    pl, cl = joint_shape(A, b, cells=max(A.m, A.n) ** 2)
     As, bs = A.take(pl + cl), b.take(pl + cl)
     uu, s, vh = np.linalg.svd(As, full_matrices=True)
     smax = s[:, 0]
@@ -442,16 +426,35 @@ def _exact_ranks(stack: np.ndarray) -> np.ndarray:
     return pivots // 2
 
 
-def _exact_rank(U: np.ndarray) -> int:
-    """The rank of the one matrix U as its doubles read (_exact_ranks), the
-    form that tests check against elimination over the Gaussian integers."""
-    return int(_exact_ranks(U[None])[0])
-
-
 # a position whose smallest singular value is at most this many n eps sigma_max
 # is singular iff _exact_ranks is below n; up to 7x7 the exactly singular ones with
 # entries in {-1, 0, 1, 2}, and the rank fuzz's (to 2^+-1000), stay under 0.7
 _SINGULAR_FLAG = 4.0
+
+
+def _first_rank(stack: np.ndarray, full: bool) -> int | None:
+    """The first k where stack[k] has full rank (full=True) or lacks it
+    (full=False) as its doubles read, else None.  A zero row or column means
+    singular, a clear SVD verdict (_SINGULAR_FLAG) stands, and _exact_ranks
+    decides the flagged matrices before the first decided hit.  The stack is
+    read _RANK_CHUNK entries at a time, up to the first chunk with a hit."""
+    n = stack.shape[-1]
+    tol = _SINGULAR_FLAG * n * np.finfo(np.float64).eps
+    step = max(1, _RANK_CHUNK // n ** 2)
+    for s in range(0, len(stack), step):
+        chunk = stack[s:s + step]
+        line = ~(chunk.any(axis=-1).all(axis=-1) & chunk.any(axis=-2).all(axis=-1))
+        sv = np.linalg.svd(chunk, compute_uv=False)
+        ranked = ~line & (sv[:, -1] > tol * sv[:, 0])
+        hit = (ranked | line) & (ranked == full)
+        flagged = np.flatnonzero(~(ranked | line)[:hit.argmax() if hit.any() else None])
+        if len(flagged):
+            ranked[flagged] = _exact_ranks(chunk[flagged]) == n
+        if (ranked == full).any():
+            return s + int((ranked == full).argmax())
+    return None
+
+
 # largest entry deviation of exp(log U(k)) from U(k) that mat_log accepts,
 # relative to max(1, max |U(k)|): doubles round in proportion to the entries
 _ROUNDTRIP_TOL = 1e-9
@@ -481,22 +484,16 @@ def mat_log(A: MatElement) -> MatElement:
     latter raises OffBranch at the first position whose margin to the strip
     edges is not positive.
 
-    A position is refused as singular (NotInGL) only where its smallest
-    singular value is within rounding of 0 and its exact rank is below n; an
-    eigenvalue that eig flushes to 0 is left to the round trip.
+    A position is refused as singular (NotInGL) only where its exact rank is
+    below n (_first_rank); an eigenvalue that eig flushes to 0 is left to the
+    round trip.
     """
     if A.m != A.n:
         raise DimensionMismatch("logarithm needs a square matrix")
     pl, cl, stack = A.ustack()
-    sv = np.linalg.svd(stack, compute_uv=False)
-    eps = np.finfo(np.float64).eps
-    flagged = np.flatnonzero(sv[:, -1] <= _SINGULAR_FLAG * A.n * eps * sv[:, 0])
-    step = max(1, _RANK_CHUNK // A.n ** 2)
-    for s in range(0, len(flagged), step):
-        at = flagged[s:s + step]
-        singular = at[_exact_ranks(stack[at]) < A.n]
-        if len(singular):
-            raise NotInGL(int(singular[0]))
+    k = _first_rank(stack, False)
+    if k is not None:
+        raise NotInGL(k)
     lam, V = np.linalg.eig(stack)
     thetas = _branch_angles(lam)
     out = _eig_logs(stack, lam, V, thetas)

@@ -191,7 +191,7 @@ def matrix_from_json(obj: Any) -> MatElement:
     for (pl, cl), cols in groups.items():
         raw = flat[start[cols] + np.arange(pl + cl)[:, None]]
         d[cols], t[cols] = _canonical(raw[:pl], raw[pl:])
-    pl, cl = _window(int((L - t).max()), math.lcm(*d.tolist()))
+    pl, cl = _window(int((L - t).max()), math.lcm(*d.tolist()), m * n)
     A = from_ustack(w, pl, _gather(flat, start, L, t, d, pl + cl).reshape(-1, m, n))
     if "rows" in obj and obj["rows"] != A.m:
         raise SchemaError(f"declared rows={obj['rows']} but found {A.m}")

@@ -253,7 +253,7 @@ def test_mat_det_stacked_matches_memo(n, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_exactly_singular_matches_exact_det(n):
-    """mat_log's exact singularity test, _exact_rank(U) < n, agrees with
+    """mat_log's exact singularity test, _exact_ranks(U) < n, agrees with
     Bareiss's elimination over the Gaussian integers on full-rank matrices
     and on ones with a zero, repeated or scaled row, with entries scaled by
     2^+-40, 2^+-1000 and into the subnormal range."""
@@ -273,7 +273,7 @@ def test_exactly_singular_matches_exact_det(n):
                     U[i] = complex(rng.choice((-3, 1, 2)), rng.choice((0, 1))) * U[j]
                 U = U * scale
                 singular = ref.exact_det(U) == (0, 0)
-                assert (ma._exact_rank(U) < n) == singular, (scale, draw, rank)
+                assert (ma._exact_ranks(U[None])[0] < n) == singular, (scale, draw, rank)
                 verdicts.add(singular)
     assert verdicts == {False, True}
 
@@ -290,7 +290,7 @@ RANK_SCALES = {
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_exact_rank_matches_fraction_elimination(n):
-    """_exact_rank agrees with elimination over Fractions at every rank
+    """_exact_ranks agrees with elimination over Fractions at every rank
     0..n: X Y for Gaussian-integer X (n x r) and Y (r x n), whose product
     is exact, times 2^a_i on row i and 2^b_j on column j, with exponents up
     to +-1000 and into the subnormal range; and generic doubles at the same
@@ -310,7 +310,7 @@ def test_exact_rank_matches_fraction_elimination(n):
             for U in (X.reshape(n, r) @ Y.reshape(r, n), G):
                 U = alg._ldexp(U.astype(complex), a + b)
                 want = ref.exact_rank(U)
-                assert ma._exact_rank(U) == want, (scale, r)
+                assert ma._exact_ranks(U[None])[0] == want, (scale, r)
                 ranks.add(want)
                 if want < n:  # the SVD flags every such position for the exact check
                     with pytest.raises(NotInGL):

@@ -545,6 +545,63 @@ class TestDetBudget:
             "of 12 rows\n")
 
 
+class TestMemoryBudget:
+    """coeffseq.MAX_WINDOW counts a matrix's values, positions times its
+    m n entries, before they are gathered; a MemoryError exits 4 and leaves
+    no --out file."""
+
+    def test_wide_seven_by_seven_refused_before_its_stack(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # cycle lengths 3, 5, 7, 11, 13 and 16 join at lcm 240,240 positions,
+        # under MAX_WINDOW, holding 240,240 x 49 = 11,771,760 values
+        lengths = (3, 5, 7, 11, 13, 16)
+        doc = {"weight": "factorial",
+               "entries": [[{"cycle": [[float(v + 1), 0.0]
+                                       for v in range(lengths[(7 * i + j) % 6])]}
+                            for j in range(7)] for i in range(7)]}
+
+        def gather(*args):
+            raise AssertionError("stack gathered")
+
+        monkeypatch.setattr(serialize, "_gather", gather)
+        out = tmp_path / "out.json"
+        assert run(["mat", "log", "--json", write(tmp_path, doc), "--out", str(out)]) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "numerical failure: joint window of 240240 positions of 49 entries "
+            "exceeds the budget of 1048576\n")
+
+    def test_memory_error_while_writing_leaves_no_file(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the answer's second block of values runs out of memory after the
+        # first block reached --out
+        real, sizes = serialize._texts, []
+        out = tmp_path / "out.json"
+
+        def texts(values):
+            sizes.append(out.stat().st_size)
+            if len(sizes) == 2:
+                raise MemoryError
+            return real(values)
+
+        monkeypatch.setattr(serialize, "_texts", texts)
+        cycle = [[float(k), 0.0] for k in range(1, 2 * serialize._CHUNK_ROWS)]
+        assert elem(tmp_path, "invert", element([], cycle)) == (4, None)
+        assert sizes[1] > 0  # a partial document was on disk
+        assert capsys.readouterr().err == "numerical failure: out of memory\n"
+
+    def test_memory_error_in_an_operation_exits_4(self, tmp_path, capsys, monkeypatch):
+        def log(A):
+            raise MemoryError
+
+        monkeypatch.setattr(matalg, "mat_log", log)
+        doc = {"weight": "factorial", "entries": [[{"cycle": [[2.0, 0.0]]}]]}
+        out = tmp_path / "out.json"
+        assert run(["mat", "log", "--json", write(tmp_path, doc), "--out", str(out)]) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == "numerical failure: out of memory\n"
+
+
 class TestIdealArguments:
     @pytest.mark.parametrize("argv, named", [
         (["trajectory", "--n", "0"], "n must be positive"),

@@ -390,15 +390,11 @@ class TestCheckDet:
         A = mat_from_stack(stack)
         calls = []
 
-        def one_at_a_time(U):
-            raise AssertionError("_exact_rank called")
-
         def counted(stack):
             calls.append(len(stack))
             return exact_ranks(stack)
 
         exact_ranks = ma._exact_ranks
-        monkeypatch.setattr(ma, "_exact_rank", one_at_a_time)
         monkeypatch.setattr(ma, "_exact_ranks", counted)
         start = time.perf_counter()
         det = ma.mat_det(A)
@@ -446,4 +442,72 @@ class TestExactRanks:
         with pytest.raises(NotInGL) as ei:
             ma.mat_log(mat_from_stack(stack))
         assert "at position 5000" in str(ei.value)
-        assert calls == [ma._RANK_CHUNK // 4, 6000 - ma._RANK_CHUNK // 4]
+        # position 5000 has a zero row, singular with no elimination, so the
+        # second chunk eliminates only the flagged positions before it
+        assert calls == [ma._RANK_CHUNK // 4, 5000 - ma._RANK_CHUNK // 4]
+
+
+class TestFirstRank:
+    """matalg._first_rank, the full-rank rule of mat_det and mat_log,
+    against elimination over Fractions (loop_reference.exact_rank)."""
+
+    @staticmethod
+    def draw(rng, n, kind):
+        """An n x n matrix: "clear" (generic, full rank by the SVD alone),
+        "flagged" (unit upper triangular with a row times 2^-60: full rank,
+        flagged by the SVD), "zero" (a generic one with a zero row or column)
+        or "singular" (X Y, X n x (n - 1), rows scaled by up to 2^+-40)."""
+        gauss = lambda *shape: (rng.integers(-2, 3, shape)
+                                + 1j * rng.integers(-2, 3, shape))
+        if kind == "clear":
+            return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "flagged":
+            U = np.eye(n) + np.triu(gauss(n, n), 1)
+            U[rng.integers(n)] *= 2.0 ** -60
+            return U
+        if kind == "zero":
+            U = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            U[rng.integers(n)] = 0.0
+            return U if rng.integers(2) else U.T.copy()
+        return alg._ldexp(gauss(n, n - 1) @ gauss(n - 1, n),
+                          rng.integers(-40, 41, (n, 1)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_first_hit_matches_fraction_elimination(self, n, monkeypatch):
+        """Stacks of 12 positions read 3 at a time (_RANK_CHUNK = 3 n^2),
+        with full-rank positions rare, even or common."""
+        monkeypatch.setattr(ma, "_RANK_CHUNK", 3 * n * n)
+        rng = np.random.default_rng(1500 + n)
+        seen = set()
+        for trial in range(30):
+            p = (0.05, 0.5, 0.95)[trial % 3]
+            kinds = [rng.choice(["clear", "flagged"]) if rng.random() < p
+                     else rng.choice(["zero", "singular"]) for _ in range(12)]
+            stack = np.array([self.draw(rng, n, kind) for kind in kinds], dtype=complex)
+            ranks = [ref.exact_rank(U) for U in stack]
+            for full in (True, False):
+                want = next((k for k, r in enumerate(ranks) if (r == n) == full), None)
+                assert ma._first_rank(stack, full) == want, (trial, full, kinds)
+                seen.add((full, "none" if want is None else min(want // 3, 1)))
+        assert seen == {(f, w) for f in (True, False) for w in ("none", 0, 1)}
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_a_hit_in_the_first_chunk_ends_the_scan(self, full, monkeypatch):
+        # every position is flagged by the SVD and decided by elimination:
+        # invertible diag(1, 2^-60) or singular [[1, 2], [2, 4]] 2^-60, with
+        # the one hit at position 1 of the first of three chunks
+        hit, rest = ([[1, 0], [0, 2.0 ** -60]], 2.0 ** -60 * np.array([[1, 2], [2, 4]]))
+        if not full:
+            hit, rest = rest, hit
+        stack = np.array([rest, hit] + [rest] * (3 * ma._RANK_CHUNK // 4 - 2),
+                         dtype=complex)
+        calls = []
+
+        def counted(stack):
+            calls.append(len(stack))
+            return exact_ranks(stack)
+
+        exact_ranks = ma._exact_ranks
+        monkeypatch.setattr(ma, "_exact_ranks", counted)
+        assert ma._first_rank(stack, full) == 1
+        assert calls == [ma._RANK_CHUNK // 4]

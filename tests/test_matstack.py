@@ -139,6 +139,23 @@ def test_window_budget():
         ref.matrix(W, ((a, b),))
 
 
+def test_matrix_window_budget_counts_entries():
+    # a 7 x 1 column on 10,007 positions times a 1 x 7 row on 101: their
+    # joint 1,010,707 positions fit MAX_WINDOW, their 7 x 7 product does not
+    col = np.arange(1.0, 10008.0)[:, None, None] * np.ones((1, 7, 1))
+    row = np.arange(1.0, 102.0)[:, None, None] * np.ones((1, 1, 7))
+    A, B = ma.from_ustack(W, 0, col), ma.from_ustack(W, 0, row)
+    assert 10007 * 101 <= MAX_WINDOW < 10007 * 101 * 49
+    with pytest.raises(WindowTooLarge, match="of 49 entries"):
+        ma.mat_mul(A, B)
+    # 20 x 1 A x = b on 6,002 positions: the SVD's 20 x 20 factors count
+    A = ma.from_ustack(W, 0, np.arange(1.0, 3002.0)[:, None, None] * np.ones((1, 20, 1)))
+    b = ma.from_ustack(W, 0, np.array([1.0, 2.0])[:, None, None] * np.ones((1, 20, 1)))
+    assert 6002 * 20 <= MAX_WINDOW < 6002 * 400
+    with pytest.raises(WindowTooLarge, match="of 400 entries"):
+        ma.mat_solve(A, b)
+
+
 def gaussian(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

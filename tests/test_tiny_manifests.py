@@ -1,6 +1,6 @@
 """The benchmark's tiny manifests, run through cli.run in this process.
 
-Every answer of seeds 1-5 of the three workloads is judged by the
+Every answer of seeds 1-10 of the three workloads is judged by the
 benchmark's independent checker, perfbench/verify.py, which recomputes it
 from the input document without hadalg.  And on the matrix workload only
 `mat det` builds Elements: the matrix path keeps its values as stacks."""
@@ -72,10 +72,10 @@ def test_checker_imports_no_hadalg():
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_every_answer_passes_the_checker(workload, tmp_path, monkeypatch):
-    """Seeds 1-5; then one output value of a checked answer, corrupted as
+    """Seeds 1-10; then one output value of a checked answer, corrupted as
     `perfbench/run.py --self-check` corrupts it, must fail the check."""
     checked = []
-    for seed in range(1, 6):
+    for seed in range(1, 11):
         root = tmp_path / str(seed)
         outcomes = replay(workload, seed, root, monkeypatch)
         assert failures(outcomes, root) == []
