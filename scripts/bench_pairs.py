@@ -12,7 +12,11 @@ checkout, the base first in pairs 1, 3, ... and the change first in pairs
 file written holds the seed, the seconds and the pair count, and per
 workload: each run's ``failed``/``attempted``, and per end-to-end metric
 (its ``end_to_end`` list) every run of each side, each side's median and
-quartiles, and the number of pairs the change won.  Stdlib only.
+quartiles, the number of pairs the change won, and two verdicts:
+``claim_met``, the change won at least 9 pairs in 10 and its median is
+better than the base's by more than the base's interquartile range, and
+``within_bound``, the change's median is no worse than the base's by more
+than the metric's ``bound``, a fraction of the base's median.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -43,18 +47,25 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> dict:
-    """Per metric of ``better`` (name -> "higher" or "lower"): both sides'
-    values in run order, their spread, and how many pairs (base[i],
-    change[i]) the change won, that is, was strictly better in."""
+def summarize(base: list[dict], change: list[dict], end_to_end: list[dict]) -> dict:
+    """Per metric of ``end_to_end`` (BENCHMARK.json's entries: name, better
+    "higher" or "lower", bound): both sides' values in run order, their
+    spread, how many pairs (base[i], change[i]) the change won, that is,
+    was strictly better in, and the verdicts claim_met and within_bound."""
     out = {}
-    for name, way in better.items():
+    for metric in end_to_end:
+        name, way = metric["name"], metric["better"]
+        sign = 1 if way == "higher" else -1
         b = [run["metrics"][name]["value"] for run in base]
         c = [run["metrics"][name]["value"] for run in change]
-        wins = sum(y > x if way == "higher" else y < x for x, y in zip(b, c))
+        wins = sum(sign * (y - x) > 0 for x, y in zip(b, c))
+        bs, cs = spread(b), spread(c)
+        gain = sign * (cs["median"] - bs["median"])
         out[name] = {"better": way, "base": b, "change": c,
-                     "base_spread": spread(b), "change_spread": spread(c),
-                     "change_wins": wins}
+                     "base_spread": bs, "change_spread": cs,
+                     "change_wins": wins,
+                     "claim_met": 10 * wins >= 9 * len(b) and gain > bs["q3"] - bs["q1"],
+                     "within_bound": -gain <= metric["bound"] * abs(bs["median"])}
     return out
 
 
@@ -72,7 +83,6 @@ def main() -> None:
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     result = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs,
               "workloads": {}}
@@ -88,7 +98,7 @@ def main() -> None:
         result["workloads"][workload] = {
             "failed": {side: [f"{r['failed']}/{r['attempted']}" for r in rs]
                        for side, rs in runs.items()},
-            "metrics": summarize(runs["base"], runs["change"], better)}
+            "metrics": summarize(runs["base"], runs["change"], bench["end_to_end"])}
         args.out.write_text(json.dumps(result, indent=2) + "\n")
 
 

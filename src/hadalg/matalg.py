@@ -222,7 +222,8 @@ def mat_norm_bounds(A: MatElement) -> tuple[float, float]:
 def mat_solve(A: MatElement, b: MatElement,
               rtol: float = 1e-10) -> tuple[float, MatElement]:
     """Solve A * x = b over the algebra, positionwise by minimal-norm
-    least squares (SVD with numerical-rank threshold rtol * sigma_max).
+    least squares (the reduced SVD, whose factors hold at most m * n values
+    a position; numerical-rank threshold rtol * sigma_max).
 
     Success requires every position to be consistent; then the assembled x
     is eventually periodic and delta = 1 / sup_k ||x_k||_2 certifies the
@@ -235,10 +236,9 @@ def mat_solve(A: MatElement, b: MatElement,
         raise DimensionMismatch(f"b must be {A.m}x1, got {b.m}x{b.n}")
     if A.weight != b.weight:
         raise WeightMismatch(f"{A.weight.name} vs {b.weight.name}")
-    # the SVD's factors hold m^2 and n^2 entries a position
-    pl, cl = joint_shape(A, b, cells=max(A.m, A.n) ** 2)
+    pl, cl = joint_shape(A, b, cells=A.m * A.n)
     As, bs = A.take(pl + cl), b.take(pl + cl)
-    uu, s, vh = np.linalg.svd(As, full_matrices=True)
+    uu, s, vh = np.linalg.svd(As, full_matrices=False)
     smax = s[:, 0]
     rank = np.sum(s > (rtol * smax)[:, None], axis=1)
     coeff = np.swapaxes(uu.conj(), 1, 2) @ bs

@@ -148,11 +148,12 @@ def test_matrix_window_budget_counts_entries():
     assert 10007 * 101 <= MAX_WINDOW < 10007 * 101 * 49
     with pytest.raises(WindowTooLarge, match="of 49 entries"):
         ma.mat_mul(A, B)
-    # 20 x 1 A x = b on 6,002 positions: the SVD's 20 x 20 factors count
-    A = ma.from_ustack(W, 0, np.arange(1.0, 3002.0)[:, None, None] * np.ones((1, 20, 1)))
+    # 20 x 1 A x = b on 60,002 positions: A's 20 values a position count,
+    # as the reduced SVD's factors hold no more
+    A = ma.from_ustack(W, 0, np.arange(1.0, 30002.0)[:, None, None] * np.ones((1, 20, 1)))
     b = ma.from_ustack(W, 0, np.array([1.0, 2.0])[:, None, None] * np.ones((1, 20, 1)))
-    assert 6002 * 20 <= MAX_WINDOW < 6002 * 400
-    with pytest.raises(WindowTooLarge, match="of 400 entries"):
+    assert 60002 <= MAX_WINDOW < 60002 * 20
+    with pytest.raises(WindowTooLarge, match="of 60002 positions of 20 entries"):
         ma.mat_solve(A, b)
 
 

@@ -82,28 +82,53 @@ def load_script(name):
 def test_bench_pairs_summary():
     """Per metric: both sides' runs in order, their median and quartiles
     (inclusive method), and the pairs the change won, in the direction
-    that BENCHMARK.json calls better; a tie is no win."""
+    that BENCHMARK.json calls better; a tie is no win.  claim_met needs 9
+    wins in 10 and a median better by more than the base's interquartile
+    range; within_bound, a median no worse by more than bound times the
+    base's."""
     bench_pairs = load_script("bench_pairs")
 
-    def runs(p90s, ops):
-        return [{"metrics": {"latency_p90_ms": {"value": a}, "ops_per_s": {"value": b}}}
-                for a, b in zip(p90s, ops)]
+    def runs(**values):
+        return [{"metrics": {name: {"value": v} for name, v in zip(values, row)}}
+                for row in zip(*values.values())]
 
-    base = runs([28.0, 26.0, 27.0, 30.0, 25.0], [100.0, 104.0, 101.0, 99.0, 103.0])
-    change = runs([23.0, 26.0, 22.0, 24.0, 21.0], [110.0, 104.0, 100.0, 112.0, 108.0])
-    got = bench_pairs.summarize(base, change, {"latency_p90_ms": "lower",
-                                               "ops_per_s": "higher"})
-    assert got == {
+    end_to_end = [{"name": "latency_p90_ms", "better": "lower", "bound": 0.25},
+                  {"name": "ops_per_s", "better": "higher", "bound": 0.25}]
+    base = runs(latency_p90_ms=[28.0, 26.0, 27.0, 30.0, 25.0],
+                ops_per_s=[100.0, 104.0, 101.0, 99.0, 103.0])
+    change = runs(latency_p90_ms=[23.0, 26.0, 22.0, 24.0, 21.0],
+                  ops_per_s=[110.0, 104.0, 100.0, 112.0, 108.0])
+    assert bench_pairs.summarize(base, change, end_to_end) == {
         "latency_p90_ms": {
             "better": "lower", "base": [28.0, 26.0, 27.0, 30.0, 25.0],
             "change": [23.0, 26.0, 22.0, 24.0, 21.0],
             "base_spread": {"median": 27.0, "q1": 26.0, "q3": 28.0},
             "change_spread": {"median": 23.0, "q1": 22.0, "q3": 24.0},
-            "change_wins": 4},
+            "change_wins": 4, "claim_met": False, "within_bound": True},
         "ops_per_s": {
             "better": "higher", "base": [100.0, 104.0, 101.0, 99.0, 103.0],
             "change": [110.0, 104.0, 100.0, 112.0, 108.0],
             "base_spread": {"median": 101.0, "q1": 100.0, "q3": 103.0},
             "change_spread": {"median": 108.0, "q1": 104.0, "q3": 110.0},
-            "change_wins": 3},
+            "change_wins": 3, "claim_met": False, "within_bound": True},
     }
+
+    # ten pairs: p90 wins 9 and its median gains 2 over an IQR of 1.5; ops
+    # wins 9 but gains 1 within an IQR of 15; peak RSS is 11% worse, over
+    # its bound of 10%; setup is 20% worse, within its bound of 25%
+    end_to_end += [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+                   {"name": "setup_s", "better": "lower", "bound": 0.25}]
+    p90 = [20.0, 21.0, 22.0, 20.0, 21.0, 22.0, 20.0, 21.0, 22.0, 21.0]
+    ops = [100.0, 110.0, 90.0] * 3 + [100.0]
+    base = runs(latency_p90_ms=p90, ops_per_s=ops, peak_rss_mb=[50.0] * 10,
+                setup_s=[0.2] * 10)
+    change = runs(latency_p90_ms=[v - 2 for v in p90[:9]] + [22.0],
+                  ops_per_s=[v + 1 for v in ops[:9]] + [99.0],
+                  peak_rss_mb=[55.5] * 10, setup_s=[0.24] * 10)
+    got = bench_pairs.summarize(base, change, end_to_end)
+    assert {name: (m["change_wins"], m["claim_met"], m["within_bound"])
+            for name, m in got.items()} == {
+        "latency_p90_ms": (9, True, True), "ops_per_s": (9, False, True),
+        "peak_rss_mb": (0, False, False), "setup_s": (0, False, True)}
+    assert got["latency_p90_ms"]["base_spread"] == {"median": 21.0, "q1": 20.25, "q3": 21.75}
+    assert got["ops_per_s"]["base_spread"] == {"median": 100.0, "q1": 92.5, "q3": 107.5}
