@@ -7,7 +7,9 @@ memory.  Results go to --out (default stdout); a one-line human summary goes
 to stderr.  Floats are serialized with shortest-roundtrip repr, so documents
 reconstruct exactly.  Input documents are decoded by orjson when ``_plain``
 shows that it builds the tree ``json.loads`` builds; every other text, and
-every decode error, goes through ``json.loads``.
+every decode error, goes through ``json.loads``.  A well-formed request is
+read from the operation table (``_quick``); argparse answers help and every
+other argv, with the same messages and exit codes.
 """
 
 from __future__ import annotations
@@ -360,38 +362,71 @@ OPERATIONS = {
 _UNSET = {("ideal", "trajectory"): {"n": None, "horizon": None}}
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The whole parser tree, and its leaf parser for each (group, op)."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree: group, operation, then that operation's flags."""
     # no abbreviations: --k must not stand for --ks where only --ks exists
     ap = _Parser(prog="hadalg", allow_abbrev=False)
     groups = ap.add_subparsers(dest="group", required=True)
-    leaves = {}
     for group, (handler, ops) in OPERATIONS.items():
         op_parsers = groups.add_parser(group, allow_abbrev=False).add_subparsers(
             dest="op", required=True)
         for op, flags in ops.items():
-            p = leaves[group, op] = op_parsers.add_parser(op, allow_abbrev=False)
+            p = op_parsers.add_parser(op, allow_abbrev=False)
             for flag in (*flags, "out"):
                 p.add_argument("--" + flag, **_FLAGS[flag])
             p.set_defaults(func=handler, group=group, op=op,
                            **_UNSET.get((group, op), {}))
-    return ap, leaves
+    return ap
 
 
-_PARSER, _LEAVES = _build_parser()
+_PARSER = _build_parser()
+
+
+def _quick(argv):
+    """The Namespace the parser tree gives for a well-formed request, read
+    from the operation table: an operation's two words, then only its own
+    flags and --out, each as `--flag value` or `--flag=value` with a value of
+    the flag's type and among its choices.  None for every other argv, which
+    the tree answers: help, unknown or foreign flags, a split value starting
+    with "-" (the tree may read it as a flag), a value that is exactly "--"
+    (which argparse strips), a value its type or choices refuse."""
+    if len(argv) < 2 or argv[0] not in OPERATIONS:
+        return None
+    group, op = argv[0], argv[1]
+    handler, ops = OPERATIONS[group]
+    if op not in ops:
+        return None
+    flags = (*ops[op], "out")
+    values = {flag: _FLAGS[flag].get("default") for flag in flags}
+    values.update(func=handler, group=group, op=op, **_UNSET.get((group, op), {}))
+    tokens = iter(argv[2:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if name[:2] != "--" or name[2:] not in flags:
+            return None
+        if not eq:  # a flag with no value left reads "-", refused here
+            text = next(tokens, "-")
+            if text[:1] == "-":
+                return None
+        elif text == "--":
+            return None
+        spec = _FLAGS[name[2:]]
+        if "type" in spec:
+            try:
+                text = spec["type"](text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if "choices" in spec and text not in spec["choices"]:
+            return None
+        values[name[2:]] = text
+    return argparse.Namespace(**values)
 
 
 def _parse(argv):
-    """argv parsed by the leaf parser of its first two words when they name
-    an operation, to the Namespace the whole tree gives, without walking its
-    three levels.  Everything else goes through the tree: help at the upper
-    levels, unknown words and flags before the operation."""
+    """argv read by _quick, or else by the parser tree."""
     if argv is None:
         argv = sys.argv[1:]
-    leaf = _LEAVES.get(tuple(argv[:2]))
-    if leaf is None:
-        return _PARSER.parse_args(argv)
-    return leaf.parse_args(argv[2:])
+    return _quick(argv) or _PARSER.parse_args(argv)
 
 
 def _emit(payload: dict, args) -> None:

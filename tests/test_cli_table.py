@@ -3,6 +3,7 @@ handler reads, the parser is built once, the ideal arguments have budgets,
 and no argv ends in an exception."""
 
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hadalg import algebra, cli, weights
 from hadalg.cli import run
 from hadalg.coeffseq import MAX_WINDOW
-from hadalg.errors import WindowTooLarge
+from hadalg.errors import SchemaError, WindowTooLarge
 from hadalg.ideals import MAX_N
 
 ONE = {"weight": "factorial", "normalized": {"prefix": [], "cycle": [[1, 0]]}}
@@ -137,7 +138,7 @@ def test_run_builds_no_parser(monkeypatch, tmp_path):
 @pytest.mark.parametrize("group, op", list(FULL), ids=[" ".join(k) for k in FULL])
 def test_leaf_parser_gives_the_trees_namespace(group, op, tmp_path):
     argv = full_argv(tmp_path, group, op)
-    assert cli._LEAVES[group, op].parse_args(argv[2:]) == cli._PARSER.parse_args(argv)
+    assert cli._quick(argv) == cli._PARSER.parse_args(argv)
     assert cli._parse(argv) == cli._PARSER.parse_args(argv)
 
 
@@ -166,9 +167,68 @@ def test_dispatch_keeps_exit_and_output(argv, monkeypatch, capsys):
         return code, capsys.readouterr()
 
     got = outcome()
-    monkeypatch.setattr(cli, "_LEAVES", {})  # every argv through the tree
+    monkeypatch.setattr(cli, "_quick", lambda argv: None)  # every argv through the tree
     assert got == outcome()
     assert got[0] == (("SystemExit", 0) if "--help" in argv or "-h" in argv else 3)
+
+
+# tokens and values that no well-formed request holds, or that argparse reads
+# in its own way: flags and help where a value goes, values starting with "-",
+# argparse's "--", values its types or its choices refuse
+HOSTILE = ["--", "-", "-1", "=", "", "-h", "--help", "--bogus", "--bogus=1",
+           "-json", "--out=--", "nan", "1e400", "0x10", "Artinian", "NOETHERIAN"]
+BAD_VALUES = HOSTILE + ["--json", "--out", "-x y", "inf", "-inf", " 7", "1_0",
+                        "a=b", "٣", "noetherian "]
+# values of each flag's type and among its choices
+GOOD_VALUES = {"json": ["doc.json", "a=b.json"], "z": ["1", "1+2j", "-1", "x"],
+               "tol": ["1e-9", "-1", " 0.5", "1_0"],
+               "eps": ["0.25", "+3", "-1e-300"], "weight": ["factorial", "x"],
+               "horizon": ["64", "0", "-3", "1_000"], "k": ["0", "-2", " 7"],
+               "n": ["1", "9" * 40], "ks": ["0,2", "0,junk"],
+               "kind": ["artinian", "noetherian"], "out": ["o.json", "-o.json", ""]}
+OPERATION_WORDS = [w for g, (_, ops) in cli.OPERATIONS.items() for w in (g, *ops)]
+
+
+def random_argv(rng):
+    """An argv built from the operation table and its flags, with some of
+    HOSTILE, BAD_VALUES, foreign flags, repeated flags and stray words."""
+    group = rng.choice(list(cli.OPERATIONS))
+    op = rng.choice(list(cli.OPERATIONS[group][1]))
+    if rng.random() < 0.03:
+        group, op = rng.choice(OPERATION_WORDS + HOSTILE), rng.choice(OPERATION_WORDS)
+    own = [*cli.OPERATIONS.get(group, (None, {}))[1].get(op, ()), "out"]
+    argv = [group, op]
+    for _ in range(rng.randrange(7)):
+        draw = rng.random()
+        if draw < 0.04:
+            argv.append(rng.choice(HOSTILE + OPERATION_WORDS))
+            continue
+        flag = rng.choice(own if draw < 0.9 else list(cli._FLAGS))
+        value = rng.choice(GOOD_VALUES[flag] if rng.random() < 0.85 else BAD_VALUES)
+        argv += [f"--{flag}={value}"] if rng.random() < 0.5 else [f"--{flag}", value]
+    return argv
+
+
+def test_quick_path_gives_the_trees_namespace(capsys):
+    """_quick answers a seeded draw of 50,000 argvs with None or with the
+    Namespace that the parser tree gives."""
+    rng = random.Random(35)
+    quick, wrong = 0, []
+    for _ in range(50_000):
+        argv = random_argv(rng)
+        got = cli._quick(argv)
+        if got is None:
+            continue
+        quick += 1
+        try:
+            want = cli._PARSER.parse_args(argv)
+        except (SchemaError, SystemExit) as exc:
+            want = exc
+        if got != want:
+            wrong.append((argv, got, want))
+    capsys.readouterr()
+    assert wrong == []
+    assert quick > 10_000
 
 
 class TestBudgets:

@@ -3,7 +3,8 @@
 Every answer of seeds 1-10 of the three workloads is judged by the
 benchmark's independent checker, perfbench/verify.py, which recomputes it
 from the input document without hadalg.  And on the matrix workload only
-`mat det` builds Elements: the matrix path keeps its values as stacks."""
+`mat det` builds Elements: the matrix path keeps its values as stacks.
+Every argv of seed 1's full manifests is read by cli's quick path."""
 
 import contextlib
 import inspect
@@ -86,6 +87,19 @@ def test_every_answer_passes_the_checker(workload, tmp_path, monkeypatch):
         and bench._has_float(json.loads(out.read_text())))
     bench.corrupt(out)
     assert failures([(req, code, out)], root) != []
+
+
+def test_benchmark_argvs_take_the_quick_path(tmp_path):
+    """Every request of seed 1's full manifests, with --out as the worker
+    adds it, is read from the operation table, to the tree's Namespace."""
+    argvs = []
+    for workload in WORKLOADS:
+        manifest = gen.generate(workload, 1, tmp_path / workload)
+        argvs += [req["argv"] + ["--out", f"out/{req['id']}.json"]
+                  for req in manifest["requests"]]
+    assert len(argvs) == 165
+    for argv in argvs:
+        assert cli._quick(argv) == cli._PARSER.parse_args(argv), argv
 
 
 def test_only_mat_det_builds_elements(tmp_path, monkeypatch):
