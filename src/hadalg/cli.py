@@ -9,7 +9,8 @@ reconstruct exactly.  Input documents are decoded by orjson when ``_plain``
 shows that it builds the tree ``json.loads`` builds; every other text, and
 every decode error, goes through ``json.loads``.  A well-formed request is
 read from the operation table (``_quick``); argparse answers help and every
-other argv, with the same messages and exit codes.
+other argv, with the same messages and exit codes, from a parser tree built
+when the first such argv arrives.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import errno
+import functools
 import gc
 import json
 import math
@@ -362,8 +364,10 @@ OPERATIONS = {
 _UNSET = {("ideal", "trajectory"): {"n": None, "horizon": None}}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The whole parser tree: group, operation, then that operation's flags."""
+    """The whole parser tree: group, operation, then that operation's flags.
+    Built on first use: a well-formed request never reads it (_quick)."""
     # no abbreviations: --k must not stand for --ks where only --ks exists
     ap = _Parser(prog="hadalg", allow_abbrev=False)
     groups = ap.add_subparsers(dest="group", required=True)
@@ -379,7 +383,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_PARSER = _build_parser()
+def __getattr__(name):
+    # cli._PARSER is the parser tree, built when first read
+    if name == "_PARSER":
+        return _build_parser()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _quick(argv):
@@ -426,7 +434,7 @@ def _parse(argv):
     """argv read by _quick, or else by the parser tree."""
     if argv is None:
         argv = sys.argv[1:]
-    return _quick(argv) or _PARSER.parse_args(argv)
+    return _quick(argv) or _build_parser().parse_args(argv)
 
 
 def _emit(payload: dict, args) -> None:

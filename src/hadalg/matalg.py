@@ -30,6 +30,7 @@ from .errors import (DimensionMismatch, Inconsistent, InvalidArgument, NotInGL,
 from .weights import Weight
 
 _TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -348,29 +349,28 @@ def _log_on_branch(values: np.ndarray, theta) -> np.ndarray:
     return np.log(np.abs(values)) + 1j * a
 
 
-def _eig_logs(stack: np.ndarray, lam: np.ndarray, V: np.ndarray,
-              thetas: np.ndarray) -> np.ndarray:
-    """Functional-calculus logarithm of each U(k) from its eigendecomposition
-    U(k) = V diag(lam) V^-1, that is V diag(log_theta lam) V^-1.  Where the
-    eigenvector basis is ill-conditioned (a Jordan block, say) it is the
-    principal logm of U(k) turned by e^{-i(theta + pi)}, which puts the cut
-    on the negative axis, plus i(theta + pi) I.  Where the binary exponent
-    e of that matrix's largest entry exceeds 64 in modulus, logm takes it
-    times 2^-e (exact for each part that stays normal) and e ln 2 I is
-    added: near the double range logm's inverse scaling and squaring can
-    run for minutes.  logm's accuracy warnings are silenced: mat_log's
-    round-trip and branch checks judge the result.
-    logm (imported only then) estimates 1-norms from random vectors of
-    numpy's global generator, so each position runs it from seed 0 and the
-    generator's state is put back; a logm that fails raises NumericalError."""
+def _eig_logs(stack: np.ndarray, good: np.ndarray, Vg: np.ndarray,
+              X: np.ndarray, logs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Logarithm of each U(k) on the branch thetas[k].  Where the eigenvector
+    basis V of U(k) = V diag(lam) V^-1 is well conditioned (good), it is the
+    functional calculus V diag(logs) X, with Vg = V[good], logs =
+    log_theta lam and X the computed inverse of Vg.  Elsewhere (a Jordan
+    block, say) it is the principal logm of U(k) turned by
+    e^{-i(theta + pi)}, which puts the cut on the negative axis, plus
+    i(theta + pi) I.  Where the binary exponent e of that matrix's largest
+    entry exceeds 64 in modulus, logm takes it times 2^-e (exact for each
+    part that stays normal) and e ln 2 I is added: near the double range
+    logm's inverse scaling and squaring can run for minutes.  logm's
+    accuracy warnings are silenced: mat_log's round-trip and branch checks
+    judge the result.  logm (imported only then) estimates 1-norms from
+    random vectors of numpy's global generator, so each position runs it
+    from seed 0 and the generator's state is put back; a logm that fails
+    raises NumericalError."""
     n = stack.shape[1]
-    cond = np.linalg.cond(V)
-    good = np.isfinite(cond) & (cond < 1e10)
     out = np.empty_like(stack)
-    Vg = V[good]
-    D = np.zeros_like(Vg)
-    D[:, range(n), range(n)] = _log_on_branch(lam[good], thetas[good, None])
-    out[good] = Vg @ D @ np.linalg.inv(Vg)
+    D = np.zeros_like(X)
+    D[:, range(n), range(n)] = logs
+    out[good] = Vg @ D @ X
     if good.all():
         return out
     import scipy.linalg
@@ -439,7 +439,7 @@ def _first_rank(stack: np.ndarray, full: bool) -> int | None:
     decides the flagged matrices before the first decided hit.  The stack is
     read _RANK_CHUNK entries at a time, up to the first chunk with a hit."""
     n = stack.shape[-1]
-    tol = _SINGULAR_FLAG * n * np.finfo(np.float64).eps
+    tol = _SINGULAR_FLAG * n * _EPS
     step = max(1, _RANK_CHUNK // n ** 2)
     for s in range(0, len(stack), step):
         chunk = stack[s:s + step]
@@ -456,7 +456,8 @@ def _first_rank(stack: np.ndarray, full: bool) -> int | None:
 
 
 # largest entry deviation of exp(log U(k)) from U(k) that mat_log accepts,
-# relative to max(1, max |U(k)|): doubles round in proportion to the entries
+# relative to max |U(k)|: doubles round in proportion to the entries, and
+# scaling U by a power of two moves log U by a multiple of I
 _ROUNDTRIP_TOL = 1e-9
 
 
@@ -465,51 +466,151 @@ def _branch_margin(logs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     from the edges of the strip (thetas[k], thetas[k] + 2 pi): positive
     exactly when the whole spectrum of logs[k] lies inside, nan when it is
     not finite."""
-    im = np.linalg.eigvals(logs).imag - thetas[:, None]
+    return _strip_margin(np.linalg.eigvals(logs), thetas)
+
+
+def _strip_margin(values: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Per row k, the least distance of an imaginary part of values[k] from
+    the edges of the strip (thetas[k], thetas[k] + 2 pi)."""
+    im = values.imag - thetas[:, None]
     return np.minimum(im, _TWO_PI - im).min(axis=1)
+
+
+# covers the rounding of _strip_margin's two subtractions of imaginary parts
+# below 4 pi, and of the double _TWO_PI against 2 pi
+_STRIP_PAD = 8 * _EPS * _TWO_PI
+
+
+def _fro(A: np.ndarray) -> np.ndarray:
+    """An upper bound on the Frobenius norm of each matrix on A's last two
+    axes: summed on the matrix times 2^-e, e the binary exponent of its
+    largest modulus, so no square overflows and a square that underflows is
+    below 2^-1022 of the sum, and rounded up by the sum's error; inf where
+    the norm overflows."""
+    a = np.abs(A)
+    e = np.frexp(a.max(axis=(-2, -1)))[1]
+    s = np.sqrt(np.square(np.ldexp(a, -e[:, None, None])).sum(axis=(-2, -1)))
+    return np.ldexp(s, e) * (1 + (A.shape[-2] * A.shape[-1] + 4) * _EPS)
+
+
+def _gamma(n: int) -> float:
+    """A bound on the rounding error of a complex n x n matrix product
+    relative to |A| |B|, entry by entry, that also covers one complex
+    product and one subtraction after it."""
+    return (2 * n + 8) * _EPS
+
+
+def _inv_bound(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """An upper bound on ||V^-1||_2 for each V of a stack, from X, a computed
+    inverse: with F = I - X V and ||F|| < 1, V^-1 = (I - F)^-1 X, so
+    ||V^-1|| <= ||X|| / (1 - ||F||) (the Neumann series), Frobenius norms
+    bounding 2-norms and ||F|| bounded above the computed F's by its
+    rounding error; inf where that bound on ||F|| is not below 1."""
+    g = _gamma(V.shape[-1])
+    fx = _fro(X)
+    F = (1 + g) * _fro(np.eye(V.shape[-1]) - X @ V) + g * fx * _fro(V)
+    return np.where(F < 1, fx / (1 - F) * (1 + 4 * _EPS), np.inf)
+
+
+def _eig_radius(M: np.ndarray, V: np.ndarray, values: np.ndarray,
+                inv: np.ndarray) -> np.ndarray:
+    """Per k, a radius rho such that every eigenvalue of M[k] lies within rho
+    of some values[k, i], for any V[k] with ||V[k]^-1||_2 <= inv[k]: if
+    M V = V diag(values) + R, then rho = ||V^-1|| ||R|| (Bauer and Fike,
+    Numer. Math. 2:137-141, 1960).  ||R||_2 is bounded by the computed
+    residual's Frobenius norm plus the residual's rounding error, and a
+    few subnormal units for products that underflow; nan or inf where a
+    part is not finite."""
+    n = M.shape[-1]
+    g = _gamma(n)
+    fv = _fro(V)
+    r = ((1 + g) * _fro(M @ V - V * values[:, None, :])
+         + g * fv * (_fro(M) + np.abs(values).max(axis=1)) + n * n * 2.0 ** -1070)
+    return inv * r * (1 + 4 * _EPS)
+
+
+def _invertible(stack: np.ndarray, lam: np.ndarray, good: np.ndarray,
+                Vg: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Per position k, True where U(k) = stack[k] is certified invertible:
+    at a good position (Vg = V[good], inv >= ||V^-1||_2) every |lam_i|,
+    rounded down, exceeds the Bauer-Fike radius about lam, so 0 is no
+    eigenvalue of U(k)."""
+    sure = np.zeros(len(stack), dtype=bool)
+    sure[good] = (np.abs(lam[good]).min(axis=1) * (1 - 2 * _EPS)
+                  > _eig_radius(stack[good], Vg, lam[good], inv))
+    return sure
+
+
+def _in_strip(logs_stack: np.ndarray, good: np.ndarray, Vg: np.ndarray,
+              inv: np.ndarray, logs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Per position k, True where every eigenvalue of B(k) = logs_stack[k] is
+    certified inside the strip (thetas[k], thetas[k] + 2 pi): at a good
+    position every logs_i is farther than the Bauer-Fike radius about logs
+    (and _STRIP_PAD) from both edges."""
+    sure = np.zeros(len(logs_stack), dtype=bool)
+    sure[good] = (_strip_margin(logs, thetas[good])
+                  > _eig_radius(logs_stack[good], Vg, logs, inv) + _STRIP_PAD)
+    return sure
 
 
 def mat_log(A: MatElement) -> MatElement:
     """Logarithm of an invertible matrix over the algebra.
 
     Per position: pick the branch cut theta through the largest angular gap
-    of the spectrum of U(k) and compute B(k) = log U(k) by eigenvalue
-    functional calculus (_eig_logs).  Two checks certify B(k) as log U(k) on
-    that branch: exp(B(k)) = U(k) within _ROUNDTRIP_TOL max(1, max |U(k)|),
-    and every eigenvalue of B(k) has imaginary part inside
-    (theta, theta + 2 pi).  log_theta is the inverse of exp on that strip,
-    and primary matrix functions compose, so
-    B(k) = log_theta(exp(B(k))) = log_theta(U(k)).  The round trip
+    of the spectrum lam of U(k) = V diag(lam) V^-1 (one np.linalg.eig of the
+    stack) and compute B(k) = log U(k) by eigenvalue functional calculus
+    (_eig_logs).  Two checks certify B(k) as log U(k) on that branch:
+    exp(B(k)) = U(k) within _ROUNDTRIP_TOL max |U(k)|, and every eigenvalue
+    of B(k) has imaginary part inside (theta, theta + 2 pi).  log_theta is
+    the inverse of exp on that strip, and primary matrix functions compose,
+    so B(k) = log_theta(exp(B(k))) = log_theta(U(k)).  The round trip
     catches a wrong B, the strip a wrong branch (B + 2 pi i I, say); the
     latter raises OffBranch at the first position whose margin to the strip
     edges is not positive.
 
     A position is refused as singular (NotInGL) only where its exact rank is
-    below n (_first_rank); an eigenvalue that eig flushes to 0 is left to the
-    round trip.
+    below n; an eigenvalue that eig flushes to 0 is left to the round trip.
+
+    At a position on the eig path (V well conditioned) the decomposition
+    settles both questions by the Bauer-Fike theorem, with ||V^-1|| bounded
+    from X, the computed inverse of V that the functional calculus uses
+    (_inv_bound): U(k) is invertible where _invertible holds, and B(k)'s
+    spectrum lies in the strip where _in_strip holds.  Only the positions
+    that a certificate leaves open, those on the logm path among them, go
+    to the rank rule (_first_rank) and to the eigenvalues of B(k)
+    (_branch_margin), so the verdicts, positions and margins are theirs.
     """
     if A.m != A.n:
         raise DimensionMismatch("logarithm needs a square matrix")
     pl, cl, stack = A.ustack()
-    k = _first_rank(stack, False)
-    if k is not None:
-        raise NotInGL(k)
     lam, V = np.linalg.eig(stack)
     thetas = _branch_angles(lam)
-    out = _eig_logs(stack, lam, V, thetas)
+    cond = np.linalg.cond(V)
+    good = np.isfinite(cond) & (cond < 1e10)
+    Vg = V[good]
+    X = np.linalg.inv(Vg)
+    inv = _inv_bound(Vg, X)
+    open_ = np.flatnonzero(~_invertible(stack, lam, good, Vg, inv))
+    k = _first_rank(stack[open_], False) if len(open_) else None
+    if k is not None:
+        raise NotInGL(int(open_[k]))
+    logs = _log_on_branch(lam[good], thetas[good, None])
+    out = _eig_logs(stack, good, Vg, X, logs, thetas)
     err = np.max(np.abs(_expm(out) - stack), axis=(1, 2))
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    scale = np.abs(stack).max(axis=(1, 2))
     bad = ~(err <= _ROUNDTRIP_TOL * scale)  # nan included
     if bad.any():
         k = int(bad.argmax())
         raise NumericalError(
             f"logarithm round-trip error {err[k]:.3e} at position {k}")
     # every B(k) is finite here: a nan or inf in it fails the round trip
-    margin = _branch_margin(out, thetas)
-    bad = ~(margin > 0)
-    if bad.any():
-        k = int(bad.argmax())
-        raise OffBranch(k, float(margin[k]))
+    open_ = np.flatnonzero(~_in_strip(out, good, Vg, inv, logs, thetas))
+    if len(open_):
+        margin = _branch_margin(out[open_], thetas[open_])
+        bad = ~(margin > 0)
+        if bad.any():
+            k = int(bad.argmax())
+            raise OffBranch(int(open_[k]), float(margin[k]))
     return from_ustack(A.weight, pl, out)
 
 

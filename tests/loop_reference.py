@@ -18,12 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from hadalg import algebra, ideals
+from hadalg import algebra, ideals, matalg
 from hadalg.coeffseq import EPSeq, GenSeq, _take, joint_shape
 from hadalg.errors import (BoundUnavailable, CoronaFails, DimensionMismatch,
                            HorizonExceeded, InvalidArgument, NotDivisible,
-                           NotInIdeal, NotInvertible, NumericalError,
-                           PointwiseDomainError, WeightMismatch)
+                           NotInGL, NotInIdeal, NotInvertible, NumericalError,
+                           OffBranch, PointwiseDomainError, WeightMismatch)
 from hadalg.matalg import from_ustack
 
 
@@ -385,6 +385,25 @@ def exact_rank(U):
     return rank
 
 
+def inverse_frobenius_sq(V):
+    """||V^-1||_F^2 of an invertible complex128 matrix as its doubles read, a
+    Fraction: Gauss-Jordan elimination over Fractions on the real form
+    [[Re V, -Im V], [Im V, Re V]], whose inverse is the real form of V^-1
+    and so holds each of its parts twice."""
+    R = np.block([[V.real, -V.imag], [V.imag, V.real]]).tolist()
+    N = len(R)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(N)]
+         for i, row in enumerate(R)]
+    for j in range(N):
+        pivot = next(i for i in range(j, N) if M[i][j] != 0)
+        M[j], M[pivot] = M[pivot], M[j]
+        M[j] = [x / M[j][j] for x in M[j]]
+        for i in range(N):
+            if i != j and M[i][j] != 0:
+                M[i] = [x - M[i][j] * y for x, y in zip(M[i], M[j])]
+    return sum(x * x for row in M for x in row[N:]) / 2
+
+
 def mat_mul(a, b):
     """Product of matrices given as rows of (prefix, cycle) pairs, position
     by position: each entry is Python's complex sum of products from the
@@ -469,6 +488,46 @@ def contour_log(U, theta, r, R, nodes):
         res = np.linalg.inv(z[:, None, None] * I[None, :, :] - U[None, :, :])
         acc += np.einsum("k,kij->ij", weights * logs * dz * dw, res)
     return acc / (2j * math.pi)
+
+
+def eig_decomposition(stack):
+    """What mat_log computes from one np.linalg.eig of the stack before its
+    first verdict, as a dict: lam, V, thetas, the eig-path mask good (cond(V)
+    below 1e10), Vg = V[good], X its computed inverse and inv, the bound on
+    ||V^-1||_2 from it."""
+    lam, V = np.linalg.eig(stack)
+    cond = np.linalg.cond(V)
+    good = np.isfinite(cond) & (cond < 1e10)
+    X = np.linalg.inv(V[good])
+    return dict(lam=lam, V=V, thetas=matalg._branch_angles(lam), good=good,
+                Vg=V[good], X=X, inv=matalg._inv_bound(V[good], X))
+
+
+def mat_log_screened(stack):
+    """mat_log's rule before its eigendecomposition certified anything, on
+    a canonical stack: the rank rule at every position (NotInGL), the
+    logarithm by _eig_logs, the round trip relative to max |U(k)|
+    (NumericalError), then the eigenvalues of every logarithm
+    (OffBranch)."""
+    k = matalg._first_rank(stack, False)
+    if k is not None:
+        raise NotInGL(k)
+    d = eig_decomposition(stack)
+    good, thetas = d["good"], d["thetas"]
+    logs = matalg._log_on_branch(d["lam"][good], thetas[good, None])
+    out = matalg._eig_logs(stack, good, d["Vg"], d["X"], logs, thetas)
+    err = np.max(np.abs(matalg._expm(out) - stack), axis=(1, 2))
+    bad = ~(err <= matalg._ROUNDTRIP_TOL * np.abs(stack).max(axis=(1, 2)))
+    if bad.any():
+        k = int(bad.argmax())
+        raise NumericalError(
+            f"logarithm round-trip error {err[k]:.3e} at position {k}")
+    margin = matalg._branch_margin(out, thetas)
+    bad = ~(margin > 0)
+    if bad.any():
+        k = int(bad.argmax())
+        raise OffBranch(k, float(margin[k]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """The CLI's operation table: each operation accepts exactly the flags its
-handler reads, the parser is built once, the ideal arguments have budgets,
-and no argv ends in an exception."""
+handler reads, the parser tree is built once and only for an argv that
+needs it, the ideal arguments have budgets, and no argv ends in an
+exception."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -133,6 +138,19 @@ def test_run_builds_no_parser(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_build_parser", refuse)
     assert run(["weight", "list", "--out", str(tmp_path / "w.json")]) == 0
     assert run(full_argv(tmp_path, "elem", "norm")) == 0
+
+
+def test_import_and_requests_build_no_parser(tmp_path):
+    """In a fresh interpreter, importing the CLI and answering a well-formed
+    request leave _build_parser's cache empty; cli._PARSER builds it."""
+    code = ("import sys; from hadalg import cli; "
+            "assert cli.run(['weight', 'list', '--out', sys.argv[1]]) == 0; "
+            "print(cli._build_parser.cache_info().currsize, end=' '); "
+            "cli._PARSER; print(cli._build_parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "w.json")],
+                         env=env, check=True, capture_output=True, text=True)
+    assert out.stdout == "0 1\n"
 
 
 @pytest.mark.parametrize("group, op", list(FULL), ids=[" ".join(k) for k in FULL])

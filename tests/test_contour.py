@@ -160,8 +160,8 @@ def test_wrong_branch_at_one_position_is_caught(position, monkeypatch):
     A = ma.from_ustack(FACTORIAL, 0, stack)
     eig_logs = ma._eig_logs
 
-    def shifted(stack, lam, V, thetas):
-        B = eig_logs(stack, lam, V, thetas)
+    def shifted(stack, *decomposition):
+        B = eig_logs(stack, *decomposition)
         B[position] += 2j * math.pi * np.eye(stack.shape[1])
         return B
 
